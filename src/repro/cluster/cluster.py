@@ -9,10 +9,11 @@ catalog — see :class:`repro.storage.topology.Topology`).  The
    :class:`~repro.cluster.partition.Partitioner` splits the driving
    table's scan responsibility into per-device shards; each device runs
    the hybridNDP split the :class:`~repro.core.planner.HybridPlanner`
-   picked for it, restricted to its shard, as a staged
-   :class:`~repro.engine.cooperative._SplitSimulation` on one shared
-   :class:`~repro.sim.ClusterSimContext` (one clock, one host CPU, one
-   PCIe link + NDP core per device).
+   picked for it, restricted to its shard, as a staged split
+   (``prepare_split`` → ``start`` → completion hook,
+   docs/architecture.md) on one ``n``-device
+   :class:`~repro.sim.SimContext` (one clock, one host CPU, one PCIe
+   link + NDP core per device).
 2. **Gather** — partitions complete on the shared timeline; the host
    concatenates their pre-finalize joined rows in partition order and
    runs the aggregation/sort epilogue *once* on the shared CPU.
@@ -63,7 +64,7 @@ from repro.engine.timing import ExecutionLocation, TimingModel
 from repro.errors import (DeadlineExceededError, DeviceOverloadError,
                           ReproError)
 from repro.faults import FAULTS_TRACK, FaultPlan
-from repro.sim import HOST_RESOURCE, ClusterSimContext
+from repro.sim import HOST_RESOURCE, SimContext
 from repro.storage.topology import Topology
 
 
@@ -113,12 +114,6 @@ class SpeculationPolicy:
         return {"factor": self.factor, "quorum": self.quorum}
 
 
-def _add_counters(total, extra):
-    for name, value in extra.as_dict().items():
-        setattr(total, name, getattr(total, name) + value)
-    return total
-
-
 class _Attempt:
     """One in-flight device execution of a partition's shard."""
 
@@ -151,16 +146,7 @@ class _Partition:
         self.host_counters = None
         self.device_counters = None
         self.timeline = ()
-        self.batches = 0
-        self.intermediate_rows = 0
-        self.intermediate_bytes = 0
-        self.setup_time = 0.0
-        self.host_wait_initial = 0.0
-        self.host_wait_other = 0.0
-        self.transfer_time = 0.0
-        self.host_processing = 0.0
-        self.device_busy_time = 0.0
-        self.device_stall_time = 0.0
+        self.phases = {}            # ExecutionReport phase field -> value
         self.wasted_time = 0.0
         self.done = False           # first result committed
         self.duration = None        # winning attempt's elapsed seconds
@@ -258,22 +244,6 @@ class DeviceCluster:
         """Scatter-gather ``query`` across the cluster (see executor)."""
         return self.executor.run(query, ctx=ctx, split_index=split_index)
 
-    def device_load(self, kernel, index):
-        """Device ``index``'s :class:`~repro.core.DeviceLoad` snapshot."""
-        def _utilization(resource):
-            horizon = max(kernel.now, resource.free_at)
-            if horizon <= 0:
-                return 0.0
-            return min(1.0, resource.busy_time / horizon)
-
-        device = self.devices[index]
-        return DeviceLoad(
-            core_utilization=_utilization(kernel.cores[index]),
-            link_utilization=_utilization(kernel.links[index]),
-            reserved_fraction=(device.reserved_bytes
-                               / max(1, device.buffer_budget)),
-        )
-
 
 class _RunState:
     """Mutable state of one scatter-gather run."""
@@ -327,7 +297,7 @@ class ScatterGatherExecutor:
         env = cluster.env
         plan = env.runner.plan(query) if isinstance(query, str) else query
         n = cluster.n_devices
-        kernel = ClusterSimContext.fresh(n, tracer=ctx.tracer)
+        kernel = SimContext.fresh(n, tracer=ctx.tracer)
         tracer = ctx.sim_tracer()
 
         driving = plan.entries[0].table_name
@@ -380,7 +350,8 @@ class ScatterGatherExecutor:
         """The Hk each partition runs, or None for host placement."""
         if split_index is not None:
             return min(split_index, plan.table_count - 1)
-        load = self.cluster.device_load(kernel, index)
+        load = DeviceLoad.snapshot(kernel.links[index], kernel.cores[index],
+                                   self.cluster.devices[index], kernel.now)
         decision = self.cluster.env.planner.decide(
             plan, context=PlanningContext(device_load=load))
         if decision.strategy is ExecutionStrategy.HOST_ONLY:
@@ -462,22 +433,12 @@ class ScatterGatherExecutor:
         part.placement = f"H{part.split_index}@d{attempt.device_index}"
         part.rows = ColumnBatch.concat(sim.joined_rows)
         part.completed_at = now
-        part.host_counters = prepared.host_counters
+        part.host_counters = sim.host_counters
         part.device_counters = prepared.execution.counters
         part.timeline = list(sim.timeline)
-        part.batches = prepared.n_batches
-        part.intermediate_rows = prepared.intermediate_rows
-        part.intermediate_bytes = (prepared.intermediate_rows
-                                   * prepared.row_bytes)
-        part.setup_time = prepared.setup_time
-        part.host_wait_initial = sim.host_wait_initial
-        part.host_wait_other = sim.host_wait_other
-        part.transfer_time = sim.transfer_total
-        part.host_processing = sim.host_processing
-        part.device_busy_time = prepared.device_time + sim.slow_time
-        part.device_stall_time = sim.device_stall
-        part.retries += sim.retries
-        part.wasted_time += sim.wasted_time
+        part.phases = prepared.phases()
+        part.retries += sim.command.retries
+        part.wasted_time += sim.command.wasted_time
         prepared.release()
         self._cancel_losers(state, part, attempt, now)
         self._maybe_speculate(state, now)
@@ -536,10 +497,8 @@ class ScatterGatherExecutor:
             and j not in state.inflight_devices
         ]
         if candidates:
-            target = min(
-                candidates,
-                key=lambda j: (state.kernel.cores[j].free_at,
-                               self.cluster.devices[j].reserved_bytes, j))
+            target = state.kernel.least_loaded(self.cluster.devices,
+                                               candidates)
             where = f"d{target}"
         else:
             target = None
@@ -702,7 +661,7 @@ class ScatterGatherExecutor:
         part.rows = rows
         part.completed_at = end
         part.host_counters = counters
-        part.host_processing = service
+        part.phases = {"host_processing_time": service}
         part.timeline = [
             TimelinePhase("host", "compute", begin, end,
                           f"partition {part.index} (host)",
@@ -821,10 +780,10 @@ class ScatterGatherExecutor:
         device_counters = WorkCounters()
         for part in partitions:
             if part.host_counters is not None:
-                _add_counters(host_counters, part.host_counters)
+                host_counters.merge(part.host_counters)
             if part.device_counters is not None:
-                _add_counters(device_counters, part.device_counters)
-        _add_counters(host_counters, merge_counters)
+                device_counters.merge(part.device_counters)
+        host_counters.merge(merge_counters)
 
         timeline = []
         for part in partitions:
@@ -839,6 +798,11 @@ class ScatterGatherExecutor:
         split_label = (f"H{device_parts[0].split_index}" if device_parts
                        else "host")
         policy = cluster.speculation
+        phases = {"host_processing_time": 0}
+        for part in partitions:     # partition order: stable float sums
+            for name, value in part.phases.items():
+                phases[name] = phases.get(name, 0) + value
+        phases["host_processing_time"] += merge_time
         report = ExecutionReport(
             strategy=f"scatter-gather[{cluster.n_devices}x{split_label}]",
             total_time=total,
@@ -847,24 +811,6 @@ class ScatterGatherExecutor:
                          else None),
             host_counters=host_counters,
             device_counters=device_counters,
-            setup_time=sum(part.setup_time for part in partitions),
-            host_wait_initial=sum(part.host_wait_initial
-                                  for part in partitions),
-            host_wait_other=sum(part.host_wait_other
-                                for part in partitions),
-            transfer_time=sum(part.transfer_time for part in partitions),
-            host_processing_time=(sum(part.host_processing
-                                      for part in partitions)
-                                  + merge_time),
-            device_busy_time=sum(part.device_busy_time
-                                 for part in partitions),
-            device_stall_time=sum(part.device_stall_time
-                                  for part in partitions),
-            batches=sum(part.batches for part in partitions),
-            intermediate_rows=sum(part.intermediate_rows
-                                  for part in partitions),
-            intermediate_bytes=sum(part.intermediate_bytes
-                                   for part in partitions),
             timeline=timeline,
             resource_stats=kernel.resource_stats(total),
             trace_metrics=state.tracer.metrics(),
@@ -884,6 +830,7 @@ class ScatterGatherExecutor:
                     "wasted_time": state.spec_wasted,
                 },
             },
+            **phases,
         )
         retries = sum(part.retries for part in partitions)
         if retries:

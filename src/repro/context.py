@@ -6,10 +6,7 @@ concurrent scheduler would have added a third.  :class:`ExecutionContext`
 stops the kwarg sprawl: every run entry point (``StackRunner.run``,
 ``Environment.run``, ``CooperativeExecutor.run_split`` /
 ``run_full_ndp``, ``run_all_splits``, the chaos and bench harnesses)
-accepts a single ``ctx=`` carrying all of them.  The legacy keywords are
-*gone*: passing ``tracer=`` / ``faults=`` (or ``tracer_factory=`` to
-``run_all_splits``) raises a :class:`~repro.errors.ReproError` naming
-the replacement — see :func:`reject_removed_kwargs`.
+accepts a single ``ctx=`` carrying all of them.
 
 The context is frozen: it describes *how* to run, never accumulates
 per-run state.  Mutable per-run collaborators (an active
@@ -100,41 +97,3 @@ class ExecutionContext:
 #: The do-nothing context: no tracing, no faults, no scheduler.
 NULL_CONTEXT = ExecutionContext()
 
-
-#: Keywords deleted by a context migration, with their replacement
-#: spelling and the migration that removed them (for the error message).
-_REMOVED_KWARGS = {
-    "tracer": ("ctx=ExecutionContext(tracer=...)",
-               "ExecutionContext"),
-    "faults": ("ctx=ExecutionContext(faults=...)",
-               "ExecutionContext"),
-    "tracer_factory": ("ctx_factory=lambda name: "
-                       "ExecutionContext(tracer=...)",
-                       "ExecutionContext"),
-    "device_load": ("context=PlanningContext(device_load=...)",
-                    "PlanningContext"),
-}
-
-
-def reject_removed_kwargs(where, kwargs):
-    """Fail loudly on keywords a context migration removed.
-
-    Entry points that used to take ``tracer=`` / ``faults=`` (or
-    ``tracer_factory=``, or the planner's ``device_load=``) collect
-    stray keywords into ``**kwargs`` and route them here: a removed
-    keyword raises a :class:`~repro.errors.ReproError` naming its
-    replacement, anything else raises ``TypeError`` like a normal
-    unexpected keyword.
-    """
-    for name in kwargs:
-        replacement = _REMOVED_KWARGS.get(name)
-        if replacement is not None:
-            replacement, migration = replacement
-            raise ReproError(
-                f"{where}() no longer accepts {name}=; pass {replacement} "
-                f"instead (the legacy keywords were removed with the "
-                f"{migration} migration)")
-    if kwargs:
-        unexpected = sorted(kwargs)[0]
-        raise TypeError(
-            f"{where}() got an unexpected keyword argument {unexpected!r}")

@@ -29,6 +29,14 @@ _BYTES_NORM = 64.0
 MAX_PRICED_UTILIZATION = 0.95
 
 
+def _booked_share(resource, now):
+    """Busy share of a resource over the horizon it is booked until."""
+    horizon = max(now, resource.free_at)
+    if horizon <= 0:
+        return 0.0
+    return min(1.0, resource.busy_time / horizon)
+
+
 @dataclass(frozen=True)
 class DeviceLoad:
     """A snapshot of device-side pressure, folded into the cost model.
@@ -44,6 +52,21 @@ class DeviceLoad:
     link_utilization: float = 0.0    # PCIe link busy fraction so far
     reserved_fraction: float = 0.0   # device DRAM budget already reserved
     inflight: int = 0                # queries currently using the device
+
+    @classmethod
+    def snapshot(cls, link, core, device, now, inflight=0):
+        """Measure one device's pressure at kernel time ``now``.
+
+        ``link`` / ``core`` are the device's busy resources on the sim
+        kernel.  Utilization is busy time over the horizon each resource
+        is booked until — counting work already committed to the future,
+        which is what the *next* query will actually contend with.
+        """
+        return cls(core_utilization=_booked_share(core, now),
+                   link_utilization=_booked_share(link, now),
+                   reserved_fraction=(device.reserved_bytes
+                                      / max(1, device.buffer_budget)),
+                   inflight=inflight)
 
     def compute_scale(self):
         """Inflation for on-device compute terms.

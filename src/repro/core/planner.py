@@ -8,12 +8,9 @@ composition of the two fragments (the cooperative model overlaps them).
 
 Everything the decision depends on besides the query travels in a
 frozen :class:`~repro.core.planning.PlanningContext` — device load,
-EWMA correction state, re-planning thresholds.  The legacy
-``device_load=`` keyword was removed and raises a
-:class:`~repro.errors.ReproError` naming the replacement.
+EWMA correction state, re-planning thresholds.
 """
 
-from repro.context import reject_removed_kwargs
 from repro.core.cost_model import CostModel
 from repro.core.planning import CostEstimate, PlanningContext
 from repro.core.splitter import SplitPlanner
@@ -37,7 +34,7 @@ class HybridPlanner:
         """Baseline physical plan for SQL text."""
         return build_plan(sql, self.catalog)
 
-    def decide(self, query, context=None, **removed):
+    def decide(self, query, context=None):
         """Make the offloading decision for SQL text or a QueryPlan.
 
         ``context`` (a :class:`~repro.core.planning.PlanningContext`)
@@ -50,7 +47,6 @@ class HybridPlanner:
         per-strategy :class:`~repro.core.planning.CostEstimate` entries
         and can ``revise(feedback)`` itself from runtime observations.
         """
-        reject_removed_kwargs("HybridPlanner.decide", removed)
         context = PlanningContext.coerce(context)
         plan = self.plan(query) if isinstance(query, str) else query
         cost_model = self.cost_model

@@ -92,6 +92,57 @@ class ReplanPolicy:
         if self.max_replans < 0:
             raise ReproError("max_replans must be >= 0")
 
+    def check(self, decision, batches, batches_seen, now, saturated=None):
+        """Second-guess ``decision`` at a pipeline breaker.
+
+        ``batches`` are the split's staged device batches, of which the
+        first ``batches_seen`` have landed host-side at simulated time
+        ``now``.  The intermediate-result cardinality is extrapolated
+        from them (exact once the device fragment finished — it executes
+        eagerly and announces the batch count with the first push) and
+        compared against the estimate baked into the decision.  Past
+        :attr:`error_threshold` — or when ``saturated`` (drivers sharing
+        a device pass whether its core is at :attr:`saturation_shed`;
+        drivers owning an idle kernel leave it ``None``) — the decision
+        revises itself.
+
+        Returns ``(feedback, revised, event)`` — the observation, the
+        revised decision (possibly the same strategy) and the audit
+        event without its driver-specific ``action`` — or ``None`` when
+        the running plan stands unquestioned.
+        """
+        if batches_seen < self.min_batches:
+            return None
+        estimate = decision.estimate_for()
+        if estimate.intermediate_rows is None:
+            return None
+        observed_so_far = sum(len(batch) for batch in batches[:batches_seen])
+        feedback = CardinalityFeedback(
+            observed_rows=int(round(observed_so_far * len(batches)
+                                    / batches_seen)),
+            estimated_rows=estimate.intermediate_rows,
+            batches_observed=batches_seen,
+            batches_total=len(batches),
+            raw_rows=estimate.raw_rows,
+            at=now,
+            device_saturated=bool(saturated))
+        if feedback.error < self.error_threshold and not saturated:
+            return None
+        revised = decision.revise(feedback)
+        event = {
+            "at": now,
+            "batches_observed": batches_seen,
+            "batches_total": len(batches),
+            "observed_rows": feedback.observed_rows,
+            "estimated_rows": estimate.intermediate_rows,
+            "error": round(feedback.error, 6),
+        }
+        if saturated is not None:
+            event["device_saturated"] = saturated
+        event["from"] = decision.strategy_name
+        event["to"] = revised.strategy_name
+        return feedback, revised, event
+
 
 @dataclass(frozen=True)
 class CardinalityFeedback:

@@ -11,8 +11,8 @@ Operators exchange :class:`ColumnBatch` values — schema-tagged numpy
 column arrays — rather than lists of dicts; ``ColumnBatch.rows()`` is
 the compatibility view for row-oriented consumers.  Work counters are
 derived from batch arithmetic, so traces are byte-identical to the
-retained row-at-a-time reference executor
-(:class:`repro.engine.rowref.RowPipelineExecutor`).  See
+row-at-a-time reference executor the tests keep
+(``tests/rowref.py``).  See
 ``docs/engine.md`` for the exchange protocol.
 """
 

@@ -17,8 +17,9 @@ shedding — lives in :class:`repro.sched.WorkloadScheduler`
 regret bench (:mod:`repro.bench.adaptive`) measures.
 """
 
-from repro.core import (CardinalityFeedback, CostCorrection,
-                        ExecutionStrategy, PlanningContext, ReplanPolicy)
+from repro.context import ExecutionContext
+from repro.core import (CostCorrection, ExecutionStrategy, PlanningContext,
+                        ReplanPolicy)
 from repro.engine.stacks import Stack
 from repro.errors import ReplanTriggered, RetriesExhaustedError
 
@@ -26,21 +27,18 @@ from repro.errors import ReplanTriggered, RetriesExhaustedError
 class _BreakerMonitor:
     """The ``breaker_hook`` driving one execution attempt.
 
-    Fires at every pipeline breaker (a device batch landing host-side).
-    Extrapolates the intermediate-result cardinality from the batches
-    observed so far, compares it against the estimate baked into the
-    decision, and past the policy threshold asks the decision to
-    ``revise(feedback)`` itself.  A revision that changes the placement
-    cancels the simulation with reason ``"replan"`` — which makes
-    ``run_split`` raise :class:`~repro.errors.ReplanTriggered` — and
-    leaves ``revised`` / ``feedback`` / ``estimate`` for the driver.
+    Fires at every pipeline breaker (a device batch landing host-side)
+    and applies :meth:`~repro.core.planning.ReplanPolicy.check`.  A
+    revision that changes the placement cancels the simulation with
+    reason ``"replan"`` — which makes ``run_split`` raise
+    :class:`~repro.errors.ReplanTriggered` — and leaves ``revised`` /
+    ``feedback`` for the driver.
     """
 
     def __init__(self, decision, policy, budget):
         self.decision = decision
         self.policy = policy
         self.budget = budget         # revisions this attempt may spend
-        self.estimate = None
         self.feedback = None
         self.revised = None
         self.events = []
@@ -48,49 +46,22 @@ class _BreakerMonitor:
     def __call__(self, sim, i):
         if self.budget <= 0 or self.revised is not None:
             return
-        batches_seen = i + 1
-        if batches_seen < self.policy.min_batches:
+        checked = self.policy.check(self.decision, sim.batches, i + 1,
+                                    sim.clock.now)
+        if checked is None:
             return
-        estimate = self.decision.estimate_for()
-        if estimate.intermediate_rows is None:
-            return
-        observed_so_far = sum(len(batch)
-                              for batch in sim.batches[:batches_seen])
-        observed_total = int(round(observed_so_far * sim.n_batches
-                                   / batches_seen))
-        feedback = CardinalityFeedback(
-            observed_rows=observed_total,
-            estimated_rows=estimate.intermediate_rows,
-            batches_observed=batches_seen,
-            batches_total=sim.n_batches,
-            raw_rows=estimate.raw_rows,
-            at=sim.clock.now)
-        if feedback.error < self.policy.error_threshold:
-            return
-        revised = self.decision.revise(feedback)
-        event = {
-            "at": sim.clock.now,
-            "batches_observed": batches_seen,
-            "batches_total": sim.n_batches,
-            "observed_rows": observed_total,
-            "estimated_rows": estimate.intermediate_rows,
-            "error": round(feedback.error, 6),
-            "from": self.decision.strategy_name,
-            "to": revised.strategy_name,
-        }
+        feedback, revised, event = checked
         self.budget -= 1
+        self.events.append(event)
         if revised.strategy_name == self.decision.strategy_name:
             # Re-pricing with the observed cardinality still prefers
             # the running plan: audit it, keep going.
             event["action"] = "kept"
-            self.events.append(event)
             return
         event["action"] = ("shed-to-host"
                            if revised.strategy is ExecutionStrategy.HOST_ONLY
                            or revised.split_index is None
                            else "shift-split")
-        self.events.append(event)
-        self.estimate = estimate
         self.feedback = feedback
         self.revised = revised
         sim.cancel(sim.clock.now, reason="replan")
@@ -153,19 +124,13 @@ class AdaptiveRunner:
             except ReplanTriggered as signal:
                 events.extend(monitor.events)
                 wasted += signal.elapsed
-                observed_pair = (monitor.estimate.raw_rows,
+                observed_pair = (monitor.feedback.raw_rows,
                                  monitor.feedback.observed_rows)
                 current = monitor.revised
             except RetriesExhaustedError as failure:
-                # Graceful degradation, mirroring StackRunner's host
-                # fallback: correct rows, honest timeline.
                 events.extend(monitor.events)
-                report = self.runner.run(plan, Stack.NATIVE, ctx=ctx)
-                report.fallback_from = failure.strategy
-                report.retries = failure.retries
-                report.faults_injected = dict(failure.faults_injected)
-                report.wasted_device_time = failure.wasted_time
-                report.total_time += failure.wasted_time
+                report = self.runner.host_fallback(
+                    plan, failure, ExecutionContext.coerce(ctx).tracer)
                 break
         if (key is not None and observed_pair is not None
                 and observed_pair[0] is not None):

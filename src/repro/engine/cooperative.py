@@ -16,27 +16,30 @@ the host's fetch/completion commands — acquires the link resource, so
 transfers serialize with queuing delays that feed the ``host_wait_*`` /
 ``device_stall_time`` accounting instead of silently overlapping.
 
-A single-query run owns a private kernel (its own clock, loop and
-resources, all starting at time zero).  The concurrent workload
-scheduler (:mod:`repro.sched`) instead *stages* splits with
-:meth:`CooperativeExecutor.prepare_split` and starts many of them on one
-shared :class:`~repro.sim.SimContext`, so queries contend for the same
-link/core/CPU and the same device DRAM budget.
+Every split runs through one lifecycle (docs/architecture.md):
+:meth:`CooperativeExecutor.prepare_split` *stages* it on a
+:class:`~repro.sim.SimContext`, ``start(at)`` schedules it, the kernel's
+event loop drains it, ``finish`` builds the report.
+:meth:`CooperativeExecutor.run_split` drives exactly that on a fresh
+one-device kernel; the workload scheduler (:mod:`repro.sched`) and the
+scatter-gather executor (:mod:`repro.cluster`) start many staged splits
+on one kernel, so queries contend for the same link/core/CPU and the
+same device DRAM budget.
 """
 
 import math
+from functools import partial
 
-from repro.context import ExecutionContext, reject_removed_kwargs
+from repro.context import ExecutionContext
 from repro.engine.counters import WorkCounters
 from repro.engine.results import ExecutionReport, QueryResult, TimelinePhase
 from repro.engine.timing import ExecutionLocation
 from repro.errors import (DeadlineExceededError, PlanError, ReplanTriggered,
-                          ReproError, RetriesExhaustedError,
-                          TransientDeviceError)
-from repro.faults import FAULTS_TRACK, NULL_INJECTOR
+                          RetriesExhaustedError, TransientDeviceError)
+from repro.faults import FAULTS_TRACK
 from repro.query.ast import conjuncts
 from repro.sim import (DEVICE_RESOURCE, HOST_RESOURCE, LINK_RESOURCE,
-                       BusyResource, EventLoop, SimClock, as_tracer)
+                       SimContext)
 
 #: Track that carries one root span per traced execution.
 EXEC_TRACK = "exec"
@@ -46,6 +49,90 @@ def _counter_deltas(counters):
     """Non-zero entries of a :class:`WorkCounters` delta, for trace args."""
     return {name: value for name, value in counters.as_dict().items()
             if value}
+
+
+class _CommandSubmission:
+    """Submitting one NDP command over the link, with bounded retries.
+
+    The host assembles the command and pushes its payload over ``link``.
+    Under fault injection a submission may fail transiently: the failed
+    attempt still crossed the link, then the host backs off
+    exponentially in simulated time before retrying, bounded by the
+    injector's retry policy.  Split and full-NDP runs share this state
+    machine; each drives it its own way (events vs. a plain loop).
+    """
+
+    def __init__(self, link, injector, tracer, strategy_label, setup_time):
+        self.link = link
+        self.injector = injector
+        self.tracer = tracer
+        self.strategy_label = strategy_label
+        self.setup_time = setup_time
+        self.retries = 0          # failed submissions
+        self.wasted_time = 0.0    # failed-attempt link time + backoffs
+
+    def attempt(self, attempt, at):
+        """Push the payload at ``at``; returns ``(begin, end, landed)``."""
+        setup = self.setup_time
+        if self.injector.enabled:
+            setup = self.injector.scale_transfer(at, setup)
+        begin, end = self.link.acquire(at, setup,
+                                       label="NDP command payload")
+        landed = True
+        if self.injector.enabled:
+            try:
+                self.injector.check_submission(attempt)
+            except TransientDeviceError:
+                landed = False
+        return begin, end, landed
+
+    def failed(self, attempt, begin, end, phase, origin=0.0):
+        """Account failed submission ``attempt``; returns the backoff.
+
+        The failed attempt and the backoff are recorded through the
+        caller's ``phase(kind, start, end, label, resource=, operator=)``.
+        Raises :class:`~repro.errors.RetriesExhaustedError` once the
+        retry policy is spent.  Its ``wasted_time`` is the *elapsed*
+        attempt time since ``origin``, not the absolute sim time: on a
+        shared kernel the run started at origin > 0, and a partition
+        that cascades through several devices accumulates each
+        attempt's elapsed cost — absolute times would over-count.
+        """
+        self.retries += 1
+        self.wasted_time += end - begin
+        phase("setup", begin, end,
+              f"NDP command (attempt {attempt + 1}: transient failure)",
+              resource=LINK_RESOURCE, operator="ndp-command")
+        if self.tracer.enabled:
+            self.tracer.instant(FAULTS_TRACK, "transient-command-failure",
+                                end, args={"attempt": attempt + 1,
+                                           "strategy": self.strategy_label})
+        policy = self.injector.retry
+        if attempt >= policy.max_retries:
+            if self.tracer.enabled:
+                self.tracer.instant(FAULTS_TRACK, "retries-exhausted", end,
+                                    args={"attempts": self.retries,
+                                          "strategy": self.strategy_label})
+            raise RetriesExhaustedError(
+                f"{self.strategy_label}: NDP command submission failed "
+                f"{self.retries} time(s), retries exhausted",
+                strategy=self.strategy_label, retries=self.retries,
+                wasted_time=end - origin,
+                faults_injected=self.injector.faults_injected())
+        backoff = policy.backoff(attempt)
+        self.wasted_time += backoff
+        phase("wait", end, end + backoff, f"retry backoff {attempt + 1}",
+              operator="retry-backoff")
+        return backoff
+
+    def stamp(self, report, admission_wait):
+        """Record a faulted run's resilience accounting on ``report``."""
+        if self.injector.enabled:
+            report.retries = self.retries
+            report.faults_injected = self.injector.faults_injected()
+            report.wasted_device_time = self.wasted_time
+            report.admission_wait_time = admission_wait
+        return report
 
 
 class _SplitSimulation:
@@ -60,21 +147,20 @@ class _SplitSimulation:
     inside the consume events, in batch order, so results are identical to
     the sequential implementation.
 
-    With ``kernel`` (a :class:`~repro.sim.SimContext`) the simulation
-    runs on *shared* clock/loop/resources: :meth:`start` schedules the
-    begin event at an absolute workload time and completion is signalled
-    through ``on_complete`` instead of draining a private loop.  Without
-    it the simulation owns a private kernel and :meth:`run` drains it —
-    the original single-query behaviour, byte for byte.
+    The simulation runs on ``kernel`` (a one-device
+    :class:`~repro.sim.SimContext` or a view of a larger one), which the
+    caller may share with other executions: :meth:`start` schedules the
+    begin event at an absolute kernel time, whoever owns the kernel
+    drains its loop, and completion / retries-exhausted are signalled
+    through the ``on_complete`` / ``on_abandon`` hooks.
     """
 
-    def __init__(self, executor, timing, plan, batches, per_batch_device,
+    def __init__(self, executor, plan, batches, per_batch_device,
                  row_bytes, slots, setup_time, session, host_counters,
-                 tracer=None, strategy_label="split", injector=None,
-                 start_offset=0.0, kernel=None, trace_label=None,
-                 finalize=True):
+                 kernel, tracer, injector, strategy_label, start_offset,
+                 trace_label, finalize):
         self.executor = executor
-        self.timing = timing
+        self.timing = executor.timing
         self.plan = plan
         self.batches = batches
         self.n_batches = len(batches)
@@ -84,37 +170,33 @@ class _SplitSimulation:
         self.setup_time = setup_time
         self.session = session
         self.host_counters = host_counters
-        self.tracer = as_tracer(tracer)
+        self.tracer = tracer
         self.strategy_label = strategy_label
+        # A labelled run (one of many on its kernel) gets its own root
+        # track and event labels so concurrent executions don't
+        # interleave X events on one track.
         self.trace_label = trace_label or strategy_label
+        self.exec_track = (EXEC_TRACK if trace_label is None
+                           else f"{EXEC_TRACK}/{trace_label}")
+        self.begin_label = ("begin" if trace_label is None
+                            else f"begin {trace_label}")
         self.root_span = None
-        self.injector = injector or NULL_INJECTOR
+        self.injector = injector
         self.start_offset = start_offset   # admission-control wait
         #: Scatter-gather partitions defer the epilogue: the cluster
         #: merges all partitions' joined rows and finalizes *once*.
         self.finalize = finalize
 
-        self.kernel = kernel
-        self.shared = kernel is not None
-        self.origin = 0.0                  # workload time this run begins
-        self.on_complete = None            # shared mode: completion hook
-        self.on_abandon = None             # shared mode: retries-exhausted
-        if kernel is None:
-            self.exec_track = EXEC_TRACK
-            self.clock = SimClock()
-            self.loop = EventLoop(self.clock, tracer=self.tracer)
-            self.link = BusyResource(LINK_RESOURCE, tracer=self.tracer)
-            self.core = BusyResource(DEVICE_RESOURCE, tracer=self.tracer)
-            self.cpu = BusyResource(HOST_RESOURCE, tracer=self.tracer)
-        else:
-            # Per-query root spans get their own track so concurrent
-            # executions don't interleave X events on one track.
-            self.exec_track = f"{EXEC_TRACK}/{self.trace_label}"
-            self.clock = kernel.clock
-            self.loop = kernel.loop
-            self.link = kernel.link
-            self.core = kernel.core
-            self.cpu = kernel.cpu
+        self.origin = 0.0                  # kernel time this run begins
+        self.on_complete = None            # completion hook
+        self.on_abandon = None             # retries-exhausted hook
+        self.clock = kernel.clock
+        self.loop = kernel.loop
+        self.link = kernel.link
+        self.core = kernel.core
+        self.cpu = kernel.cpu
+        self.command = _CommandSubmission(
+            self.link, injector, tracer, strategy_label, setup_time)
 
         self.timeline = []
         self.joined_rows = []
@@ -130,8 +212,6 @@ class _SplitSimulation:
         self.transfer_total = 0.0
         self.host_processing = 0.0
         self.host_end = 0.0
-        self.retries = 0          # failed NDP command submissions
-        self.wasted_time = 0.0    # failed-attempt link time + backoffs
         self.slow_time = 0.0      # extra compute from SlowDeviceModel
         self.completed = False    # host epilogue ran
         self.cancelled = False    # cooperatively cancelled (see cancel())
@@ -175,48 +255,25 @@ class _SplitSimulation:
     def _host_charge(self, work):
         """Price host-side work with this run's injector attached.
 
-        Serial runs execute inside ``run_split``'s injector-attachment
-        window, so attaching again would be redundant; shared-kernel runs
-        interleave many queries with distinct injectors on one flash
-        model, so each pricing call attaches its own for its duration.
+        A kernel may interleave many queries with distinct injectors on
+        one flash model, so each pricing call attaches its own for its
+        duration.
         """
-        if self.shared and self.injector.enabled:
+        if self.injector.enabled:
             with self.injector.attached(self.executor.ndp.device):
                 return work()
         return work()
 
     # -- simulation ----------------------------------------------------
-    def run(self):
-        """Run the simulation on the private kernel; returns total time."""
-        if self.shared:
-            raise ReproError(
-                "run() drives a private kernel; shared-kernel simulations "
-                "are started with start() and drained by their scheduler")
-        if self.tracer.enabled:
-            self.root_span = self.tracer.begin(
-                self.exec_track, self.strategy_label, 0.0,
-                category="execution",
-                args={"strategy": self.strategy_label,
-                      "batches": self.n_batches, "slots": self.slots})
-        self.loop.schedule_at(0.0, self._begin, label="begin")
-        self.loop.run()
-        total = max(self.link.free_at, self.core.free_at, self.cpu.free_at)
-        if self.root_span is not None:
-            self.tracer.end(self.root_span, total)
-        return total
-
     def start(self, at, on_complete=None, on_abandon=None):
-        """Begin this run at workload time ``at`` on the shared kernel.
+        """Begin this run at kernel time ``at``.
 
         ``on_complete(sim)`` fires (as an event) when the host epilogue
         finishes; ``on_abandon(sim, error)`` replaces the
         :class:`~repro.errors.RetriesExhaustedError` raise when command
         submission exhausts its retries, so one query's degradation
-        doesn't unwind the whole workload's event loop.
+        doesn't unwind a whole workload's event loop.
         """
-        if not self.shared:
-            raise ReproError("start() requires a shared kernel; "
-                             "single runs use run()")
         self.origin = at
         self.on_complete = on_complete
         self.on_abandon = on_abandon
@@ -225,8 +282,7 @@ class _SplitSimulation:
                 self.exec_track, self.trace_label, at, category="execution",
                 args={"strategy": self.strategy_label,
                       "batches": self.n_batches, "slots": self.slots})
-        self.loop.schedule_at(at, self._begin,
-                              label=f"begin {self.trace_label}")
+        self.loop.schedule_at(at, self._begin, label=self.begin_label)
 
     def cancel(self, now, reason="cancelled"):
         """Cooperatively cancel this run at simulated time ``now``.
@@ -276,82 +332,43 @@ class _SplitSimulation:
     def _submit(self, attempt, at):
         if self.cancelled:
             return
-        # The host assembles the NDP command and pushes its payload over
-        # the link; the device cannot start before the command arrived.
-        # Submission may fail transiently (fault injection): each failed
-        # attempt still crossed the link, then backs off exponentially in
-        # simulated time before retrying, bounded by the retry policy.
-        setup = self.setup_time
-        if self.injector.enabled:
-            setup = self.injector.scale_transfer(at, setup)
-        begin, end = self.link.acquire(at, setup,
-                                       label="NDP command payload")
-        if self.injector.enabled:
-            try:
-                self.injector.check_submission(attempt)
-            except TransientDeviceError:
-                self._submission_failed(attempt, begin, end)
-                return
-        self._phase("host", "setup", begin, end, "NDP command",
-                    resource=LINK_RESOURCE, operator="ndp-command")
-        self.loop.schedule_at(end, lambda: self._device_next(0),
-                              label="device start")
-        self.loop.schedule_at(end, lambda: self._host_want(0),
-                              label="host start")
-
-    def _submission_failed(self, attempt, begin, end):
-        self.retries += 1
-        self.wasted_time += end - begin
-        self._phase("host", "setup", begin, end,
-                    f"NDP command (attempt {attempt + 1}: transient "
-                    f"failure)", resource=LINK_RESOURCE,
-                    operator="ndp-command")
-        if self.tracer.enabled:
-            self.tracer.instant(FAULTS_TRACK, "transient-command-failure",
-                                end, args={"attempt": attempt + 1,
-                                           "strategy": self.strategy_label})
-        policy = self.injector.retry
-        if attempt >= policy.max_retries:
-            self._abandon(end)
+        # The device cannot start before the command arrived; a failed
+        # submission backs off in simulated time before the retry.
+        begin, end, landed = self.command.attempt(attempt, at)
+        if landed:
+            self._phase("host", "setup", begin, end, "NDP command",
+                        resource=LINK_RESOURCE, operator="ndp-command")
+            self.loop.schedule_at(end, lambda: self._device_next(0),
+                                  label="device start")
+            self.loop.schedule_at(end, lambda: self._host_want(0),
+                                  label="host start")
             return
-        backoff = policy.backoff(attempt)
-        self.wasted_time += backoff
+        try:
+            backoff = self.command.failed(
+                attempt, begin, end, partial(self._phase, "host"),
+                self.origin)
+        except RetriesExhaustedError as error:
+            self._abandon(end, error)
+            return
         self.host_wait_initial += backoff
-        self._phase("host", "wait", end, end + backoff,
-                    f"retry backoff {attempt + 1}", operator="retry-backoff")
         self.loop.schedule_at(end + backoff,
                               lambda: self._submit(attempt + 1, end + backoff),
                               label=f"resubmit attempt {attempt + 2}")
 
-    def _abandon(self, now):
+    def _abandon(self, now, error):
         """Give up on the offload: close the trace and fail the run.
 
-        Without an ``on_abandon`` hook (single-query runs) the error
-        propagates out of the private event loop for the caller's host
-        fallback; with one (scheduler runs) the hook absorbs it so the
-        shared loop keeps draining the other queries' events.
+        Without an ``on_abandon`` hook the error propagates out of the
+        kernel's event loop for the caller's host fallback (serial
+        runs); with one (scheduler and cluster runs) the hook absorbs it
+        so the loop keeps draining the other executions' events.
         """
-        if self.tracer.enabled:
-            self.tracer.instant(FAULTS_TRACK, "retries-exhausted", now,
-                                args={"attempts": self.retries,
-                                      "strategy": self.strategy_label})
         if self.root_span is not None:
             self.tracer.end(self.root_span, now)
             self.root_span = None
-        # Wasted time is the *elapsed* attempt time, not the absolute sim
-        # time: on a shared kernel this attempt started at origin > 0, and
-        # a partition that cascades through several devices accumulates
-        # each attempt's elapsed cost — absolute times would over-count.
-        error = RetriesExhaustedError(
-            f"{self.strategy_label}: NDP command submission failed "
-            f"{self.retries} time(s), retries exhausted",
-            strategy=self.strategy_label, retries=self.retries,
-            wasted_time=now - self.origin,
-            faults_injected=self.injector.faults_injected())
-        if self.on_abandon is not None:
-            self.on_abandon(self, error)
-            return
-        raise error
+        if self.on_abandon is None:
+            raise error
+        self.on_abandon(self, error)
 
     # -- device process ------------------------------------------------
     def _device_next(self, i):
@@ -388,7 +405,7 @@ class _SplitSimulation:
             self.slow_time += per_batch - self.per_batch_device
         begin, end = self.core.acquire(now, per_batch,
                                        label=f"produce batch {i}")
-        if self.shared and begin > now:
+        if begin > now:
             # Another query's fragment occupies the NDP core: the wait
             # is this query's device stall (cross-query contention).
             self.device_stall += begin - now
@@ -510,7 +527,7 @@ class _SplitSimulation:
                 self.host_counters, self.joined_rows))
         begin, end = self.cpu.acquire(now, batch_time,
                                       label=f"process batch {i}")
-        if self.shared and begin > now:
+        if begin > now:
             # Another query holds the host CPU: queueing counts as host
             # wait, not as processing.
             self._host_wait(i, now, begin, f"cpu busy before batch {i}")
@@ -541,19 +558,13 @@ class _SplitSimulation:
             end = now
         self.host_end = end
         self.completed = True
-        if self.shared:
-            if self.root_span is not None:
-                self.tracer.end(self.root_span, end)
-                self.root_span = None
-            if self.on_complete is not None:
-                self.loop.schedule_at(
-                    end, lambda: self.on_complete(self),
-                    label=f"complete {self.trace_label}")
-
-    def resource_stats(self, horizon):
-        """Per-resource busy/wait/utilization over ``[0, horizon]``."""
-        return {resource.name: resource.stats(horizon)
-                for resource in (self.link, self.core, self.cpu)}
+        if self.root_span is not None:
+            self.tracer.end(self.root_span, end)
+            self.root_span = None
+        if self.on_complete is not None:
+            self.loop.schedule_at(
+                end, lambda: self.on_complete(self),
+                label=f"complete {self.trace_label}")
 
 
 class PreparedSplit:
@@ -562,41 +573,29 @@ class PreparedSplit:
     The device fragment already ran (its pipeline buffers are *reserved*
     on the device until :meth:`release`), intermediate batches are
     staged, and the host fragment session is open.  ``run_split`` drives
-    one to completion on a private kernel; the workload scheduler starts
-    many on a shared kernel and calls :meth:`finish` as their completion
+    one to completion on a fresh kernel; the workload scheduler starts
+    many on one kernel and calls :meth:`finish` as their completion
     events fire — the held reservations are what concurrent admission
     control arbitrates.
     """
 
-    def __init__(self, executor, plan, split_index, execution, sim,
-                 device_time, device_breakdown, setup_time, n_batches,
-                 row_bytes, intermediate_rows, host_counters,
-                 device_aliases, admission_wait, injector, tracer):
-        self.executor = executor
-        self.plan = plan
+    def __init__(self, sim, split_index, execution, device_time,
+                 device_breakdown, device_aliases):
+        self.sim = sim              # owns the host side of the split
         self.split_index = split_index
         self.execution = execution
-        self.sim = sim
         self.device_time = device_time
         self.device_breakdown = device_breakdown
-        self.setup_time = setup_time
-        self.n_batches = n_batches
-        self.row_bytes = row_bytes
-        self.intermediate_rows = intermediate_rows
-        self.host_counters = host_counters
         self.device_aliases = device_aliases
-        self.admission_wait = admission_wait
-        self.injector = injector
-        self.tracer = tracer
         self._released = False
 
     @property
-    def reservation_bytes(self):
-        """Device DRAM bytes this split's pipeline holds while staged."""
-        return self.execution.reservation.total_bytes
+    def intermediate_rows(self):
+        """Rows the device fragment produced (crossing the breaker)."""
+        return len(self.execution.rows)
 
     def start(self, at, on_complete=None, on_abandon=None):
-        """Start the staged simulation on its shared kernel at ``at``."""
+        """Start the staged simulation on its kernel at ``at``."""
         self.sim.start(at, on_complete=on_complete, on_abandon=on_abandon)
 
     def cancel(self, now, reason="cancelled"):
@@ -615,47 +614,54 @@ class PreparedSplit:
         """Release the device pipeline buffers (idempotent)."""
         if not self._released:
             self._released = True
-            self.executor.ndp.release(self.execution)
+            self.sim.executor.ndp.release(self.execution)
+
+    def phases(self):
+        """The completed simulation's phase accounting.
+
+        Keyed by :class:`ExecutionReport` field name, so a single-split
+        report takes it as is and the scatter-gather merge sums it
+        across partitions.
+        """
+        sim = self.sim
+        return {
+            "setup_time": sim.setup_time,
+            "host_wait_initial": sim.host_wait_initial,
+            "host_wait_other": sim.host_wait_other,
+            "transfer_time": sim.transfer_total,
+            "host_processing_time": sim.host_processing,
+            "device_busy_time": self.device_time + sim.slow_time,
+            "device_stall_time": sim.device_stall,
+            "batches": sim.n_batches,
+            "intermediate_rows": self.intermediate_rows,
+            "intermediate_bytes": self.intermediate_rows * sim.row_bytes,
+        }
 
     def build_report(self, total_time, resource_stats=None):
         """The :class:`ExecutionReport` for the completed simulation."""
         sim = self.sim
         _final_time, host_breakdown = sim._host_charge(
-            lambda: self.executor.timing.charge(self.host_counters,
-                                                ExecutionLocation.HOST))
+            lambda: sim.timing.charge(sim.host_counters,
+                                      ExecutionLocation.HOST))
         report = ExecutionReport(
             strategy=f"H{self.split_index}",
             total_time=total_time,
             result=sim.result,
             split_index=self.split_index,
-            host_counters=self.host_counters,
+            host_counters=sim.host_counters,
             device_counters=self.execution.counters,
             host_breakdown=host_breakdown,
             device_breakdown=self.device_breakdown,
-            setup_time=self.setup_time,
-            host_wait_initial=sim.host_wait_initial,
-            host_wait_other=sim.host_wait_other,
-            transfer_time=sim.transfer_total,
-            host_processing_time=sim.host_processing,
-            device_busy_time=self.device_time + sim.slow_time,
-            device_stall_time=sim.device_stall,
-            batches=self.n_batches,
-            intermediate_rows=self.intermediate_rows,
-            intermediate_bytes=self.intermediate_rows * self.row_bytes,
             timeline=sim.timeline,
             resource_stats=resource_stats if resource_stats is not None
             else {},
-            trace_metrics=self.tracer.metrics(),
+            trace_metrics=sim.tracer.metrics(),
             notes={"pointer_cache": self.execution.pointer_cache,
                    "device_aliases": self.device_aliases,
                    "device_stage_rows": self.execution.stage_trace},
+            **self.phases(),
         )
-        if self.injector.enabled:
-            report.retries = sim.retries
-            report.faults_injected = self.injector.faults_injected()
-            report.wasted_device_time = sim.wasted_time
-            report.admission_wait_time = self.admission_wait
-        return report
+        return sim.command.stamp(report, sim.start_offset)
 
     def finish(self, total_time, resource_stats=None):
         """Build the report, then release the device pipeline."""
@@ -681,6 +687,15 @@ class CooperativeExecutor:
         device = self.ndp.device
         return max(1024, int(device.spec.shared_buffer_slot_bytes
                              * self.ndp.config.buffer_scale))
+
+    def _admission_wait(self, command, injector, query):
+        """Seconds admission control waits out injected DRAM pressure."""
+        if not injector.enabled:
+            return 0.0
+        device = self.ndp.device
+        return injector.admission_delay(
+            device.pipeline_cost_bytes(*command.pipeline_shape()),
+            device.available_bytes, query=query, device=device.spec.name)
 
     def _split_residual(self, plan, device_aliases):
         device_side = []
@@ -722,9 +737,7 @@ class CooperativeExecutor:
             fragment_rows = batch
         # Each fragment is one ColumnBatch; finalize concatenates them.
         joined_rows.append(fragment_rows)
-        delta = host_counters.copy()
-        for name, value in before.as_dict().items():
-            setattr(delta, name, getattr(delta, name) - value)
+        delta = host_counters.delta_since(before)
         batch_time, _ = self.timing.charge(delta, ExecutionLocation.HOST)
         return batch_time, delta
 
@@ -738,77 +751,76 @@ class CooperativeExecutor:
         before = counters.copy()
         sim.result = self.host.finalize_fragment(sim.plan, sim.joined_rows,
                                                  counters)
-        delta = counters.copy()
-        for name, value in before.as_dict().items():
-            setattr(delta, name, getattr(delta, name) - value)
+        delta = counters.delta_since(before)
         epilogue, _ = self.timing.charge(delta, ExecutionLocation.HOST)
         return epilogue, delta
 
     # ------------------------------------------------------------------
     # Hybrid split execution
     # ------------------------------------------------------------------
-    def run_split(self, plan, split_index, ctx=None, breaker_hook=None,
-                  **removed):
+    def run_split(self, plan, split_index, ctx=None, breaker_hook=None):
         """Execute the plan with split point ``H{split_index}``.
 
-        ``ctx`` (an :class:`~repro.context.ExecutionContext`) carries the
-        run's tracer, fault plan and retry policy — the legacy
-        ``tracer=`` / ``faults=`` keywords were removed and raise.
-        Tracing records the run as structured spans; faults degrade the
-        run — transient submission failures retry with backoff in
-        simulated time, and exhausting the retries raises
+        Drives the staged lifecycle on a fresh one-device kernel: stage,
+        start at time zero, drain, report.  ``ctx`` (an
+        :class:`~repro.context.ExecutionContext`) carries the run's
+        tracer, fault plan, retry policy and deadline.  Tracing records
+        the run as structured spans; faults degrade the run — transient
+        submission failures retry with backoff in simulated time, and
+        exhausting the retries raises
         :class:`~repro.errors.RetriesExhaustedError` for the caller's
-        host fallback.
+        host fallback; a deadline cancels the run in flight and raises
+        :class:`~repro.errors.DeadlineExceededError`.
 
         ``breaker_hook(sim, batch_index)`` — when given — fires at every
         pipeline breaker (docs/adaptivity.md); a hook that cancels the
         simulation makes this method raise
         :class:`~repro.errors.ReplanTriggered` for the adaptive driver.
         """
-        reject_removed_kwargs("CooperativeExecutor.run_split", removed)
         ctx = ExecutionContext.coerce(ctx)
-        tracer = ctx.sim_tracer()
-        injector = ctx.injector()
-        fragments = self._split_fragments(plan, split_index)
-        with injector.attached(self.ndp.device):
-            prepared = self._prepare_split_attached(
-                plan, split_index, tracer, injector, *fragments)
-            try:
-                sim = prepared.sim
-                sim.breaker_hook = breaker_hook
-                if ctx.deadline is not None:
-                    sim.loop.schedule_at(
-                        ctx.deadline,
-                        lambda: sim.cancel(ctx.deadline, reason="deadline"),
-                        label="deadline")
-                total = sim.run()
-                if sim.cancelled and sim.cancel_reason == "replan":
-                    raise ReplanTriggered(
-                        f"H{split_index}: cancelled at a pipeline breaker "
-                        f"to re-plan the remaining QEP",
-                        strategy=f"H{split_index}", at=sim.cancelled_at,
-                        elapsed=sim.cancelled_at - sim.origin,
-                        batches_consumed=sum(
-                            1 for t in sim.consumed if t is not None),
-                        batches_total=sim.n_batches)
-                if sim.cancelled:
-                    raise DeadlineExceededError(
-                        f"H{split_index}: deadline {ctx.deadline}s expired "
-                        f"before completion (cancelled in flight)",
-                        deadline=ctx.deadline, elapsed=ctx.deadline,
-                        retries=sim.retries, wasted_time=ctx.deadline,
-                        faults_injected=injector.faults_injected(),
-                        partial={
-                            "strategy": f"H{split_index}",
-                            "batches_total": sim.n_batches,
-                            "batches_consumed": sum(
-                                1 for t in sim.consumed if t is not None),
-                        })
-                return prepared.build_report(
-                    total,
-                    resource_stats=prepared.sim.resource_stats(total))
-            finally:
-                prepared.release()
+        kernel = SimContext.fresh(tracer=ctx.tracer)
+        prepared = self.prepare_split(plan, split_index, ctx, kernel=kernel)
+        try:
+            sim = prepared.sim
+            sim.breaker_hook = breaker_hook
+            if ctx.deadline is not None:
+                kernel.loop.schedule_at(
+                    ctx.deadline,
+                    lambda: sim.cancel(ctx.deadline, reason="deadline"),
+                    label="deadline")
+            prepared.start(0.0)
+            kernel.loop.run()
+            if sim.cancelled:
+                raise self._cancelled_error(sim, split_index, ctx.deadline)
+            # Not kernel.horizon: a deadline that never fired still
+            # advanced the clock past the real work.
+            total = sim.host_end
+            return prepared.build_report(
+                total, resource_stats=kernel.resource_stats(total))
+        finally:
+            prepared.release()
+
+    @staticmethod
+    def _cancelled_error(sim, split_index, deadline):
+        """The error a cooperatively cancelled serial run raises."""
+        strategy = f"H{split_index}"
+        consumed = sum(1 for t in sim.consumed if t is not None)
+        if sim.cancel_reason == "replan":
+            return ReplanTriggered(
+                f"{strategy}: cancelled at a pipeline breaker "
+                f"to re-plan the remaining QEP",
+                strategy=strategy, at=sim.cancelled_at,
+                elapsed=sim.cancelled_at - sim.origin,
+                batches_consumed=consumed, batches_total=sim.n_batches)
+        return DeadlineExceededError(
+            f"{strategy}: deadline {deadline}s expired "
+            f"before completion (cancelled in flight)",
+            deadline=deadline, elapsed=deadline,
+            retries=sim.command.retries, wasted_time=deadline,
+            faults_injected=sim.injector.faults_injected(),
+            partial={"strategy": strategy,
+                     "batches_total": sim.n_batches,
+                     "batches_consumed": consumed})
 
     def prepare_split(self, plan, split_index, ctx=None, *, kernel,
                       trace_label=None, shard=None, finalize=True):
@@ -818,10 +830,11 @@ class CooperativeExecutor:
         *reserved* on the device until ``release()``/``finish()``, which
         is what the concurrent scheduler's admission control arbitrates —
         and returns a :class:`PreparedSplit` ready to ``start(at)`` on
-        the shared event loop.  Raises
+        the kernel's event loop.  Raises
         :class:`~repro.errors.DeviceOverloadError` when the pipeline does
         not fit the remaining device DRAM budget.
 
+        ``trace_label`` names the run among the others on its kernel;
         ``shard`` restricts the driving-table scan to one partition
         (cluster scatter-gather); ``finalize=False`` defers the host
         epilogue so the cluster can merge partitions and finalize once.
@@ -839,20 +852,13 @@ class CooperativeExecutor:
     def _prepare_split_attached(self, plan, split_index, tracer, injector,
                                 device_entries, host_entries,
                                 device_aliases, device_residual,
-                                host_residual, kernel=None,
-                                trace_label=None, shard=None,
-                                finalize=True):
+                                host_residual, kernel, trace_label=None,
+                                shard=None, finalize=True):
         # --- device fragment -----------------------------------------
         command = self.ndp.prepare_command(plan, device_entries,
                                            device_residual, shard=shard)
-        admission_wait = 0.0
-        if injector.enabled:
-            needed = self.ndp.device.pipeline_cost_bytes(
-                *command.pipeline_shape())
-            admission_wait = injector.admission_delay(
-                needed, self.ndp.device.available_bytes,
-                query=trace_label or f"H{split_index}",
-                device=self.ndp.device.spec.name)
+        admission_wait = self._admission_wait(
+            command, injector, trace_label or f"H{split_index}")
         execution = self.ndp.execute(command)
         try:
             device_time, device_breakdown = self.timing.charge(
@@ -878,20 +884,11 @@ class CooperativeExecutor:
                     residual_conjuncts=host_residual)
 
             sim = _SplitSimulation(
-                self, self.timing, plan, batches, per_batch_device,
-                row_bytes, slots, setup_time, session, host_counters,
-                tracer=tracer, strategy_label=f"H{split_index}",
-                injector=injector, start_offset=admission_wait,
-                kernel=kernel, trace_label=trace_label, finalize=finalize)
-            return PreparedSplit(
-                executor=self, plan=plan, split_index=split_index,
-                execution=execution, sim=sim, device_time=device_time,
-                device_breakdown=device_breakdown, setup_time=setup_time,
-                n_batches=n_batches, row_bytes=row_bytes,
-                intermediate_rows=len(rows), host_counters=host_counters,
-                device_aliases=device_aliases,
-                admission_wait=admission_wait, injector=injector,
-                tracer=tracer)
+                self, plan, batches, per_batch_device, row_bytes, slots,
+                setup_time, session, host_counters, kernel, tracer, injector,
+                f"H{split_index}", admission_wait, trace_label, finalize)
+            return PreparedSplit(sim, split_index, execution, device_time,
+                                 device_breakdown, device_aliases)
         except BaseException:
             self.ndp.release(execution)
             raise
@@ -899,13 +896,11 @@ class CooperativeExecutor:
     # ------------------------------------------------------------------
     # Full NDP execution
     # ------------------------------------------------------------------
-    def run_full_ndp(self, plan, ctx=None, **removed):
+    def run_full_ndp(self, plan, ctx=None):
         """Execute the whole QEP on the device (aggregation included).
 
-        ``ctx`` carries tracer/faults like :meth:`run_split`; the legacy
-        ``tracer=`` / ``faults=`` keywords were removed and raise.
+        ``ctx`` carries tracer/faults/deadline like :meth:`run_split`.
         """
-        reject_removed_kwargs("CooperativeExecutor.run_full_ndp", removed)
         ctx = ExecutionContext.coerce(ctx)
         tracer = ctx.sim_tracer()
         injector = ctx.injector()
@@ -918,13 +913,7 @@ class CooperativeExecutor:
         device_residual = conjuncts(plan.residual)
         command = self.ndp.prepare_command(
             plan, device_entries, device_residual, aggregates_on_device=True)
-        admission_wait = 0.0
-        if injector.enabled:
-            needed = self.ndp.device.pipeline_cost_bytes(
-                *command.pipeline_shape())
-            admission_wait = injector.admission_delay(
-                needed, self.ndp.device.available_bytes,
-                query="full-ndp", device=self.ndp.device.spec.name)
+        admission_wait = self._admission_wait(command, injector, "full-ndp")
         execution = self.ndp.execute(command)
         try:
             device_time, device_breakdown = self.timing.charge(
@@ -946,72 +935,44 @@ class CooperativeExecutor:
 
             # Serialize command payload, device compute, and the result
             # push on the sim kernel's resources.
-            link = BusyResource(LINK_RESOURCE, tracer=tracer)
-            core = BusyResource(DEVICE_RESOURCE, tracer=tracer)
-            cpu = BusyResource(HOST_RESOURCE, tracer=tracer)
+            kernel = SimContext.fresh(tracer=tracer)
+            link, core, cpu = kernel.resources()
             root_span = None
             if tracer.enabled:
                 root_span = tracer.begin(
                     EXEC_TRACK, "full-ndp", 0.0, category="execution",
                     args={"strategy": "full-ndp", "batches": 1})
             timeline = []
-            retries = 0
             extra_wait = admission_wait   # admission + retry backoffs
-            wasted_time = 0.0
             at = admission_wait
             if admission_wait > 0.0:
                 timeline.append(TimelinePhase(
                     "host", "wait", 0.0, admission_wait,
                     "buffer admission wait"))
-            # Submit the NDP command; submission may fail transiently
-            # (fault injection) and retries back off in simulated time.
+
+            def host_phase(kind, start, end, label, resource="",
+                           operator=""):
+                # Spans are emitted from the finished timeline below.
+                timeline.append(TimelinePhase("host", kind, start, end,
+                                              label, resource=resource))
+
+            submission = _CommandSubmission(link, injector, tracer,
+                                            "full-ndp", setup_time)
             attempt = 0
             while True:
-                setup = setup_time
-                if injector.enabled:
-                    setup = injector.scale_transfer(at, setup)
-                _s0, setup_end = link.acquire(at, setup,
-                                              label="NDP command payload")
-                if not injector.enabled:
+                _s0, setup_end, landed = submission.attempt(attempt, at)
+                if landed:
                     break
                 try:
-                    injector.check_submission(attempt)
-                    break
-                except TransientDeviceError:
-                    retries += 1
-                    wasted_time += setup_end - _s0
-                    timeline.append(TimelinePhase(
-                        "host", "setup", _s0, setup_end,
-                        f"NDP command (attempt {attempt + 1}: transient "
-                        f"failure)", resource=LINK_RESOURCE))
-                    if tracer.enabled:
-                        tracer.instant(
-                            FAULTS_TRACK, "transient-command-failure",
-                            setup_end, args={"attempt": attempt + 1,
-                                             "strategy": "full-ndp"})
-                    policy = injector.retry
-                    if attempt >= policy.max_retries:
-                        if tracer.enabled:
-                            tracer.instant(
-                                FAULTS_TRACK, "retries-exhausted", setup_end,
-                                args={"attempts": retries,
-                                      "strategy": "full-ndp"})
-                        if root_span is not None:
-                            tracer.end(root_span, setup_end)
-                        raise RetriesExhaustedError(
-                            f"full-ndp: NDP command submission failed "
-                            f"{retries} time(s), retries exhausted",
-                            strategy="full-ndp", retries=retries,
-                            wasted_time=setup_end,
-                            faults_injected=injector.faults_injected())
-                    backoff = policy.backoff(attempt)
-                    wasted_time += backoff
-                    extra_wait += backoff
-                    timeline.append(TimelinePhase(
-                        "host", "wait", setup_end, setup_end + backoff,
-                        f"retry backoff {attempt + 1}"))
-                    at = setup_end + backoff
-                    attempt += 1
+                    backoff = submission.failed(attempt, _s0, setup_end,
+                                                host_phase)
+                except RetriesExhaustedError:
+                    if root_span is not None:
+                        tracer.end(root_span, setup_end)
+                    raise
+                extra_wait += backoff
+                at = setup_end + backoff
+                attempt += 1
             core_stall = 0.0
             compute_start = setup_end
             if injector.enabled:
@@ -1064,19 +1025,15 @@ class CooperativeExecutor:
             if deadline is not None and total > deadline:
                 # A full-NDP offload is one non-cancellable command: the
                 # host gives up waiting at the deadline and the device's
-                # result is discarded.
-                if root_span is not None:
-                    tracer.end(root_span, deadline)
+                # result is discarded (its trace stands to ``total``).
                 raise DeadlineExceededError(
                     f"full-ndp: deadline {deadline}s expired before the "
                     f"result push finished (would have taken {total:.6f}s)",
-                    deadline=deadline, elapsed=deadline, retries=retries,
-                    wasted_time=deadline,
+                    deadline=deadline, elapsed=deadline,
+                    retries=submission.retries, wasted_time=deadline,
                     faults_injected=injector.faults_injected(),
                     partial={"strategy": "full-ndp",
                              "would_have_taken": total})
-            resource_stats = {r.name: r.stats(total)
-                              for r in (link, core, cpu)}
             host_wait = effective_device_time
             if injector.enabled:
                 host_wait += core_stall + extra_wait
@@ -1096,15 +1053,10 @@ class CooperativeExecutor:
                 intermediate_rows=len(execution.rows),
                 intermediate_bytes=len(execution.rows) * execution.row_bytes,
                 timeline=timeline,
-                resource_stats=resource_stats,
+                resource_stats=kernel.resource_stats(total),
                 trace_metrics=tracer.metrics(),
                 notes={"pointer_cache": execution.pointer_cache},
             )
-            if injector.enabled:
-                report.retries = retries
-                report.faults_injected = injector.faults_injected()
-                report.wasted_device_time = wasted_time
-                report.admission_wait_time = admission_wait
-            return report
+            return submission.stamp(report, admission_wait)
         finally:
             self.ndp.release(execution)

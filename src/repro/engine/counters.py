@@ -47,6 +47,12 @@ class WorkCounters:
         self.block_cache_hits += stats.cache_hits
         return self
 
+    def delta_since(self, before):
+        """The work added since ``before`` (an earlier :meth:`copy`)."""
+        return WorkCounters(**{
+            spec.name: getattr(self, spec.name) - getattr(before, spec.name)
+            for spec in fields(self)})
+
     def copy(self):
         """An independent copy."""
         duplicate = WorkCounters()

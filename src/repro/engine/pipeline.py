@@ -10,7 +10,7 @@ each stage decodes records straight into numpy column arrays, evaluates
 predicates as boolean masks, and joins by gathering row indices.  Every
 :class:`WorkCounters` increment is derived from batch arithmetic —
 lengths, mask popcounts, byte widths — and is numerically identical to
-the retained row-at-a-time reference (:mod:`repro.engine.rowref`), so
+the row-at-a-time reference the tests keep (``tests/rowref.py``), so
 golden traces, differential tests and chaos/cluster audits stay
 byte-identical.  LSM access *order* is likewise preserved: batching only
 defers decode and predicate work, never reorders or skips storage reads,

@@ -120,6 +120,21 @@ class ExecutionReport:
     adaptivity: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
+    def mark_fallback(self, fallback_from, retries=0, faults_injected=None,
+                      wasted_time=0.0):
+        """Record that this (host-side) run replaced an abandoned offload.
+
+        ``fallback_from`` labels the strategy the run degraded from;
+        ``wasted_time`` is the abandoned attempt's simulated cost, which
+        the caller folds into ``total_time`` when its clock does not
+        already include it.  Returns the report.
+        """
+        self.fallback_from = fallback_from
+        self.retries = retries
+        self.faults_injected = dict(faults_injected or {})
+        self.wasted_device_time = wasted_time
+        return self
+
     @property
     def host_wait_total(self):
         """All host waiting (initial + subsequent)."""

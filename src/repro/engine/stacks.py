@@ -12,7 +12,7 @@ query (SQL or prebuilt plan) on any stack, returning an
 
 import enum
 
-from repro.context import ExecutionContext, reject_removed_kwargs
+from repro.context import ExecutionContext
 from repro.engine.cooperative import (EXEC_TRACK, HOST_RESOURCE,
                                       CooperativeExecutor)
 from repro.engine.host import HostEngine, HostEngineConfig
@@ -130,21 +130,19 @@ class StackRunner:
             "entries": len(self._plan_cache),
         }
 
-    def run(self, query, stack, split_index=None, ctx=None, **removed):
+    def run(self, query, stack, split_index=None, ctx=None):
         """Execute ``query`` (SQL text or QueryPlan) on ``stack``.
 
         For ``Stack.HYBRID`` a ``split_index`` (the k of Hk) is required.
         ``ctx`` (an :class:`~repro.context.ExecutionContext`) carries the
-        run's tracer, fault plan and retry policy — the legacy
-        ``tracer=`` / ``faults=`` keywords were removed and raise.
-        Tracing records the execution as structured spans for the
+        run's tracer, fault plan and retry policy.  Tracing records
+        the execution as structured spans for the
         Perfetto exporter at zero cost when absent.  A fault plan
         degrades NDP/hybrid runs deterministically; when an offload
         exhausts its retries the runner falls back to host-only
         execution mid-query and the report records the degradation
         (``fallback_from``, ``retries``, ``wasted_device_time``).
         """
-        reject_removed_kwargs("StackRunner.run", removed)
         ctx = ExecutionContext.coerce(ctx)
         plan = self.plan(query) if isinstance(query, str) else query
         if stack is Stack.BLK:
@@ -153,21 +151,18 @@ class StackRunner:
         if stack is Stack.NATIVE:
             return self._traced_host(self._host_native, plan,
                                      "host-only(native)", ctx.tracer)
-        if stack is Stack.NDP:
-            try:
+        if stack is Stack.HYBRID and split_index is None:
+            raise PlanError("hybrid execution needs a split_index")
+        try:
+            if stack is Stack.NDP:
                 return self._cooperative.run_full_ndp(plan, ctx)
-            except RetriesExhaustedError as failure:
-                return self._host_fallback(plan, failure, ctx.tracer)
-        if stack is Stack.HYBRID:
-            if split_index is None:
-                raise PlanError("hybrid execution needs a split_index")
-            try:
+            if stack is Stack.HYBRID:
                 return self._cooperative.run_split(plan, split_index, ctx)
-            except RetriesExhaustedError as failure:
-                return self._host_fallback(plan, failure, ctx.tracer)
+        except RetriesExhaustedError as failure:
+            return self.host_fallback(plan, failure, ctx.tracer)
         raise PlanError(f"unknown stack {stack!r}")
 
-    def _host_fallback(self, plan, failure, tracer):
+    def host_fallback(self, plan, failure, tracer):
         """Graceful degradation: finish the query host-only.
 
         The offload abandoned after bounded retries
@@ -182,10 +177,8 @@ class StackRunner:
                                  "retries": failure.retries})
         report = self._traced_host(self._host_native, plan,
                                    "host-only(fallback)", tracer)
-        report.fallback_from = failure.strategy
-        report.retries = failure.retries
-        report.faults_injected = dict(failure.faults_injected)
-        report.wasted_device_time = failure.wasted_time
+        report.mark_fallback(failure.strategy, failure.retries,
+                             failure.faults_injected, failure.wasted_time)
         # The failed attempts happened before the host re-run started.
         report.total_time += failure.wasted_time
         return report
@@ -217,7 +210,7 @@ class StackRunner:
             report.trace_metrics = tracer.metrics()
         return report
 
-    def run_all_splits(self, query, ctx_factory=None, **removed):
+    def run_all_splits(self, query, ctx_factory=None):
         """Run every strategy: BLK, H0..H(n-1), full NDP.
 
         Returns ``{strategy_name: ExecutionReport}`` — the raw material
@@ -230,11 +223,8 @@ class StackRunner:
         ``ctx_factory(strategy_name)`` — when given — is called once per
         strategy and must return an
         :class:`~repro.context.ExecutionContext` (or ``None``); the sweep
-        layer uses it to emit one Perfetto trace per strategy.  The
-        legacy ``tracer_factory=`` hook was removed and raises.
+        layer uses it to emit one Perfetto trace per strategy.
         """
-        reject_removed_kwargs("StackRunner.run_all_splits", removed)
-
         def _ctx(name):
             ctx = ctx_factory(name) if ctx_factory else None
             return ExecutionContext.coerce(ctx)

@@ -63,8 +63,7 @@ def check_scan_args(where, request, kwargs):
     """Validate the migrated ``scan(request)`` call surface.
 
     Rejects the pre-ScanRequest keywords with an error naming the
-    replacement field (the ``reject_removed_kwargs`` pattern from
-    :mod:`repro.context`), rejects positional arguments that are not a
+    replacement field, rejects positional arguments that are not a
     :class:`ScanRequest`, and returns the request (defaulting ``None``
     to an unbounded full scan).
     """

@@ -1,10 +1,10 @@
 """The concurrent workload scheduler.
 
-One :class:`WorkloadScheduler` owns a shared
-:class:`~repro.sim.SimContext` — one clock, one event loop, one PCIe
-link, one NDP core, one host CPU — and admits many queries onto it.
-Each admitted offload runs as an interleaved
-:class:`~repro.engine.cooperative._SplitSimulation` on the shared
+One :class:`WorkloadScheduler` owns a :class:`~repro.sim.SimContext` —
+one clock, one event loop, one host CPU, one PCIe link + NDP core per
+device — and admits many queries onto it.  Each admitted offload is a
+staged split (``prepare_split`` → ``start`` → ``finish``,
+docs/architecture.md) interleaved with the others on the shared
 resources, so queries contend for link bandwidth, device compute, host
 CPU *and* the device's token-tracked DRAM budget, exactly the regime the
 paper's per-operator buffer reservations (17 MB per selection, 7 MB per
@@ -37,13 +37,12 @@ byte.
 from dataclasses import dataclass, field
 
 from repro.context import ExecutionContext
-from repro.core import (CardinalityFeedback, DeviceLoad, ExecutionStrategy,
-                        PlanningContext)
+from repro.core import DeviceLoad, ExecutionStrategy, PlanningContext
 from repro.engine.stacks import Stack
 from repro.errors import (AdmissionTimeoutError, DeviceOverloadError,
                           ReproError)
 from repro.sched.arrivals import ClosedLoopArrivals, assign_clients
-from repro.sim import ClusterSimContext, SimContext
+from repro.sim import SimContext
 from repro.workloads.job_queries import query as job_query
 
 #: Trace track for scheduler decisions (admissions, queueing, placement).
@@ -69,6 +68,14 @@ class QueryJob:
     shed_at: float = None       # when the deadline shed/cancelled it
     report: object = None       # ExecutionReport once finished
     error: str = None           # abandon reason, if any
+    # Scheduler bookkeeping (never serialized): the in-flight staged
+    # split and its device, and the adaptive audit — replan count,
+    # cancelled-attempt time, breaker decisions.
+    _prepared: object = field(default=None, repr=False)
+    _target: int = field(default=None, repr=False)
+    _replans: int = field(default=0, repr=False)
+    _adapt_wasted: float = field(default=0.0, repr=False)
+    _adapt_events: list = field(default_factory=list, repr=False)
 
     @property
     def latency(self):
@@ -180,7 +187,7 @@ class WorkloadScheduler:
 
     With ``cluster`` (a :class:`repro.cluster.DeviceCluster`) the
     scheduler runs the same admission policy over ``n`` devices on one
-    :class:`~repro.sim.ClusterSimContext`: each admitted offload is
+    ``n``-device kernel: each admitted offload is
     placed *whole* on the least-loaded device (earliest free NDP core,
     then fewest reserved bytes) — correct for any device because the
     cluster's storage is mirrored — and per-device DRAM budgets are
@@ -212,20 +219,19 @@ class WorkloadScheduler:
         self.tracer = self.ctx.sim_tracer()
         if cluster is not None:
             self.devices = list(cluster.devices)
-            self.device = self.devices[0]
-            self.kernel = ClusterSimContext.fresh(cluster.n_devices,
-                                                  tracer=self.ctx.tracer)
-            self._device_inflight_by = [0] * cluster.n_devices
+            self.executors = cluster.executors
+            self.kernel = SimContext.fresh(cluster.n_devices,
+                                           tracer=self.ctx.tracer)
         else:
             self.devices = [env.device]
-            self.device = env.device
+            self.executors = [env.runner.cooperative]
             self.kernel = SimContext.fresh(tracer=self.ctx.tracer)
-            self._device_inflight_by = [0]
+        #: Offloads holding reservations, per device.
+        self._device_inflight_by = [0] * len(self.devices)
         self.max_inflight = max_inflight   # None = DRAM budget only
         self.jobs = []
         self._queue = []           # FIFO of jobs awaiting admission
         self._inflight = 0         # queries currently executing
-        self._device_inflight = 0  # of which hold device reservations
         self._peak_reserved = 0
         self._client_queues = {}   # client id -> remaining query names
         self._client_think = 0.0
@@ -256,12 +262,6 @@ class WorkloadScheduler:
             deadline = self.ctx.deadline
         job = QueryJob(seq=len(self.jobs), name=name, sql=self._sql_for(name),
                        arrival=at, client=client, deadline=deadline)
-        # Adaptive bookkeeping (same private-attribute convention as
-        # ``job._prepared``): replan count, cancelled-attempt time and
-        # the audit trail of breaker decisions.
-        job._replans = 0
-        job._adapt_wasted = 0.0
-        job._adapt_events = []
         self.jobs.append(job)
         self.kernel.loop.schedule_at(at, lambda: self._arrive(job),
                                      label=f"arrive {job.label}")
@@ -334,48 +334,12 @@ class WorkloadScheduler:
     # ------------------------------------------------------------------
     # Load measurement
     # ------------------------------------------------------------------
-    def _device_resources(self, index):
-        """``(link, core)`` busy resources of device ``index``."""
-        if self.cluster is None:
-            return self.kernel.link, self.kernel.core
-        return self.kernel.links[index], self.kernel.cores[index]
-
     def current_load(self, device_index=0):
-        """One device's pressure snapshot fed to load-aware planning.
-
-        Utilization is busy time over the horizon each resource is
-        booked until — counting work already committed to the future,
-        which is what the *next* query will actually contend with.
-        """
-        def _utilization(resource):
-            horizon = max(self.kernel.now, resource.free_at)
-            if horizon <= 0:
-                return 0.0
-            return min(1.0, resource.busy_time / horizon)
-
-        link, core = self._device_resources(device_index)
-        device = self.devices[device_index]
-        return DeviceLoad(
-            core_utilization=_utilization(core),
-            link_utilization=_utilization(link),
-            reserved_fraction=(device.reserved_bytes
-                               / max(1, device.buffer_budget)),
-            inflight=self._device_inflight_by[device_index],
-        )
-
-    def _least_loaded_device(self):
-        """The device the next offload should land on.
-
-        Earliest-free NDP core first (work committed to the future is
-        what the query will wait behind), fewest reserved DRAM bytes
-        second, lowest index last — a deterministic total order.
-        """
-        def _key(index):
-            _link, core = self._device_resources(index)
-            return (core.free_at, self.devices[index].reserved_bytes,
-                    index)
-
-        return min(range(len(self.devices)), key=_key)
+        """One device's pressure snapshot fed to load-aware planning."""
+        return DeviceLoad.snapshot(
+            self.kernel.links[device_index], self.kernel.cores[device_index],
+            self.devices[device_index], self.kernel.now,
+            inflight=self._device_inflight_by[device_index])
 
     # ------------------------------------------------------------------
     # Admission
@@ -410,7 +374,7 @@ class WorkloadScheduler:
     def _try_start(self, job):
         """Plan and start ``job`` now; False if it must keep waiting."""
         now = self.kernel.now
-        target = self._least_loaded_device()
+        target = self.kernel.least_loaded(self.devices)
         load = self.current_load(target)
         job.decision = self.planner.decide(
             job.plan,
@@ -425,17 +389,8 @@ class WorkloadScheduler:
         # runs on-device and only the epilogue (aggregation/sort) runs
         # host-side, which keeps result rows identical to serial
         # execution on one shared code path.
-        split_index = job.decision.split_index
-        if self.cluster is None:
-            cooperative = self.runner.cooperative
-            kernel = self.kernel
-        else:
-            cooperative = self.cluster.executors[target]
-            kernel = self.kernel.view(target)
         try:
-            prepared = cooperative.prepare_split(
-                job.plan, split_index, self.ctx, kernel=kernel,
-                trace_label=job.label)
+            prepared = self._stage(job, job.decision.split_index, target)
         except AdmissionTimeoutError as error:
             # Admission gave up: the DRAM pressure window outlasts the
             # retry policy's admission timeout, so waiting for a
@@ -443,109 +398,96 @@ class WorkloadScheduler:
             # the fallback to the query and device in the resilience
             # block (error.query / error.device name them too).
             job.error = str(error)
-            where = (f"admission-timeout@d{target}"
-                     if self.cluster is not None else "admission-timeout")
-            self._start_host(job, fallback_from=where,
-                             faults_injected={"dram_admission_timeout": 1})
+            self._start_host(
+                job, self._on_device("admission-timeout", target),
+                faults_injected={"dram_admission_timeout": 1})
             return True
         except DeviceOverloadError:
-            if self._device_inflight > 0:
+            if any(self._device_inflight_by):
                 # Buffers are held by running queries; a completion
                 # will re-drain the queue.
                 return False
             # Would not fit even an idle device: run on the host.
             self._start_host(job)
             return True
-        job.placement = (f"H{split_index}" if self.cluster is None
-                         else f"H{split_index}@d{target}")
         job.admitted_at = now
+        self._launch(job, prepared, target, now, admitted_under=load)
+        return True
+
+    def _on_device(self, label, target):
+        """``label`` as placed on device ``target`` (``H3`` / ``H3@d2``)."""
+        return label if self.cluster is None else f"{label}@d{target}"
+
+    def _stage(self, job, split_index, target):
+        """Stage ``job`` at ``H{split_index}`` on device ``target``."""
+        return self.executors[target].prepare_split(
+            job.plan, split_index, self.ctx,
+            kernel=self.kernel.view(target), trace_label=job.label)
+
+    def _launch(self, job, prepared, target, now, admitted_under=None):
+        """Start a staged offload, wiring completion and adaptivity.
+
+        ``admitted_under`` is the load snapshot a fresh admission was
+        decided under (None when re-planning restarts the job).
+        """
+        job.placement = self._on_device(f"H{prepared.split_index}", target)
         job._prepared = prepared
         job._target = target
         self._inflight += 1
-        self._device_inflight += 1
         self._device_inflight_by[target] += 1
         reserved = sum(device.reserved_bytes for device in self.devices)
         self._peak_reserved = max(self._peak_reserved, reserved)
-        if self.tracer.enabled:
+        if admitted_under is not None and self.tracer.enabled:
             self.tracer.instant(
                 SCHED_TRACK, f"admit {job.label}", now,
                 args={"placement": job.placement,
                       "reserved_bytes": reserved,
-                      "core_utilization": round(load.core_utilization, 4)})
-        self._launch(job, prepared, target, now)
-        return True
-
-    def _launch(self, job, prepared, target, now):
-        """Start a prepared offload, wiring completion and adaptivity."""
+                      "core_utilization": round(
+                          admitted_under.core_utilization, 4)})
         if self.replan is not None:
             prepared.sim.breaker_hook = (
-                lambda sim, i, job=job, prepared=prepared, target=target:
-                    self._breaker_check(job, prepared, target, sim, i))
+                lambda sim, i: self._breaker_check(job, sim, i))
         prepared.start(
             now,
-            on_complete=lambda sim, job=job, prepared=prepared:
-                self._offload_done(job, prepared, target),
-            on_abandon=lambda sim, error, job=job, prepared=prepared:
-                self._offload_abandoned(job, prepared, error, target))
+            on_complete=lambda sim: self._offload_done(job),
+            on_abandon=lambda sim, error:
+                self._offload_abandoned(job, error))
+
+    def _retire(self, job):
+        """``job``'s offload left its device; returns the device index."""
+        target = job._target
+        job._prepared = None
+        self._device_inflight_by[target] -= 1
+        return target
 
     # ------------------------------------------------------------------
     # Mid-query re-planning
     # ------------------------------------------------------------------
-    def _breaker_check(self, job, prepared, target, sim, i):
+    def _breaker_check(self, job, sim, i):
         """Pipeline-breaker feedback: second-guess the in-flight plan.
 
         Called by the split simulation each time a device batch lands
-        host-side.  Extrapolates the intermediate-result cardinality
-        from the batches observed so far (exact once the device fragment
-        finished — it executes eagerly and announces the batch count
-        with the first push), compares it against the estimate baked
-        into the admission decision, and — past the policy threshold or
-        on device saturation — asks the decision to revise itself.  A
-        revision that changes the placement cooperatively cancels the
-        offload (reason ``"replan"``) and either sheds the query to the
-        host or restarts it at the revised split point on the same
-        device; the cancelled attempt's elapsed time is accounted as
-        ``wasted_time`` on the job's adaptivity audit.
+        host-side; applies :meth:`~repro.core.planning.ReplanPolicy.check`
+        with the device's saturation folded in.  A revision that changes
+        the placement cooperatively cancels the offload (reason
+        ``"replan"``) and either sheds the query to the host or restarts
+        it at the revised split point on the same device; the cancelled
+        attempt's elapsed time is accounted as ``wasted_time`` on the
+        job's adaptivity audit.
         """
         policy = self.replan
-        if policy is None or job._replans >= policy.max_replans:
+        if job._replans >= policy.max_replans:
             return
-        batches_seen = i + 1
-        if batches_seen < policy.min_batches:
-            return
-        decision = job.decision
-        estimate = decision.estimate_for()
-        if estimate.intermediate_rows is None:
-            return
+        target = job._target
         now = sim.clock.now
-        observed_so_far = sum(len(batch)
-                              for batch in sim.batches[:batches_seen])
-        observed_total = int(round(observed_so_far * sim.n_batches
-                                   / batches_seen))
-        load = self.current_load(target)
-        saturated = load.core_utilization >= policy.saturation_shed
-        feedback = CardinalityFeedback(
-            observed_rows=observed_total,
-            estimated_rows=estimate.intermediate_rows,
-            batches_observed=batches_seen,
-            batches_total=sim.n_batches,
-            raw_rows=estimate.raw_rows,
-            at=now,
-            device_saturated=saturated)
-        if feedback.error < policy.error_threshold and not saturated:
+        saturated = (self.current_load(target).core_utilization
+                     >= policy.saturation_shed)
+        checked = policy.check(job.decision, sim.batches, i + 1, now,
+                               saturated=saturated)
+        if checked is None:
             return
-        revised = decision.revise(feedback)
-        event = {
-            "at": now,
-            "batches_observed": batches_seen,
-            "batches_total": sim.n_batches,
-            "observed_rows": observed_total,
-            "estimated_rows": estimate.intermediate_rows,
-            "error": round(feedback.error, 6),
-            "device_saturated": saturated,
-            "from": decision.strategy_name,
-            "to": revised.strategy_name,
-        }
+        feedback, revised, event = checked
+        decision = job.decision
         if revised.strategy_name == decision.strategy_name:
             # Re-pricing with the observed cardinality still prefers the
             # running plan: record the audit, keep going.
@@ -553,15 +495,13 @@ class WorkloadScheduler:
             job._adapt_events.append(event)
             job._replans += 1
             return
-        if not prepared.cancel(now, reason="replan"):
+        if not job._prepared.cancel(now, reason="replan"):
             return               # completed at this very timestamp
         job._replans += 1
         wasted = max(0.0, now - job.admitted_at)
         job._adapt_wasted += wasted
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[target] -= 1
-        self._inflight -= 1      # _start_host / restart re-increments
+        self._retire(job)
+        self._inflight -= 1      # _start_host / _launch re-increments
         old_placement = job.placement
         if self.tracer.enabled:
             self.tracer.instant(
@@ -570,64 +510,41 @@ class WorkloadScheduler:
                       "to": revised.strategy_name,
                       "error": round(feedback.error, 4),
                       "saturated": saturated})
-        if (revised.strategy is ExecutionStrategy.HOST_ONLY
-                or revised.split_index is None):
-            event["action"] = "shed-to-host"
-            job._adapt_events.append(event)
-            job.decision = revised
-            self._start_host(job, fallback_from=f"replan:{old_placement}",
-                             wasted_time=wasted)
-            self._drain()
-            return
-        # Shift the split point: restart on the same device at the
-        # revised k.  If the new reservation no longer fits (other
-        # queries grabbed the freed buffers is impossible mid-event,
-        # but a *larger* split may simply not fit), shed to the host.
-        split_index = revised.split_index
-        if self.cluster is None:
-            cooperative = self.runner.cooperative
-            kernel = self.kernel
-        else:
-            cooperative = self.cluster.executors[target]
-            kernel = self.kernel.view(target)
-        try:
-            restarted = cooperative.prepare_split(
-                job.plan, split_index, self.ctx, kernel=kernel,
-                trace_label=job.label)
-        except (AdmissionTimeoutError, DeviceOverloadError) as error:
-            event["action"] = "shed-to-host"
-            event["restart_failed"] = type(error).__name__
-            job._adapt_events.append(event)
-            job.decision = revised
-            self._start_host(job, fallback_from=f"replan:{old_placement}",
-                             wasted_time=wasted)
-            self._drain()
-            return
-        event["action"] = "shift-split"
+        event["action"] = "shed-to-host"
         job._adapt_events.append(event)
         job.decision = revised
-        job.placement = (f"H{split_index}" if self.cluster is None
-                         else f"H{split_index}@d{target}")
-        job._prepared = restarted
-        job._target = target
-        self._inflight += 1
-        self._device_inflight += 1
-        self._device_inflight_by[target] += 1
-        reserved = sum(device.reserved_bytes for device in self.devices)
-        self._peak_reserved = max(self._peak_reserved, reserved)
-        self._launch(job, restarted, target, now)
+        restarted = None
+        if (revised.strategy is not ExecutionStrategy.HOST_ONLY
+                and revised.split_index is not None):
+            # Shift the split point: restart on the same device at the
+            # revised k.  A *larger* split may simply not fit the
+            # device's remaining DRAM — then the shed stands.
+            try:
+                restarted = self._stage(job, revised.split_index, target)
+                event["action"] = "shift-split"
+            except (AdmissionTimeoutError, DeviceOverloadError) as error:
+                event["restart_failed"] = type(error).__name__
+        if restarted is None:
+            self._start_host(job, f"replan:{old_placement}",
+                             wasted_time=wasted)
+        else:
+            self._launch(job, restarted, target, now)
         self._drain()
 
     # ------------------------------------------------------------------
     # Host-side execution
     # ------------------------------------------------------------------
-    def _start_host(self, job, fallback_from=None, wasted_time=0.0,
-                    retries=0, faults_injected=None):
+    def _start_host(self, job, fallback_from=None, **degraded):
         """Run ``job`` host-only; service time serializes on the CPU.
 
         The rows come from an eager native-path run (identical to serial
         execution); the shared host CPU resource then prices when that
         service time actually fits between the other queries' host work.
+        With ``fallback_from`` the report is marked as the degradation
+        of that placement (``degraded`` passes to
+        :meth:`~repro.engine.results.ExecutionReport.mark_fallback`);
+        ``total_time`` runs from arrival, so it already contains the
+        abandoned attempt.
         """
         now = self.kernel.now
         report = self.runner.run(job.plan, Stack.NATIVE)
@@ -639,10 +556,7 @@ class WorkloadScheduler:
         job.report = report
         self._inflight += 1
         if fallback_from is not None:
-            report.fallback_from = fallback_from
-            report.retries = retries
-            report.faults_injected = dict(faults_injected or {})
-            report.wasted_device_time = wasted_time
+            report.mark_fallback(fallback_from, **degraded)
         if self.tracer.enabled:
             self.tracer.span(
                 f"exec/{job.label}", job.placement, begin, end,
@@ -660,12 +574,11 @@ class WorkloadScheduler:
     # ------------------------------------------------------------------
     # Completion paths
     # ------------------------------------------------------------------
-    def _offload_done(self, job, prepared, device_index=0):
+    def _offload_done(self, job):
         now = self.kernel.now
+        prepared = job._prepared
         job.report = prepared.finish(total_time=now - job.arrival)
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[device_index] -= 1
+        self._retire(job)
         if self.correction is not None and job.decision is not None:
             # Fold the observed intermediate-result cardinality into the
             # EWMA against the *uncorrected* estimate, so the factor
@@ -676,19 +589,17 @@ class WorkloadScheduler:
                                         prepared.intermediate_rows)
         self._finish(job, now)
 
-    def _offload_abandoned(self, job, prepared, error, device_index=0):
+    def _offload_abandoned(self, job, error):
         """Mid-workload graceful degradation: re-run on the host.
 
-        Mirrors :meth:`StackRunner._host_fallback` — the wasted device
+        Mirrors :meth:`StackRunner.host_fallback` — the wasted device
         attempt is accounted on the degraded report — but the fallback
         executes on the *shared* host CPU at the simulated time the
         offload gave up, so the rest of the workload feels it.
         """
         now = self.kernel.now
-        prepared.release()
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[device_index] -= 1
+        job._prepared.release()
+        target = self._retire(job)
         self._inflight -= 1      # _start_host re-increments
         job.error = str(error)
         # The attempt's own elapsed cost, not now - arrival: queue wait
@@ -697,9 +608,7 @@ class WorkloadScheduler:
         wasted = max(0.0, now - (job.admitted_at
                                  if job.admitted_at is not None
                                  else job.arrival))
-        fallback_from = (error.strategy if self.cluster is None
-                         else f"{error.strategy}@d{device_index}")
-        self._start_host(job, fallback_from=fallback_from,
+        self._start_host(job, self._on_device(error.strategy, target),
                          wasted_time=wasted, retries=error.retries,
                          faults_injected=error.faults_injected)
         self._drain()
@@ -731,15 +640,11 @@ class WorkloadScheduler:
                     args={"query": job.name, "deadline": job.deadline})
             self._drain()
             return
-        prepared = getattr(job, "_prepared", None)
-        if prepared is None:
+        if job._prepared is None:
             return               # host execution: runs to completion
-        if not prepared.cancel(now, reason="deadline"):
+        if not job._prepared.cancel(now, reason="deadline"):
             return               # completed at this very timestamp
-        target = job._target
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[target] -= 1
+        target = self._retire(job)
         self._inflight -= 1
         job.shed_at = now
         job.error = (f"{job.label}: deadline {job.deadline}s expired "

@@ -9,14 +9,13 @@ kernel here advances a simulated clock.  Everything is deterministic.
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventLoop
 from repro.sim.kernel import (DEVICE_RESOURCE, HOST_RESOURCE, LINK_RESOURCE,
-                              ClusterSimContext, SimContext,
-                              device_resource_names)
+                              SimContext, device_resource_names)
 from repro.sim.resources import BusyResource
 from repro.sim.trace import (NULL_TRACER, CounterRecord, InstantRecord,
                              NullTracer, SpanRecord, Tracer, as_tracer)
 
 __all__ = ["SimClock", "Event", "EventLoop", "BusyResource", "SimContext",
-           "ClusterSimContext", "device_resource_names",
+           "device_resource_names",
            "LINK_RESOURCE", "DEVICE_RESOURCE", "HOST_RESOURCE", "Tracer",
            "NullTracer", "NULL_TRACER", "SpanRecord", "InstantRecord",
            "CounterRecord", "as_tracer"]

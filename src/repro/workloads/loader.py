@@ -19,7 +19,6 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 
-from repro.context import reject_removed_kwargs
 from repro.core.cost_model import CostModel
 from repro.core.hardware import HardwareModel
 from repro.core.planner import HybridPlanner
@@ -76,19 +75,16 @@ class Environment:
         """Data bytes across all tables (excluding indexes)."""
         return self.catalog.total_bytes()
 
-    def run(self, query, stack, split_index=None, ctx=None, **removed):
+    def run(self, query, stack, split_index=None, ctx=None):
         """Shortcut to :meth:`StackRunner.run`."""
-        reject_removed_kwargs("Environment.run", removed)
         return self.runner.run(query, stack, split_index=split_index,
                                ctx=ctx)
 
-    def decide(self, query, context=None, **removed):
+    def decide(self, query, context=None):
         """Shortcut to :meth:`HybridPlanner.decide`.
 
-        ``context`` is a :class:`~repro.core.planning.PlanningContext`;
-        the legacy ``device_load=`` keyword was removed and raises.
+        ``context`` is a :class:`~repro.core.planning.PlanningContext`.
         """
-        reject_removed_kwargs("Environment.decide", removed)
         return self.planner.decide(query, context=context)
 
 

@@ -14,11 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.adaptive import adaptive_matrix
+from repro.context import ExecutionContext
 from repro.core import (CardinalityFeedback, CostCorrection,
                         PlanningContext, ReplanPolicy)
 from repro.engine import AdaptiveRunner, Stack, StackRunner
 from repro.errors import ReproError
+from repro.faults import CommandFaultModel, FaultPlan
 from repro.sched import WorkloadScheduler
+from repro.sim import Tracer
 from repro.workloads.job_queries import query
 from repro.workloads.sqlgen import RandomSqlGenerator
 
@@ -29,14 +32,6 @@ AGGRESSIVE = ReplanPolicy(error_threshold=1.01, min_batches=1,
 
 
 class TestPlanningContextApi:
-    def test_decide_rejects_removed_device_load_kwarg(self, job_env):
-        with pytest.raises(ReproError,
-                           match="no longer accepts device_load="):
-            job_env.planner.decide(query("1a"), device_load=None)
-        with pytest.raises(ReproError,
-                           match="no longer accepts device_load="):
-            job_env.decide(query("1a"), device_load=None)
-
     def test_context_must_be_a_planning_context(self, job_env):
         with pytest.raises(ReproError, match="PlanningContext"):
             job_env.planner.decide(query("1a"), context={"device_load": 1})
@@ -151,6 +146,30 @@ class TestAdaptiveExecution:
                 == json.dumps(second_audits, sort_keys=True))
         assert first_factors == second_factors
         assert first_factors            # something was actually learned
+
+    def test_retries_exhausted_degrades_like_the_stack_runner(self, job_env):
+        """A command storm under the adaptive driver takes the one host
+        fallback: same label, audit and trace marker as StackRunner."""
+        sql = query("8c")
+        storm = FaultPlan(seed=0, commands=CommandFaultModel(fail_first=8))
+        host = job_env.run(sql, Stack.NATIVE)
+        tracer = Tracer()
+        report = AdaptiveRunner(job_env).run(
+            sql, ctx=ExecutionContext(tracer=tracer, faults=storm))
+        assert report.result.sorted_rows() == host.result.sorted_rows()
+        assert report.strategy == "host-only(fallback)"
+        assert report.fallback_from == "H0"
+        assert report.retries == storm.retry.max_retries + 1
+        assert report.faults_injected
+        assert report.wasted_device_time > 0.0
+        assert report.total_time == pytest.approx(
+            host.total_time + report.wasted_device_time)
+        fallbacks = [instant for instant in tracer.instants
+                     if instant.track == "faults"
+                     and instant.name == "fallback"]
+        assert len(fallbacks) == 1
+        assert fallbacks[0].time == report.wasted_device_time
+        assert report.adaptivity["enabled"] is True
 
     def test_regret_is_monotone_and_converges(self, job_env):
         summary = adaptive_matrix(job_env, query_names=["1a", "2a"],

@@ -7,7 +7,6 @@ from repro.bench.experiments import (classify_matrix,
                                      exp6_table4, force_bnlj)
 from repro.bench.reporting import format_table, ms, render_matrix_summary
 from repro.query.physical import AccessPath, JoinAlgorithm
-from repro.workloads.job_queries import query
 
 
 class TestClassifyMatrix:

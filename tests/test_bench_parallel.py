@@ -6,8 +6,6 @@ seed, and the cache must let environment rebuilds skip generation.
 
 import json
 
-import pytest
-
 import repro.workloads.loader as loader
 from repro.bench.parallel import (default_workers, strategy_times,
                                   sweep_job_matrix)

@@ -2,7 +2,7 @@
 
 The vectorized :class:`PipelineExecutor` exchanges
 :class:`~repro.columns.ColumnBatch` values but must reproduce the
-retained :class:`~repro.engine.rowref.RowPipelineExecutor` exactly:
+retained :class:`tests.rowref.RowPipelineExecutor` exactly:
 identical result rows (values *and* order) and identical
 :class:`WorkCounters` — the invariant that keeps every golden trace,
 differential suite and chaos audit byte-identical across the columnar
@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro.columns import ColumnBatch
 from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import PipelineConfig, PipelineExecutor, finalize
-from repro.engine.rowref import RowPipelineExecutor, finalize_rows
 from repro.query.ast import conjuncts
 from repro.workloads.job_queries import query as job_query
 from repro.workloads.sqlgen import RandomSqlGenerator
+from tests.rowref import RowPipelineExecutor, finalize_rows
 
 #: Same corpus seed the differential fuzz harness pins (seed 7); indexes
 #: range over the CI sweep's prefix so failures shrink to a corpus slot.

@@ -8,7 +8,6 @@ engine itself.
 import pytest
 
 from repro.engine.stacks import Stack, StackRunner
-from repro.engine.timing import ExecutionLocation
 from repro.errors import DeviceOverloadError, PlanError
 from repro.storage.device import SmartStorageDevice
 from repro.storage.topology import Topology

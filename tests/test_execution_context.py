@@ -1,4 +1,4 @@
-"""Tests for the ExecutionContext API and its compatibility shim."""
+"""Tests for the ExecutionContext API."""
 
 import dataclasses
 
@@ -72,35 +72,14 @@ class TestContext:
 
 
 class TestRunPaths:
-    """ctx= is the only spelling; the legacy kwargs raise by name."""
-
-    @pytest.mark.parametrize("kwargs", [
-        {"tracer": None}, {"faults": None},
-    ])
-    def test_removed_kwargs_raise_with_replacement(self, job_env, kwargs):
-        plan = job_env.runner.plan(query(QUERY))
-        name = next(iter(kwargs))
-        with pytest.raises(ReproError, match=f"no longer accepts {name}="):
-            job_env.run(plan, Stack.HYBRID, split_index=0, **kwargs)
-        with pytest.raises(ReproError, match="ExecutionContext"):
-            job_env.runner.run(plan, Stack.HYBRID, split_index=0, **kwargs)
+    """ctx= is the only spelling."""
 
     def test_unknown_kwarg_is_a_type_error(self, job_env):
         plan = job_env.runner.plan(query(QUERY))
         with pytest.raises(TypeError):
             job_env.run(plan, Stack.HYBRID, split_index=0, bogus=1)
-
-    def test_ctx_plus_kwargs_rejected_at_run(self, job_env):
-        plan = job_env.runner.plan(query(QUERY))
-        with pytest.raises(ReproError):
-            job_env.run(plan, Stack.HYBRID, split_index=0,
-                        ctx=ExecutionContext(), tracer=Tracer())
-
-    def test_run_all_splits_tracer_factory_removed(self, job_env):
-        with pytest.raises(ReproError,
-                           match="no longer accepts tracer_factory="):
-            job_env.runner.run_all_splits(
-                query(QUERY), tracer_factory=lambda name: Tracer())
+        with pytest.raises(TypeError):
+            job_env.run(plan, Stack.HYBRID, split_index=0, tracer=Tracer())
 
     def test_run_all_splits_ctx_factory(self, job_env):
         tracers = {}
@@ -144,6 +123,21 @@ class TestDeadline:
             <= error.partial["batches_total"]
         # Cancellation released the pipeline reservation.
         assert job_env.device.reserved_bytes == reserved_before
+
+    def test_traced_full_ndp_deadline_raises_the_typed_error(self, job_env):
+        # Used to die with "span id 1 is not open": the root span was
+        # closed twice on the traced deadline path.
+        from repro.errors import DeadlineExceededError
+
+        plan = job_env.runner.plan(query(QUERY))
+        reference = job_env.run(plan, Stack.NDP)
+        tracer = Tracer()
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            job_env.run(plan, Stack.NDP, ctx=ExecutionContext(
+                tracer=tracer, deadline=0.5 * reference.total_time))
+        assert (excinfo.value.partial["would_have_taken"]
+                == reference.total_time)
+        tracer.dumps()      # every span closed: the trace exports
 
     def test_generous_deadline_is_identical_to_none(self, job_env):
         plan = job_env.runner.plan(query(QUERY))

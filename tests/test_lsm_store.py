@@ -2,11 +2,10 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.store import LSMConfig, LSMTree, ReadStats
+from repro.lsm.store import LSMTree, ReadStats
 from repro.storage.flash import FlashDevice
 
 from tests.conftest import small_lsm_config

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import LSMError
 from repro.lsm.levels import LevelStructure
-from repro.lsm.store import LSMConfig, LSMTree, ReadStats
+from repro.lsm.store import LSMConfig, LSMTree
 from repro.lsm.tiered import TieredCompactor
 from repro.storage.flash import FlashDevice
 

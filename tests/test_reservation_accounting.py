@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.context import ExecutionContext
 from repro.engine.stacks import Stack
-from repro.errors import DeviceOverloadError, StorageError
+from repro.errors import (DeadlineExceededError, DeviceOverloadError,
+                          ReplanTriggered, StorageError)
 from repro.sim import BusyResource, SimContext
 from repro.storage.device import SmartStorageDevice
 from repro.workloads.job_queries import query
@@ -255,4 +256,34 @@ class TestCancellationProperty:
         kernel.loop.run()
         assert prepared.sim.cancelled
         assert prepared.cancel(total, reason="second") is False
+        assert job_env.device.reserved_bytes == reserved_before
+
+    @pytest.mark.parametrize("reason", ["deadline", "replan"])
+    def test_serial_cancel_releases_exactly_once(
+            self, job_env, staged_split, monkeypatch, reason):
+        # run_split drives the same staged lifecycle: a deadline or a
+        # breaker-hook cancel must release the pipeline once, not zero
+        # times (leak) and not twice (double-release StorageError).
+        plan, split, total = staged_split
+        ndp = job_env.runner.ndp_engine
+        released = []
+        release = ndp.release
+        monkeypatch.setattr(
+            ndp, "release",
+            lambda execution: (released.append(execution),
+                               release(execution))[1])
+        reserved_before = job_env.device.reserved_bytes
+        cooperative = job_env.runner.cooperative
+        if reason == "deadline":
+            with pytest.raises(DeadlineExceededError):
+                cooperative.run_split(
+                    plan, split, ExecutionContext(deadline=0.4 * total))
+        else:
+            with pytest.raises(ReplanTriggered) as excinfo:
+                cooperative.run_split(
+                    plan, split,
+                    breaker_hook=lambda sim, i: sim.cancel(
+                        sim.clock.now, reason="replan"))
+            assert excinfo.value.elapsed > 0.0
+        assert len(released) == 1
         assert job_env.device.reserved_bytes == reserved_before

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import DeviceOverloadError, StorageError
-from repro.storage.device import SmartStorageDevice
 from repro.storage.machines import COSMOS_PLUS, HOST_I5, enterprise_device
 
 
