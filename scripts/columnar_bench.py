@@ -9,15 +9,15 @@
 
 Runs ``run_all_splits`` (host-only, every hybrid split, full NDP) for
 every requested JOB query and records *wall-clock* seconds per query
-plus the sweep total.  This is the before/after evidence for the
-vectorized columnar executor: ``BENCH_columnar_before.json`` was
-captured on the row-at-a-time engine, ``BENCH_columnar_after.json`` on
-the `ColumnBatch` engine, over the identical sweep.
+plus the sweep total.  (``python3 -m perfbench`` is the repo's
+benchmark; this script is the cheap CI tripwire.)
 
-With ``--baseline`` the script exits non-zero when the measured total
-exceeds ``--max-regression`` times the baseline total — the CI
-``perf-smoke`` job runs a fixed 12-query sweep against the committed
-smoke baseline this way.
+With ``--baseline`` the script exits non-zero when any query takes more
+than ``--max-regression`` times its own ``per_query`` baseline — or
+more than half a second, whichever is larger, so millisecond queries do
+not trip on runner noise.  A single total would let its largest query
+hide every other.  The CI ``perf-smoke`` job runs a fixed 12-query
+sweep against the committed smoke baseline this way.
 """
 
 import argparse
@@ -29,6 +29,9 @@ import time
 from repro.errors import ReproError
 from repro.workloads.job_queries import all_queries, query
 from repro.workloads.loader import build_environment
+
+#: Below this many seconds a query is never called a regression.
+REGRESSION_FLOOR_SECONDS = 0.5
 
 #: Fixed sweep of the CI ``perf-smoke`` job: one representative per
 #: size band — short 2-3-table queries up to the widest JOB pipelines.
@@ -55,8 +58,8 @@ def parse_args(argv=None):
     parser.add_argument("--baseline", default=None,
                         help="committed baseline JSON to regress against")
     parser.add_argument("--max-regression", type=float, default=2.0,
-                        help="fail when total wall-clock exceeds this "
-                             "factor times the baseline (default 2.0)")
+                        help="fail when a query's wall-clock exceeds "
+                             "this factor times its baseline (default 2.0)")
     return parser.parse_args(argv)
 
 
@@ -80,6 +83,25 @@ def run_sweep(env, names):
         print(f"{name}: {wall * 1e3:.1f} ms "
               f"({len(feasible)}/{len(reports)} strategies)", flush=True)
     return per_query, time.perf_counter() - t_sweep
+
+
+def regressions(per_query, baseline_per_query, factor):
+    """``[(query, seconds, budget)]`` of queries over their budget.
+
+    A query's budget is ``factor`` times its baseline wall-clock, at
+    least :data:`REGRESSION_FLOOR_SECONDS`; queries the baseline does
+    not list have none.
+    """
+    over = []
+    for name, measured in per_query.items():
+        base = baseline_per_query.get(name)
+        if base is None:
+            continue
+        budget = max(REGRESSION_FLOOR_SECONDS,
+                     base["wall_seconds"] * factor)
+        if measured["wall_seconds"] > budget:
+            over.append((name, measured["wall_seconds"], budget))
+    return over
 
 
 def main(argv=None):
@@ -116,13 +138,16 @@ def main(argv=None):
     if args.baseline:
         with open(args.baseline) as handle:
             baseline = json.load(handle)
-        budget = baseline["total_wall_seconds"] * args.max_regression
         print(f"baseline ({baseline.get('engine', '?')}): "
-              f"{baseline['total_wall_seconds']:.1f}s, budget "
-              f"{budget:.1f}s, measured {total:.1f}s")
-        if total > budget:
-            print(f"PERF REGRESSION: {total:.1f}s > "
-                  f"{args.max_regression:.1f}x baseline", file=sys.stderr)
+              f"{baseline['total_wall_seconds']:.1f}s total, measured "
+              f"{total:.1f}s")
+        over = regressions(per_query, baseline["per_query"],
+                           args.max_regression)
+        for name, seconds, budget in over:
+            print(f"PERF REGRESSION: {name} took {seconds:.2f}s > budget "
+                  f"{budget:.2f}s ({args.max_regression:.1f}x baseline, "
+                  f"floor {REGRESSION_FLOOR_SECONDS}s)", file=sys.stderr)
+        if over:
             return 1
     return 0
 

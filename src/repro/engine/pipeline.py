@@ -13,8 +13,10 @@ lengths, mask popcounts, byte widths — and is numerically identical to
 the row-at-a-time reference the tests keep (``tests/rowref.py``), so
 golden traces, differential tests and chaos/cluster audits stay
 byte-identical.  LSM access *order* is likewise preserved: batching only
-defers decode and predicate work, never reorders or skips storage reads,
-so stateful block-cache hit counts match exactly.
+defers decode and predicate work and never reorders or skips a *charged*
+read — a key sought twice in one stage replays its recorded
+:class:`~repro.lsm.store.ReadTrace` through the same block cache — so
+stateful block-cache hit counts match exactly.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.columns import ColumnBatch
 from repro.errors import ExecutionError
-from repro.lsm.store import ReadStats
+from repro.lsm.store import ReadStats, ReadTrace
 from repro.query.ast import (Between, ColumnRef, Comparison, InList, IsNull,
                              Like, Literal, Not, And, Or, conjuncts)
 from repro.query.physical import AccessPath, JoinAlgorithm
@@ -279,12 +281,10 @@ class PipelineExecutor:
             if shard is not None and shard.is_empty:
                 batch = build([])
             else:
-                raws = []
-                for value in self._index_constants(entry):
-                    counters.index_seeks += 1
-                    raws.extend(table.index_lookup_raw(
-                        entry.index_column, value, stats=stats))
-                batch = build(raws)
+                _, inner_idx, raws = self._seek_all(
+                    table, entry.index_column,
+                    self._index_constants(entry), stats)
+                batch = build(raws).take(inner_idx)
                 if shard is not None:
                     pk_name = f"{entry.alias}.{table.schema.primary_key}"
                     values, _mask = batch.column(pk_name)
@@ -369,6 +369,54 @@ class PipelineExecutor:
             return np.ones(len(inner), dtype=bool)
         return eval_mask(entry.local_filter, inner)
 
+    def _seek_all(self, table, column, values, stats):
+        """Seek ``column == value`` for every non-NULL value, in order.
+
+        The one place the pipeline issues index seeks.  Each value is
+        charged one ``index_seeks`` and its reads; the first occurrence
+        of a value walks the LSM (``get_record`` on the primary key,
+        ``index_lookup_raw`` otherwise) under a recording
+        :class:`ReadTrace`, later ones replay that trace through the
+        same block cache in the same position of the access order.  The
+        memo lives for this call only: nothing writes to the tree while
+        a stage runs.
+
+        Returns ``(outer_idx, inner_idx, raws)``: the distinct matched
+        records, and per matched pair the position of its value in
+        ``values`` and of its record in ``raws``.
+        """
+        if column == table.schema.primary_key:
+            def seek(value):
+                raw = table.get_record(value, stats=stats)
+                return () if raw is None else (raw,)
+        else:
+            def seek(value):
+                return tuple(table.index_lookup_raw(column, value,
+                                                    stats=stats))
+        counters = self.counters
+        memo = {}
+        raws = []
+        outer_idx = []
+        inner_idx = []
+        for i, value in enumerate(values):
+            if value is None:
+                continue
+            counters.index_seeks += 1
+            hit = memo.get(value)
+            if hit is None:
+                with ReadTrace(stats) as trace:
+                    found = seek(value)
+                span = range(len(raws), len(raws) + len(found))
+                raws.extend(found)
+                memo[value] = trace, span
+            else:
+                trace, span = hit
+                trace.replay(stats)
+            if span:
+                outer_idx.extend([i] * len(span))
+                inner_idx.extend(span)
+        return outer_idx, inner_idx, raws
+
     def _join_bnlji(self, outer, outer_row_bytes, entry):
         """Indexed block nested loop: seek the inner per outer row."""
         table = self.catalog.table(entry.table_name)
@@ -387,48 +435,37 @@ class PipelineExecutor:
                 f"{entry.alias}: BNLJI without an edge on the index column")
         other_alias, other_column = index_edge.other(entry.alias)
         outer_key = f"{other_alias}.{other_column}"
-        use_pk = entry.index_column == table.schema.primary_key
         needed, q_projection, exact = self._decode_plan(entry)
 
         stats = self._stats()
         inner_bytes = self._materialized_bytes(entry)
         out_bytes = outer_row_bytes + inner_bytes
         counters = self.counters
-        # Seeks run row-at-a-time in outer order — the LSM access order
-        # (and therefore block-cache state) must match the row engine —
-        # but matched records are collected raw and decoded in one pass.
-        keys = outer.column_list_or_none(outer_key)
-        outer_idx = []
-        raws = []
-        if use_pk:
-            for i, value in enumerate(keys):
-                if value is None:
-                    continue
-                counters.index_seeks += 1
-                raw = table.get_record(value, stats=stats)
-                if raw is not None:
-                    outer_idx.append(i)
-                    raws.append(raw)
-        else:
-            for i, value in enumerate(keys):
-                if value is None:
-                    continue
-                counters.index_seeks += 1
-                for raw in table.index_lookup_raw(entry.index_column, value,
-                                                  stats=stats):
-                    outer_idx.append(i)
-                    raws.append(raw)
-        inner = table.codec.batch_projector(needed, entry.alias)(raws)
-        m = len(inner)
+        outer_idx, inner_idx, raws = self._seek_all(
+            table, entry.index_column, outer.column_list_or_none(outer_key),
+            stats)
+        # Every matched pair is charged, but the inner side is decoded
+        # and filtered once per distinct record and gathered per pair.
+        m = len(inner_idx)
         counters.records_evaluated += m
         counters.predicate_ops += ops * m
         counters.memcmp_bytes += memcmp * m
-        keep = self._inner_filter(entry, inner)
-        inner_proj = inner if exact else inner.project(q_projection)
+        inner = table.codec.batch_projector(needed, entry.alias)(raws)
+        outer_idx = np.asarray(outer_idx, dtype=np.intp)
+        inner_idx = np.asarray(inner_idx, dtype=np.intp)
+        if entry.local_filter is not None:
+            passed = eval_mask(entry.local_filter, inner)[inner_idx]
+            outer_idx = outer_idx[passed]
+            inner_idx = inner_idx[passed]
+        if not exact:
+            inner = inner.project(q_projection)
         aligned_outer = outer.take(outer_idx)
+        aligned_inner = inner.take(inner_idx)
         if extra_edges:
-            keep = keep & _edge_mask(extra_edges, aligned_outer, inner_proj)
-        result = aligned_outer.select(keep).merged(inner_proj.select(keep))
+            keep = _edge_mask(extra_edges, aligned_outer, aligned_inner)
+            aligned_outer = aligned_outer.select(keep)
+            aligned_inner = aligned_inner.select(keep)
+        result = aligned_outer.merged(aligned_inner)
         counters.bytes_materialized += out_bytes * len(result)
         counters.absorb_read_stats(stats)
         counters.output_rows += len(result)
@@ -661,17 +698,16 @@ class PipelineExecutor:
         row engine's per-block rescan); decode happens once, outside.
         """
         stats = self._stats()
-        raws = []
         if (entry.access_path is AccessPath.SECONDARY_LOOKUP
                 and entry.index_column is not None
                 and entry.index_column not in
                 [edge.column_of(entry.alias) for edge in entry.join_edges]):
-            for value in self._index_constants(entry):
-                self.counters.index_seeks += 1
-                raws.extend(table.index_lookup_raw(entry.index_column, value,
-                                                   stats=stats))
+            _, inner_idx, found = self._seek_all(
+                table, entry.index_column, self._index_constants(entry),
+                stats)
+            raws = [found[j] for j in inner_idx]
         else:
-            raws.extend(table.scan_raw(ScanRequest(stats=stats)))
+            raws = list(table.scan_raw(ScanRequest(stats=stats)))
         self.counters.absorb_read_stats(stats)
         return raws
 

@@ -98,12 +98,6 @@ class TimingModel:
     # ------------------------------------------------------------------
     # Per-location primitives
     # ------------------------------------------------------------------
-    def _eval_rate(self, location):
-        """Record-op rate for random/stateful work (ARM pays full gap)."""
-        if location is ExecutionLocation.DEVICE:
-            return self.device.spec.eval_ops_per_second
-        return self.host.eval_ops_per_second
-
     def _index_rate(self, location):
         """Record-op rate for index navigation (seeks, key compares)."""
         if location is ExecutionLocation.DEVICE:
@@ -155,7 +149,6 @@ class TimingModel:
         """
         if not isinstance(location, ExecutionLocation):
             raise ExecutionError(f"bad location {location!r}")
-        rate = self._eval_rate(location)
         streaming_rate = self._streaming_rate(location)
         memcpy = self._memcpy_bandwidth(location)
         memcmp_bw = self._memcmp_bandwidth(location)

@@ -13,7 +13,7 @@ from repro.lsm.memtable import MemTable
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.sstable import SSTable, SSTableBuilder
 from repro.lsm.levels import LevelStructure
-from repro.lsm.store import LSMTree, ReadStats, WriteBatch
+from repro.lsm.store import LSMTree, ReadStats, ReadTrace, WriteBatch
 from repro.lsm.column_family import ColumnFamily, KVDatabase
 from repro.lsm.snapshot import SharedState
 
@@ -28,6 +28,7 @@ __all__ = [
     "LevelStructure",
     "LSMTree",
     "ReadStats",
+    "ReadTrace",
     "WriteBatch",
     "ColumnFamily",
     "KVDatabase",

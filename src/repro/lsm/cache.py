@@ -38,6 +38,25 @@ class BlockCache:
                 self._used -= evicted_bytes
         return False
 
+    def access_all(self, touches):
+        """:meth:`access` every ``(key, nbytes, ...)`` touch in order.
+
+        Returns the touches that missed.  The loop a replayed
+        :class:`~repro.lsm.store.ReadTrace` spends its time in: a hit is
+        handled here, anything else by :meth:`access`.
+        """
+        entries = self._entries
+        missed = []
+        for touch in touches:
+            key = touch[0]
+            if key in entries:
+                entries.move_to_end(key)
+            else:
+                self.access(key, touch[1])
+                missed.append(touch)
+        self.hits += len(touches) - len(missed)
+        return missed
+
     @property
     def used_bytes(self):
         """Bytes currently cached."""

@@ -20,6 +20,9 @@ from repro.lsm.memtable import TOMBSTONE
 _ENTRY_HEADER = 8      # 4-byte key length + 4-byte value length
 _BLOCK_HEADER = 8
 _INDEX_ENTRY_OVERHEAD = 12
+#: First element of an index block's cache key; data blocks use ``"blk"``.
+#: :class:`repro.lsm.store.ReadTrace` tells the two apart by it.
+INDEX_BLOCK = "idx"
 
 
 @dataclass
@@ -169,7 +172,7 @@ class SSTable:
         if stats is None:
             return
         if stats.cache is not None and stats.cache.access(
-                ("idx", self.sst_id), self.index_bytes):
+                (INDEX_BLOCK, self.sst_id), self.index_bytes):
             stats.cache_hits += 1
             return
         stats.index_blocks_read += 1

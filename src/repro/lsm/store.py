@@ -6,13 +6,14 @@ statistics that the timing model prices (paper §2.2).
 """
 
 from dataclasses import dataclass, field
+from operator import attrgetter, sub
 
 from repro.errors import LSMError
 from repro.lsm.compaction import LeveledCompactor
 from repro.lsm.iterator import live_entries, merge_sources
 from repro.lsm.levels import LevelStructure
 from repro.lsm.memtable import TOMBSTONE, MemTable
-from repro.lsm.sstable import SSTableBuilder
+from repro.lsm.sstable import INDEX_BLOCK, SSTableBuilder
 
 
 @dataclass
@@ -45,6 +46,92 @@ class ReadStats:
                 continue
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
+
+
+#: ``ReadStats`` fields one seek charges identically every time while the
+#: tree does not change; the others depend on block-cache state.
+#: :meth:`ReadTrace.replay` unpacks them in this order.
+_static_counts = attrgetter(
+    "memtable_gets", "ssts_considered", "ssts_skipped_fence",
+    "ssts_skipped_bloom", "bloom_probes", "bloom_negatives",
+    "key_comparisons", "entries_scanned")
+
+
+class ReadTrace:
+    """One recorded seek, replayable without walking the tree again.
+
+    A seek of one key does the same key comparisons, bloom probes and
+    SST/entry visits and touches the same blocks in the same order for
+    as long as the tree is unchanged; only whether a touch hits the
+    block cache varies.  The trace keeps the first part as a
+    :class:`ReadStats` delta and the second as the ordered
+    ``(cache key, nbytes, is index block)`` touches, so :meth:`replay`
+    charges — and moves the LRU — exactly as the walk would.  A trace
+    is only valid while no write, flush or compaction reaches the tree
+    it was recorded on.
+
+    Record by seeking inside the ``with`` block, with the same stats::
+
+        with ReadTrace(stats) as trace:
+            value = tree.get(key, stats=stats)     # charged as usual
+        trace.replay(stats)                        # charged again
+
+    Reads must finish inside the block (exhaust generators).
+    """
+
+    __slots__ = ("static", "touches", "index_blocks", "data_blocks",
+                 "nbytes", "_stats", "_cache")
+
+    def __init__(self, stats):
+        self._stats = stats
+        self._cache = stats.cache
+        self.touches = []
+
+    def __enter__(self):
+        self.static = _static_counts(self._stats)    # until __exit__
+        self._stats.cache = self
+        return self
+
+    def access(self, key, nbytes):
+        """Stand in for the block cache while recording: log, forward."""
+        self.touches.append((key, nbytes, key[0] == INDEX_BLOCK))
+        return self._cache is not None and self._cache.access(key, nbytes)
+
+    def __exit__(self, *exc_info):
+        self._stats.cache = self._cache
+        self.static = tuple(map(sub, _static_counts(self._stats),
+                                self.static))
+        touches = self.touches
+        self.index_blocks = sum(touch[2] for touch in touches)
+        self.data_blocks = len(touches) - self.index_blocks
+        self.nbytes = sum(touch[1] for touch in touches)
+
+    def replay(self, stats):
+        """Charge ``stats`` (and its block cache) as the seek would."""
+        (memtable_gets, ssts_considered, ssts_skipped_fence,
+         ssts_skipped_bloom, bloom_probes, bloom_negatives,
+         key_comparisons, entries_scanned) = self.static
+        stats.memtable_gets += memtable_gets
+        stats.ssts_considered += ssts_considered
+        stats.ssts_skipped_fence += ssts_skipped_fence
+        stats.ssts_skipped_bloom += ssts_skipped_bloom
+        stats.bloom_probes += bloom_probes
+        stats.bloom_negatives += bloom_negatives
+        stats.key_comparisons += key_comparisons
+        stats.entries_scanned += entries_scanned
+        if stats.cache is None:
+            stats.index_blocks_read += self.index_blocks
+            stats.data_blocks_read += self.data_blocks
+            stats.bytes_read += self.nbytes
+            return
+        missed = stats.cache.access_all(self.touches)
+        stats.cache_hits += len(self.touches) - len(missed)
+        for _key, nbytes, is_index in missed:
+            if is_index:
+                stats.index_blocks_read += 1
+            else:
+                stats.data_blocks_read += 1
+            stats.bytes_read += nbytes
 
 
 @dataclass
@@ -323,4 +410,5 @@ def require_bytes(key):
     return key
 
 
-__all__ = ["LSMTree", "LSMConfig", "ReadStats", "TOMBSTONE", "require_bytes"]
+__all__ = ["LSMTree", "LSMConfig", "ReadStats", "ReadTrace", "TOMBSTONE",
+           "require_bytes"]

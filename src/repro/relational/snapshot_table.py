@@ -124,30 +124,14 @@ class SnapshotTable:
         sought in the primary snapshot view — the on-device
         secondary-index flow.
         """
-        try:
-            column, view = self._indexes[column_name]
-        except KeyError:
-            raise CatalogError(
-                f"{self.name}: no snapshotted index on {column_name!r}"
-            ) from None
-        stats = stats if stats is not None else ReadStats()
-        width = column.width if column.dtype is DataType.CHAR else None
-        prefix = encode_key(value, width)
-        hi = prefix + b"\xff" * 9
-        decode = self._decoder(columns, qualified_as)
-        for key, _empty in view.scan(lo=prefix, hi=hi, stats=stats):
-            secondary_raw, primary_raw = split_composite_key(key)
-            if secondary_raw != prefix:
-                continue
-            raw = self._primary.get(primary_raw, stats=stats)
-            if raw is not None:
-                yield decode(raw)
+        return map(self._decoder(columns, qualified_as),
+                   self.index_lookup_raw(column_name, value, stats=stats))
 
     def index_lookup_raw(self, column_name, value, stats=None):
         """Undecoded record bytes via the snapshotted secondary index.
 
-        Same LSM access order (secondary view walk, then primary seeks)
-        as :meth:`index_lookup` — only decoding is deferred.
+        The table's one seek body: the secondary view walk, then a
+        primary seek per key it yields.
         """
         try:
             column, view = self._indexes[column_name]

@@ -259,18 +259,14 @@ class RelationalTable:
     def index_lookup(self, column_name, value, stats=None, columns=None,
                      qualified_as=None):
         """Rows with ``column == value`` via the secondary index."""
-        index = self.index_on(column_name)
-        decode = self._decoder(columns, qualified_as)
-        for primary_raw in index.primary_keys_for(value, stats=stats):
-            raw = self.family.get(primary_raw, stats=stats)
-            if raw is not None:
-                yield decode(raw)
+        return map(self._decoder(columns, qualified_as),
+                   self.index_lookup_raw(column_name, value, stats=stats))
 
     def index_lookup_raw(self, column_name, value, stats=None):
         """Undecoded record bytes with ``column == value`` via the index.
 
-        Same LSM access order (secondary walk, then primary seeks) as
-        :meth:`index_lookup` — only decoding is deferred.
+        The table's one seek body: the secondary walk, then a primary
+        seek per key it yields.
         """
         index = self.index_on(column_name)
         for primary_raw in index.primary_keys_for(value, stats=stats):

@@ -75,7 +75,7 @@ def test_sqlgen_corpus_equivalence(job_env, index):
     _assert_equivalent(job_env, query.sql)
 
 
-@pytest.mark.parametrize("name", ["1a", "2a", "3b", "6a", "8c", "16b"])
+@pytest.mark.parametrize("name", ["1a", "2a", "3b", "6a", "8c", "16b", "17e"])
 def test_job_sample_equivalence(job_env, name):
     _assert_equivalent(job_env, job_query(name))
 

@@ -50,3 +50,20 @@ class TestBlockCache:
         cache.access("a", 1)
         cache.access("a", 1)
         assert cache.hit_rate() == 0.5
+
+    def test_access_all_equals_one_access_per_touch(self):
+        # Hits, first misses, evictions, a re-miss after eviction and an
+        # entry too large to admit — over caches that thrash, fit, or
+        # are off.
+        touches = [("a", 100, True), ("b", 100, False), ("a", 100, True),
+                   ("c", 100, False), ("big", 900, False), ("b", 100, False),
+                   ("big", 900, False), ("c", 100, False)]
+        for capacity in (0, 100, 250, 1000):
+            one_by_one, batched = BlockCache(capacity), BlockCache(capacity)
+            want = [touch for touch in touches
+                    if not one_by_one.access(touch[0], touch[1])]
+            assert batched.access_all(touches) == want
+            assert list(batched._entries) == list(one_by_one._entries)
+            assert batched.used_bytes == one_by_one.used_bytes
+            assert (batched.hits, batched.misses) == (
+                one_by_one.hits, one_by_one.misses)
