@@ -1,30 +1,48 @@
-"""Command-line interface.
+"""Command-line interface — the one front end to every run and sweep.
 
     python -m repro info                      # environment summary
+    python -m repro list-queries              # the JOB suite
     python -m repro run 8c --stack hybrid --split 3
     python -m repro decide 17b                # the planner's choice
     python -m repro sweep 8c                  # Fig-16-style split sweep
     python -m repro trace 8c --strategy split:best --out 8c.json
-    python -m repro chaos 8c --seed 5         # fault-injection scenarios
-    python -m repro bench-concurrent --clients 8   # concurrent workload
-    python -m repro fuzz --queries 50 --seed 7     # differential fuzzing
     python -m repro experiment fig11          # a paper experiment
-    python -m repro list-queries              # the JOB suite
+    python -m repro survey 1a 8c              # Fig-12/13 matrix (--all: 113)
+    python -m repro chaos 1a 8c --seed 5      # fault-injection scenarios
+    python -m repro bench-concurrent --clients 1 4 8 --rate-qps 200
+    python -m repro bench-cluster --devices 1 2 4 8
+    python -m repro bench-adaptive            # re-planning regret bench
+    python -m repro fuzz --queries 50 --seed 7     # differential fuzzing
 
 All commands build the synthetic JOB environment (seeded, deterministic)
-at the --scale given (default 0.0004).  The execution commands (run,
-trace, chaos, bench-concurrent) share one option set: ``--stack``,
-``--split``, ``--seed`` (the workload seed — fault-plan seed for chaos,
-arrival seed for bench-concurrent; the *dataset* seed stays the global
-``--seed`` before the subcommand) and ``--trace-dir``.
+from the global options, which go *before* the subcommand: ``--scale``
+(default 0.0004), ``--seed`` (the dataset seed) and ``--cache-dir`` (the
+on-disk workload cache).  The sweeps (survey, chaos, bench-*, fuzz) all
+take ``--output FILE`` and write it through one writer: the invocation's
+arguments beside the payload, keys sorted — so a sweep is proved
+deterministic by running it twice and ``cmp``-ing the two files, which
+is what CI does.  A subcommand's own ``--seed`` is the *workload* seed:
+fault-plan seed for chaos, arrival/partitioner seed for
+bench-concurrent/bench-cluster, generator seed for fuzz.
 """
 
 import argparse
+import json
 import os
 import sys
 
 from repro.bench import experiments as exp
-from repro.bench.reporting import format_table, ms, render_matrix_summary
+from repro.bench.adaptive import (DEFAULT_QUERIES as ADAPTIVE_QUERIES,
+                                  DEFAULT_ROUNDS, DEFAULT_SKEW,
+                                  adaptive_matrix)
+from repro.bench.chaos import SCENARIOS, chaos_matrix, generated_queries
+from repro.bench.cluster import DEFAULT_DEVICE_COUNTS, cluster_matrix
+from repro.bench.concurrency import DEFAULT_QUERIES, concurrency_matrix
+from repro.bench.fuzz import MODES, FuzzHarness, replay_failures, \
+    write_corpus
+from repro.bench.parallel import sweep_job_matrix
+from repro.bench.reporting import (format_table, ms, render_family_grid,
+                                   render_matrix_summary)
 from repro.context import ExecutionContext
 from repro.engine.stacks import Stack
 from repro.errors import ReproError
@@ -36,20 +54,42 @@ _STACKS = {"blk": Stack.BLK, "native": Stack.NATIVE, "ndp": Stack.NDP,
            "hybrid": Stack.HYBRID}
 
 _EXPERIMENTS = {
-    "fig2": lambda env: exp.exp_intro_fig2(env),
-    "fig11": lambda env: exp.exp1_stacks_fig11(env),
-    "tab3": lambda env: exp.exp1_table3(env),
-    "fig16": lambda env: exp.exp6_split_sweep_fig16(env),
-    "fig17": lambda env: exp.exp6_timeline_fig17(env),
-    "tab4": lambda env: exp.exp6_table4(env),
-    "profiler": lambda env: exp.profiler_compute_gap(env),
+    "fig2": exp.exp_intro_fig2,
+    "fig11": exp.exp1_stacks_fig11,
+    "tab3": exp.exp1_table3,
+    "fig16": exp.exp6_split_sweep_fig16,
+    "fig17": exp.exp6_timeline_fig17,
+    "tab4": exp.exp6_table4,
+    "profiler": exp.profiler_compute_gap,
 }
+
+#: The Fig-12 sample ``survey`` sweeps unless given names or ``--all``.
+SURVEY_QUERIES = ["1a", "2d", "6b", "8c", "17b", "32a"]
+
+#: Arguments that say where things are read from or written to, not what
+#: is computed — left out of the echo so two runs' files compare equal.
+_NOT_ECHOED = ("func", "output", "cache_dir", "trace_dir", "corpus_dir",
+               "workers")
 
 
 def _build_env(args):
     print(f"building environment (scale={args.scale}, seed={args.seed})...",
           file=sys.stderr)
-    return build_environment(scale=args.scale, seed=args.seed)
+    return build_environment(scale=args.scale, seed=args.seed,
+                             workload_cache_dir=args.cache_dir)
+
+
+def _write_output(args, **payload):
+    """The one ``--output`` writer every sweep shares."""
+    if not args.output:
+        return
+    arguments = {name: value for name, value in vars(args).items()
+                 if name not in _NOT_ECHOED}
+    with open(args.output, "w") as handle:
+        json.dump({"arguments": arguments, **payload}, handle,
+                  sort_keys=True, indent=1)
+        handle.write("\n")
+    print(f"results written to {args.output}")
 
 
 def cmd_info(args):
@@ -138,7 +178,7 @@ def cmd_trace(args):
     env = _build_env(args)
     plan = env.runner.plan(query(args.query))
     if args.stack:
-        # The shared --stack/--split flags select the strategy directly.
+        # --stack/--split select the strategy directly, as for ``run``.
         stack, split_index = _STACKS[args.stack], args.split
     else:
         stack, split_index = _resolve_trace_strategy(env, plan,
@@ -147,9 +187,6 @@ def cmd_trace(args):
     report = env.run(plan, stack, split_index=split_index,
                      ctx=ExecutionContext(tracer=tracer))
     out = args.out or f"{args.query}-{report.strategy}.json"
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-        out = os.path.join(args.trace_dir, os.path.basename(out))
     tracer.write(out)
     print(report.summary())
     metrics = tracer.metrics()
@@ -169,100 +206,72 @@ def cmd_sweep(args):
 
 
 def cmd_chaos(args):
-    from repro.bench.chaos import (SCENARIOS, chaos_matrix,
-                                   generated_queries)
-    env = _build_env(args)
-    scenarios = args.scenarios or sorted(SCENARIOS)
-    names = [args.query] if args.query else []
+    names = list(args.queries)
     queries = None
     if args.generated:
-        queries = generated_queries(args.generated,
-                                    seed=args.workload_seed)
+        queries = generated_queries(args.generated, seed=args.workload_seed)
         names += sorted(queries)
     if not names:
-        print("chaos needs a query name and/or --generated N")
-        return 2
-    rows = []
-    failures = 0
-    for scenario_row in chaos_matrix(
-            env, names, scenarios=scenarios,
-            seed=args.workload_seed,
-            trace_dir=args.trace_dir, queries=queries).values():
-        for summary in scenario_row.values():
-            failures += 0 if summary["ok"] else 1
-            rows.append([
-                summary["query"],
-                summary["scenario"], summary["strategy"],
-                "yes" if summary["rows_match"] else "NO",
-                summary["retries"],
-                ms(summary["faulted_time"]),
-                ms(summary["baseline_time"]),
-                ", ".join(f"{kind}={count}" for kind, count
-                          in summary["faults_injected"].items()) or "-",
-            ])
+        raise ReproError("chaos needs a query name and/or --generated N")
+    args.scenarios = args.scenarios or sorted(SCENARIOS)
+    env = _build_env(args)
+    matrix = chaos_matrix(env, names, scenarios=args.scenarios,
+                          seed=args.workload_seed,
+                          trace_dir=args.trace_dir, queries=queries)
+    cells = [cell for row in matrix.values() for cell in row.values()]
+    rows = [[cell["query"], cell["scenario"], cell["strategy"],
+             "yes" if cell["rows_match"] else "NO",
+             "ok" if cell["ok"] else "FAIL",
+             cell["retries"],
+             ms(cell["faulted_time"]), ms(cell["baseline_time"]),
+             ", ".join(f"{kind}={count}" for kind, count
+                       in cell["faults_injected"].items()) or "-"]
+            for cell in cells]
     print(format_table(
-        ["query", "scenario", "strategy", "rows ok", "retries",
+        ["query", "scenario", "strategy", "rows ok", "verdict", "retries",
          "faulted [ms]", "host [ms]", "faults injected"], rows,
         title=f"chaos matrix ({', '.join(names)}; "
               f"fault seed {args.workload_seed})"))
     if args.trace_dir:
         print(f"fault-annotated traces written to {args.trace_dir}/")
-    return 1 if failures else 0
+    _write_output(args, matrix=matrix)
+    return 0 if all(cell["ok"] for cell in cells) else 1
 
 
 def cmd_bench_concurrent(args):
-    from repro.bench.concurrency import (DEFAULT_QUERIES,
-                                         run_concurrency_benchmark)
     env = _build_env(args)
-    tracer = Tracer() if args.trace_dir else None
-    summary = run_concurrency_benchmark(
-        env, query_names=args.queries or DEFAULT_QUERIES, mode=args.mode,
-        clients=args.clients, think_time=args.think_time,
-        rate_qps=args.rate_qps, repeat=args.repeat,
-        seed=args.workload_seed, ctx=ExecutionContext(tracer=tracer))
-    latency = summary["latency"]
-    rows = [
-        ["queries", summary["queries"]],
-        ["mode", summary["mode"]],
-        ["makespan", ms(summary["makespan"])],
-        ["queries/sec", f"{summary['queries_per_second']:.1f}"],
-        ["p50 latency", ms(latency["p50"])],
-        ["p95 latency", ms(latency["p95"])],
-        ["p99 latency", ms(latency["p99"])],
-        ["placements", ", ".join(f"{name}={count}" for name, count
-                                 in summary["placements"].items())],
-    ]
-    for name, utilization in summary["resource_utilization"].items():
-        rows.append([f"{name} utilization", f"{utilization:.1%}"])
+    matrix = concurrency_matrix(
+        env, query_names=args.queries, client_counts=args.clients,
+        think_time=args.think_time, repeat=args.repeat,
+        seed=args.workload_seed, rate_qps=args.rate_qps)
+    cells = [(f"closed/{clients}", summary)
+             for clients, summary in matrix["closed"].items()]
+    if matrix["open"] is not None:
+        cells.append((f"open/{args.rate_qps}", matrix["open"]))
+    rows = [[label, summary["queries"], ms(summary["makespan"]),
+             f"{summary['queries_per_second']:.1f}",
+             ms(summary["latency"]["p50"]), ms(summary["latency"]["p95"]),
+             ms(summary["latency"]["p99"]),
+             ", ".join(f"{name}={count}" for name, count
+                       in summary["placements"].items())]
+            for label, summary in cells]
     print(format_table(
-        ["metric", "value"], rows,
+        ["arrivals", "queries", "makespan", "queries/sec", "p50", "p95",
+         "p99", "placements"], rows,
         title=f"concurrent workload (seed {args.workload_seed})"))
-    if tracer is not None:
-        os.makedirs(args.trace_dir, exist_ok=True)
-        out = os.path.join(args.trace_dir, "concurrent-workload.json")
-        tracer.write(out)
-        print(f"workload trace written to {out}")
-    if args.output:
-        import json
-        with open(args.output, "w") as handle:
-            json.dump(summary, handle, indent=1)
-        print(f"summary written to {args.output}")
+    _write_output(args, matrix=matrix)
     return 0
 
 
 def cmd_bench_adaptive(args):
-    from repro.bench.adaptive import DEFAULT_QUERIES, adaptive_matrix
     env = _build_env(args)
     summary = adaptive_matrix(
-        env, query_names=args.queries or DEFAULT_QUERIES,
-        rounds=args.rounds, skew=args.skew, alpha=args.alpha,
-        error_threshold=args.error_threshold)
-    rows = []
-    for row in summary["rounds"]:
-        replans = sum(cell["replans"]
-                      for cell in row["per_query"].values())
-        rows.append([row["round"], ms(row["static_regret"]),
-                     ms(row["adaptive_regret"]), replans])
+        env, query_names=args.queries, rounds=args.rounds, skew=args.skew,
+        alpha=args.alpha, error_threshold=args.error_threshold)
+    rows = [[row["round"], ms(row["static_regret"]),
+             ms(row["adaptive_regret"]),
+             sum(cell["replans"] for cell in row["per_query"].values())]
+            for row in summary["rounds"]]
     print(format_table(
         ["round", "static regret", "adaptive regret", "replans"], rows,
         title=f"adaptive re-planning regret (skew {args.skew}x)"))
@@ -271,21 +280,15 @@ def cmd_bench_adaptive(args):
           f"{ms(totals['adaptive_regret'])}; "
           f"beats_static={totals['adaptive_beats_static']}, "
           f"converged={totals['regret_converged']}")
-    if args.output:
-        import json
-        with open(args.output, "w") as handle:
-            json.dump(summary, handle, indent=1, sort_keys=True)
-        print(f"summary written to {args.output}")
+    _write_output(args, summary=summary)
     return 0 if (totals["adaptive_beats_static"]
                  and totals["regret_converged"]) else 1
 
 
 def cmd_bench_cluster(args):
-    from repro.bench.cluster import DEFAULT_QUERIES, cluster_matrix
     env = _build_env(args)
     matrix = cluster_matrix(
-        env, device_counts=tuple(args.devices),
-        query_names=args.queries or DEFAULT_QUERIES,
+        env, device_counts=tuple(args.devices), query_names=args.queries,
         partitioner=args.partitioner, seed=args.workload_seed,
         clients=args.clients)
     rows = []
@@ -306,27 +309,20 @@ def cmd_bench_cluster(args):
          "workload makespan", "speedup"], rows,
         title=f"cluster scaling ({args.partitioner} partitioning, "
               f"seed {args.workload_seed})"))
-    if args.output:
-        import json
-        with open(args.output, "w") as handle:
-            json.dump(matrix, handle, indent=1)
-        print(f"summary written to {args.output}")
+    _write_output(args, matrix=matrix)
     return 0
 
 
 def cmd_fuzz(args):
-    from repro.bench.fuzz import (MODES, FuzzHarness, replay_failures,
-                                  write_corpus)
+    args.modes = args.modes or list(MODES)
+    modes = tuple(args.modes)
     env = _build_env(args)
-    modes = tuple(args.modes or MODES)
     if args.replay:
         reports = replay_failures(env, args.replay, modes=modes)
     else:
         harness = FuzzHarness(env, seed=args.workload_seed, modes=modes)
         reports = [harness.run(args.queries)]
-    failures = 0
     for report in reports:
-        failures += len(report.failures)
         rows = [
             ["generator seed", report.seed],
             ["queries", report.queries],
@@ -346,22 +342,51 @@ def cmd_fuzz(args):
             paths = write_corpus(report, args.corpus_dir)
             for kind, path in paths.items():
                 print(f"{kind} written to {path}")
-    return 1 if failures else 0
+    if args.replay:
+        _write_output(args, reports=[r.to_dict() for r in reports])
+    else:
+        _write_output(args, report=reports[0].to_dict())
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def cmd_experiment(args):
     env = _build_env(args)
     result = _EXPERIMENTS[args.name](env)
-    import json
     print(json.dumps(result, indent=2, default=str))
     return 0
 
 
 def cmd_survey(args):
+    if args.all:
+        args.queries = sorted(all_queries())
+    names = args.queries
     env = _build_env(args)
-    names = args.queries or ["1a", "2d", "6b", "8c", "17b", "32a"]
-    matrix = exp.exp2_job_matrix_fig12(env, query_names=names)
-    print(render_matrix_summary(exp.classify_matrix(matrix)))
+    done = []
+
+    def progress(name, times):
+        done.append(name)
+        print(f"[{len(done)}/{len(names)}] {name}: "
+              f"host={ms(times['host-only'])} ms", file=sys.stderr)
+
+    matrix = sweep_job_matrix(
+        query_names=names, workers=args.workers, env=env,
+        workload_cache_dir=args.cache_dir, on_result=progress,
+        trace_dir=args.trace_dir)
+    summary = exp.classify_matrix(matrix)
+    decisions = exp.exp3_decisions_fig13(env, matrix)
+    outcomes = decisions.pop("per_query")
+    print(render_family_grid(summary["per_query"],
+                             legend="g=green y=yellow r=red"))
+    print()
+    print(render_matrix_summary(summary))
+    print()
+    print(render_family_grid(outcomes, legend="b=best a=acceptable m=miss"))
+    print(f"decision quality: best {decisions['best_pct']:.1f}% "
+          f"(paper ~20.35%), acceptable {decisions['acceptable_pct']:.1f}% "
+          f"(paper ~11.5%), suitable {decisions['suitable_pct']:.1f}% "
+          f"(paper ~31.8%)")
+    _write_output(args, matrix=matrix, summary=summary,
+                  decisions=decisions, decision_outcomes=outcomes)
     return 0
 
 
@@ -372,42 +397,41 @@ def cmd_list_queries(_args):
     return 0
 
 
-def _execution_options():
-    """The parent parser shared by run / trace / chaos / bench-concurrent.
-
-    One definition for the flags every execution command understands, so
-    they cannot drift apart: ``--stack``/``--split`` select the strategy,
-    ``--seed`` is the *workload* seed (fault-plan seed for chaos, arrival
-    seed for bench-concurrent — distinct from the global dataset
-    ``--seed``), ``--trace-dir`` writes Perfetto traces.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--stack", choices=sorted(_STACKS), default=None,
-                        help="execution stack (default: native)")
-    parent.add_argument("--split", type=int, default=None,
-                        help="hybrid split index (the k of Hk)")
-    parent.add_argument("--seed", dest="workload_seed", type=int, default=0,
-                        help="workload seed: fault-plan seed for chaos, "
-                             "arrival seed for bench-concurrent (the "
-                             "dataset seed is the global --seed)")
-    parent.add_argument("--trace-dir", default=None,
-                        help="write Perfetto traces into this directory")
-    return parent
-
-
 def build_parser():
-    """The argparse command tree."""
+    """The argparse command tree — the declarative list of experiments."""
     parser = argparse.ArgumentParser(
         prog="repro", description="hybridNDP reproduction CLI")
     parser.add_argument("--scale", type=float, default=0.0004,
-                        help="dataset scale factor")
-    parser.add_argument("--seed", type=int, default=7)
+                        help="dataset scale factor (default 0.0004)")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="dataset seed (default 7)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="on-disk workload cache directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    execution = _execution_options()
+
+    # One definition per option several commands share, so they cannot
+    # drift apart.
+    strategy = argparse.ArgumentParser(add_help=False)
+    strategy.add_argument("--stack", choices=sorted(_STACKS), default=None,
+                          help="execution stack (default: native)")
+    strategy.add_argument("--split", type=int, default=None,
+                          help="hybrid split index (the k of Hk)")
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--trace-dir", default=None,
+                        help="write Perfetto traces into this directory")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, metavar="FILE",
+                        help="write the arguments and the results as JSON")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", dest="workload_seed", type=int, default=0,
+                        help="workload seed: fault plan (chaos), arrivals "
+                             "and partitioner (bench-*), generator (fuzz); "
+                             "the dataset seed is the global --seed")
 
     sub.add_parser("info").set_defaults(func=cmd_info)
+    sub.add_parser("list-queries").set_defaults(func=cmd_list_queries)
 
-    run = sub.add_parser("run", parents=[execution])
+    run = sub.add_parser("run", parents=[strategy, traced])
     run.add_argument("query")
     run.set_defaults(func=cmd_run)
 
@@ -420,7 +444,7 @@ def build_parser():
     sweep.set_defaults(func=cmd_sweep)
 
     trace = sub.add_parser(
-        "trace", parents=[execution],
+        "trace", parents=[strategy],
         help="run one query and write a Perfetto trace")
     trace.add_argument("query")
     trace.add_argument("--strategy", default="split:best",
@@ -431,74 +455,64 @@ def build_parser():
                        help="output path (default <query>-<strategy>.json)")
     trace.set_defaults(func=cmd_trace)
 
+    experiment = sub.add_parser("experiment")
+    experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
+    experiment.set_defaults(func=cmd_experiment)
+
+    survey = sub.add_parser(
+        "survey", parents=[output, traced],
+        help="the Fig-12 strategy matrix and Fig-13 decision quality")
+    survey.add_argument("queries", nargs="*", default=SURVEY_QUERIES,
+                        help=f"JOB queries (default {SURVEY_QUERIES})")
+    survey.add_argument("--all", action="store_true",
+                        help="sweep all 113 JOB queries")
+    survey.add_argument("--workers", type=int, default=1,
+                        help="worker processes for the sweep (default 1)")
+    survey.set_defaults(func=cmd_survey)
+
     chaos = sub.add_parser(
-        "chaos", parents=[execution],
-        help="run queries under the fault-injection scenarios")
-    chaos.add_argument("query", nargs="?", default=None,
-                       help="JOB query name (optional with --generated)")
+        "chaos", parents=[output, seeded, traced],
+        help="run queries under the fault-injection scenarios; exits 1 "
+             "on wrong rows or unbounded slowdown")
+    chaos.add_argument("queries", nargs="*", default=[],
+                       help="JOB query names (optional with --generated)")
     chaos.add_argument("--scenario", dest="scenarios", action="append",
                        default=None,
-                       help="run only this scenario (repeatable; includes "
-                            "the scale-out robustness scenarios "
-                            "straggler_device / double_device_failure / "
-                            "deadline_shedding)")
+                       help="run only this scenario (repeatable; default "
+                            "the single-device catalogue; the scale-out "
+                            "scenarios straggler_device / "
+                            "double_device_failure / deadline_shedding "
+                            "run only when named)")
     chaos.add_argument("--generated", type=int, default=0, metavar="N",
                        help="additionally chaos N random sqlgen queries "
                             "(seeded by --seed)")
     chaos.set_defaults(func=cmd_chaos)
 
     bench = sub.add_parser(
-        "bench-concurrent", parents=[execution],
-        help="run a concurrent multi-query workload on one shared device")
-    bench.add_argument("queries", nargs="*",
-                       help="JOB query mix (default: the benchmark mix)")
-    bench.add_argument("--mode", choices=["closed", "open"],
-                       default="closed",
-                       help="closed-loop clients or open-loop arrivals")
-    bench.add_argument("--clients", type=int, default=8,
-                       help="closed-loop client count (default 8)")
+        "bench-concurrent", parents=[output, seeded],
+        help="closed-loop client-scaling sweep on one shared device")
+    bench.add_argument("queries", nargs="*", default=DEFAULT_QUERIES,
+                       help=f"JOB query mix (default {DEFAULT_QUERIES})")
+    bench.add_argument("--clients", type=int, nargs="+",
+                       default=[1, 2, 4, 8],
+                       help="closed-loop client counts (default 1 2 4 8)")
     bench.add_argument("--think-time", type=float, default=0.0,
                        help="closed-loop think time in seconds")
-    bench.add_argument("--rate-qps", type=float, default=50.0,
-                       help="open-loop offered rate (default 50)")
+    bench.add_argument("--rate-qps", type=float, default=None,
+                       help="also run an open-loop point at this offered "
+                            "rate")
     bench.add_argument("--repeat", type=int, default=1,
                        help="replay the query mix this many times")
-    bench.add_argument("--output", default=None,
-                       help="also write the summary JSON to this path")
     bench.set_defaults(func=cmd_bench_concurrent)
 
-    bench_adaptive = sub.add_parser(
-        "bench-adaptive",
-        help="regret bench: adaptive re-planning vs static vs oracle "
-             "over a misestimated (skewed-prior) workload")
-    bench_adaptive.add_argument("queries", nargs="*",
-                                help="JOB query mix (default: the "
-                                     "calibrated regret mix)")
-    bench_adaptive.add_argument("--rounds", type=int, default=16,
-                                help="workload rounds (default 16)")
-    bench_adaptive.add_argument("--skew", type=float, default=50.0,
-                                help="stale-statistics prior factor "
-                                     "(default 50)")
-    bench_adaptive.add_argument("--alpha", type=float, default=0.5,
-                                help="EWMA observation weight "
-                                     "(default 0.5)")
-    bench_adaptive.add_argument("--error-threshold", type=float,
-                                default=2.0,
-                                help="breaker error triggering a "
-                                     "revision (default 2.0)")
-    bench_adaptive.add_argument("--output", default=None,
-                                help="also write the summary JSON to "
-                                     "this path")
-    bench_adaptive.set_defaults(func=cmd_bench_adaptive)
-
     bench_cluster = sub.add_parser(
-        "bench-cluster", parents=[execution],
+        "bench-cluster", parents=[output, seeded],
         help="sweep device counts with scatter-gather execution")
-    bench_cluster.add_argument("queries", nargs="*",
-                               help="JOB query mix (default: the "
-                                    "benchmark mix)")
+    bench_cluster.add_argument("queries", nargs="*", default=DEFAULT_QUERIES,
+                               help="JOB query mix (default "
+                                    f"{DEFAULT_QUERIES})")
     bench_cluster.add_argument("--devices", type=int, nargs="+",
-                               default=[1, 2, 4, 8],
+                               default=list(DEFAULT_DEVICE_COUNTS),
                                help="device counts to sweep "
                                     "(default 1 2 4 8)")
     bench_cluster.add_argument("--partitioner",
@@ -507,21 +521,42 @@ def build_parser():
     bench_cluster.add_argument("--clients", type=int, default=4,
                                help="closed-loop clients for the workload "
                                     "cell (default 4)")
-    bench_cluster.add_argument("--output", default=None,
-                               help="also write the matrix JSON to this "
-                                    "path")
     bench_cluster.set_defaults(func=cmd_bench_cluster)
 
+    bench_adaptive = sub.add_parser(
+        "bench-adaptive", parents=[output],
+        help="regret bench: adaptive re-planning vs static vs oracle "
+             "over a misestimated (skewed-prior) workload; exits 1 when "
+             "adaptive does not beat static or regret does not converge")
+    bench_adaptive.add_argument("queries", nargs="*",
+                                default=ADAPTIVE_QUERIES,
+                                help="JOB query mix (default "
+                                     f"{ADAPTIVE_QUERIES}, calibrated at "
+                                     "the default --scale)")
+    bench_adaptive.add_argument("--rounds", type=int,
+                                default=DEFAULT_ROUNDS,
+                                help="workload rounds "
+                                     f"(default {DEFAULT_ROUNDS})")
+    bench_adaptive.add_argument("--skew", type=float, default=DEFAULT_SKEW,
+                                help="stale-statistics prior factor "
+                                     f"(default {DEFAULT_SKEW})")
+    bench_adaptive.add_argument("--alpha", type=float, default=0.5,
+                                help="EWMA observation weight "
+                                     "(default 0.5)")
+    bench_adaptive.add_argument("--error-threshold", type=float,
+                                default=2.0,
+                                help="breaker error triggering a "
+                                     "revision (default 2.0)")
+    bench_adaptive.set_defaults(func=cmd_bench_adaptive)
+
     fuzz = sub.add_parser(
-        "fuzz", parents=[execution],
+        "fuzz", parents=[output, seeded],
         help="differential fuzzing: generated SQL across host, split, "
-             "scheduler, and cluster execution (--seed is the generator "
-             "seed)")
+             "scheduler, and cluster execution; exits 1 on any failure")
     fuzz.add_argument("--queries", type=int, default=50,
                       help="number of generated queries (default 50)")
     fuzz.add_argument("--mode", dest="modes", action="append", default=None,
-                      choices=["host", "split", "scheduler", "cluster2",
-                               "cluster4"],
+                      choices=list(MODES),
                       help="run only this mode (repeatable; default all)")
     fuzz.add_argument("--corpus-dir", default=None,
                       help="write corpus.jsonl (+ failures.jsonl) here")
@@ -529,23 +564,17 @@ def build_parser():
                       help="re-run the (seed, index) entries of this "
                            "corpus/failures jsonl instead of generating")
     fuzz.set_defaults(func=cmd_fuzz)
-
-    experiment = sub.add_parser("experiment")
-    experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
-    experiment.set_defaults(func=cmd_experiment)
-
-    survey = sub.add_parser("survey")
-    survey.add_argument("queries", nargs="*")
-    survey.set_defaults(func=cmd_survey)
-
-    sub.add_parser("list-queries").set_defaults(func=cmd_list_queries)
     return parser
 
 
 def main(argv=None):
-    """CLI entry point."""
+    """CLI entry point; a :class:`ReproError` is one stderr line, exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,12 +57,8 @@ def strategy_sweep(env, plan):
 
 def adaptive_matrix(env, query_names=None, rounds=DEFAULT_ROUNDS,
                     skew=DEFAULT_SKEW, alpha=0.5, error_threshold=2.0,
-                    min_batches=1, max_replans=1, on_round=None):
-    """Run the regret experiment; returns a JSON-ready summary.
-
-    ``on_round(round_index, row)`` — when given — is called after each
-    round with the row that ends up in the summary's ``rounds`` list.
-    """
+                    min_batches=1, max_replans=1):
+    """Run the regret experiment; returns a JSON-ready summary."""
     names = list(query_names or DEFAULT_QUERIES)
     if rounds < 2:
         raise ReproError("the regret trend needs at least 2 rounds")
@@ -117,15 +113,12 @@ def adaptive_matrix(env, query_names=None, rounds=DEFAULT_ROUNDS,
                 "wasted_time": report.adaptivity["wasted_time"],
                 "correction_factor": correction.factor(sql),
             }
-        row = {
+        round_rows.append({
             "round": round_index,
             "static_regret": static_round_regret,
             "adaptive_regret": adaptive_regret,
             "per_query": per_query,
-        }
-        round_rows.append(row)
-        if on_round is not None:
-            on_round(round_index, row)
+        })
 
     total_static = static_round_regret * rounds
     total_adaptive = sum(row["adaptive_regret"] for row in round_rows)

@@ -138,6 +138,71 @@ def generated_queries(count, seed=0):
     return {f"gen{q.index}": q.sql for q in generator.generate(count)}
 
 
+def _check_scenarios(names):
+    """Reject a scenario name that is in neither catalogue."""
+    unknown = sorted(set(names) - set(SCENARIOS) - set(ROBUSTNESS_SCENARIOS))
+    if unknown:
+        raise ReproError(
+            f"unknown chaos scenario {', '.join(unknown)}; known: "
+            f"{', '.join(sorted(SCENARIOS))}; scale-out: "
+            f"{', '.join(sorted(ROBUSTNESS_SCENARIOS))}")
+
+
+def _slowdown_bound(baseline, reference):
+    return (SLOWDOWN_LIMIT * max(baseline.total_time, reference.total_time)
+            + SLOWDOWN_SLACK)
+
+
+def _cell(query_name, scenario, seed, split, baseline, reference_time,
+          faulted=None, bound=None, accepted=True, **extras):
+    """One chaos cell: the 17 keys every scenario reports, then ``extras``.
+
+    With the degraded run's report (``faulted``) the verdict is computed
+    here: its rows equal ``baseline``'s, its time is within ``bound``,
+    and the scenario's own criterion ``accepted`` holds.  A scenario
+    without a single degraded report (an infeasible pipeline, a
+    scheduled workload) leaves ``faulted`` out and overrides the neutral
+    fields through ``extras``.
+    """
+    cell = {
+        "query": query_name,
+        "scenario": scenario,
+        "seed": seed,
+        "split_index": split,
+        "strategy": None,
+        "rows": None,
+        "rows_match": True,
+        "bounded": True,
+        "ok": True,
+        "baseline_time": baseline.total_time,
+        "reference_time": reference_time,
+        "faulted_time": 0.0,
+        "fallback_from": None,
+        "retries": 0,
+        "faults_injected": {},
+        "wasted_device_time": 0.0,
+        "admission_wait_time": 0.0,
+    }
+    if faulted is not None:
+        rows_match = (faulted.result.sorted_rows()
+                      == baseline.result.sorted_rows())
+        bounded = faulted.total_time <= bound
+        cell.update(
+            strategy=faulted.strategy,
+            rows=len(faulted.result),
+            rows_match=rows_match,
+            bounded=bounded,
+            ok=rows_match and bounded and accepted,
+            faulted_time=faulted.total_time,
+            fallback_from=faulted.fallback_from,
+            retries=faulted.retries,
+            faults_injected=dict(faulted.faults_injected),
+            wasted_device_time=faulted.wasted_device_time,
+            admission_wait_time=faulted.admission_wait_time)
+    cell.update(extras)
+    return cell
+
+
 def run_chaos(env, query_name, scenario, seed=0, ctx=None, queries=None):
     """Run one query under one chaos scenario.
 
@@ -155,6 +220,7 @@ def run_chaos(env, query_name, scenario, seed=0, ctx=None, queries=None):
     this scale is reported as ``infeasible`` (and ``ok``) rather than a
     failure — mirroring the differential fuzzer's classification.
     """
+    _check_scenarios([scenario])
     ctx = ExecutionContext.coerce(ctx)
     if scenario in ROBUSTNESS_SCENARIOS:
         return run_robustness_chaos(env, query_name, scenario, seed=seed,
@@ -170,51 +236,12 @@ def run_chaos(env, query_name, scenario, seed=0, ctx=None, queries=None):
         faulted = env.run(plan, Stack.HYBRID, split_index=split,
                           ctx=replace(ctx, faults=faults))
     except (DeviceOverloadError, OffloadError) as error:
-        return {
-            "query": query_name,
-            "scenario": scenario,
-            "seed": seed,
-            "split_index": split,
-            "infeasible": True,
-            "ok": True,
-            "rows_match": True,
-            "bounded": True,
-            "strategy": "infeasible",
-            "rows": len(baseline.result),
-            "baseline_time": baseline.total_time,
-            "reference_time": 0.0,
-            "faulted_time": 0.0,
-            "fallback_from": None,
-            "retries": 0,
-            "faults_injected": {},
-            "wasted_device_time": 0.0,
-            "admission_wait_time": 0.0,
-            "error": str(error),
-        }
-
-    rows_match = (faulted.result.sorted_rows()
-                  == baseline.result.sorted_rows())
-    bound = (SLOWDOWN_LIMIT * max(baseline.total_time, reference.total_time)
-             + SLOWDOWN_SLACK)
-    return {
-        "query": query_name,
-        "scenario": scenario,
-        "seed": seed,
-        "split_index": split,
-        "strategy": faulted.strategy,
-        "rows": len(faulted.result),
-        "rows_match": rows_match,
-        "bounded": faulted.total_time <= bound,
-        "ok": rows_match and faulted.total_time <= bound,
-        "baseline_time": baseline.total_time,
-        "reference_time": reference.total_time,
-        "faulted_time": faulted.total_time,
-        "fallback_from": faulted.fallback_from,
-        "retries": faulted.retries,
-        "faults_injected": dict(faulted.faults_injected),
-        "wasted_device_time": faulted.wasted_device_time,
-        "admission_wait_time": faulted.admission_wait_time,
-    }
+        return _cell(query_name, scenario, seed, split, baseline, 0.0,
+                     strategy="infeasible", rows=len(baseline.result),
+                     infeasible=True, error=str(error))
+    return _cell(query_name, scenario, seed, split, baseline,
+                 reference.total_time, faulted,
+                 bound=_slowdown_bound(baseline, reference))
 
 
 def run_robustness_chaos(env, query_name, scenario, seed=0, ctx=None,
@@ -264,33 +291,14 @@ def _run_straggler(env, query_name, sql, seed, ctx):
                              slowdown=50.0))})
     faulted = cluster.run(plan, ctx=replace(ctx, faults=faults),
                           split_index=split)
-    rows_match = (faulted.result.sorted_rows()
-                  == baseline.result.sorted_rows())
-    bound = STRAGGLER_LIMIT * reference.total_time
     speculation = faulted.cluster["speculation"]
-    bounded = faulted.total_time <= bound
-    return {
-        "query": query_name,
-        "scenario": "straggler_device",
-        "seed": seed,
-        "split_index": split,
-        "strategy": faulted.strategy,
-        "rows": len(faulted.result),
-        "rows_match": rows_match,
-        "bounded": bounded,
-        "ok": rows_match and bounded and speculation["clones"] >= 1,
-        "baseline_time": baseline.total_time,
-        "reference_time": reference.total_time,
-        "faulted_time": faulted.total_time,
-        "fallback_from": faulted.fallback_from,
-        "retries": faulted.retries,
-        "faults_injected": dict(faulted.faults_injected),
-        "wasted_device_time": faulted.wasted_device_time,
-        "admission_wait_time": faulted.admission_wait_time,
-        "speculation": speculation,
-        "placements": [part["placement"]
-                       for part in faulted.cluster["partitions"]],
-    }
+    return _cell(query_name, "straggler_device", seed, split, baseline,
+                 reference.total_time, faulted,
+                 bound=STRAGGLER_LIMIT * reference.total_time,
+                 accepted=speculation["clones"] >= 1,
+                 speculation=speculation,
+                 placements=[part["placement"]
+                             for part in faulted.cluster["partitions"]])
 
 
 def _run_double_failure(env, query_name, sql, seed, ctx):
@@ -308,38 +316,17 @@ def _run_double_failure(env, query_name, sql, seed, ctx):
     })
     faulted = cluster.run(plan, ctx=replace(ctx, faults=faults),
                           split_index=split)
-    rows_match = (faulted.result.sorted_rows()
-                  == baseline.result.sorted_rows())
     placements = [part["placement"]
                   for part in faulted.cluster["partitions"]]
     degraded = (faulted.cluster["failed_devices"] == [0, 1]
                 and all(p in ("host-fallback", "empty")
                         for p in placements))
-    bound = (SLOWDOWN_LIMIT * max(baseline.total_time,
-                                  reference.total_time)
-             + SLOWDOWN_SLACK)
-    bounded = faulted.total_time <= bound
-    return {
-        "query": query_name,
-        "scenario": "double_device_failure",
-        "seed": seed,
-        "split_index": split,
-        "strategy": faulted.strategy,
-        "rows": len(faulted.result),
-        "rows_match": rows_match,
-        "bounded": bounded,
-        "ok": rows_match and bounded and degraded,
-        "baseline_time": baseline.total_time,
-        "reference_time": reference.total_time,
-        "faulted_time": faulted.total_time,
-        "fallback_from": faulted.fallback_from,
-        "retries": faulted.retries,
-        "faults_injected": dict(faulted.faults_injected),
-        "wasted_device_time": faulted.wasted_device_time,
-        "admission_wait_time": faulted.admission_wait_time,
-        "failed_devices": faulted.cluster["failed_devices"],
-        "placements": placements,
-    }
+    return _cell(query_name, "double_device_failure", seed, split,
+                 baseline, reference.total_time, faulted,
+                 bound=_slowdown_bound(baseline, reference),
+                 accepted=degraded,
+                 failed_devices=faulted.cluster["failed_devices"],
+                 placements=placements)
 
 
 def _run_deadline_shedding(env, query_name, sql, seed, ctx):
@@ -367,51 +354,41 @@ def _run_deadline_shedding(env, query_name, sql, seed, ctx):
     ok = (rows_match and len(completed) >= 1 and len(shed) >= 1
           and leaked == 0
           and len(completed) + len(shed) == len(result.jobs))
-    return {
-        "query": query_name,
-        "scenario": "deadline_shedding",
-        "seed": seed,
-        "split_index": None,
-        "strategy": "workload",
-        "rows": (len(completed[0].report.result)
-                 if completed and completed[0].report is not None
-                 else None),
-        "rows_match": rows_match,
-        "bounded": leaked == 0,
-        "ok": ok,
-        "baseline_time": serial.total_time,
-        "reference_time": serial.total_time,
-        "faulted_time": result.makespan,
-        "fallback_from": None,
-        "retries": 0,
-        "faults_injected": {},
-        "wasted_device_time": 0.0,
-        "admission_wait_time": 0.0,
-        "deadline": tight,
-        "completed_jobs": len(completed),
-        "shed_jobs": len(shed),
-        "leaked_reserved_bytes": leaked,
-        "placements": result.placements(),
-    }
+    return _cell(query_name, "deadline_shedding", seed, None, serial,
+                 serial.total_time,
+                 strategy="workload",
+                 rows=(len(completed[0].report.result)
+                       if completed and completed[0].report is not None
+                       else None),
+                 rows_match=rows_match,
+                 bounded=leaked == 0,
+                 ok=ok,
+                 faulted_time=result.makespan,
+                 deadline=tight,
+                 completed_jobs=len(completed),
+                 shed_jobs=len(shed),
+                 leaked_reserved_bytes=leaked,
+                 placements=result.placements())
 
 
 def chaos_matrix(env, query_names, scenarios=None, seed=0, trace_dir=None,
-                 on_result=None, queries=None):
+                 queries=None):
     """``{query: {scenario: summary}}`` over a query/scenario grid.
 
     Queries and scenarios run in sorted order, so two matrices with the
     same environment and seed serialize to identical JSON.  Scenario
     names may mix the single-device catalogue (:data:`SCENARIOS`) and
     the scale-out one (:data:`ROBUSTNESS_SCENARIOS`); the default is
-    the single-device catalogue only.  ``queries`` is an optional
-    ``{name: sql}`` mapping (e.g. :func:`generated_queries`) consulted
-    before the JOB catalog, so generated workloads chaos exactly like
-    named queries.  With ``trace_dir`` set each degraded run is traced
-    and written as ``<trace_dir>/<query>-<scenario>.json`` (fault and
-    speculation instants included).  ``on_result(summary)`` fires as
-    each cell completes.
+    the single-device catalogue only, and an unknown name is rejected
+    before anything runs.  ``queries`` is an optional ``{name: sql}``
+    mapping (e.g. :func:`generated_queries`) consulted before the JOB
+    catalog, so generated workloads chaos exactly like named queries.
+    With ``trace_dir`` set each degraded run is traced and written as
+    ``<trace_dir>/<query>-<scenario>.json`` (fault and speculation
+    instants included).
     """
     names = sorted(scenarios) if scenarios else sorted(SCENARIOS)
+    _check_scenarios(names)
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
     matrix = {}
@@ -419,14 +396,11 @@ def chaos_matrix(env, query_names, scenarios=None, seed=0, trace_dir=None,
         row = {}
         for scenario in names:
             tracer = Tracer() if trace_dir else None
-            summary = run_chaos(env, query_name, scenario, seed=seed,
-                                ctx=ExecutionContext(tracer=tracer),
-                                queries=queries)
+            row[scenario] = run_chaos(env, query_name, scenario, seed=seed,
+                                      ctx=ExecutionContext(tracer=tracer),
+                                      queries=queries)
             if trace_dir:
                 tracer.write(os.path.join(
                     trace_dir, f"{query_name}-{scenario}.json"))
-            row[scenario] = summary
-            if on_result is not None:
-                on_result(summary)
         matrix[query_name] = row
     return matrix

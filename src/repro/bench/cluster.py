@@ -13,32 +13,20 @@ count:
 
 Everything is seeded and simulated: a summary is a deterministic
 function of ``(environment, query mix, partitioner, seed)``, so two
-runs serialize to identical JSON — the self-check the CI cluster smoke
-job performs before uploading ``BENCH_cluster.json``.
+runs serialize to identical JSON — the CI ``cluster`` job runs
+``repro bench-cluster`` twice and byte-compares the two
+``BENCH_cluster.json`` files.
 """
 
-from repro.bench.concurrency import percentile
+from repro.bench.concurrency import DEFAULT_QUERIES, distribution
 from repro.cluster import DeviceCluster
 from repro.context import ExecutionContext
 from repro.sched import ClosedLoopArrivals, WorkloadScheduler
 from repro.storage.topology import PartitionSpec
 from repro.workloads.job_queries import query as job_query
 
-#: Same placement-diverse JOB mix the concurrency benchmark uses.
-DEFAULT_QUERIES = ["1a", "2a", "3b", "4a", "6a", "8c", "16b", "17e"]
-
 #: Device counts of the scaling sweep.
 DEFAULT_DEVICE_COUNTS = (1, 2, 4, 8)
-
-
-def _distribution(values):
-    return {
-        "p50": percentile(values, 0.50),
-        "p95": percentile(values, 0.95),
-        "p99": percentile(values, 0.99),
-        "mean": sum(values) / len(values),
-        "max": max(values),
-    }
 
 
 def run_cluster_benchmark(env, n_devices, query_names=None,
@@ -88,7 +76,7 @@ def run_cluster_benchmark(env, n_devices, query_names=None,
         "partitioner": cluster.partitioner.describe(),
         "query_names": names,
         "scatter_gather": {
-            "latency": _distribution(latencies),
+            "latency": distribution(latencies),
             "total_time": sum(latencies),
             "queries": queries,
         },
@@ -106,21 +94,18 @@ def run_cluster_benchmark(env, n_devices, query_names=None,
 
 def cluster_matrix(env, device_counts=DEFAULT_DEVICE_COUNTS,
                    query_names=None, partitioner="range", seed=0,
-                   clients=4, on_result=None):
+                   clients=4):
     """The scaling sweep: one summary per device count, plus speedups.
 
     Speedup is the single-device cell's total scatter-gather time (or
     workload makespan) over each cell's own — >1 means the cluster
-    helped.  ``on_result(n_devices, summary)`` fires per completed cell.
+    helped.
     """
-    cells = {}
-    for n_devices in device_counts:
-        summary = run_cluster_benchmark(
+    cells = {
+        n_devices: run_cluster_benchmark(
             env, n_devices, query_names=query_names,
             partitioner=partitioner, seed=seed, clients=clients)
-        cells[n_devices] = summary
-        if on_result is not None:
-            on_result(n_devices, summary)
+        for n_devices in device_counts}
     baseline = cells.get(1) or cells[min(cells)]
     base_total = baseline["scatter_gather"]["total_time"]
     base_makespan = baseline["workload"]["makespan"]

@@ -6,8 +6,9 @@ latency, queries per second, queue waits, placement mix, and
 per-resource utilization of the shared kernel.  Everything is seeded and
 simulated, so a benchmark summary is a deterministic function of
 ``(environment, query mix, arrival spec, seed)`` — two runs with the
-same inputs serialize to identical JSON, which is what the CI smoke job
-checks before uploading ``BENCH_concurrency.json``.
+same inputs serialize to identical JSON, which is what the CI
+``concurrency`` job checks by running ``repro bench-concurrent`` twice
+and byte-comparing the two ``BENCH_concurrency.json`` files.
 """
 
 from repro.context import ExecutionContext
@@ -37,7 +38,7 @@ def percentile(values, fraction):
     return ordered[low] * (1.0 - weight) + ordered[high] * weight
 
 
-def _distribution(values):
+def distribution(values):
     """The summary block reported for a latency-like sample."""
     return {
         "p50": percentile(values, 0.50),
@@ -90,8 +91,8 @@ def run_concurrency_benchmark(env, query_names=None, mode="closed",
         "queries": len(result.jobs),
         "makespan": result.makespan,
         "queries_per_second": result.queries_per_second(),
-        "latency": _distribution(latencies),
-        "queue_wait": _distribution(waits),
+        "latency": distribution(latencies),
+        "queue_wait": distribution(waits),
         "placements": result.placements(),
         "resource_utilization": {
             name: stats["utilization"]
@@ -107,29 +108,22 @@ def run_concurrency_benchmark(env, query_names=None, mode="closed",
 
 
 def concurrency_matrix(env, query_names=None, client_counts=(1, 2, 4, 8),
-                       think_time=0.0, repeat=1, seed=0, rate_qps=None,
-                       on_result=None):
+                       think_time=0.0, repeat=1, seed=0, rate_qps=None):
     """Closed-loop scaling sweep (plus an optional open-loop point).
 
     Returns ``{"closed": {clients: summary}, "open": summary | None}`` —
     the throughput/latency curve as the client population grows, which
     is where admission control and load-aware placement become visible.
-    ``on_result(label, summary)`` fires per completed cell.
     """
-    closed = {}
-    for clients in client_counts:
-        summary = run_concurrency_benchmark(
+    closed = {
+        clients: run_concurrency_benchmark(
             env, query_names=query_names, mode="closed", clients=clients,
             think_time=think_time, repeat=repeat, seed=seed,
             include_jobs=False)
-        closed[clients] = summary
-        if on_result is not None:
-            on_result(f"closed/{clients}", summary)
+        for clients in client_counts}
     open_summary = None
     if rate_qps is not None:
         open_summary = run_concurrency_benchmark(
             env, query_names=query_names, mode="open", rate_qps=rate_qps,
             repeat=repeat, seed=seed, include_jobs=False)
-        if on_result is not None:
-            on_result(f"open/{rate_qps}", open_summary)
     return {"closed": closed, "open": open_summary}

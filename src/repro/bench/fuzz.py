@@ -27,7 +27,8 @@ and IN lists, drop GROUP BY — greedily, while the failure reproduces)
 and land in ``failures.jsonl`` next to the full ``corpus.jsonl`` for
 replay (``repro fuzz --replay``).  Outcomes are plain dicts with stable
 ordering, so two runs of the same seed serialize byte-for-byte equal —
-the determinism contract ``scripts/fuzz_job_matrix.py`` self-checks.
+the determinism contract CI checks by running ``repro fuzz`` twice and
+``cmp``-ing the two ``--output`` files.
 """
 
 import json

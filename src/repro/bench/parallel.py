@@ -11,8 +11,10 @@ the sharded sweep is bit-identical to the serial one for a fixed seed.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.context import ExecutionContext
+from repro.errors import ReproError
 from repro.sim import Tracer
 from repro.workloads.job_queries import all_queries, query
 from repro.workloads.loader import build_environment
@@ -87,7 +89,9 @@ def sweep_job_matrix(query_names=None, workers=1, env=None,
     completes, for progress reporting.  ``trace_dir`` writes one Perfetto
     trace per (query, feasible strategy) into the directory — traces are
     per-query files, so the sharded sweep emits the same set as the
-    serial one.
+    serial one.  A worker that dies (the kernel's OOM killer, typically)
+    ends the sweep with a :class:`~repro.errors.ReproError` naming the
+    queries that had not completed.
     """
     names = sorted(query_names) if query_names else sorted(all_queries())
     if env_kwargs is None:
@@ -110,13 +114,21 @@ def sweep_job_matrix(query_names=None, workers=1, env=None,
                 on_result(name, times)
         return matrix
 
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_init_worker,
-                             initargs=(env_kwargs, trace_dir)) as pool:
-        # map() preserves submission order: the matrix is keyed in sorted
-        # order exactly like the serial path, whatever finishes first.
-        for name, times in pool.map(_sweep_one, names):
-            matrix[name] = times
-            if on_result is not None:
-                on_result(name, times)
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker,
+                                 initargs=(env_kwargs, trace_dir)) as pool:
+            # map() preserves submission order: the matrix is keyed in
+            # sorted order exactly like the serial path, whatever
+            # finishes first.
+            for name, times in pool.map(_sweep_one, names):
+                matrix[name] = times
+                if on_result is not None:
+                    on_result(name, times)
+    except BrokenProcessPool:
+        missing = [name for name in names if name not in matrix]
+        raise ReproError(
+            f"a sweep worker died (killed — out of memory?) after "
+            f"{len(matrix)} of {len(names)} queries completed; not "
+            f"completed: {', '.join(missing)}") from None
     return matrix

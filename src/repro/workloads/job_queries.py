@@ -10,6 +10,8 @@ so every query is satisfiable over the synthetic dataset.
 The variant counts per family match JOB (4+4+3+...+3 = 113 queries).
 """
 
+import re
+
 from repro.errors import ReproError
 
 # ----------------------------------------------------------------------
@@ -1143,14 +1145,18 @@ WHERE movie_link.id <= 10000
 # ----------------------------------------------------------------------
 # Access helpers
 # ----------------------------------------------------------------------
+_QUERY_NAME = re.compile(r"([0-9]+)([a-z]+)")
+
+
 def query(name):
     """Look up one query by its JOB name, e.g. ``'8c'`` or ``'17b'``."""
-    number = int("".join(ch for ch in name if ch.isdigit()))
-    letter = "".join(ch for ch in name if ch.isalpha())
-    try:
-        return JOB_FAMILIES[number][letter]
-    except KeyError:
-        raise ReproError(f"no JOB query {name!r}") from None
+    match = _QUERY_NAME.fullmatch(name)
+    sql = match and JOB_FAMILIES.get(int(match[1]), {}).get(match[2])
+    if not sql:
+        raise ReproError(
+            f"no JOB query {name!r}; names are family digits then a "
+            "variant letter, like '8c'")
+    return sql
 
 
 def queries_in_family(number):

@@ -5,10 +5,16 @@ seed, and the cache must let environment rebuilds skip generation.
 """
 
 import json
+import multiprocessing
+import os
 
+import pytest
+
+import repro.bench.parallel as parallel
 import repro.workloads.loader as loader
 from repro.bench.parallel import (default_workers, strategy_times,
                                   sweep_job_matrix)
+from repro.errors import ReproError
 from repro.workloads.loader import build_environment
 
 QUERIES = ["1a", "3b"]
@@ -40,6 +46,23 @@ class TestSweep:
         sweep_job_matrix(query_names=list(reversed(QUERIES)), workers=1,
                          env=env, on_result=lambda name, _t: seen.append(name))
         assert seen == sorted(QUERIES)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches workers only by fork")
+    def test_killed_worker_is_a_typed_error(self, monkeypatch, tmp_path):
+        # Workers are forked after the patch, so they inherit it: the one
+        # that gets 3b dies the way an OOM-killed worker does.
+        real = parallel.strategy_times
+
+        def dies_on_3b(env, query_name, trace_dir=None):
+            if query_name == "3b":
+                os._exit(1)
+            return real(env, query_name, trace_dir=trace_dir)
+        monkeypatch.setattr(parallel, "strategy_times", dies_on_3b)
+        with pytest.raises(ReproError, match=r"of 2 queries .*3b"):
+            sweep_job_matrix(query_names=QUERIES, workers=2,
+                             env_kwargs=dict(ENV_KWARGS),
+                             workload_cache_dir=str(tmp_path))
 
     def test_default_workers_env_var(self, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)

@@ -36,6 +36,19 @@ class TestScenarioCatalogue:
     def test_plans_are_seeded(self):
         assert scenario_plan("flash-ecc", seed=3).seed == 3
 
+    def test_matrix_rejects_unknown_scenario_before_running(
+            self, job_env, monkeypatch):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a cell ran before validation")
+        monkeypatch.setattr("repro.bench.chaos.run_chaos", must_not_run)
+        with pytest.raises(ReproError) as error:
+            chaos_matrix(job_env, ["1a"],
+                         scenarios=["flash-ecc", "meteor-strike"])
+        # Both catalogues are valid --scenario values, so both are listed.
+        assert "meteor-strike" in str(error.value)
+        assert "perfect-storm" in str(error.value)
+        assert "deadline_shedding" in str(error.value)
+
 
 @pytest.mark.parametrize("query_name", SMOKE_QUERIES)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

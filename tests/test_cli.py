@@ -1,8 +1,25 @@
 """Tests for the CLI (python -m repro)."""
 
+import argparse
+import json
+import os
+
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import build_parser, main
+from repro.bench.adaptive import (DEFAULT_ROUNDS, DEFAULT_SCALE,
+                                  DEFAULT_SKEW)
+from repro.workloads.loader import build_environment
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def subcommands():
+    """{name: subparser} for every registered subcommand."""
+    [action] = [action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
 
 
 class TestParser:
@@ -30,6 +47,36 @@ class TestParser:
         args = build_parser().parse_args(["--scale", "0.001", "info"])
         assert args.scale == 0.001
 
+    def test_every_subcommand_is_documented(self):
+        with open(os.path.join(ROOT, "README.md")) as handle:
+            readme = handle.read()
+        for name in subcommands():
+            line = f"python -m repro {name}"
+            assert line in cli.__doc__, name
+            assert line in readme, name
+
+    def test_sweeps_share_the_output_option(self):
+        sweeps = {"survey", "chaos", "bench-concurrent", "bench-cluster",
+                  "bench-adaptive", "fuzz"}
+        with_output = {name for name, sub in subcommands().items()
+                       if "--output" in sub.format_help()}
+        assert with_output == sweeps
+
+    def test_global_and_workload_seed_are_distinct(self):
+        args = build_parser().parse_args(
+            ["--seed", "11", "--cache-dir", "cache", "chaos", "1a",
+             "--seed", "5"])
+        assert (args.seed, args.workload_seed) == (11, 5)
+        assert args.cache_dir == "cache"
+
+    def test_bench_adaptive_defaults_come_from_the_bench(self):
+        args = build_parser().parse_args(["bench-adaptive"])
+        assert args.rounds == DEFAULT_ROUNDS
+        assert args.skew == DEFAULT_SKEW
+        # CI runs bench-adaptive without --scale: the CLI default must be
+        # the scale its query mix was calibrated at.
+        assert args.scale == DEFAULT_SCALE
+
 
 class TestCommands:
     def test_list_queries(self, capsys):
@@ -54,3 +101,105 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "compute gap" in out
         assert "cosmos-plus" in out
+
+
+@pytest.fixture(scope="module")
+def small_env():
+    return build_environment(scale=0.0002, seed=7)
+
+
+@pytest.fixture
+def one_build(monkeypatch, small_env):
+    """Every ``main()`` call of the test reuses one environment build —
+    the in-process analogue of CI's run-twice-and-``cmp``."""
+    def shared(scale, seed, workload_cache_dir):
+        assert (scale, seed) == (0.0002, 7)
+        return small_env
+    monkeypatch.setattr(cli, "build_environment", shared)
+
+
+#: name -> (argv, documented exit code, payload keys beside "arguments")
+SWEEPS = {
+    "chaos": (["chaos", "1a"], 0, {"matrix"}),
+    "robustness": (["chaos", "1a", "--scenario", "straggler_device"], 0,
+                   {"matrix"}),
+    "bench-concurrent": (["bench-concurrent", "1a", "3b", "--clients", "1",
+                          "2", "--rate-qps", "200"], 0, {"matrix"}),
+    "bench-cluster": (["bench-cluster", "1a", "3b", "--devices", "1", "2",
+                       "--clients", "2"], 0, {"matrix"}),
+    # Three rounds are too few to beat static: exit 1 is the bench's
+    # documented "did not beat static / did not converge" verdict.
+    "bench-adaptive": (["bench-adaptive", "--rounds", "3"], 1, {"summary"}),
+    "fuzz": (["fuzz", "--queries", "3"], 0, {"report"}),
+    "survey": (["survey", "1a", "8c", "--workers", "1"], 0,
+               {"matrix", "summary", "decisions", "decision_outcomes"}),
+}
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_runs_and_rerun_is_byte_identical(self, name, one_build,
+                                              tmp_path, capsys):
+        argv, code, keys = SWEEPS[name]
+        outputs = [tmp_path / "run1.json", tmp_path / "run2.json"]
+        for output in outputs:
+            assert main(["--scale", "0.0002", *argv,
+                         "--output", str(output)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads(outputs[0].read_text())
+        assert set(payload) == keys | {"arguments"}
+        assert payload["arguments"]["command"] == argv[0]
+        assert "output" not in payload["arguments"]
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        assert outputs[0].read_bytes().endswith(b"\n")
+
+    def test_payload_shapes(self, one_build, tmp_path):
+        out = tmp_path / "out.json"
+        main(["--scale", "0.0002", "bench-concurrent", "1a", "--clients",
+              "2", "--rate-qps", "200", "--output", str(out)])
+        matrix = json.loads(out.read_text())["matrix"]
+        assert set(matrix["closed"]) == {"2"}
+        assert matrix["open"]["mode"] == "open"
+        main(["--scale", "0.0002", "chaos", "1a", "--scenario", "flash-ecc",
+              "--generated", "1", "--output", str(out)])
+        matrix = json.loads(out.read_text())["matrix"]
+        assert set(matrix) == {"1a", "gen0"}
+        assert set(matrix["1a"]) == {"flash-ecc"}
+
+    def test_survey_streams_progress_on_stderr(self, one_build, capsys):
+        assert main(["--scale", "0.0002", "survey", "1a", "8c"]) == 0
+        captured = capsys.readouterr()
+        assert "[1/2] 1a" in captured.err and "[2/2] 8c" in captured.err
+        assert "legend: g=green" in captured.out
+        assert "legend: b=best" in captured.out
+
+    def test_trace_rerun_is_byte_identical(self, one_build, tmp_path):
+        outputs = [tmp_path / "run1.json", tmp_path / "run2.json"]
+        for output in outputs:
+            assert main(["--scale", "0.0002", "trace", "1a",
+                         "--out", str(output)]) == 0
+        assert json.loads(outputs[0].read_text())["traceEvents"]
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "99z"], "no JOB query '99z'"),
+        (["run", "zz"], "no JOB query 'zz'"),
+        (["run", "1a", "--stack", "hybrid", "--split", "99"],
+         "split index 99"),
+        (["chaos", "1a", "--scenario", "nope"],
+         "unknown chaos scenario nope"),
+        (["chaos"], "chaos needs a query name and/or --generated N"),
+    ])
+    def test_repro_error_is_one_line_and_exit_2(self, argv, message,
+                                                one_build, capsys):
+        assert main(["--scale", "0.0002", *argv]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if not line.startswith("building environment")]
+        assert len(errors) == 1
+        assert errors[0].startswith("repro: error: ")
+        assert message in errors[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

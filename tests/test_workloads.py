@@ -165,6 +165,14 @@ class TestQuerySuite:
         with pytest.raises(ReproError):
             query("99z")
 
+    @pytest.mark.parametrize("name", ["zz", "a8", "8!a", "8", "", "8 c",
+                                      "8C"])
+    def test_malformed_query_name_is_a_typed_error(self, name):
+        # Exactly <digits><letters>: no bare ValueError on "zz", and no
+        # silent resolution of "a8" / "8!a" to 8a.
+        with pytest.raises(ReproError, match="no JOB query"):
+            query(name)
+
     def test_family_lookup(self):
         assert set(queries_in_family(8)) == {"a", "b", "c", "d"}
         with pytest.raises(ReproError):
