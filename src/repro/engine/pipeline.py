@@ -20,6 +20,7 @@ stateful block-cache hit counts match exactly.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -373,17 +374,19 @@ class PipelineExecutor:
         """Seek ``column == value`` for every non-NULL value, in order.
 
         The one place the pipeline issues index seeks.  Each value is
-        charged one ``index_seeks`` and its reads; the first occurrence
-        of a value walks the LSM (``get_record`` on the primary key,
-        ``index_lookup_raw`` otherwise) under a recording
-        :class:`ReadTrace`, later ones replay that trace through the
-        same block cache in the same position of the access order.  The
-        memo lives for this call only: nothing writes to the tree while
-        a stage runs.
+        charged one ``index_seeks`` and its reads, but the loop is over
+        runs of equal values — a left-deep pipeline repeats a join key
+        across the fan-out of the stages before it.  The first
+        occurrence of a value walks the LSM (``get_record`` on the
+        primary key, ``index_lookup_raw`` otherwise) under a recording
+        :class:`ReadTrace`; the rest of its run, and every later run of
+        it, is one :meth:`ReadTrace.replay` for the run's length at the
+        run's position in the access order.  The memo lives for this
+        call only: nothing writes to the tree while a stage runs.
 
         Returns ``(outer_idx, inner_idx, raws)``: the distinct matched
         records, and per matched pair the position of its value in
-        ``values`` and of its record in ``raws``.
+        ``values`` and of its record in ``raws`` as ``np.intp`` arrays.
         """
         if column == table.schema.primary_key:
             def seek(value):
@@ -396,29 +399,34 @@ class PipelineExecutor:
         counters = self.counters
         memo = {}
         raws = []
-        outer_idx = []
+        matches = []        # per value, NULLs included: records it found
         inner_idx = []
-        for i, value in enumerate(values):
+        for value, run in groupby(values):
+            length = len(list(run))
             if value is None:
+                matches.extend([0] * length)
                 continue
-            counters.index_seeks += 1
+            counters.index_seeks += length
             hit = memo.get(value)
             if hit is None:
                 with ReadTrace(stats) as trace:
                     found = seek(value)
-                span = range(len(raws), len(raws) + len(found))
+                span = list(range(len(raws), len(raws) + len(found)))
                 raws.extend(found)
                 memo[value] = trace, span
+                if length > 1:
+                    trace.replay(stats, length - 1)
             else:
                 trace, span = hit
-                trace.replay(stats)
-            if span:
-                outer_idx.extend([i] * len(span))
-                inner_idx.extend(span)
-        return outer_idx, inner_idx, raws
+                trace.replay(stats, length)
+            matches.extend([len(span)] * length)
+            inner_idx.extend(span * length)
+        outer_idx = np.arange(len(matches), dtype=np.intp).repeat(
+            np.array(matches, dtype=np.intp))
+        return outer_idx, np.array(inner_idx, dtype=np.intp), raws
 
     def _join_bnlji(self, outer, outer_row_bytes, entry):
-        """Indexed block nested loop: seek the inner per outer row."""
+        """Indexed block nested loop: seek the inner on the outer's keys."""
         table = self.catalog.table(entry.table_name)
         ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
                                      self._tables)
@@ -451,8 +459,6 @@ class PipelineExecutor:
         counters.predicate_ops += ops * m
         counters.memcmp_bytes += memcmp * m
         inner = table.codec.batch_projector(needed, entry.alias)(raws)
-        outer_idx = np.asarray(outer_idx, dtype=np.intp)
-        inner_idx = np.asarray(inner_idx, dtype=np.intp)
         if entry.local_filter is not None:
             passed = eval_mask(entry.local_filter, inner)[inner_idx]
             outer_idx = outer_idx[passed]
@@ -705,7 +711,7 @@ class PipelineExecutor:
             _, inner_idx, found = self._seek_all(
                 table, entry.index_column, self._index_constants(entry),
                 stats)
-            raws = [found[j] for j in inner_idx]
+            raws = [found[j] for j in inner_idx.tolist()]
         else:
             raws = list(table.scan_raw(ScanRequest(stats=stats)))
         self.counters.absorb_read_stats(stats)

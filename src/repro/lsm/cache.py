@@ -57,6 +57,14 @@ class BlockCache:
         self.hits += len(touches) - len(missed)
         return missed
 
+    def lru_state(self):
+        """Resident ``(key, nbytes)`` pairs, least recently used first.
+
+        Everything :meth:`access` depends on besides the capacity: two
+        equal states answer any access sequence alike.
+        """
+        return list(self._entries.items())
+
     @property
     def used_bytes(self):
         """Bytes currently cached."""

@@ -106,32 +106,72 @@ class ReadTrace:
         self.data_blocks = len(touches) - self.index_blocks
         self.nbytes = sum(touch[1] for touch in touches)
 
-    def replay(self, stats):
-        """Charge ``stats`` (and its block cache) as the seek would."""
+    def replay(self, stats, times=1):
+        """Charge ``stats`` (and its block cache) as ``times`` seeks would.
+
+        The seeks are consecutive, so the cache is only touched until
+        the next replay is provably the last one over again; the rest
+        of the run is multiplication.  Two rules, both exact:
+
+        1. A replay without a miss leaves the trace's blocks at the MRU
+           end in its own last-touch order, so an immediate repeat hits
+           everywhere and moves nothing.
+        2. What a replay does depends on the cache's LRU state alone,
+           so one that ends in the state it started from repeats itself,
+           delta and all.  Comparing states is cheap when it matters: a
+           block that fits only misses on an immediate repeat if it was
+           evicted since its last touch, and LRU evicts everything older
+           first — every block this trace does not touch — so by then
+           the cache holds nothing but this trace's blocks.
+        """
         (memtable_gets, ssts_considered, ssts_skipped_fence,
          ssts_skipped_bloom, bloom_probes, bloom_negatives,
          key_comparisons, entries_scanned) = self.static
-        stats.memtable_gets += memtable_gets
-        stats.ssts_considered += ssts_considered
-        stats.ssts_skipped_fence += ssts_skipped_fence
-        stats.ssts_skipped_bloom += ssts_skipped_bloom
-        stats.bloom_probes += bloom_probes
-        stats.bloom_negatives += bloom_negatives
-        stats.key_comparisons += key_comparisons
-        stats.entries_scanned += entries_scanned
-        if stats.cache is None:
-            stats.index_blocks_read += self.index_blocks
-            stats.data_blocks_read += self.data_blocks
-            stats.bytes_read += self.nbytes
+        stats.memtable_gets += memtable_gets * times
+        stats.ssts_considered += ssts_considered * times
+        stats.ssts_skipped_fence += ssts_skipped_fence * times
+        stats.ssts_skipped_bloom += ssts_skipped_bloom * times
+        stats.bloom_probes += bloom_probes * times
+        stats.bloom_negatives += bloom_negatives * times
+        stats.key_comparisons += key_comparisons * times
+        stats.entries_scanned += entries_scanned * times
+        cache = stats.cache
+        touches = self.touches
+        if cache is None or cache.capacity_bytes <= 0:
+            # Nothing is ever resident: every touch is a charged read.
+            stats.index_blocks_read += self.index_blocks * times
+            stats.data_blocks_read += self.data_blocks * times
+            stats.bytes_read += self.nbytes * times
+            if cache is not None:
+                cache.misses += len(touches) * times
             return
-        missed = stats.cache.access_all(self.touches)
-        stats.cache_hits += len(self.touches) - len(missed)
-        for _key, nbytes, is_index in missed:
-            if is_index:
-                stats.index_blocks_read += 1
-            else:
-                stats.data_blocks_read += 1
-            stats.bytes_read += nbytes
+        state = None
+        while times > 0:
+            missed = cache.access_all(touches)
+            hits = len(touches) - len(missed)
+            charged = 1
+            if times > 1:
+                if not missed:                      # rule 1
+                    settled = True
+                else:                               # rule 2
+                    before = state
+                    # A block larger than the cache misses however much
+                    # else is resident: never compare a large cache.
+                    state = (cache.lru_state()
+                             if len(cache) <= len(touches) else None)
+                    settled = state is not None and state == before
+                if settled:
+                    charged = times
+                    cache.hits += hits * (times - 1)
+                    cache.misses += len(missed) * (times - 1)
+            times -= charged
+            stats.cache_hits += hits * charged
+            for _key, nbytes, is_index in missed:
+                if is_index:
+                    stats.index_blocks_read += charged
+                else:
+                    stats.data_blocks_read += charged
+                stats.bytes_read += nbytes * charged
 
 
 @dataclass

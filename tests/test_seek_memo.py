@@ -2,11 +2,13 @@
 
 The columnar indexed join walks the LSM once per distinct join key and
 replays the recorded :class:`~repro.lsm.store.ReadTrace` for every
-repeat (``docs/engine.md``).  Nothing observable may change: rows, the
-full :class:`WorkCounters` dict and the block cache's final LRU order
-must equal the row-at-a-time reference (``tests/rowref.py``), which
-really does seek once per outer row — on the host table and on both
-snapshot views, with the block cache off, thrashing, and never full.
+repeat, a run of one key in one call that stops touching the cache once
+the next replay is provably the last one again (``docs/engine.md``).
+Nothing observable may change: rows, the full :class:`WorkCounters`
+dict and the block cache's final LRU order, hit and miss counts must
+equal the row-at-a-time reference (``tests/rowref.py``), which really
+does seek once per outer row — on the host table and on both snapshot
+views, with the block cache off, thrashing, and never full.
 """
 
 from collections import Counter
@@ -22,6 +24,7 @@ from repro.engine.pipeline import PipelineConfig, PipelineExecutor
 from repro.lsm.cache import BlockCache
 from repro.lsm.column_family import KVDatabase
 from repro.lsm.snapshot import SharedState, SnapshotView
+from repro.lsm.sstable import INDEX_BLOCK
 from repro.lsm.store import LSMTree, ReadStats, ReadTrace
 from repro.query.ast import ColumnRef, Comparison, Literal
 from repro.query.logical import JoinEdge
@@ -36,6 +39,10 @@ from tests.rowref import RowPipelineExecutor
 _BLOCK = 2048
 #: off, one block, evicting every few seeks, never full.
 _CACHE_BYTES = (0, _BLOCK, 4 * _BLOCK, 512 * 1024 * 1024)
+#: For runs of one key, around the sizes where a trace of two to four
+#: blocks (``id``) or of dozens (``k``) stops fitting: a run then settles
+#: by either fixed-point rule, or a few replays in.
+_RUN_CACHE_BLOCKS = (0, 1, 2, 3, 4, 7, 16, 512 * 1024 * 1024 // _BLOCK)
 _ROWS = 600
 
 
@@ -95,9 +102,14 @@ def _run(executor_cls, catalog, entry, outer_rows, cache_bytes):
         [entry], {"i": "inner"}, input_rows=seed, input_row_bytes=16,
         input_aliases=("o",))
     rows = result.rows() if isinstance(result, ColumnBatch) else result
-    cache = executor.block_cache
-    lru = None if cache is None else list(cache._entries)
-    return rows, counters.as_dict(), lru
+    return rows, counters.as_dict(), _cache_facts(executor.block_cache)
+
+
+def _cache_facts(cache):
+    """LRU order (oldest first) and the counters beside it."""
+    if cache is None:
+        return None
+    return cache.lru_state(), cache.hits, cache.misses, cache.used_bytes
 
 
 def _counting(cls, seen):
@@ -109,36 +121,39 @@ def _counting(cls, seen):
     return mock.patch.object(cls, "get", get)
 
 
-def _keys(stride):
-    """Outer key columns over 15 distinct values, so draws repeat them.
+def _key(stride):
+    """One outer key out of 15 distinct values, so draws repeat them.
 
     ``stride`` spreads 13 of them over the column's range, alternating
     present keys with absent ones inside the fence range (odd ids, ``k``
     not a multiple of three); the rest are absent outside it, or NULL.
     """
+    return st.one_of(st.none(), st.just(10 ** 6),
+                     st.integers(min_value=0, max_value=12).map(
+                         lambda n: n * stride))
+
+
+def _keys(stride):
+    """Independent draws: repeats are scattered, runs are short."""
+    return st.lists(_key(stride), min_size=1, max_size=60)
+
+
+def _key_runs(stride):
+    """What a left-deep pipeline feeds the join: each key 1–40 times."""
     return st.lists(
-        st.one_of(st.none(), st.just(10 ** 6),
-                  st.integers(min_value=0, max_value=12).map(
-                      lambda n: n * stride)),
-        min_size=1, max_size=60)
+        st.tuples(_key(stride), st.integers(min_value=1, max_value=40)),
+        min_size=1, max_size=8,
+    ).map(lambda runs: [key for key, length in runs for _ in range(length)])
 
 
 _ID_STRIDE = 99
-_BRANCHES = {"id": _keys(_ID_STRIDE), "k": _keys(5)}
+_STRIDES = {"id": _ID_STRIDE, "k": 5}
 #: An absent id among the drawn ones that passes both SSTs' bloom filters.
 _FALSE_POSITIVE = 5 * _ID_STRIDE
 
 
-@pytest.mark.parametrize("cache_bytes", _CACHE_BYTES)
-@pytest.mark.parametrize("kind", ["host", "snapshot", "snapshot+bloom"])
-@pytest.mark.parametrize("index_column", sorted(_BRANCHES))
-@given(data=st.data())
-@settings(max_examples=15, deadline=None)
-def test_indexed_join_equals_row_engine(catalogs, index_column, kind,
-                                        cache_bytes, data):
-    catalog = catalogs[kind]
+def _assert_equals_row_engine(catalog, index_column, keys, cache_bytes):
     entry = _entry(index_column)
-    keys = data.draw(_BRANCHES[index_column])
     outer_rows = [{"o.n": n, "o.key": key} for n, key in enumerate(keys)]
     seen = Counter()
     with _counting(LSMTree, seen), _counting(SnapshotView, seen):
@@ -148,8 +163,31 @@ def test_indexed_join_equals_row_engine(catalogs, index_column, kind,
     want = _run(RowPipelineExecutor, catalog, entry, outer_rows, cache_bytes)
     assert got[0] == want[0]        # rows, values and order
     assert got[1] == want[1]        # every WorkCounters field
-    assert got[2] == want[2]        # block-cache LRU order
+    assert got[2] == want[2]        # LRU order, hits, misses, used bytes
     assert got[1]["index_seeks"] == sum(key is not None for key in keys)
+
+
+@pytest.mark.parametrize("cache_bytes", _CACHE_BYTES)
+@pytest.mark.parametrize("kind", ["host", "snapshot", "snapshot+bloom"])
+@pytest.mark.parametrize("index_column", sorted(_STRIDES))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_indexed_join_equals_row_engine(catalogs, index_column, kind,
+                                        cache_bytes, data):
+    keys = data.draw(_keys(_STRIDES[index_column]))
+    _assert_equals_row_engine(catalogs[kind], index_column, keys, cache_bytes)
+
+
+@pytest.mark.parametrize("cache_blocks", _RUN_CACHE_BLOCKS)
+@pytest.mark.parametrize("kind", ["host", "snapshot", "snapshot+bloom"])
+@pytest.mark.parametrize("index_column", sorted(_STRIDES))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_key_runs_equal_row_engine(catalogs, index_column, kind,
+                                   cache_blocks, data):
+    keys = data.draw(_key_runs(_STRIDES[index_column]))
+    _assert_equals_row_engine(catalogs[kind], index_column, keys,
+                              cache_blocks * _BLOCK)
 
 
 def test_drawn_keys_include_bloom_false_positives(catalogs):
@@ -198,7 +236,46 @@ def test_replay_reproduces_every_read_stats_field(catalogs, kind,
         trace.replay(replayed)
     assert replayed == walked       # dataclass equality: every field
     assert walked.bytes_read and walked.key_comparisons
-    if cache_bytes:
-        assert list(replayed.cache._entries) == list(walked.cache._entries)
-        assert replayed.cache.hits == walked.cache.hits
-        assert replayed.cache.misses == walked.cache.misses
+    assert _cache_facts(replayed.cache) == _cache_facts(walked.cache)
+
+
+# One to five "bytes" a block, caches of zero to twelve: traces that fit,
+# thrash, or carry a block no cache of that size admits.
+_BLOCK_IDS = st.integers(min_value=0, max_value=7)
+_TOUCH_KEYS = st.lists(_BLOCK_IDS, min_size=1, max_size=12)
+
+
+def _touch(block_id, sizes):
+    kind = INDEX_BLOCK if block_id % 3 == 0 else "blk"
+    return (kind, block_id), sizes[block_id]
+
+
+@given(touched=_TOUCH_KEYS, foreign=_TOUCH_KEYS,
+       sizes=st.lists(st.integers(min_value=1, max_value=5),
+                      min_size=8, max_size=8),
+       capacity=st.integers(min_value=0, max_value=12),
+       warmth=st.sampled_from(["cold", "warm", "foreign"]),
+       times=st.integers(min_value=0, max_value=50))
+@settings(max_examples=300, deadline=None)
+def test_replaying_a_run_equals_replaying_it_seek_by_seek(
+        touched, foreign, sizes, capacity, warmth, times):
+    def prepared():
+        cache = BlockCache(capacity)
+        stats = ReadStats(cache=cache)
+        with ReadTrace(stats) as trace:     # forwards: ``cache`` is warm
+            for block_id in touched:
+                stats.cache.access(*_touch(block_id, sizes))
+        if warmth == "cold":
+            cache = BlockCache(capacity)
+        elif warmth == "foreign":           # other blocks since, some shared
+            for block_id in foreign:
+                cache.access(*_touch(block_id + 4, sizes * 2))
+        return trace, ReadStats(cache=cache)
+
+    trace, at_once = prepared()
+    trace.replay(at_once, times=times)
+    trace, one_by_one = prepared()
+    for _ in range(times):
+        trace.replay(one_by_one)
+    assert at_once == one_by_one        # dataclass equality: every field
+    assert _cache_facts(at_once.cache) == _cache_facts(one_by_one.cache)
