@@ -376,13 +376,16 @@ class PipelineExecutor:
         The one place the pipeline issues index seeks.  Each value is
         charged one ``index_seeks`` and its reads, but the loop is over
         runs of equal values — a left-deep pipeline repeats a join key
-        across the fan-out of the stages before it.  The first
-        occurrence of a value walks the LSM (``get_record`` on the
-        primary key, ``index_lookup_raw`` otherwise) under a recording
-        :class:`ReadTrace`; the rest of its run, and every later run of
-        it, is one :meth:`ReadTrace.replay` for the run's length at the
-        run's position in the access order.  The memo lives for this
-        call only: nothing writes to the tree while a stage runs.
+        across the fan-out of the stages before it.  A value's first
+        walk of the LSM (``get_record`` on the primary key,
+        ``index_lookup_raw`` otherwise) runs under a recording
+        :class:`ReadTrace` kept with the records it found in
+        ``table.seek_memo(column)``; every other occurrence is charged
+        by one :meth:`ReadTrace.replay` per run, for the run's length at
+        the run's position in the access order, through this executor's
+        block cache.  On a live table the memo lives for this call; on
+        a snapshot it is shared by every command pinned at the same
+        tree versions, so a value may be replayed without any walk here.
 
         Returns ``(outer_idx, inner_idx, raws)``: the distinct matched
         records, and per matched pair the position of its value in
@@ -397,7 +400,8 @@ class PipelineExecutor:
                 return tuple(table.index_lookup_raw(column, value,
                                                     stats=stats))
         counters = self.counters
-        memo = {}
+        memo = table.seek_memo(column)
+        spans = {}          # value -> (trace, its records' span in raws)
         raws = []
         matches = []        # per value, NULLs included: records it found
         inner_idx = []
@@ -407,18 +411,24 @@ class PipelineExecutor:
                 matches.extend([0] * length)
                 continue
             counters.index_seeks += length
-            hit = memo.get(value)
+            replays = length
+            hit = spans.get(value)
             if hit is None:
-                with ReadTrace(stats) as trace:
-                    found = seek(value)
+                recorded = memo.get(value)
+                if recorded is None:
+                    with ReadTrace(stats) as trace:
+                        found = seek(value)
+                    memo[value] = trace, found
+                    replays -= 1
+                else:
+                    trace, found = recorded
                 span = list(range(len(raws), len(raws) + len(found)))
                 raws.extend(found)
-                memo[value] = trace, span
-                if length > 1:
-                    trace.replay(stats, length - 1)
+                spans[value] = trace, span
             else:
                 trace, span = hit
-                trace.replay(stats, length)
+            if replays:
+                trace.replay(stats, replays)
             matches.extend([len(span)] * length)
             inner_idx.extend(span * length)
         outer_idx = np.arange(len(matches), dtype=np.intp).repeat(

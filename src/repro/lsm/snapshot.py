@@ -28,6 +28,9 @@ class FamilySnapshot:
     memtable_entries: tuple          # ((key, value_or_tombstone), ...)
     placements: tuple                # physical placement dicts
     total_bytes: int
+    # The tree's LSMTree.version at capture: two snapshots of one family
+    # with equal versions read and charge alike (not on the wire).
+    version: int = field(repr=False, compare=False)
     # Device-side handles to the referenced SSTs (the simulation's
     # address-mapping resolution; not part of the wire payload).
     sst_refs: tuple = field(default=(), repr=False, compare=False)
@@ -128,6 +131,7 @@ class SharedState:
                 memtable_entries=entries,
                 placements=placements,
                 total_bytes=tree.total_bytes(),
+                version=tree.version,
                 sst_refs=tuple(tree.levels.all_ssts()),
             ))
         return cls(families=tuple(snapshots))

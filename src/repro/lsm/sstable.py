@@ -34,6 +34,7 @@ class _DataBlock:
     entries: list            # list[(key, value)]
     nbytes: int
     offset: int
+    cache_key: tuple         # ("blk", sst id, offset), built once
     keys: list = None        # sorted key array for binary search
 
     def __post_init__(self):
@@ -83,6 +84,7 @@ class SSTableBuilder:
                 entries=current,
                 nbytes=current_bytes,
                 offset=offset,
+                cache_key=("blk", sst_id, offset),
             )
             blocks.append(block)
             offset += current_bytes
@@ -137,6 +139,10 @@ class SSTable:
         self.min_key = blocks[0].first_key
         #: Largest key in the table (fence pointer).
         self.max_key = blocks[-1].last_key
+        # Block-cache keys are owned here (data blocks own theirs), so
+        # every touch of a block — and every recorded ReadTrace touch —
+        # shares one key object instead of building a tuple per access.
+        self._index_cache_key = (INDEX_BLOCK, sst_id)
         # Lazy {key: (block, pos)} map for point lookups; the sparse
         # index + in-block binary search is still *charged* (index and
         # data block cache accesses, key comparisons) exactly as if it
@@ -172,7 +178,7 @@ class SSTable:
         if stats is None:
             return
         if stats.cache is not None and stats.cache.access(
-                (INDEX_BLOCK, self.sst_id), self.index_bytes):
+                self._index_cache_key, self.index_bytes):
             stats.cache_hits += 1
             return
         stats.index_blocks_read += 1
@@ -182,7 +188,7 @@ class SSTable:
         if stats is None:
             return
         if stats.cache is not None and stats.cache.access(
-                ("blk", self.sst_id, block.offset), block.nbytes):
+                block.cache_key, block.nbytes):
             stats.cache_hits += 1
             return
         stats.data_blocks_read += 1

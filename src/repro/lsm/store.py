@@ -66,9 +66,13 @@ class ReadTrace:
     block cache varies.  The trace keeps the first part as a
     :class:`ReadStats` delta and the second as the ordered
     ``(cache key, nbytes, is index block)`` touches, so :meth:`replay`
-    charges — and moves the LRU — exactly as the walk would.  A trace
-    is only valid while no write, flush or compaction reaches the tree
-    it was recorded on.
+    charges — and moves the LRU — exactly as the walk would, through
+    whichever cache the replaying ``stats`` carry.  A trace is only
+    valid while no write, flush or compaction reaches the tree it was
+    recorded on, i.e. while :attr:`LSMTree.version` has not moved: a
+    trace kept past its recording call is kept under the versions it
+    was recorded at.  A finished trace holds no reference to the stats
+    or cache it was recorded with.
 
     Record by seeking inside the ``with`` block, with the same stats::
 
@@ -98,13 +102,16 @@ class ReadTrace:
         return self._cache is not None and self._cache.access(key, nbytes)
 
     def __exit__(self, *exc_info):
-        self._stats.cache = self._cache
-        self.static = tuple(map(sub, _static_counts(self._stats),
-                                self.static))
+        stats = self._stats
+        stats.cache = self._cache
+        self.static = tuple(map(sub, _static_counts(stats), self.static))
         touches = self.touches
         self.index_blocks = sum(touch[2] for touch in touches)
         self.data_blocks = len(touches) - self.index_blocks
         self.nbytes = sum(touch[1] for touch in touches)
+        # A memoised trace outlives its recording call; it must not pin
+        # that executor's block cache.
+        self._stats = self._cache = None
 
     def replay(self, stats, times=1):
         """Charge ``stats`` (and its block cache) as ``times`` seeks would.
@@ -234,6 +241,14 @@ class LSMTree:
             )
         self._next_sst_id = 1
         self.write_stats = _WriteStats()
+        #: Monotone version stamp of what a read sees and is charged: it
+        #: moves on every put, delete, write batch, flush and compaction.
+        #: Two reads at one version walk the same components, so a
+        #: :class:`ReadTrace` recorded at a version stays valid for it.
+        #: Unlike ``RelationalTable.mutation_count`` (logical row writes,
+        #: the plan cache's key) it also moves when a flush or compaction
+        #: reshapes the tree without changing a row.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Writes
@@ -242,12 +257,14 @@ class LSMTree:
         """Insert or overwrite ``key`` with ``value`` (both bytes)."""
         self._active.put(key, value)
         self.write_stats.puts += 1
+        self.version += 1
         self._maybe_rotate()
 
     def delete(self, key):
         """Delete ``key`` by writing a tombstone."""
         self._active.delete(key)
         self.write_stats.deletes += 1
+        self.version += 1
         self._maybe_rotate()
 
     def apply_batch(self, batch):
@@ -264,6 +281,7 @@ class LSMTree:
             else:
                 self._active.delete(key)
                 self.write_stats.deletes += 1
+        self.version += 1
         self._maybe_rotate()
 
     def _maybe_rotate(self):
@@ -276,7 +294,12 @@ class LSMTree:
         self.flush()
 
     def flush(self):
-        """Flush all immutable MemTables to C1 (no merge, paper §2.2)."""
+        """Flush all immutable MemTables to C1 (no merge, paper §2.2).
+
+        Compaction only ever runs here, so one :attr:`version` bump
+        covers both whenever either changed the tree.
+        """
+        changed = False
         while self._immutables:
             memtable = self._immutables.pop(0)
             entries = memtable.entries()
@@ -292,8 +315,11 @@ class LSMTree:
             self.levels.add_to_level(1, sst)
             self.write_stats.flushes += 1
             self.write_stats.bytes_flushed += sst.nbytes
-        if self.config.auto_compact:
-            self.compactor.maybe_compact()
+            changed = True
+        if self.config.auto_compact and self.compactor.maybe_compact():
+            changed = True
+        if changed:
+            self.version += 1
 
     def freeze_and_flush(self):
         """Force the active MemTable out to C1 (e.g. after bulk load)."""

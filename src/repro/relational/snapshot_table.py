@@ -11,6 +11,7 @@ visible.
 """
 
 from repro.errors import CatalogError
+from repro.lsm.snapshot import SnapshotView
 from repro.lsm.store import ReadStats
 from repro.relational.encoding import encode_key, split_composite_key
 from repro.relational.scan import check_scan_args, run_scan_batch
@@ -25,17 +26,22 @@ class SnapshotTable:
         self.codec = table.codec
         self.statistics = table.statistics
         self._table = table
-        self._primary = shared_state.view(
-            table.family.name, use_bloom_filters=use_bloom_filters)
+        self._use_bloom_filters = use_bloom_filters
+        primary = shared_state.family(table.family.name)
+        self._primary = SnapshotView(primary,
+                                     use_bloom_filters=use_bloom_filters)
+        # Per seekable column, the captured (index, primary) versions.
+        self._versions = {self.schema.primary_key: (None, primary.version)}
         self._indexes = {}
         for column_name, index in table.indexes.items():
             try:
-                self._indexes[column_name] = (
-                    index.column,
-                    shared_state.view(
-                        index.name, use_bloom_filters=use_bloom_filters))
+                family = shared_state.family(index.name)
             except KeyError:
                 continue   # index CF not captured -> not usable on device
+            self._indexes[column_name] = (
+                index.column,
+                SnapshotView(family, use_bloom_filters=use_bloom_filters))
+            self._versions[column_name] = (family.version, primary.version)
 
     @property
     def name(self):
@@ -133,12 +139,7 @@ class SnapshotTable:
         The table's one seek body: the secondary view walk, then a
         primary seek per key it yields.
         """
-        try:
-            column, view = self._indexes[column_name]
-        except KeyError:
-            raise CatalogError(
-                f"{self.name}: no snapshotted index on {column_name!r}"
-            ) from None
+        column, view = self._index(column_name)
         stats = stats if stats is not None else ReadStats()
         width = column.width if column.dtype is DataType.CHAR else None
         prefix = encode_key(value, width)
@@ -150,6 +151,27 @@ class SnapshotTable:
             raw = self._primary.get(primary_raw, stats=stats)
             if raw is not None:
                 yield raw
+
+    def _index(self, column_name):
+        try:
+            return self._indexes[column_name]
+        except KeyError:
+            raise CatalogError(
+                f"{self.name}: no snapshotted index on {column_name!r}"
+            ) from None
+
+    def seek_memo(self, column_name):
+        """The seek memo of every snapshot of this table at these versions.
+
+        A seek through the snapshot reads pinned components, so its
+        records and :class:`~repro.lsm.store.ReadTrace` hold for any
+        command captured while the trees had the same versions — see
+        :meth:`RelationalTable.snapshot_seek_memo`.
+        """
+        if column_name != self.schema.primary_key:
+            self._index(column_name)     # CatalogError when not captured
+        return self._table.snapshot_seek_memo(
+            self._use_bloom_filters, column_name, self._versions[column_name])
 
     def has_index_on(self, column_name):
         """Whether the snapshot carries an index on the column."""

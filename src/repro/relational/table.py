@@ -79,8 +79,13 @@ class RelationalTable:
         #: Every applied write refreshes ``statistics``, so this doubles
         #: as the table's statistics version — the plan cache keys on
         #: the catalog-wide sum (:meth:`Catalog.statistics_version`) so
-        #: refreshed statistics invalidate cached plans.
+        #: refreshed statistics invalidate cached plans.  It is not what
+        #: keys seek memos: a flush or compaction changes what a seek
+        #: touches without a row write — that is ``LSMTree.version``.
         self.mutation_count = 0
+        # Device seek memos, per (bloom flag, column): the (index,
+        # primary) tree versions they were recorded at, and the memo.
+        self._snapshot_memos = {}
         self.indexes = {}
         for column_name in schema.secondary_indexes:
             column = schema.column(column_name)
@@ -273,6 +278,30 @@ class RelationalTable:
             raw = self.family.get(primary_raw, stats=stats)
             if raw is not None:
                 yield raw
+
+    def seek_memo(self, column_name):
+        """A fresh ``value -> (ReadTrace, records)`` seek memo.
+
+        The live trees may be written between two seek calls, so a memo
+        over them lives for one call (``PipelineExecutor._seek_all``).
+        """
+        return {}
+
+    def snapshot_seek_memo(self, use_bloom_filters, column_name, versions):
+        """The seek memo shared by snapshots pinned at ``versions``.
+
+        ``versions`` are the captured ``(index family, primary family)``
+        :attr:`LSMTree.version` stamps (``None`` for the index of a
+        primary-key seek); with the bloom flag and the column they fix
+        every seek's records, charges and block touches.  One version
+        per flag and column is kept: a snapshot at other versions
+        replaces it.
+        """
+        key = (use_bloom_filters, column_name)
+        held = self._snapshot_memos.get(key)
+        if held is None or held[0] != versions:
+            held = self._snapshot_memos[key] = (versions, {})
+        return held[1]
 
     def index_on(self, column_name):
         """The secondary index over a column; raises when absent."""

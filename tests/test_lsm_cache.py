@@ -1,6 +1,8 @@
 """Tests for the block cache."""
 
 from repro.lsm.cache import BlockCache
+from repro.lsm.sstable import SSTableBuilder
+from repro.lsm.store import ReadStats, ReadTrace
 
 
 class TestBlockCache:
@@ -67,3 +69,33 @@ class TestBlockCache:
             assert batched.used_bytes == one_by_one.used_bytes
             assert (batched.hits, batched.misses) == (
                 one_by_one.hits, one_by_one.misses)
+
+    def test_sst_touches_share_the_tables_cache_keys(self):
+        # Present keys, an absent one inside the fences (charged the
+        # block the search probed) and repeats: every touch of a block
+        # is the SST's own key object, and batched access over those
+        # recorded touches is still one access per touch.
+        builder = SSTableBuilder(block_size=64)
+        for i in range(40):
+            builder.add(b"k%03d" % i, b"v" * 8)
+        sst = builder.finish(sst_id=3)
+        stats = ReadStats()
+        recorded = []
+        for _ in range(2):
+            with ReadTrace(stats) as trace:
+                for key in (b"k001", b"k020", b"k0205", b"k039", b"k001"):
+                    sst.get(key, stats)
+            recorded.append(trace.touches)
+        first, second = recorded
+        assert len(first) == 10 and first == second
+        assert all(a[0] is b[0] for a, b in zip(first, second))
+        assert first[0][0] is first[-2][0]          # k001's index block
+        touches = first + second
+        for capacity in (0, 64, 200, 10_000):
+            one_by_one, batched = BlockCache(capacity), BlockCache(capacity)
+            want = [touch for touch in touches
+                    if not one_by_one.access(touch[0], touch[1])]
+            assert batched.access_all(touches) == want
+            assert batched.lru_state() == one_by_one.lru_state()
+            assert (batched.hits, batched.misses, batched.used_bytes) == (
+                one_by_one.hits, one_by_one.misses, one_by_one.used_bytes)

@@ -9,9 +9,17 @@ dict and the block cache's final LRU order, hit and miss counts must
 equal the row-at-a-time reference (``tests/rowref.py``), which really
 does seek once per outer row — on the host table and on both snapshot
 views, with the block cache off, thrashing, and never full.
+
+On a snapshot the memo outlives the call: every command pinned at the
+same tree versions shares it.  The last section checks that each kind
+of write moves those versions, that a repeated run walks nothing and
+charges the same, and that a kept trace pins no executor's cache.
 """
 
+import gc
+import weakref
 from collections import Counter
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
@@ -21,11 +29,13 @@ from hypothesis import strategies as st
 from repro.columns import ColumnBatch
 from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import PipelineConfig, PipelineExecutor
+from repro.engine.stacks import Stack, StackRunner
+from repro.errors import CatalogError
 from repro.lsm.cache import BlockCache
 from repro.lsm.column_family import KVDatabase
 from repro.lsm.snapshot import SharedState, SnapshotView
 from repro.lsm.sstable import INDEX_BLOCK
-from repro.lsm.store import LSMTree, ReadStats, ReadTrace
+from repro.lsm.store import LSMTree, ReadStats, ReadTrace, WriteBatch
 from repro.query.ast import ColumnRef, Comparison, Literal
 from repro.query.logical import JoinEdge
 from repro.query.physical import JoinAlgorithm, TableAccess
@@ -33,6 +43,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.schema import TableSchema, char_col, int_col
 from repro.relational.snapshot_table import SnapshotCatalog
 from repro.storage.flash import FlashDevice
+from repro.storage.topology import Topology
 from tests.conftest import small_lsm_config
 from tests.rowref import RowPipelineExecutor
 
@@ -46,6 +57,27 @@ _RUN_CACHE_BLOCKS = (0, 1, 2, 3, 4, 7, 16, 512 * 1024 * 1024 // _BLOCK)
 _ROWS = 600
 
 
+_INNER = TableSchema(
+    "inner",
+    (int_col("id", False), int_col("k"), int_col("grp"), char_col("note", 16)),
+    "id", ("k",))
+
+
+def _inner_row(i, id_=None):
+    return {"id": 2 * i if id_ is None else id_, "k": 3 * (i % 40),
+            "grp": i % 3, "note": f"note {i % 7}"}
+
+
+def _inner_table():
+    """An empty ``inner`` table; two bloom bits per key (see below)."""
+    database = KVDatabase(
+        flash=FlashDevice(),
+        default_config=small_lsm_config(block_size=_BLOCK, bits_per_key=2))
+    catalog = Catalog(database)
+    catalog.create_table(_INNER)
+    return database, catalog, catalog.table("inner")
+
+
 @pytest.fixture(scope="module")
 def catalogs():
     """One read-only table seen live and through both snapshot views.
@@ -57,19 +89,9 @@ def catalogs():
     the rows) each span the whole key range and seeks end at every
     depth.
     """
-    database = KVDatabase(
-        flash=FlashDevice(),
-        default_config=small_lsm_config(block_size=_BLOCK, bits_per_key=2))
-    catalog = Catalog(database)
-    catalog.create_table(TableSchema(
-        "inner",
-        (int_col("id", False), int_col("k"), int_col("grp"),
-         char_col("note", 16)),
-        "id", ("k",)))
-    table = catalog.table("inner")
+    database, catalog, table = _inner_table()
     for i in range(_ROWS):
-        table.insert({"id": 2 * (i * 7 % _ROWS), "k": 3 * (i % 40),
-                      "grp": i % 3, "note": f"note {i % 7}"})
+        table.insert(_inner_row(i, id_=2 * (i * 7 % _ROWS)))
         if i in (_ROWS // 3, 2 * _ROWS // 3):
             catalog.flush_all()
     state = SharedState.capture(database, table.column_families())
@@ -279,3 +301,176 @@ def test_replaying_a_run_equals_replaying_it_seek_by_seek(
         trace.replay(one_by_one)
     assert at_once == one_by_one        # dataclass equality: every field
     assert _cache_facts(at_once.cache) == _cache_facts(one_by_one.cache)
+
+
+# ----------------------------------------------------------------------
+# The snapshot memo, shared by every command at one set of tree versions
+# ----------------------------------------------------------------------
+
+#: Keys the stale-state joins seek, per index column: rows each write
+#: below inserts, updates, deletes or overwrites, rows in the memtable
+#: (ids 400 and up) and in both SSTs, absent keys (odd ids inside an
+#: SST's fences, where the bloom flag decides what is read) and NULL.
+_SOUGHT = {
+    "id": [600, 10, 10, 20, 30, 30, 500, 501, None, 14, 600,
+           15, 51, 151, 201, 255, 333],
+    "k": [60, 15, 33, 30, 30, 45, 0, 1, None, 60],
+}
+
+
+def _stale_table():
+    """Ids 0–198 in two SSTs, 400–598 unflushed in the memtable."""
+    database, catalog, table = _inner_table()
+    for i in range(300):
+        table.insert(_inner_row(i))
+        if i in (99, 199):
+            catalog.flush_all()
+    return database, catalog, table
+
+
+def _compact(catalog, table):
+    tree = table.family.tree
+    compactions = tree.compactor.stats.compactions
+    i = 300
+    while tree.compactor.stats.compactions == compactions:
+        table.insert(_inner_row(i))
+        i += 1
+
+
+def _overwrite_in_a_batch(catalog, table):
+    # Row 30 (``k`` unchanged, so the index stays right), now filtered out.
+    row = dict(_inner_row(15), grp=2, note="batched")
+    table.family.apply_batch(WriteBatch().put(
+        table.primary_key_bytes(30), table.codec.encode(row)))
+
+
+_WRITES = {
+    "insert": lambda catalog, table: table.insert(_inner_row(300)),
+    "update": lambda catalog, table: table.update(10, {"grp": 0, "k": 33}),
+    "delete": lambda catalog, table: table.delete(20),
+    "write batch": _overwrite_in_a_batch,
+    "flush": lambda catalog, table: catalog.flush_all(),
+    "compaction": _compact,
+}
+
+
+def _device_joins(catalog, state, bloom):
+    """Device joins over one snapshot, each equal to the row engine's.
+
+    The row engine seeks the snapshot views directly, once per outer
+    row, so it is the memo-free answer for that snapshot.
+    """
+    outcomes = []
+    for index_column, keys in _SOUGHT.items():
+        outer_rows = [{"o.n": n, "o.key": key} for n, key in enumerate(keys)]
+        got, want = (
+            _run(cls, SnapshotCatalog(catalog, state, {"inner"},
+                                      use_bloom_filters=bloom),
+                 _entry(index_column), outer_rows, 4 * _BLOCK)
+            for cls in (PipelineExecutor, RowPipelineExecutor))
+        assert got == want      # rows, every WorkCounters field, LRU facts
+        outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize("bloom", [False, True])
+@pytest.mark.parametrize("write", sorted(_WRITES))
+def test_shared_memo_never_outlives_its_tree_versions(write, bloom):
+    database, catalog, table = _stale_table()
+
+    def capture():
+        return SharedState.capture(database, table.column_families())
+
+    before = capture()                  # with a non-empty memtable
+    first = _device_joins(catalog, before, bloom)
+    assert _device_joins(catalog, before, bloom) == first   # memo hits
+    _WRITES[write](catalog, table)
+    after = capture()
+    second = _device_joins(catalog, after, bloom)
+    assert second != first              # the write reaches these seeks
+    # Interleaved: a command captured before the write runs after one
+    # captured after it, and then the newer one again.
+    assert _device_joins(catalog, before, bloom) == first
+    assert _device_joins(catalog, after, bloom) == second
+
+
+def test_bloom_flag_keys_the_shared_memo():
+    database, catalog, table = _stale_table()
+    state = SharedState.capture(database, table.column_families())
+    without = _device_joins(catalog, state, bloom=False)
+    assert _device_joins(catalog, state, bloom=True) != without
+
+
+def test_unsnapshotted_index_raises_catalog_error_through_the_memo():
+    database, catalog, table = _stale_table()
+    state = SharedState.capture(database, [table.family.name])
+    snapshot = SnapshotCatalog(catalog, state, {"inner"})
+    with pytest.raises(CatalogError):
+        snapshot.table("inner").seek_memo("k")
+    with pytest.raises(CatalogError):
+        _run(PipelineExecutor, snapshot, _entry("k"),
+             [{"o.n": 0, "o.key": 3}], 0)
+
+
+def _calls(seen):
+    """Count ``get``/``scan`` calls on the live trees and snapshot views."""
+    stack = ExitStack()
+    for cls in (LSMTree, SnapshotView):
+        for method in ("get", "scan"):
+            original = getattr(cls, method)
+
+            def counted(self, *args, _original=original,
+                        _name=f"{cls.__name__}.{method}", **kwargs):
+                seen[_name] += 1
+                return _original(self, *args, **kwargs)
+            stack.enter_context(mock.patch.object(cls, method, counted))
+    return stack
+
+
+#: Device side: ``t`` by its secondary index, ``mc`` by an indexed join;
+#: host side: ``t2`` by an indexed join on the primary key.
+_REUSE_SQL = """SELECT MIN(t.title) AS title, MIN(t2.kind_id) AS kind
+FROM title AS t, movie_companies AS mc, title AS t2
+WHERE t.production_year = 1999 AND mc.movie_id = t.id
+  AND t2.id = mc.movie_id"""
+
+
+def test_repeated_split_replays_every_device_seek(mini_catalog, kv_db,
+                                                  flash):
+    runner = StackRunner(mini_catalog, kv_db,
+                         Topology.single(flash=flash).device,
+                         buffer_scale=0.001)
+    runs = []
+    for _ in range(2):
+        seen = Counter()
+        with _calls(seen):
+            report = runner.run(_REUSE_SQL, Stack.HYBRID, split_index=1)
+        runs.append((report, seen))
+    (first, walked), (second, replayed) = runs
+    assert walked["SnapshotView.get"] and walked["SnapshotView.scan"]
+    assert replayed["SnapshotView.get"] == replayed["SnapshotView.scan"] == 0
+    # The host's memo lives for one call: it walks its trees again.
+    assert replayed["LSMTree.get"] == walked["LSMTree.get"] > 0
+    assert second.device_counters.index_seeks > 0
+    assert second.result.rows == first.result.rows
+    assert second.device_counters.as_dict() == first.device_counters.as_dict()
+    assert second.host_counters.as_dict() == first.host_counters.as_dict()
+    assert second.total_time == first.total_time
+
+
+def test_memoised_traces_do_not_pin_the_recording_cache():
+    database, catalog, table = _stale_table()
+    state = SharedState.capture(database, table.column_families())
+    snapshot = SnapshotCatalog(catalog, state, {"inner"})
+    executor = PipelineExecutor(
+        snapshot, PipelineConfig(block_cache_bytes=512 * 1024 * 1024),
+        WorkCounters())
+    executor.run([_entry("k")], {"i": "inner"},
+                 input_rows=ColumnBatch.from_rows(
+                     [{"o.n": 0, "o.key": 3}], names=["o.n", "o.key"]),
+                 input_row_bytes=16, input_aliases=("o",))
+    assert snapshot.table("inner").seek_memo("k")       # a trace is kept
+    cache = weakref.ref(executor.block_cache)
+    del executor
+    gc.collect()
+    assert cache() is None
