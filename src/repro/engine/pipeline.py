@@ -14,9 +14,10 @@ the row-at-a-time reference the tests keep (``tests/rowref.py``), so
 golden traces, differential tests and chaos/cluster audits stay
 byte-identical.  LSM access *order* is likewise preserved: batching only
 defers decode and predicate work and never reorders or skips a *charged*
-read — a key sought twice in one stage replays its recorded
-:class:`~repro.lsm.store.ReadTrace` through the same block cache — so
-stateful block-cache hit counts match exactly.
+read — a key sought again, or an inner table scanned again at the
+same tree version, replays its recorded
+:class:`~repro.lsm.store.ReadTrace` through the executor's own block
+cache — so stateful block-cache hit counts match exactly.
 """
 
 from dataclasses import dataclass
@@ -150,6 +151,153 @@ def _edge_mask(edges, outer, inner):
     return mask
 
 
+def _keyed_rows(batch, names):
+    """Mask of the rows whose join-key columns are all present, non-NULL.
+
+    Only those rows enter a hash table or probe one: a missing column
+    reads as NULL, the row engine's ``row.get(name) is None``.
+    """
+    keyed = np.ones(len(batch), dtype=bool)
+    for name in names:
+        if not batch.has_column(name):
+            keyed[:] = False
+            continue
+        null = batch.column(name)[1]
+        if null is not None:
+            keyed &= ~null
+    return keyed
+
+
+def _match(build_codes, probe_codes):
+    """Equal-code pairs as ``(probe positions, build positions)``.
+
+    In the order a hash table filled from ``build_codes`` in order and
+    probed with ``probe_codes`` in order yields them: by probe position,
+    then by build position.
+    """
+    order = np.argsort(build_codes, kind="stable")
+    ordered = build_codes[order]
+    lo = np.searchsorted(ordered, probe_codes, "left")
+    counts = np.searchsorted(ordered, probe_codes, "right") - lo
+    probe_idx = np.repeat(np.arange(len(probe_codes), dtype=np.intp), counts)
+    # Pair k of probe p is build match k - (pairs before p), from ``lo``.
+    offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return probe_idx, order[offsets + np.arange(len(probe_idx))]
+
+
+class _InnerSide:
+    """A scan join's inner table, decoded and keyed once.
+
+    ``batch`` is the decoded inner.  ``rows`` are, ascending, the rows
+    with no NULL join key and ``codes`` their join keys as dense
+    composite codes.  Per key column, ``uniques`` are its sorted
+    distinct values and ``levels`` the sorted distinct codes ``code of
+    the columns before * len(uniques) + position in uniques`` of the
+    columns up to it; together they map any outer key to its code with
+    ``searchsorted``.  A stage's local filter and projection are applied
+    per call by :meth:`where`, so one side serves every stage that
+    decodes the same columns.
+    """
+
+    __slots__ = ("batch", "rows", "codes", "uniques", "levels")
+
+    def __init__(self, batch, rows, codes, uniques, levels):
+        self.batch = batch
+        self.rows = rows
+        self.codes = codes
+        self.uniques = uniques
+        self.levels = levels
+
+    @classmethod
+    def keyed(cls, batch, rows, keys):
+        """The side of ``batch`` whose ``rows`` have the key ``keys``."""
+        codes = np.zeros(len(rows), dtype=np.intp)
+        uniques = []
+        levels = []
+        for values in keys:
+            column_uniques, positions = np.unique(values, return_inverse=True)
+            level, codes = np.unique(codes * len(column_uniques) + positions,
+                                     return_inverse=True)
+            uniques.append(column_uniques)
+            levels.append(level)
+        return cls(batch, rows, codes, uniques, levels)
+
+    def where(self, keep, batch):
+        """This side restricted to the rows ``keep`` passes, emitting
+        ``batch`` (the stage's projection of :attr:`batch`).  Keys of
+        rows dropped here stay in the uniques; they match no row."""
+        picked = keep[self.rows]
+        return _InnerSide(batch, self.rows[picked], self.codes[picked],
+                          self.uniques, self.levels)
+
+    def outer_codes(self, outer, names, keyed):
+        """Per outer row, the code of its key on ``names``; -1 = no match.
+
+        ``keyed`` is :func:`_keyed_rows` of the same names: a row with a
+        NULL or missing key column matches nothing.  Values compare as
+        the Python values the row engine hashed, where integers never
+        equal strings: an ``object`` column (a batch seeded from dict
+        rows) is cast to the inner's kind, and its values of another
+        Python type match nothing.
+        """
+        n = len(outer)
+        found = keyed.copy()
+        codes = np.zeros(n, dtype=np.intp)
+        for name, uniques, level in zip(names, self.uniques, self.levels):
+            if not found.any():     # a missing column leaves none keyed
+                break
+            values = outer.column(name)[0]
+            if values.dtype.kind == "O":
+                values = _cast_objects(values, found, uniques.dtype.kind)
+            elif values.dtype.kind != uniques.dtype.kind:
+                found[:] = False
+                break
+            positions = _positions(uniques, values, found)
+            combined = codes * len(uniques) + positions
+            codes = _positions(level, combined, found)
+        return np.where(found, codes, -1)
+
+    def key_hashes(self):
+        """:func:`stable_hash` of every code's key tuple, by code."""
+        count = len(self.levels[-1]) if self.levels else 1
+        codes = np.arange(count, dtype=np.intp)
+        parts = []
+        for uniques, level in zip(reversed(self.uniques),
+                                  reversed(self.levels)):
+            combined = level[codes]
+            parts.append(uniques[combined % len(uniques)].tolist())
+            codes = combined // len(uniques)
+        keys = zip(*reversed(parts)) if parts else [()] * count
+        return np.array([stable_hash(key) for key in keys], dtype=np.int64)
+
+
+#: Python types of the values each decoded key kind can equal.
+_KIND_TYPES = {"i": (int, np.integer), "U": (str,)}
+
+
+def _cast_objects(values, found, kind):
+    """``object`` key values as an array of ``kind`` (``"i"`` or
+    ``"U"``); clears ``found`` where a value is of another type."""
+    types = _KIND_TYPES[kind]
+    found &= np.fromiter((isinstance(value, types) for value in values),
+                         dtype=bool, count=len(values))
+    filler = 0 if kind == "i" else ""
+    cast = np.where(found, values, filler)
+    return cast.astype(np.int64) if kind == "i" else cast.astype(str)
+
+
+def _positions(sorted_values, values, found):
+    """Positions of ``values`` in ``sorted_values``; clears ``found``
+    where a value is absent (the position is then meaningless)."""
+    if not len(sorted_values):
+        found[:] = False
+        return np.zeros(len(values), dtype=np.intp)
+    positions = np.searchsorted(sorted_values, values)
+    np.minimum(positions, len(sorted_values) - 1, out=positions)
+    found &= sorted_values[positions] == values
+    return positions
+
+
 class PipelineExecutor:
     """Executes a sequence of :class:`TableAccess` stages over batches."""
 
@@ -192,7 +340,9 @@ class PipelineExecutor:
         bounds into the scan, hash shards filter rows on shard
         membership before any predicate work is charged.  Inner probes
         stay unrestricted — the cluster's storage is mirrored, so
-        partition-local prefixes see every join partner.
+        partition-local prefixes see every join partner.  Residual
+        conjuncts over aliases outside this fragment are the caller's
+        (the host applies them after the merge).
 
         Returns ``(batch, row_bytes)`` where ``row_bytes`` is the
         materialized size of one output row (feeds transfer volumes and
@@ -227,10 +377,6 @@ class PipelineExecutor:
             if self.config.max_rows and len(batch) > self.config.max_rows:
                 raise ExecutionError(
                     f"intermediate result exceeded {self.config.max_rows} rows")
-        if pending_residual:
-            # Residuals referencing aliases outside this fragment are the
-            # caller's responsibility (host applies them after the merge).
-            pass
         return batch, row_bytes
 
     # ------------------------------------------------------------------
@@ -364,12 +510,6 @@ class PipelineExecutor:
             return self._join_nlj(outer, outer_row_bytes, entry)
         return self._join_bnlj(outer, outer_row_bytes, entry)
 
-    def _inner_filter(self, entry, inner):
-        """Local-filter pass/fail mask over a decoded inner batch."""
-        if entry.local_filter is None:
-            return np.ones(len(inner), dtype=bool)
-        return eval_mask(entry.local_filter, inner)
-
     def _seek_all(self, table, column, values, stats):
         """Seek ``column == value`` for every non-NULL value, in order.
 
@@ -490,242 +630,195 @@ class PipelineExecutor:
     def _join_bnlj(self, outer, outer_row_bytes, entry):
         """Block nested loop with a hash table built in the join buffer.
 
-        The outer is cut into blocks that fit the join buffer; the inner
-        is physically re-scanned per block (the LSM counters therefore
-        grow with block count — the buffer-pressure effect the paper
-        reports for small buffers) but decoded and filtered only once.
+        The outer is cut into blocks that fit the join buffer and the
+        inner is read once per block (the LSM counters therefore grow
+        with block count — the buffer-pressure effect the paper reports
+        for small buffers); every block probes the one decoded inner
+        side.  Pairs come out block by block, then by inner row, then by
+        outer row — the order a per-block hash table of the outer yields.
         """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
                                      self._tables)
-        edges = entry.join_edges
-        outer_keys = [f"{edge.other(entry.alias)[0]}."
-                      f"{edge.other(entry.alias)[1]}" for edge in edges]
-        needed, q_projection, exact = self._decode_plan(entry)
-        inner_columns = [f"{entry.alias}.{edge.column_of(entry.alias)}"
-                         for edge in edges]
-        build = table.codec.batch_projector(needed, entry.alias)
-
+        outer_keys = self._outer_keys(entry)
         per_row = max(1, outer_row_bytes)
         rows_per_block = max(1, self.config.join_buffer_bytes // per_row)
-        inner_bytes = self._materialized_bytes(entry)
-        out_bytes = outer_row_bytes + inner_bytes
+        out_bytes = outer_row_bytes + self._materialized_bytes(entry)
         counters = self.counters
 
         n_outer = len(outer)
-        outer_tuples = self._key_tuples(outer, outer_keys)
-        inner_proj = None
-        probe = None
-        out_outer = []
-        out_inner = []
-        for start in range(0, max(n_outer, 1), rows_per_block):
-            stop = min(start + rows_per_block, n_outer)
-            if stop <= start:
-                break
-            hash_table = {}
-            built = 0
-            for i in range(start, stop):
-                key = outer_tuples[i]
-                if None in key:
-                    continue
-                hash_table.setdefault(key, []).append(i)
-                built += 1
-            counters.hash_probes += built
-            counters.bytes_materialized += (stop - start) * per_row
-            raws = self._inner_pass(table, entry)
-            if inner_proj is None:
-                inner = build(raws)
-                keep = self._inner_filter(entry, inner)
-                inner_proj = inner if exact else inner.project(q_projection)
-                key_lists = [inner.column_list_or_none(column)
-                             for column in inner_columns]
-                probe = []
-                for j in np.flatnonzero(keep).tolist():
-                    key = tuple(lst[j] for lst in key_lists)
-                    if None in key:
-                        continue
-                    probe.append((j, key))
-            m = len(raws)
-            counters.records_evaluated += m
-            counters.predicate_ops += ops * m
-            counters.memcmp_bytes += memcmp * m
-            counters.hash_probes += len(probe)
-            for j, key in probe:
-                partners = hash_table.get(key)
-                if not partners:
-                    continue
-                for i in partners:
-                    out_outer.append(i)
-                    out_inner.append(j)
-        if inner_proj is None:
-            inner = build([])
-            inner_proj = inner if exact else inner.project(q_projection)
-        result = outer.take(out_outer).merged(inner_proj.take(out_inner))
-        counters.bytes_materialized += out_bytes * len(result)
-        counters.output_rows += len(result)
-        return result, out_bytes
+        blocks = -(-n_outer // rows_per_block)
+        side, m = self._inner_side(table, entry, blocks)
+        keyed = _keyed_rows(outer, outer_keys)
+        counters.hash_probes += (int(np.count_nonzero(keyed))
+                                 + len(side.rows) * blocks)
+        counters.bytes_materialized += n_outer * per_row
+        counters.records_evaluated += m * blocks
+        counters.predicate_ops += ops * m * blocks
+        counters.memcmp_bytes += memcmp * m * blocks
+        codes = side.outer_codes(outer, outer_keys, keyed)
+        build = np.flatnonzero(codes >= 0)
+        probe_idx, build_idx = _match(codes[build], side.codes)
+        out_outer = build[build_idx]
+        out_inner = side.rows[probe_idx]
+        if blocks > 1:
+            order = np.argsort(out_outer // rows_per_block, kind="stable")
+            out_outer = out_outer[order]
+            out_inner = out_inner[order]
+        return self._emit(outer, side, out_outer, out_inner, out_bytes)
 
     def _join_nlj(self, outer, outer_row_bytes, entry):
-        """Classical nested loop join: re-scan the inner per outer row.
+        """Classical nested loop join: re-read the inner per outer row.
 
         Present for completeness (nKV offers it, §2.1); the optimizer
-        never picks it, but forced plans can.
+        never picks it, but forced plans can.  Every outer row with a
+        non-NULL key reads the inner once; pairs come out by outer row,
+        then by inner row.
         """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
                                      self._tables)
-        edges = entry.join_edges
-        outer_keys = [f"{edge.other(entry.alias)[0]}."
-                      f"{edge.other(entry.alias)[1]}" for edge in edges]
-        needed, q_projection, exact = self._decode_plan(entry)
-        inner_columns = [f"{entry.alias}.{edge.column_of(entry.alias)}"
-                         for edge in edges]
-        build = table.codec.batch_projector(needed, entry.alias)
-        inner_bytes = self._materialized_bytes(entry)
-        out_bytes = outer_row_bytes + inner_bytes
+        outer_keys = self._outer_keys(entry)
+        out_bytes = outer_row_bytes + self._materialized_bytes(entry)
         counters = self.counters
-        outer_tuples = self._key_tuples(outer, outer_keys)
-        inner_proj = None
-        matches = None
-        out_outer = []
-        out_inner = []
-        for i, key in enumerate(outer_tuples):
-            if None in key:
-                continue
-            raws = self._inner_pass(table, entry)
-            if inner_proj is None:
-                inner = build(raws)
-                keep = self._inner_filter(entry, inner)
-                inner_proj = inner if exact else inner.project(q_projection)
-                key_lists = [inner.column_list_or_none(column)
-                             for column in inner_columns]
-                matches = {}
-                for j in np.flatnonzero(keep).tolist():
-                    inner_key = tuple(lst[j] for lst in key_lists)
-                    if None in inner_key:
-                        continue
-                    matches.setdefault(inner_key, []).append(j)
-            m = len(raws)
-            counters.records_evaluated += m
-            counters.predicate_ops += (ops + len(edges)) * m
-            counters.memcmp_bytes += memcmp * m
-            for j in matches.get(key, ()):
-                out_outer.append(i)
-                out_inner.append(j)
-        if inner_proj is None:
-            inner = build([])
-            inner_proj = inner if exact else inner.project(q_projection)
-        result = outer.take(out_outer).merged(inner_proj.take(out_inner))
-        counters.bytes_materialized += out_bytes * len(result)
-        counters.output_rows += len(result)
-        return result, out_bytes
+        keyed = _keyed_rows(outer, outer_keys)
+        passes = int(np.count_nonzero(keyed))
+        side, m = self._inner_side(table, entry, passes)
+        counters.records_evaluated += m * passes
+        counters.predicate_ops += (ops + len(outer_keys)) * m * passes
+        counters.memcmp_bytes += memcmp * m * passes
+        codes = side.outer_codes(outer, outer_keys, keyed)
+        probe = np.flatnonzero(codes >= 0)
+        probe_idx, build_idx = _match(side.codes, codes[probe])
+        return self._emit(outer, side, probe[probe_idx],
+                          side.rows[build_idx], out_bytes)
 
     def _join_ghj(self, outer, outer_row_bytes, entry):
         """Grace hash join: partition both inputs, then hash per pair.
 
         Partitions are materialized (on-device they would be persisted
         to flash, §2.1 result-set management), charged as memcpy bytes,
-        and each pair joins with one in-buffer hash table.
+        and each pair joins with one in-buffer hash table.  Equal keys
+        share a partition, so pairs come out by the inner row's
+        partition, then by inner row, then by outer row.
         """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
                                      self._tables)
-        edges = entry.join_edges
-        outer_keys = [f"{edge.other(entry.alias)[0]}."
-                      f"{edge.other(entry.alias)[1]}" for edge in edges]
-        needed, q_projection, exact = self._decode_plan(entry)
-        inner_columns = [f"{entry.alias}.{edge.column_of(entry.alias)}"
-                         for edge in edges]
-        build = table.codec.batch_projector(needed, entry.alias)
+        outer_keys = self._outer_keys(entry)
         inner_bytes = self._materialized_bytes(entry)
         out_bytes = outer_row_bytes + inner_bytes
         counters = self.counters
 
         per_row = max(1, outer_row_bytes)
-        outer_bytes_total = len(outer) * per_row
-        partitions = max(1, -(-outer_bytes_total
+        partitions = max(1, -(-(len(outer) * per_row)
                               // self.config.join_buffer_bytes))
-
-        outer_tuples = self._key_tuples(outer, outer_keys)
-        outer_parts = [[] for _ in range(partitions)]
-        built = 0
-        for i, key in enumerate(outer_tuples):
-            if None in key:
-                continue
-            built += 1
-            part = stable_hash(key) % partitions if partitions > 1 else 0
-            outer_parts[part].append((key, i))
+        keyed = _keyed_rows(outer, outer_keys)
+        built = int(np.count_nonzero(keyed))
         counters.hash_probes += built
         counters.bytes_materialized += built * per_row
 
-        raws = self._inner_pass(table, entry)
-        inner = build(raws)
-        m = len(inner)
+        side, m = self._inner_side(table, entry, 1)
         counters.records_evaluated += m
         counters.predicate_ops += ops * m
         counters.memcmp_bytes += memcmp * m
-        keep = self._inner_filter(entry, inner)
-        inner_proj = inner if exact else inner.project(q_projection)
-        key_lists = [inner.column_list_or_none(column)
-                     for column in inner_columns]
-        inner_parts = [[] for _ in range(partitions)]
-        passed = 0
-        for j in np.flatnonzero(keep).tolist():
-            key = tuple(lst[j] for lst in key_lists)
-            if None in key:
-                continue
-            passed += 1
-            part = stable_hash(key) % partitions if partitions > 1 else 0
-            inner_parts[part].append((key, j))
-        counters.hash_probes += passed
+        passed = len(side.rows)
+        # Once to partition each passing inner row, once to probe it.
+        counters.hash_probes += 2 * passed
         counters.bytes_materialized += inner_bytes * passed
 
-        out_outer = []
-        out_inner = []
-        for outer_part, inner_part in zip(outer_parts, inner_parts):
-            hash_table = {}
-            for key, i in outer_part:
-                hash_table.setdefault(key, []).append(i)
-            counters.hash_probes += len(inner_part)
-            for key, j in inner_part:
-                partners = hash_table.get(key)
-                if not partners:
-                    continue
-                for i in partners:
-                    out_outer.append(i)
-                    out_inner.append(j)
-        result = outer.take(out_outer).merged(inner_proj.take(out_inner))
-        counters.bytes_materialized += out_bytes * len(result)
-        counters.output_rows += len(result)
+        probe = np.arange(passed, dtype=np.intp)
+        if partitions > 1:
+            part = side.key_hashes()[side.codes] % partitions
+            probe = np.argsort(part, kind="stable")
+        codes = side.outer_codes(outer, outer_keys, keyed)
+        build = np.flatnonzero(codes >= 0)
+        probe_idx, build_idx = _match(codes[build], side.codes[probe])
+        return self._emit(outer, side, build[build_idx],
+                          side.rows[probe[probe_idx]], out_bytes)
+
+    def _emit(self, outer, side, outer_idx, inner_idx, out_bytes):
+        """Gather the matched pairs into the stage's output batch."""
+        result = outer.take(outer_idx).merged(side.batch.take(inner_idx))
+        self.counters.bytes_materialized += out_bytes * len(result)
+        self.counters.output_rows += len(result)
         return result, out_bytes
 
     @staticmethod
-    def _key_tuples(batch, names):
-        """Per-row join-key tuples as Python values (None = NULL)."""
-        if not names:
-            return [()] * len(batch)
-        key_lists = [batch.column_list_or_none(name) for name in names]
-        return list(zip(*key_lists))
+    def _outer_keys(entry):
+        """Qualified outer columns the entry's join edges compare with."""
+        return [f"{alias}.{column}" for alias, column in
+                (edge.other(entry.alias) for edge in entry.join_edges)]
 
-    def _inner_pass(self, table, entry):
-        """Raw record bytes of the inner table for one join pass.
+    def _inner_side(self, table, entry, passes):
+        """The inner table of a scan join, its reads charged ``passes`` times.
 
-        One physical LSM pass (same access order and read stats as the
-        row engine's per-block rescan); decode happens once, outside.
+        The one place a scan join reads its inner: each pass charges one
+        physical read of the inner (same access order and read stats as
+        the row engine's rescan, through this executor's block cache),
+        but the records are decoded and keyed once.  A full scan is
+        recorded once per tree version under a :class:`ReadTrace` kept
+        in ``table.scan_memo()`` — with the keyed sides decoded from it,
+        one per set of decoded and join columns — and every other pass,
+        here or in any later call at that version, is a replay: the
+        passes of one call are consecutive, so one
+        :meth:`ReadTrace.replay` charges them all.  An inner read
+        through a secondary index on a constant is sought once per pass.
+        No pass (an empty outer) reads nothing and joins nothing.  The
+        stage's local filter and projection are applied on every call.
+
+        Returns ``(side, records read per pass)``.
         """
-        stats = self._stats()
-        if (entry.access_path is AccessPath.SECONDARY_LOOKUP
+        needed, q_projection, exact = self._decode_plan(entry)
+        columns = [f"{entry.alias}.{edge.column_of(entry.alias)}"
+                   for edge in entry.join_edges]
+        if not passes:
+            raws = []
+            side = self._decode_side(table, entry.alias, needed, columns, raws)
+        elif (entry.access_path is AccessPath.SECONDARY_LOOKUP
                 and entry.index_column is not None
                 and entry.index_column not in
                 [edge.column_of(entry.alias) for edge in entry.join_edges]):
-            _, inner_idx, found = self._seek_all(
-                table, entry.index_column, self._index_constants(entry),
-                stats)
+            stats = self._stats()
+            for _ in range(passes):
+                _, inner_idx, found = self._seek_all(
+                    table, entry.index_column, self._index_constants(entry),
+                    stats)
+            self.counters.absorb_read_stats(stats)
             raws = [found[j] for j in inner_idx.tolist()]
+            side = self._decode_side(table, entry.alias, needed, columns, raws)
         else:
-            raws = list(table.scan_raw(ScanRequest(stats=stats)))
-        self.counters.absorb_read_stats(stats)
-        return raws
+            stats = self._stats()
+            memo = table.scan_memo()
+            if memo.trace is None:
+                with ReadTrace(stats) as trace:
+                    records = list(table.scan_raw(ScanRequest(stats=stats)))
+                memo.trace, memo.records = trace, records
+                passes -= 1
+            if passes:
+                memo.trace.replay(stats, passes)
+            self.counters.absorb_read_stats(stats)
+            raws = memo.records
+            key = (entry.alias, tuple(needed), tuple(columns))
+            side = memo.sides.get(key)
+            if side is None:
+                side = memo.sides[key] = self._decode_side(
+                    table, entry.alias, needed, columns, raws)
+        if entry.local_filter is None:
+            keep = np.ones(len(side.batch), dtype=bool)
+        else:
+            keep = eval_mask(entry.local_filter, side.batch)
+        batch = side.batch if exact else side.batch.project(q_projection)
+        return side.where(keep, batch), len(raws)
+
+    @staticmethod
+    def _decode_side(table, alias, needed, columns, raws):
+        """Decode an inner table's records and key them on ``columns``."""
+        inner = table.codec.batch_projector(needed, alias)(raws)
+        keyed = _keyed_rows(inner, columns)
+        rows = np.flatnonzero(keyed)
+        return _InnerSide.keyed(inner, rows, [inner.column(name)[0][rows]
+                                              for name in columns])
 
     # ------------------------------------------------------------------
     # Residual predicates

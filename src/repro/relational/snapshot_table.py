@@ -173,6 +173,13 @@ class SnapshotTable:
         return self._table.snapshot_seek_memo(
             self._use_bloom_filters, column_name, self._versions[column_name])
 
+    def scan_memo(self):
+        """The full-scan memo at the captured primary version — the
+        live tree's while it is at that version too, see
+        :meth:`RelationalTable.scan_memo`."""
+        return self._table.scan_memo(
+            self._versions[self.schema.primary_key][1])
+
     def has_index_on(self, column_name):
         """Whether the snapshot carries an index on the column."""
         return (column_name == self.schema.primary_key

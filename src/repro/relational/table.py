@@ -66,6 +66,26 @@ class SecondaryIndex:
             yield primary_raw
 
 
+class ScanMemo:
+    """One full scan of a table's primary tree at one version.
+
+    ``trace`` is the scan's :class:`~repro.lsm.store.ReadTrace` and
+    ``records`` the record bytes it yielded (both ``None`` until the
+    first scan); ``sides`` holds what an executor derives from the
+    records alone — the decoded, keyed inner sides of scan joins — by
+    alias, decoded columns and join columns.  Filled by
+    ``PipelineExecutor._inner_side``; it holds no executor's stats or
+    block cache.
+    """
+
+    __slots__ = ("trace", "records", "sides")
+
+    def __init__(self):
+        self.trace = None
+        self.records = None
+        self.sides = {}
+
+
 class RelationalTable:
     """A table stored in a column family, with optional secondary indexes."""
 
@@ -86,6 +106,9 @@ class RelationalTable:
         # Device seek memos, per (bloom flag, column): the (index,
         # primary) tree versions they were recorded at, and the memo.
         self._snapshot_memos = {}
+        # The full-scan memo: the primary tree version it was recorded
+        # at, and the ScanMemo.
+        self._scan_memo = None
         self.indexes = {}
         for column_name in schema.secondary_indexes:
             column = schema.column(column_name)
@@ -302,6 +325,23 @@ class RelationalTable:
         if held is None or held[0] != versions:
             held = self._snapshot_memos[key] = (versions, {})
         return held[1]
+
+    def scan_memo(self, version=None):
+        """The :class:`ScanMemo` of the primary tree at ``version``.
+
+        ``version`` defaults to the live tree's :attr:`LSMTree.version`;
+        a :class:`SnapshotTable` passes the version it captured.  A full
+        scan reads the same components either way — a capture copies the
+        active memtable and no memtable read is charged — so the live
+        tree and every snapshot at one version share one memo.  Only the
+        latest version asked for is kept: any write, flush or compaction
+        moves the version and so replaces it.
+        """
+        if version is None:
+            version = self.family.tree.version
+        if self._scan_memo is None or self._scan_memo[0] != version:
+            self._scan_memo = (version, ScanMemo())
+        return self._scan_memo[1]
 
     def index_on(self, column_name):
         """The secondary index over a column; raises when absent."""
