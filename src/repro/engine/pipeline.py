@@ -329,12 +329,11 @@ class PipelineExecutor:
         """Execute stages over ``entries``.
 
         ``tables`` maps alias -> table name (from the QuerySpec).
-        ``input_rows`` seeds the pipeline (host side of a split receives
-        the device's intermediate results) as a :class:`ColumnBatch` —
-        a legacy list of dict rows is converted; when None, the first
-        entry is the driving table.  ``input_aliases`` names the aliases
-        already joined into the seed rows so residual predicates bind
-        correctly.  ``driving_shard`` (a
+        ``input_rows`` seeds the pipeline with a :class:`ColumnBatch`
+        (host side of a split receives the device's intermediate
+        results); when None, the first entry is the driving table.
+        ``input_aliases`` names the aliases already joined into the seed
+        rows so residual predicates bind correctly.  ``driving_shard`` (a
         :class:`repro.cluster.TableShard`-like object) restricts the
         driving table to one partition: range shards push primary-key
         bounds into the scan, hash shards filter rows on shard
@@ -351,10 +350,7 @@ class PipelineExecutor:
         self._tables = tables
         pending_residual = list(residual_conjuncts)
         if input_rows is not None:
-            if isinstance(input_rows, ColumnBatch):
-                batch = input_rows
-            else:
-                batch = ColumnBatch.from_rows(list(input_rows))
+            batch = input_rows
             row_bytes = input_row_bytes
             available = set(input_aliases)
             stages = entries
@@ -857,26 +853,17 @@ class PipelineExecutor:
         return max(4, entry.projection_bytes)
 
 
-def finalize(rows, select_items, group_by, counters, limit=None):
+def finalize(batch, select_items, group_by, counters, limit=None):
     """Final projection / aggregation / grouping stage.
 
-    ``rows`` may be a :class:`ColumnBatch`, a list of batches (a split's
-    per-batch fragments — concatenated here), or a legacy list of dict
-    rows (delegated to :func:`finalize_rows`).  Returns
-    ``(result_rows, column_names)`` with plain-Python dict rows either
-    way.
+    ``batch`` is a :class:`ColumnBatch` or a list of them (a split's
+    per-batch fragments — concatenated here).  Returns
+    ``(result_rows, column_names)`` with plain-Python dict rows, and
+    charges exactly what the row engine's epilogue
+    (``tests/rowref.py``) does.
     """
-    if isinstance(rows, ColumnBatch):
-        return _finalize_batch(rows, select_items, group_by, counters, limit)
-    rows = list(rows)
-    if rows and all(isinstance(item, ColumnBatch) for item in rows):
-        return _finalize_batch(ColumnBatch.concat(rows), select_items,
-                               group_by, counters, limit)
-    return finalize_rows(rows, select_items, group_by, counters, limit)
-
-
-def _finalize_batch(batch, select_items, group_by, counters, limit=None):
-    """Columnar finalize — counter-identical to :func:`finalize_rows`."""
+    if not isinstance(batch, ColumnBatch):
+        batch = ColumnBatch.concat(batch)
     has_aggregates = any(item.aggregate for item in select_items)
     columns = [item.output_name for item in select_items]
     n = len(batch)
@@ -934,70 +921,6 @@ def _finalize_batch(batch, select_items, group_by, counters, limit=None):
                 column = value_lists[item.expr.qualified]
                 values = [column[i] for i in members
                           if column[i] is not None]
-            counters.records_evaluated += len(members)
-            result[item.output_name] = _aggregate(item.aggregate, values,
-                                                  item.expr == "*", members)
-        output.append(result)
-    if limit is not None:
-        output = output[:limit]
-    counters.output_rows += len(output)
-    if group_by:
-        columns = [col.qualified for col in group_by] + columns
-    return output, columns
-
-
-def finalize_rows(rows, select_items, group_by, counters, limit=None):
-    """Row-at-a-time finalize over dict rows (the retained reference).
-
-    Kept for legacy callers that hand in lists of dicts and as the
-    equivalence baseline for the columnar path.
-    """
-    has_aggregates = any(item.aggregate for item in select_items)
-    columns = [item.output_name for item in select_items]
-
-    if not has_aggregates and not group_by:
-        star = any(item.expr == "*" for item in select_items)
-        output = []
-        for row in rows:
-            counters.records_evaluated += 1
-            if star:
-                output.append(dict(row))
-            else:
-                output.append({item.output_name: row.get(item.expr.qualified)
-                               for item in select_items})
-        if limit is not None:
-            output = output[:limit]
-        counters.output_rows += len(output)
-        if star and output:
-            columns = sorted(output[0])
-        return output, columns
-
-    def group_key(row):
-        return tuple(row.get(col.qualified) for col in group_by)
-
-    groups = {}
-    for row in rows:
-        counters.records_evaluated += 1
-        counters.hash_probes += 1
-        groups.setdefault(group_key(row), []).append(row)
-    if not groups and has_aggregates and not group_by:
-        groups[()] = []
-
-    output = []
-    for key, members in groups.items():
-        result = {}
-        for col, value in zip(group_by, key):
-            result[col.qualified] = value
-        for item in select_items:
-            if not item.aggregate:
-                source = members[0] if members else {}
-                result[item.output_name] = source.get(item.expr.qualified)
-                continue
-            if item.expr == "*":
-                values = members
-            else:
-                values = [row.get(item.expr.qualified) for row in members
-                          if row.get(item.expr.qualified) is not None]
             counters.records_evaluated += len(members)
             result[item.output_name] = _aggregate(item.aggregate, values,
                                                   item.expr == "*", members)

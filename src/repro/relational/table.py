@@ -6,19 +6,40 @@ whose keys concatenate the encoded secondary value with the primary key
 and whose values are empty (metadata only): a lookup first walks the
 secondary LSM tree, extracts primary keys, and then seeks each of them in
 the primary LSM tree — exactly the MyRocks double-lookup (paper §2.2).
+
+:class:`TableReads` is the one read path, written over a primary tree
+and per-column index trees — anything with ``LSMTree``'s ``get(key,
+stats)`` / ``scan(lo, hi, stats=)``.  :class:`RelationalTable` reads its
+live trees; :class:`~repro.relational.snapshot_table.SnapshotTable`
+reads pinned snapshot views the same way.
 """
 
-from repro.errors import CatalogError, SchemaError
+from dataclasses import replace
+
+from repro.columns import shard_membership
+from repro.errors import CatalogError, ReproError, SchemaError
 from repro.lsm.store import ReadStats
 from repro.relational.encoding import (RecordCodec, composite_key, encode_key,
                                        split_composite_key)
-from repro.relational.scan import check_scan_args, run_scan_batch
+from repro.relational.scan import ScanRequest
 from repro.relational.schema import DataType
 from repro.relational.statistics import TableStatistics
 
+#: Appended to an encoded secondary value, bounds every composite key
+#: that starts with it.
+_MAX_PK_SUFFIX = b"\xff" * 9
+
+_FULL_SCAN = ScanRequest()
+
+
+def _index_key(column, value):
+    """The encoded secondary value of ``column`` in an index key."""
+    width = column.width if column.dtype is DataType.CHAR else None
+    return encode_key(value, width)
+
 
 class SecondaryIndex:
-    """A secondary index over one column, stored in its own CF."""
+    """The write side of a secondary index over one column, in its own CF."""
 
     def __init__(self, table_name, column, family):
         self.table_name = table_name
@@ -30,37 +51,25 @@ class SecondaryIndex:
         """Index (and column-family) name."""
         return self.family.name
 
-    def _value_key(self, value):
-        width = self.column.width if self.column.dtype is DataType.CHAR else None
-        return encode_key(value, width)
-
     def insert(self, value, primary_raw):
         """Index a (secondary value, primary key) pair; NULLs are skipped."""
         if value is None:
             return
-        self.family.put(composite_key(self._value_key(value), primary_raw),
-                        b"")
+        self.family.put(composite_key(_index_key(self.column, value),
+                                      primary_raw), b"")
 
     def delete(self, value, primary_raw):
         """Remove an index entry."""
         if value is None:
             return
         self.family.delete(
-            composite_key(self._value_key(value), primary_raw))
-
-    def primary_keys_for(self, value, stats=None):
-        """All primary keys whose row has ``column == value``."""
-        prefix = self._value_key(value)
-        hi = prefix + b"\xff" * 9
-        for key, _empty in self.family.scan(lo=prefix, hi=hi, stats=stats):
-            secondary_raw, primary_raw = split_composite_key(key)
-            if secondary_raw == prefix:
-                yield primary_raw
+            composite_key(_index_key(self.column, value), primary_raw))
 
     def primary_keys_in_range(self, lo=None, hi=None, stats=None):
         """Primary keys for secondary values in [lo, hi]."""
-        lo_raw = None if lo is None else self._value_key(lo)
-        hi_raw = None if hi is None else self._value_key(hi) + b"\xff" * 9
+        lo_raw = None if lo is None else _index_key(self.column, lo)
+        hi_raw = (None if hi is None
+                  else _index_key(self.column, hi) + _MAX_PK_SUFFIX)
         for key, _empty in self.family.scan(lo=lo_raw, hi=hi_raw, stats=stats):
             _secondary, primary_raw = split_composite_key(key)
             yield primary_raw
@@ -86,12 +95,185 @@ class ScanMemo:
         self.sides = {}
 
 
-class RelationalTable:
+class TableReads:
+    """The read API of one table over a primary tree and index trees.
+
+    ``primary`` is the primary tree, ``index_trees`` maps each seekable
+    secondary column to its index tree, and ``memos`` is the memo store
+    of the base table (see :meth:`memo`).  Subclasses answer two version
+    hooks: ``_seek_versions(column)``, the ``(memo key, versions)`` seeks
+    on a column share a memo by, or ``None`` for a fresh memo per call,
+    and ``_scan_version()``, the primary version full scans share one at.
+    """
+
+    def __init__(self, schema, codec, primary, index_trees, memos):
+        self.schema = schema
+        self.codec = codec
+        self._primary = primary
+        self._index_trees = index_trees
+        self._memos = memos
+
+    @property
+    def name(self):
+        """Table name."""
+        return self.schema.name
+
+    def _decoder(self, columns, qualified_as):
+        if columns is None and qualified_as is None:
+            return self.codec.decode
+        names = columns if columns is not None else self.schema.column_names
+        return self.codec.projector(names, qualified_prefix=qualified_as)
+
+    def get_record(self, pk_value, stats=None):
+        """Undecoded record bytes for one primary key, or None."""
+        return self._primary.get(encode_key(pk_value), stats=stats)
+
+    def get_by_pk(self, pk_value, stats=None, columns=None,
+                  qualified_as=None):
+        """Fetch one row by primary key, or None.
+
+        ``columns`` limits decoding to the named columns (projection
+        pushdown; the record is still read in full from storage).
+        ``qualified_as`` emits ``alias.column`` keys for the executor.
+        """
+        raw = self.get_record(pk_value, stats=stats)
+        if raw is None:
+            return None
+        return self._decoder(columns, qualified_as)(raw)
+
+    def scan_raw(self, request=_FULL_SCAN):
+        """Full or PK-range scan yielding undecoded record bytes.
+
+        The table's one scan body: :meth:`scan` and :meth:`scan_batch`
+        decode what it yields, so all three read storage alike.
+        """
+        stats = request.stats if request.stats is not None else ReadStats()
+        lo = None if request.pk_lo is None else encode_key(request.pk_lo)
+        hi = None if request.pk_hi is None else encode_key(request.pk_hi + 1)
+        for _key, raw in self._primary.scan(lo=lo, hi=hi, stats=stats):
+            yield raw
+
+    def scan(self, request=_FULL_SCAN):
+        """Full or PK-range scan; yields decoded rows.
+
+        ``request.columns`` limits decoding; the record is read in full
+        from storage either way — projection saves downstream bytes, not
+        I/O, matching the paper's model.
+        """
+        return map(self._decoder(request.columns, request.qualified_as),
+                   self.scan_raw(request))
+
+    def scan_batch(self, request=_FULL_SCAN):
+        """Vectorized scan: decode the scanned records into a ColumnBatch.
+
+        A shard clamps the pk bounds before the read, and its membership
+        is pruned on the decoded primary-key column, vectorized.
+        """
+        columns = (list(request.columns) if request.columns is not None
+                   else self.schema.column_names)
+        build = self.codec.batch_projector(columns, request.qualified_as)
+        shard = request.shard
+        if shard is None:
+            return build(list(self.scan_raw(request)))
+        if shard.is_empty:
+            return build([])
+        pk_lo, pk_hi = shard.clamp(request.pk_lo, request.pk_hi)
+        pk = self.schema.primary_key
+        if pk not in columns:
+            raise ReproError(
+                f"{type(self).__name__}.scan_batch(): shard pruning needs "
+                f"the primary key among the requested columns")
+        batch = build(list(self.scan_raw(
+            replace(request, pk_lo=pk_lo, pk_hi=pk_hi))))
+        if request.qualified_as:
+            pk = f"{request.qualified_as}.{pk}"
+        values, _mask = batch.column(pk)
+        return batch.select(shard_membership(shard, values))
+
+    def index_lookup(self, column_name, value, stats=None, columns=None,
+                     qualified_as=None):
+        """Rows with ``column == value`` via the secondary index."""
+        return map(self._decoder(columns, qualified_as),
+                   self.index_lookup_raw(column_name, value, stats=stats))
+
+    def index_lookup_raw(self, column_name, value, stats=None):
+        """Undecoded record bytes with ``column == value`` via the index.
+
+        The table's one seek body: the secondary tree walk, then a
+        primary seek per primary key it yields (paper Fig 9).
+        """
+        tree = self._index_tree(column_name)
+        stats = stats if stats is not None else ReadStats()
+        prefix = _index_key(self.schema.column(column_name), value)
+        for key, _empty in tree.scan(lo=prefix, hi=prefix + _MAX_PK_SUFFIX,
+                                     stats=stats):
+            secondary_raw, primary_raw = split_composite_key(key)
+            if secondary_raw != prefix:
+                continue
+            raw = self._primary.get(primary_raw, stats=stats)
+            if raw is not None:
+                yield raw
+
+    def _index_tree(self, column_name):
+        try:
+            return self._index_trees[column_name]
+        except KeyError:
+            raise CatalogError(
+                f"{self.name}: no secondary index on {column_name!r}"
+            ) from None
+
+    def has_index_on(self, column_name):
+        """Whether the column can be sought: the primary key or an index."""
+        return (column_name == self.schema.primary_key
+                or column_name in self._index_trees)
+
+    # ------------------------------------------------------------------
+    # Memos
+    # ------------------------------------------------------------------
+    def memo(self, key, versions, make):
+        """The memo kept under ``key``, valid for ``versions``.
+
+        The store is the base table's, shared by the live table and
+        every snapshot of it.  One version per key is kept: asking at
+        other ``versions`` replaces the memo with ``make()``.
+        """
+        held = self._memos.get(key)
+        if held is None or held[0] != versions:
+            held = self._memos[key] = (versions, make())
+        return held[1]
+
+    def seek_memo(self, column_name):
+        """The ``value -> (ReadTrace, records)`` memo of seeks on a column.
+
+        A seek's records and charges are fixed by the tree versions it
+        reads and by whether it probes bloom filters.  Live seeks get a
+        fresh memo, which lives for one ``PipelineExecutor._seek_all``
+        call; snapshot seeks share one per bloom flag, column and
+        captured versions.
+        """
+        if column_name != self.schema.primary_key:
+            self._index_tree(column_name)     # CatalogError when absent
+        shared = self._seek_versions(column_name)
+        if shared is None:
+            return {}
+        key, versions = shared
+        return self.memo(("seek",) + key, versions, dict)
+
+    def scan_memo(self):
+        """The :class:`ScanMemo` of the primary tree at its version.
+
+        A full scan reads the same components through the live tree and
+        through a snapshot at one version — a capture copies the active
+        memtable and no memtable read is charged — so both share one
+        memo per primary version.
+        """
+        return self.memo("scan", self._scan_version(), ScanMemo)
+
+
+class RelationalTable(TableReads):
     """A table stored in a column family, with optional secondary indexes."""
 
     def __init__(self, schema, database, stats_seed=0):
-        self.schema = schema
-        self.codec = RecordCodec(schema)
         self._database = database
         self.family = database.create_column_family(schema.name)
         self.statistics = TableStatistics(schema.name, seed=stats_seed)
@@ -100,27 +282,26 @@ class RelationalTable:
         #: as the table's statistics version — the plan cache keys on
         #: the catalog-wide sum (:meth:`Catalog.statistics_version`) so
         #: refreshed statistics invalidate cached plans.  It is not what
-        #: keys seek memos: a flush or compaction changes what a seek
+        #: keys memos: a flush or compaction changes what a read
         #: touches without a row write — that is ``LSMTree.version``.
         self.mutation_count = 0
-        # Device seek memos, per (bloom flag, column): the (index,
-        # primary) tree versions they were recorded at, and the memo.
-        self._snapshot_memos = {}
-        # The full-scan memo: the primary tree version it was recorded
-        # at, and the ScanMemo.
-        self._scan_memo = None
         self.indexes = {}
         for column_name in schema.secondary_indexes:
-            column = schema.column(column_name)
             family = database.create_column_family(
                 f"{schema.name}.idx_{column_name}")
             self.indexes[column_name] = SecondaryIndex(
-                schema.name, column, family)
+                schema.name, schema.column(column_name), family)
+        super().__init__(
+            schema, RecordCodec(schema), self.family.tree,
+            {name: index.family.tree for name, index in self.indexes.items()},
+            {})
 
-    @property
-    def name(self):
-        """Table name."""
-        return self.schema.name
+    def _seek_versions(self, column_name):
+        """``None``: the live trees may be written between two seek calls."""
+        return None
+
+    def _scan_version(self):
+        return self.family.tree.version
 
     @property
     def row_count(self):
@@ -197,165 +378,10 @@ class RelationalTable:
         self.mutation_count += 1
         return new_row
 
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def _decoder(self, columns, qualified_as):
-        if columns is None and qualified_as is None:
-            return self.codec.decode
-        names = columns if columns is not None else self.schema.column_names
-        return self.codec.projector(names, qualified_prefix=qualified_as)
-
-    def get_by_pk(self, pk_value, stats=None, columns=None,
-                  qualified_as=None):
-        """Fetch one row by primary key, or None.
-
-        ``columns`` limits decoding to the named columns (projection
-        pushdown; the record is still read in full from storage).
-        ``qualified_as`` emits ``alias.column`` keys for the executor.
-        """
-        raw = self.family.get(self.primary_key_bytes(pk_value), stats=stats)
-        if raw is None:
-            return None
-        return self._decoder(columns, qualified_as)(raw)
-
-    def get_by_pk_raw(self, raw_key, stats=None, columns=None,
-                      qualified_as=None):
-        """Fetch one row by its already-encoded primary key."""
-        raw = self.family.get(raw_key, stats=stats)
-        if raw is None:
-            return None
-        return self._decoder(columns, qualified_as)(raw)
-
-    def scan(self, request=None, **kwargs):
-        """Full or PK-range scan; yields decoded rows.
-
-        Takes one :class:`~repro.relational.scan.ScanRequest`;
-        ``request.predicate`` filters decoded rows, ``request.projection``
-        limits the *output* columns, ``request.columns`` limits
-        *decoding* (it must cover the projection and every predicate
-        column).  Either way the record is read in full from storage —
-        projection saves downstream bytes, not I/O, matching the
-        paper's model.
-        """
-        request = check_scan_args("RelationalTable.scan", request, kwargs)
-        return self._scan_rows(request)
-
-    def _scan_rows(self, request):
-        stats = request.stats if request.stats is not None else ReadStats()
-        lo = None if request.pk_lo is None else encode_key(request.pk_lo)
-        hi = None if request.pk_hi is None else encode_key(request.pk_hi + 1)
-        decode = self._decoder(request.columns, request.qualified_as)
-        for _key, raw in self.family.scan(lo=lo, hi=hi, stats=stats):
-            row = decode(raw)
-            if request.predicate is not None and not request.predicate(row):
-                continue
-            if request.projection is not None:
-                row = {name: row.get(name) for name in request.projection}
-            yield row
-
-    def scan_batch(self, request=None, **kwargs):
-        """Vectorized scan: decode matching records into a ColumnBatch.
-
-        Storage access (LSM reads, stats) is identical to :meth:`scan`;
-        pk-bound clamping and shard-membership pruning happen on the
-        decoded primary-key column, vectorized.
-        """
-        request = check_scan_args("RelationalTable.scan_batch", request,
-                                  kwargs)
-        return run_scan_batch(
-            self.codec, self.schema,
-            lambda lo, hi, stats: self.family.scan(lo=lo, hi=hi, stats=stats),
-            request, "RelationalTable.scan_batch")
-
-    def scan_raw(self, request=None, **kwargs):
-        """Scan yielding undecoded record bytes (batch-decode feeds)."""
-        request = check_scan_args("RelationalTable.scan_raw", request, kwargs)
-        return self._scan_raw(request)
-
-    def _scan_raw(self, request):
-        stats = request.stats if request.stats is not None else ReadStats()
-        lo = None if request.pk_lo is None else encode_key(request.pk_lo)
-        hi = None if request.pk_hi is None else encode_key(request.pk_hi + 1)
-        for _key, raw in self.family.scan(lo=lo, hi=hi, stats=stats):
-            yield raw
-
-    def get_record(self, pk_value, stats=None):
-        """Undecoded record bytes for one primary key, or None."""
-        return self.family.get(self.primary_key_bytes(pk_value), stats=stats)
-
-    def index_lookup(self, column_name, value, stats=None, columns=None,
-                     qualified_as=None):
-        """Rows with ``column == value`` via the secondary index."""
-        return map(self._decoder(columns, qualified_as),
-                   self.index_lookup_raw(column_name, value, stats=stats))
-
-    def index_lookup_raw(self, column_name, value, stats=None):
-        """Undecoded record bytes with ``column == value`` via the index.
-
-        The table's one seek body: the secondary walk, then a primary
-        seek per key it yields.
-        """
-        index = self.index_on(column_name)
-        for primary_raw in index.primary_keys_for(value, stats=stats):
-            raw = self.family.get(primary_raw, stats=stats)
-            if raw is not None:
-                yield raw
-
-    def seek_memo(self, column_name):
-        """A fresh ``value -> (ReadTrace, records)`` seek memo.
-
-        The live trees may be written between two seek calls, so a memo
-        over them lives for one call (``PipelineExecutor._seek_all``).
-        """
-        return {}
-
-    def snapshot_seek_memo(self, use_bloom_filters, column_name, versions):
-        """The seek memo shared by snapshots pinned at ``versions``.
-
-        ``versions`` are the captured ``(index family, primary family)``
-        :attr:`LSMTree.version` stamps (``None`` for the index of a
-        primary-key seek); with the bloom flag and the column they fix
-        every seek's records, charges and block touches.  One version
-        per flag and column is kept: a snapshot at other versions
-        replaces it.
-        """
-        key = (use_bloom_filters, column_name)
-        held = self._snapshot_memos.get(key)
-        if held is None or held[0] != versions:
-            held = self._snapshot_memos[key] = (versions, {})
-        return held[1]
-
-    def scan_memo(self, version=None):
-        """The :class:`ScanMemo` of the primary tree at ``version``.
-
-        ``version`` defaults to the live tree's :attr:`LSMTree.version`;
-        a :class:`SnapshotTable` passes the version it captured.  A full
-        scan reads the same components either way — a capture copies the
-        active memtable and no memtable read is charged — so the live
-        tree and every snapshot at one version share one memo.  Only the
-        latest version asked for is kept: any write, flush or compaction
-        moves the version and so replaces it.
-        """
-        if version is None:
-            version = self.family.tree.version
-        if self._scan_memo is None or self._scan_memo[0] != version:
-            self._scan_memo = (version, ScanMemo())
-        return self._scan_memo[1]
-
     def index_on(self, column_name):
         """The secondary index over a column; raises when absent."""
-        try:
-            return self.indexes[column_name]
-        except KeyError:
-            raise CatalogError(
-                f"{self.name}: no secondary index on {column_name!r}"
-            ) from None
-
-    def has_index_on(self, column_name):
-        """Whether a secondary index exists on the column."""
-        return (column_name == self.schema.primary_key
-                or column_name in self.indexes)
+        self._index_tree(column_name)
+        return self.indexes[column_name]
 
     # ------------------------------------------------------------------
     # Cost-model inputs

@@ -1,18 +1,19 @@
-"""Retained row-at-a-time reference executor.
+"""Retained row-at-a-time reference executor and epilogue.
 
 This module preserves the pre-columnar pipeline verbatim — dict rows,
 ``for row in source`` inner loops, per-row counter increments — migrated
-only to the :class:`~repro.relational.scan.ScanRequest` call surface.
+only to the :class:`~repro.relational.scan.ScanRequest` call surface,
+and the row finalize (:func:`finalize_rows`) that was its epilogue.
 It is the equivalence baseline the columnar
-:class:`~repro.engine.pipeline.PipelineExecutor` is tested against
-(tests/test_columnar_equivalence.py): for any plan, both executors must
-produce identical rows *and* identical :class:`WorkCounters`.
+:class:`~repro.engine.pipeline.PipelineExecutor` and
+:func:`~repro.engine.pipeline.finalize` are tested against
+(tests/test_columnar_equivalence.py): for any plan, both must produce
+identical rows *and* identical :class:`WorkCounters`.
 
 It is not wired into any engine; production execution is columnar.
 """
 
-from repro.engine.pipeline import (_POINTER_BYTES, finalize_rows,
-                                   predicate_cost, stable_hash)
+from repro.engine.pipeline import _POINTER_BYTES, predicate_cost, stable_hash
 from repro.errors import ExecutionError
 from repro.lsm.store import ReadStats
 from repro.query.ast import ColumnRef, Comparison, InList, Literal, conjuncts
@@ -488,3 +489,79 @@ class RowPipelineExecutor:
             if left is None or right is None or left != right:
                 return False
         return True
+
+
+def finalize_rows(rows, select_items, group_by, counters, limit=None):
+    """Row-at-a-time finalize over dict rows (the retained epilogue)."""
+    has_aggregates = any(item.aggregate for item in select_items)
+    columns = [item.output_name for item in select_items]
+
+    if not has_aggregates and not group_by:
+        star = any(item.expr == "*" for item in select_items)
+        output = []
+        for row in rows:
+            counters.records_evaluated += 1
+            if star:
+                output.append(dict(row))
+            else:
+                output.append({item.output_name: row.get(item.expr.qualified)
+                               for item in select_items})
+        if limit is not None:
+            output = output[:limit]
+        counters.output_rows += len(output)
+        if star and output:
+            columns = sorted(output[0])
+        return output, columns
+
+    def group_key(row):
+        return tuple(row.get(col.qualified) for col in group_by)
+
+    groups = {}
+    for row in rows:
+        counters.records_evaluated += 1
+        counters.hash_probes += 1
+        groups.setdefault(group_key(row), []).append(row)
+    if not groups and has_aggregates and not group_by:
+        groups[()] = []
+
+    output = []
+    for key, members in groups.items():
+        result = {}
+        for col, value in zip(group_by, key):
+            result[col.qualified] = value
+        for item in select_items:
+            if not item.aggregate:
+                source = members[0] if members else {}
+                result[item.output_name] = source.get(item.expr.qualified)
+                continue
+            if item.expr == "*":
+                values = members
+            else:
+                values = [row.get(item.expr.qualified) for row in members
+                          if row.get(item.expr.qualified) is not None]
+            counters.records_evaluated += len(members)
+            result[item.output_name] = _aggregate(item.aggregate, values,
+                                                  item.expr == "*", members)
+        output.append(result)
+    if limit is not None:
+        output = output[:limit]
+    counters.output_rows += len(output)
+    if group_by:
+        columns = [col.qualified for col in group_by] + columns
+    return output, columns
+
+
+def _aggregate(name, values, star, members):
+    if name == "count":
+        return len(members) if star else len(values)
+    if not values:
+        return None
+    if name == "min":
+        return min(values)
+    if name == "max":
+        return max(values)
+    if name == "sum":
+        return sum(values)
+    if name == "avg":
+        return sum(values) / len(values)
+    raise ExecutionError(f"unknown aggregate {name!r}")

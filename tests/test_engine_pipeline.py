@@ -3,6 +3,7 @@ buffer-driven BNL blocking, pointer-cache materialization, finalize."""
 
 import pytest
 
+from repro.columns import ColumnBatch
 from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import (PipelineConfig, PipelineExecutor,
                                    finalize, predicate_cost)
@@ -137,7 +138,8 @@ class TestFinalize:
 
     def test_plain_projection(self):
         counters = WorkCounters()
-        rows = [{"t.a": 1, "t.b": 2}, {"t.a": 3, "t.b": 4}]
+        rows = ColumnBatch.from_rows([{"t.a": 1, "t.b": 2},
+                                      {"t.a": 3, "t.b": 4}])
         out, columns = finalize(
             rows, self._items((None, "t", "a", "x")), [], counters)
         assert out == [{"x": 1}, {"x": 3}]
@@ -145,29 +147,30 @@ class TestFinalize:
 
     def test_limit(self):
         counters = WorkCounters()
-        rows = [{"t.a": i} for i in range(10)]
+        rows = ColumnBatch.from_rows([{"t.a": i} for i in range(10)])
         out, _ = finalize(rows, self._items((None, "t", "a", None)), [],
                           counters, limit=3)
         assert len(out) == 3
 
     def test_aggregates_over_empty_input(self):
-        counters = WorkCounters()
-        out, _ = finalize([], self._items(("min", "t", "a", "lo"),
-                                          ("count", "t", "*", "n")),
-                          [], counters)
-        assert out == [{"lo": None, "n": 0}]
+        items = self._items(("min", "t", "a", "lo"), ("count", "t", "*", "n"))
+        # No rows, and no fragments at all (a list of zero batches).
+        for empty in (ColumnBatch.from_rows([]), []):
+            out, _ = finalize(empty, items, [], WorkCounters())
+            assert out == [{"lo": None, "n": 0}]
 
     def test_min_ignores_nulls(self):
         counters = WorkCounters()
-        rows = [{"t.a": None}, {"t.a": 5}, {"t.a": 2}]
+        rows = ColumnBatch.from_rows([{"t.a": None}, {"t.a": 5}, {"t.a": 2}])
         out, _ = finalize(rows, self._items(("min", "t", "a", "lo")),
                           [], counters)
         assert out[0]["lo"] == 2
 
     def test_group_by(self):
         counters = WorkCounters()
-        rows = [{"t.g": "x", "t.a": 1}, {"t.g": "x", "t.a": 3},
-                {"t.g": "y", "t.a": 5}]
+        rows = ColumnBatch.from_rows([{"t.g": "x", "t.a": 1},
+                                      {"t.g": "x", "t.a": 3},
+                                      {"t.g": "y", "t.a": 5}])
         out, columns = finalize(
             rows, self._items(("sum", "t", "a", "total")),
             [ColumnRef("t", "g")], counters)
@@ -178,5 +181,5 @@ class TestFinalize:
     def test_unknown_aggregate_rejected(self):
         counters = WorkCounters()
         with pytest.raises(ExecutionError):
-            finalize([{"t.a": 1}],
+            finalize(ColumnBatch.from_rows([{"t.a": 1}]),
                      self._items(("median", "t", "a", None)), [], counters)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CatalogError, ReproError, SchemaError
+from repro.errors import CatalogError, SchemaError
 from repro.lsm.store import ReadStats
 from repro.relational.catalog import Catalog
 from repro.relational.scan import ScanRequest
@@ -48,25 +48,9 @@ class TestScan:
     def test_full_scan(self, people):
         assert len(list(people.scan())) == 4
 
-    def test_scan_predicate(self, people):
-        rows = list(people.scan(ScanRequest(
-            predicate=lambda r: r["age"] == 30)))
-        assert {r["name"] for r in rows} == {"alice", "carol"}
-
-    def test_scan_projection(self, people):
-        rows = list(people.scan(ScanRequest(projection=["name"])))
-        assert all(set(r) == {"name"} for r in rows)
-
     def test_pk_range_scan(self, people):
         rows = list(people.scan(ScanRequest(pk_lo=2, pk_hi=3)))
         assert [r["id"] for r in rows] == [2, 3]
-
-    def test_removed_kwargs_name_replacement(self, people):
-        with pytest.raises(ReproError, match=r"ScanRequest\(pk_lo=\.\.\.\)"):
-            list(people.scan(pk_lo=2))
-        with pytest.raises(ReproError,
-                           match=r"ScanRequest\(predicate=\.\.\.\)"):
-            list(people.scan(predicate=lambda r: True))
 
     def test_unknown_kwarg_is_type_error(self, people):
         with pytest.raises(TypeError):
@@ -79,10 +63,6 @@ class TestScan:
     def test_scan_batch_pk_range(self, people):
         batch = people.scan_batch(ScanRequest(pk_lo=2, pk_hi=3))
         assert batch.column_list("id") == [2, 3]
-
-    def test_scan_batch_rejects_row_callbacks(self, people):
-        with pytest.raises(ReproError):
-            people.scan_batch(ScanRequest(predicate=lambda r: True))
 
 
 class TestSecondaryIndexes:
