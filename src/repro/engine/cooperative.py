@@ -854,9 +854,13 @@ class CooperativeExecutor:
                                 device_aliases, device_residual,
                                 host_residual, kernel, trace_label=None,
                                 shard=None, finalize=True):
+        # One capture pins the whole split: the command ships the device
+        # tables' families of it, the host fragment reads all of it.
+        captured = self.ndp.capture(plan)
         # --- device fragment -----------------------------------------
         command = self.ndp.prepare_command(plan, device_entries,
-                                           device_residual, shard=shard)
+                                           device_residual, shard=shard,
+                                           captured=captured)
         admission_wait = self._admission_wait(
             command, injector, trace_label or f"H{split_index}")
         execution = self.ndp.execute(command)
@@ -881,7 +885,7 @@ class CooperativeExecutor:
             if host_entries or host_residual:
                 session = self.host.fragment_session(
                     plan, host_entries, device_aliases, host_counters,
-                    residual_conjuncts=host_residual)
+                    captured, residual_conjuncts=host_residual)
 
             sim = _SplitSimulation(
                 self, plan, batches, per_batch_device, row_bytes, slots,

@@ -13,6 +13,7 @@ from repro.engine.pipeline import PipelineConfig, PipelineExecutor, finalize
 from repro.engine.results import ExecutionReport, QueryResult
 from repro.engine.timing import ExecutionLocation
 from repro.query.ast import conjuncts
+from repro.relational.snapshot_table import SnapshotCatalog
 
 
 @dataclass
@@ -81,17 +82,27 @@ class HostEngine:
     # Fragment execution (hybrid host side)
     # ------------------------------------------------------------------
     def fragment_session(self, plan, entries, input_aliases, counters,
-                         residual_conjuncts=None):
+                         shared_state, residual_conjuncts=None):
         """A stateful session for the host side of a hybrid split.
 
         The session keeps one pipeline executor — and therefore one warm
         block cache — across all device-result batches, as a real engine
         would.  ``counters`` accumulates host work across batches.
+
+        It reads ``shared_state``, the capture the split's NDP command
+        was cut from, so both halves of the split read one database
+        state however late a batch is joined.  Every table of the query
+        is resolvable — a host residual may name a device alias — and
+        bloom filters are probed as on the live trees, so a pinned read
+        charges what the live read charged at the captured versions.
         """
         residual = (conjuncts(plan.residual) if residual_conjuncts is None
                     else list(residual_conjuncts))
-        return _FragmentSession(self, plan, entries, list(input_aliases),
-                                counters, residual)
+        catalog = SnapshotCatalog(self.catalog, shared_state,
+                                  set(plan.spec.tables.values()),
+                                  use_bloom_filters=True)
+        return _FragmentSession(self, catalog, plan, entries,
+                                list(input_aliases), counters, residual)
 
     def finalize_fragment(self, plan, rows, counters):
         """Aggregation/projection epilogue over accumulated rows."""
@@ -104,15 +115,15 @@ class HostEngine:
 class _FragmentSession:
     """Executes device-result batches against the host-side entries."""
 
-    def __init__(self, engine, plan, entries, input_aliases, counters,
-                 residual):
+    def __init__(self, engine, catalog, plan, entries, input_aliases,
+                 counters, residual):
         self.plan = plan
         self.entries = entries
         self.input_aliases = input_aliases
         self.counters = counters
         self.residual = residual
         self._executor = PipelineExecutor(
-            engine.catalog, engine._pipeline_config(), counters)
+            catalog, engine._pipeline_config(), counters)
 
     def process_batch(self, batch, row_bytes):
         """Join one batch of device rows with the host-side entries."""

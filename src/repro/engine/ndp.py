@@ -112,27 +112,39 @@ class NDPEngine:
     # ------------------------------------------------------------------
     # Command preparation (host side, but owned here for cohesion)
     # ------------------------------------------------------------------
+    def capture(self, plan):
+        """One shared-state capture of every column family of every
+        table ``plan`` reads (primary and secondary index CFs)."""
+        tables = dict.fromkeys(plan.spec.tables.values())
+        return SharedState.capture(self.database, [
+            name for table in tables
+            for name in self.catalog.table(table).column_families()])
+
     def prepare_command(self, plan, entries, residual_conjuncts,
-                        aggregates_on_device=False, shard=None):
+                        aggregates_on_device=False, shard=None,
+                        captured=None):
         """Build the NDP invocation for a plan fragment.
 
-        Captures the shared-state snapshot of every involved column
-        family (primary + any secondary index CFs), per nKV §2.1.
+        Ships the shared-state snapshot of every involved column family
+        (primary + any secondary index CFs), per nKV §2.1, cut from
+        ``captured`` — a :meth:`capture` of the whole query, taken now
+        when None; a split passes the one its host fragment reads.
         ``shard`` restricts the driving-table scan to one partition
         (cluster scatter-gather).
         """
         if not self.device.ndp_mode:
             raise OffloadError("device is not mounted in NDP mode")
+        if captured is None:
+            captured = self.capture(plan)
         family_names = []
         for entry in entries:
             table = self.catalog.table(entry.table_name)
             family_names.extend(table.column_families())
-        shared_state = SharedState.capture(self.database, family_names)
         return NDPCommand(
             entries=list(entries),
             tables=dict(plan.spec.tables),
             residual_conjuncts=list(residual_conjuncts),
-            shared_state=shared_state,
+            shared_state=captured.subset(family_names),
             aggregates_on_device=aggregates_on_device,
             select_items=list(plan.select_items),
             group_by=list(plan.group_by),

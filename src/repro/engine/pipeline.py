@@ -520,8 +520,9 @@ class PipelineExecutor:
         by one :meth:`ReadTrace.replay` per run, for the run's length at
         the run's position in the access order, through this executor's
         block cache.  On a live table the memo lives for this call; on
-        a snapshot it is shared by every command pinned at the same
-        tree versions, so a value may be replayed without any walk here.
+        a snapshot it is shared by every split half pinned at the same
+        tree versions with the same bloom flag, so a value may be
+        replayed without any walk here.
 
         Returns ``(outer_idx, inner_idx, raws)``: the distinct matched
         records, and per matched pair the position of its value in

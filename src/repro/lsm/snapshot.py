@@ -90,18 +90,28 @@ class SnapshotView:
         return None
 
     def scan(self, lo=None, hi=None, value_predicate=None, stats=None):
-        """Range scan over the pinned components."""
+        """Range scan over the pinned components.
+
+        Builds its sources as ``LSMTree.scan`` does — the memtable only
+        when it holds entries, no merge over a single source — because
+        a merge reads one entry ahead of its consumer: an index lookup
+        seeks the primary tree between two entries, so the block
+        touches interleave exactly as on the live tree.
+        """
         stats = stats if stats is not None else ReadStats()
-        sources = [iter([(k, v) for k, v in self._memtable_sorted
-                         if (lo is None or k >= lo)
-                         and (hi is None or k < hi)])]
+        sources = []
+        if self._memtable_sorted:
+            sources.append(iter([(k, v) for k, v in self._memtable_sorted
+                                 if (lo is None or k >= lo)
+                                 and (hi is None or k < hi)]))
         for sst in self._ssts:
             if not sst.overlaps(lo, hi):
                 stats.ssts_skipped_fence += 1
                 continue
             stats.ssts_considered += 1
             sources.append(sst.iter_range(lo, hi, stats=stats))
-        for key, value in live_entries(merge_sources(sources)):
+        merged = sources[0] if len(sources) == 1 else merge_sources(sources)
+        for key, value in live_entries(merged):
             stats.entries_scanned += 1
             if value_predicate is None or value_predicate(value):
                 yield key, value
@@ -135,6 +145,12 @@ class SharedState:
                 sst_refs=tuple(tree.levels.all_ssts()),
             ))
         return cls(families=tuple(snapshots))
+
+    def subset(self, family_names):
+        """The state of the named families, in that order (a name may
+        repeat): what a command over part of one capture ships."""
+        return SharedState(families=tuple(
+            self.family(name) for name in family_names))
 
     def view(self, name, use_bloom_filters=False):
         """Device-side :class:`SnapshotView` of one family."""

@@ -1,4 +1,4 @@
-"""Snapshot-consistent table reads for on-device execution.
+"""Snapshot-consistent table reads for both halves of a split.
 
 The NDP engine must not read the live LSM trees: nKV's update-aware NDP
 (§2.1) pins the database state at invocation time via the shared-state
@@ -7,7 +7,9 @@ snapshot.  :class:`SnapshotTable` shares the read API of
 (:class:`~repro.relational.table.TableReads`) but reads through
 :class:`~repro.lsm.snapshot.SnapshotView`s, so host writes issued after
 the NDP command was prepared are invisible to the device — and unflushed
-MemTable updates shipped with the command are visible.
+MemTable updates shipped with the command are visible.  A split's host
+fragment reads the capture the command was cut from, so the whole split
+sees one state.
 """
 
 from repro.errors import CatalogError
@@ -51,9 +53,11 @@ class SnapshotTable(TableReads):
 class SnapshotCatalog:
     """Catalog facade resolving tables to snapshot views.
 
-    The device pipeline only touches the tables named by its command;
-    resolving anything else is an error (the command did not ship state
-    for it — execution would not be intervention-free).
+    It resolves only the tables it was built for: for a device
+    pipeline the tables its command names, for a split's host fragment
+    every table of the query.  Resolving anything else is an error (no
+    state was captured for it — a device execution would not be
+    intervention-free).
     """
 
     def __init__(self, catalog, shared_state, table_names,
@@ -70,5 +74,5 @@ class SnapshotCatalog:
             return self._tables[name]
         except KeyError:
             raise CatalogError(
-                f"table {name!r} is not part of the NDP command's "
+                f"table {name!r} is not part of the captured "
                 f"shared state") from None

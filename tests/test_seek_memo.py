@@ -10,10 +10,12 @@ equal the row-at-a-time reference (``tests/rowref.py``), which really
 does seek once per outer row — on the host table and on both snapshot
 views, with the block cache off, thrashing, and never full.
 
-On a snapshot the memo outlives the call: every command pinned at the
-same tree versions shares it.  The last section checks that each kind
-of write moves those versions, that a repeated run walks nothing and
-charges the same, and that a kept trace pins no executor's cache.
+On a snapshot the memo outlives the call: every read pinned at the same
+tree versions with the same bloom flag — a command's, or a split's host
+fragment's — shares it.  The last section checks that each kind of
+write moves those versions, that a repeated split walks nothing on
+either side and charges the same, and that a kept trace pins no
+executor's cache.
 """
 
 import gc
@@ -413,7 +415,8 @@ def test_unsnapshotted_index_raises_catalog_error_through_the_memo():
 
 
 def _calls(seen):
-    """Count ``get``/``scan`` calls on the live trees and snapshot views."""
+    """Count ``get``/``scan`` calls on the live trees and snapshot views;
+    a bloom-probing view's calls are counted again under ``+bloom``."""
     stack = ExitStack()
     for cls in (LSMTree, SnapshotView):
         for method in ("get", "scan"):
@@ -422,6 +425,8 @@ def _calls(seen):
             def counted(self, *args, _original=original,
                         _name=f"{cls.__name__}.{method}", **kwargs):
                 seen[_name] += 1
+                if getattr(self, "use_bloom_filters", False):
+                    seen[f"{_name}+bloom"] += 1
                 return _original(self, *args, **kwargs)
             stack.enter_context(mock.patch.object(cls, method, counted))
     return stack
@@ -437,25 +442,37 @@ WHERE t.production_year = 1999 AND mc.movie_id = t.id
 
 def test_repeated_split_replays_every_device_seek(mini_catalog, kv_db,
                                                   flash):
+    """Both halves of a split are pinned to one capture and share the
+    snapshot seek memo, so an identical second split walks nothing and
+    charges the same; host-only runs still walk the live trees."""
     runner = StackRunner(mini_catalog, kv_db,
                          Topology.single(flash=flash).device,
                          buffer_scale=0.001)
-    runs = []
-    for _ in range(2):
+
+    def run(stack, **kwargs):
         seen = Counter()
         with _calls(seen):
-            report = runner.run(_REUSE_SQL, Stack.HYBRID, split_index=1)
-        runs.append((report, seen))
-    (first, walked), (second, replayed) = runs
-    assert walked["SnapshotView.get"] and walked["SnapshotView.scan"]
-    assert replayed["SnapshotView.get"] == replayed["SnapshotView.scan"] == 0
-    # The host's memo lives for one call: it walks its trees again.
-    assert replayed["LSMTree.get"] == walked["LSMTree.get"] > 0
+            report = runner.run(_REUSE_SQL, stack, **kwargs)
+        return report, seen
+
+    (first, walked), (second, replayed) = (
+        run(Stack.HYBRID, split_index=1) for _ in range(2))
+    # The device walks unbloomed views, the host fragment bloomed ones.
+    assert walked["SnapshotView.get+bloom"] > 0
+    assert walked["SnapshotView.get"] > walked["SnapshotView.get+bloom"]
+    assert walked["SnapshotView.scan"] and not walked["LSMTree.get"]
+    assert not any(replayed.values()), replayed
     assert second.device_counters.index_seeks > 0
+    assert second.host_counters.index_seeks > 0
     assert second.result.rows == first.result.rows
     assert second.device_counters.as_dict() == first.device_counters.as_dict()
     assert second.host_counters.as_dict() == first.host_counters.as_dict()
     assert second.total_time == first.total_time
+    # Live seeks keep a memo per call: every host-only run walks again.
+    for _ in range(2):
+        host, seen = run(Stack.NATIVE)
+        assert seen["LSMTree.get"] > 0
+        assert host.result.rows == first.result.rows
 
 
 def test_memoised_traces_do_not_pin_the_recording_cache():

@@ -1,0 +1,246 @@
+"""A hybrid split reads one database state (paper §2.1, update-aware NDP).
+
+``prepare_split`` takes one shared-state capture of every table in the
+query: the NDP command ships the device tables' families of it, and the
+host fragment joins every device batch against the same capture.  A
+write that lands on a *host-side* table after the split was prepared —
+an insert, an update of a join key, or one that a flush turns into a
+compaction — is therefore invisible to the whole split, however late
+its batches are joined: its rows equal the host-only rows read before
+the write.  Checked for a split driven by hand, through the workload
+scheduler and as a 2-device scatter-gather partition.  On an unchanged
+tree the pinned host fragment charges what a live one does, counter for
+counter, and the command still ships the device tables' state alone.
+"""
+
+from unittest import mock
+
+import pytest
+
+from repro.cluster import DeviceCluster
+from repro.core.strategy import ExecutionStrategy, HybridDecision
+from repro.engine.cooperative import CooperativeExecutor
+from repro.engine.counters import WorkCounters
+from repro.engine.pipeline import PipelineExecutor
+from repro.engine.stacks import Stack, StackRunner
+from repro.errors import ReproError
+from repro.lsm.snapshot import SharedState
+from repro.sched import WorkloadScheduler
+from repro.sim import SimContext
+from repro.storage.topology import Topology
+from repro.workloads.job_queries import query
+from repro.workloads.loader import build_environment
+
+#: ``t`` is scanned on the device, ``mc`` joined on the host through its
+#: ``movie_id`` index; the last conjunct is a host residual that names
+#: the device alias ``t``.
+_SQL = """SELECT t.id AS movie, mc.id AS mc_id, mc.note AS note
+FROM title AS t, movie_companies AS mc
+WHERE t.production_year > 2005 AND mc.movie_id = t.id
+  AND mc.company_type_id <> t.kind_id"""
+
+
+@pytest.fixture
+def env():
+    """A fresh JOB environment: these tests write to it."""
+    return build_environment(scale=0.0002, seed=7)
+
+
+def _host_rows(env):
+    return env.runner.run(_SQL, Stack.NATIVE).result.sorted_rows()
+
+
+def _new_mc(env, count):
+    """``count`` new ``movie_companies`` rows that join into the answer."""
+    mc = env.catalog.table("movie_companies")
+    start = max(row["id"] for row in mc.scan()) + 1
+    movies = [row["id"] for row in env.catalog.table("title").scan()
+              if (row["production_year"] or 0) > 2005 and row["kind_id"]]
+    return [{"id": start + i, "movie_id": movies[i % len(movies)],
+             "company_id": 1, "company_type_id": 0, "note": f"late {i}"}
+            for i in range(count)]
+
+
+def _insert(env):
+    env.catalog.table("movie_companies").insert(_new_mc(env, 1)[0])
+
+
+def _update_join_key(env):
+    joined = _host_rows(env)[0]["mc_id"]
+    env.catalog.table("movie_companies").update(joined, {"movie_id": -1})
+
+
+def _compact(env):
+    mc = env.catalog.table("movie_companies")
+    compactor = mc.family.tree.compactor
+    compactions = compactor.stats.compactions
+    rows = iter(_new_mc(env, 4000))
+    while compactor.stats.compactions == compactions:
+        for _ in range(50):
+            mc.insert(next(rows))
+        mc.flush()          # freeze_and_flush of every family of mc
+
+
+_WRITES = {"insert": _insert, "update join key": _update_join_key,
+           "flush and compaction": _compact}
+
+
+def _writing_before_the_first_batch(env, write):
+    """Apply ``write`` once, as the host is about to join the first
+    device batch — after every split of the run was prepared."""
+    original = CooperativeExecutor._process_batch
+    pending = [write]
+
+    def process_batch(self, *args, **kwargs):
+        while pending:
+            pending.pop()(env)
+        return original(self, *args, **kwargs)
+    return mock.patch.object(CooperativeExecutor, "_process_batch",
+                             process_batch)
+
+
+def _by_hand(env, write):
+    plan = env.runner.plan(_SQL)
+    kernel = SimContext.fresh()
+    prepared = env.runner.cooperative.prepare_split(plan, 0, kernel=kernel)
+    write(env)
+    prepared.start(0.0)
+    kernel.loop.run()
+    report = prepared.finish(kernel.horizon)
+    return report.result.sorted_rows()
+
+
+def _scheduled(env, write):
+    force_h0 = HybridDecision(ExecutionStrategy.HYBRID, split_index=0)
+    scheduler = WorkloadScheduler(env, queries={"q": _SQL})
+    scheduler.submit("q")
+    with mock.patch.object(env.planner, "decide",
+                           lambda plan, context=None: force_h0), \
+            _writing_before_the_first_batch(env, write):
+        job, = scheduler.run().jobs
+    assert job.placement == "H0"
+    return job.report.result.sorted_rows()
+
+
+def _scattered(env, write):
+    cluster = DeviceCluster(env, n_devices=2)
+    with _writing_before_the_first_batch(env, write):
+        report = cluster.run(_SQL, split_index=0)
+    placements = [part["placement"] for part in report.cluster["partitions"]]
+    assert placements == ["H0@d0", "H0@d1"]
+    return report.result.sorted_rows()
+
+
+@pytest.mark.parametrize("driver", [_by_hand, _scheduled, _scattered],
+                         ids=["prepare_split", "scheduler", "cluster"])
+def test_split_reads_the_state_it_was_prepared_at(env, driver):
+    plan = env.runner.plan(_SQL)
+    assert [entry.alias for entry in plan.entries] == ["t", "mc"]
+    for name, write in _WRITES.items():
+        before = _host_rows(env)
+        assert driver(env, write) == before, name
+        assert _host_rows(env) != before, f"{name} changed no answer"
+
+
+def _live_host_fragment(runner, plan, k, prepared):
+    """Rows and host counters of split ``k``'s host half, read from the
+    live trees: the staged device batches joined by one executor over
+    the live catalog, then finalized."""
+    cooperative = runner.cooperative
+    _device, entries, aliases, _residual, residual = (
+        cooperative._split_fragments(plan, k))
+    counters = WorkCounters()
+    executor = PipelineExecutor(runner.catalog,
+                                cooperative.host._pipeline_config(), counters)
+    joined = [executor.run(entries, plan.spec.tables,
+                           residual_conjuncts=list(residual),
+                           input_rows=batch,
+                           input_row_bytes=prepared.sim.row_bytes,
+                           input_aliases=aliases)[0]
+              if entries or residual else batch
+              for batch in prepared.sim.batches]
+    result = cooperative.host.finalize_fragment(plan, joined, counters)
+    return result.sorted_rows(), counters.as_dict()
+
+
+def _assert_pinned_charges_like_live(runner, sql):
+    """Every feasible split's pinned host fragment returns and charges
+    exactly what a host fragment over the live trees does."""
+    plan = runner.plan(sql)
+    seeks = 0
+    for k in range(plan.table_count - 1):
+        kernel = SimContext.fresh()
+        try:
+            prepared = runner.cooperative.prepare_split(plan, k,
+                                                        kernel=kernel)
+        except ReproError:
+            continue    # the device cannot host this prefix
+        try:
+            want = _live_host_fragment(runner, plan, k, prepared)
+            prepared.start(0.0)
+            kernel.loop.run()
+            report = prepared.build_report(kernel.horizon)
+        finally:
+            prepared.release()
+        assert (report.result.sorted_rows(),
+                report.host_counters.as_dict()) == want, f"H{k}"
+        seeks += report.host_counters.index_seeks
+    assert seeks
+
+
+@pytest.mark.parametrize("name", ["1a", "8c", "16b"])
+def test_pinned_host_fragment_charges_like_live_on_job(job_env, name):
+    _assert_pinned_charges_like_live(job_env.runner, query(name))
+
+
+#: Device side: ``t`` by its secondary index, then ``mc``; host side:
+#: ``t2`` by an indexed join on the primary key.
+_MINI_SQL = """SELECT MIN(t.title) AS title, MIN(t2.kind_id) AS kind
+FROM title AS t, movie_companies AS mc, title AS t2
+WHERE t.production_year < 1990 AND mc.movie_id = t.id
+  AND t2.id = mc.movie_id"""
+
+
+def test_pinned_host_fragment_charges_like_live_past_bloom_filters(
+        mini_catalog, kv_db, flash):
+    """Every seventh title rewritten and flushed: the newest title SST
+    spans the whole id range, so most host seeks pass its fences and are
+    turned away by its bloom filter (or not) before the older SST."""
+    title = mini_catalog.table("title")
+    for i in range(0, 400, 7):
+        title.update(i, {"kind_id": 6 - i % 7})
+    mini_catalog.flush_all()
+    runner = StackRunner(mini_catalog, kv_db,
+                         Topology.single(flash=flash).device,
+                         buffer_scale=0.001)
+    _assert_pinned_charges_like_live(runner, _MINI_SQL)
+
+
+def test_host_residual_may_name_a_device_alias(env):
+    plan = env.runner.plan(_SQL)
+    _device, _host, _aliases, device_residual, host_residual = (
+        env.runner.cooperative._split_fragments(plan, 0))
+    assert not device_residual
+    assert [conjunct.aliases() for conjunct in host_residual] == [{"t", "mc"}]
+    report = env.runner.run(_SQL, Stack.HYBRID, split_index=0)
+    assert report.result.sorted_rows() == _host_rows(env)
+
+
+def test_command_ships_only_the_device_families(env):
+    """One capture serves the whole split, but the command's payload —
+    and so its setup time — is what the device tables alone ship."""
+    ndp = env.runner.ndp_engine
+    timing = env.runner.cooperative.timing
+    plan = env.runner.plan(_SQL)
+    for k in range(plan.table_count):
+        device, _host, _aliases, residual, _host_residual = (
+            env.runner.cooperative._split_fragments(plan, k))
+        command = ndp.prepare_command(plan, device, residual)
+        assert command.shared_state == SharedState.capture(env.database, [
+            name for entry in device
+            for name in env.catalog.table(entry.table_name).column_families()])
+        report = env.runner.run(_SQL, Stack.HYBRID, split_index=k)
+        assert report.setup_time == timing.command_setup_time(
+            command.payload_bytes)
+    shipped = ndp.prepare_command(plan, plan.prefix(0), []).shared_state
+    assert shipped.payload_bytes < ndp.capture(plan).payload_bytes

@@ -15,9 +15,12 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import TableShard
+from repro.engine.counters import WorkCounters
 from repro.errors import CatalogError, ReproError
+from repro.lsm.cache import BlockCache
 from repro.lsm.column_family import KVDatabase
 from repro.lsm.snapshot import SharedState
+from repro.lsm.store import ReadStats
 from repro.relational.catalog import Catalog
 from repro.relational.scan import ScanRequest
 from repro.relational.schema import TableSchema, char_col, int_col
@@ -177,3 +180,127 @@ def test_one_memo_store_three_sharing_rules(tables):
     assert snap.seek_memo("k") is memo      # the bloom one replaced nothing
     # Full scans: one per primary version, live and snapshots alike.
     assert live.scan_memo() is snap.scan_memo() is bloom.scan_memo()
+
+
+# ----------------------------------------------------------------------
+# Charge parity: a split's host fragment reads a bloom snapshot
+# ----------------------------------------------------------------------
+
+#: The ``ReadStats`` fields ``WorkCounters.absorb_read_stats`` prices.
+_ABSORBED = ("bytes_read", "index_blocks_read", "data_blocks_read",
+             "key_comparisons", "cache_hits")
+#: Fields a point read counts differently through a snapshot.
+_UNPRICED = ("memtable_gets", "ssts_considered", "ssts_skipped_fence")
+_PARITY_BLOCK = 512
+_PARITY_CACHES = (0, _PARITY_BLOCK, 4 * _PARITY_BLOCK, 512 * 1024 * 1024)
+_PARITY_ROWS = 240
+
+
+def _parity_row(i):
+    return {"id": 2 * (i * 7 % _PARITY_ROWS), "k": 3 * (i % 16),
+            "tag": _TAGS[i % 4], "note": f"note {i % 5}"}
+
+
+def _parity_table(state):
+    """A live table in one of three shapes, and a snapshot of it.
+
+    Even ids and ``k`` multiples of three leave absent keys inside every
+    fence range; two bloom bits per key make false positives common.
+    ``one sst``: everything in one flushed SST, memtables empty, so a
+    live scan reads a single source.  ``overlapping``: three overlapping
+    L1 SSTs, the newest with tombstones and an update.  ``memtable``:
+    the same with further inserts, updates and deletes unflushed.
+    """
+    database = KVDatabase(flash=FlashDevice(), default_config=small_lsm_config(
+        memtable_size=1 << 20, block_size=_PARITY_BLOCK, bits_per_key=2))
+    catalog = Catalog(database)
+    live = catalog.create_table(_SCHEMA)
+    for i in range(_PARITY_ROWS):
+        live.insert(_parity_row(i))
+        if state != "one sst" and i in (_PARITY_ROWS // 3,
+                                        2 * _PARITY_ROWS // 3):
+            catalog.flush_all()
+    if state != "one sst":
+        live.update(10, {"k": 1, "tag": "zz"})
+        live.delete(20)
+        live.delete(200)
+    catalog.flush_all()
+    if state == "memtable":
+        live.insert(_parity_row(_PARITY_ROWS) | {"id": 1001, "k": 1})
+        live.update(30, {"k": 6})
+        live.delete(40)
+        live.delete(1001)
+    tree = live.family.tree
+    assert tree.levels.sst_count() == (1 if state == "one sst" else 3)
+    assert bool(len(tree.memtable)) == (state == "memtable")
+    state = SharedState.capture(database, live.column_families())
+    return live, SnapshotTable(live, state, use_bloom_filters=True)
+
+
+#: Odd ids inside the fences (bloom false positives among them), and one
+#: beyond every fence.
+_PARITY_ABSENT = (1, 5, 15, 99, 301, 477, 10 ** 6)
+
+
+def _parity_reads():
+    """Point reads, index lookups and scans, as ``(name, read)``."""
+    reads = [(f"get {pk}", lambda table, stats, pk=pk:
+              [table.get_record(pk, stats=stats)])
+             for pk in (0, 10, 14, 20, 30, 40, 200, 1001) + _PARITY_ABSENT]
+    reads += [(f"index {column}={value}",
+               lambda table, stats, column=column, value=value:
+               list(table.index_lookup_raw(column, value, stats=stats)))
+              for column, value in (("k", 0), ("k", 6), ("k", 1), ("k", 2),
+                                    ("tag", "a"), ("tag", "zz"),
+                                    ("tag", "q"))]
+    reads += [(f"scan {lo}..{hi}", lambda table, stats, lo=lo, hi=hi:
+               list(table.scan_raw(ScanRequest(pk_lo=lo, pk_hi=hi,
+                                               stats=stats))))
+              for lo, hi in ((None, None), (10, 90), (301, None))]
+    return reads
+
+
+def _fields(stats, names):
+    return {name: getattr(stats, name) for name in names}
+
+
+@pytest.mark.parametrize("cache_bytes", _PARITY_CACHES)
+@pytest.mark.parametrize("state", ["one sst", "overlapping", "memtable"])
+def test_bloom_snapshot_charges_what_the_live_table_charges(state,
+                                                            cache_bytes):
+    """At one tree version a ``SnapshotTable(use_bloom_filters=True)``
+    answers and charges every read like the live ``RelationalTable``.
+
+    Both visit the same SSTs in the same order — ``all_ssts()`` is the
+    order of ``candidates_for_key`` — probe the same bloom filters and
+    touch the same blocks, interleaved alike with the primary seeks of
+    an index lookup, through one block cache each: the five fields
+    ``WorkCounters`` absorbs and the cache's LRU order, hits and misses
+    come out equal, read after read.  Three fields are counted
+    differently and are safe because nothing prices them: the live
+    tree counts ``memtable_gets`` on every point read and the snapshot
+    only when its memtable answers; the live tree counts
+    ``ssts_considered`` before the bloom probe and the snapshot after
+    it; the snapshot counts the ``ssts_skipped_fence`` the live tree's
+    candidate list never offers.
+    """
+    live, snap = _parity_table(state)
+    walked, pinned = (ReadStats(cache=BlockCache(cache_bytes))
+                      for _ in range(2))
+    for name, read in _parity_reads():
+        assert read(live, walked) == read(snap, pinned), name
+        assert _fields(walked, _ABSORBED) == _fields(pinned, _ABSORBED), name
+        assert walked.cache.lru_state() == pinned.cache.lru_state(), name
+        assert ((walked.cache.hits, walked.cache.misses)
+                == (pinned.cache.hits, pinned.cache.misses)), name
+    others = [name for name in walked.__dataclass_fields__
+              if name not in _UNPRICED + ("cache",)]
+    assert _fields(walked, others) == _fields(pinned, others)
+    assert walked.bytes_read and walked.bloom_negatives
+    # Some absent key passed a bloom filter and was charged a block.
+    charged = [ReadStats() for _ in _PARITY_ABSENT]
+    for pk, stats in zip(_PARITY_ABSENT, charged):
+        assert live.get_record(pk, stats=stats) is None
+    assert any(stats.data_blocks_read for stats in charged)
+    unpriced = ReadStats(**dict.fromkeys(_UNPRICED, 7))
+    assert WorkCounters().absorb_read_stats(unpriced) == WorkCounters()
