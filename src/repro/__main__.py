@@ -6,7 +6,7 @@
     python -m repro decide 17b                # the planner's choice
     python -m repro sweep 8c                  # Fig-16-style split sweep
     python -m repro trace 8c --strategy split:best --out 8c.json
-    python -m repro experiment fig11          # a paper experiment
+    python -m repro experiment fig11          # a paper figure/table/ablation
     python -m repro survey 1a 8c              # Fig-12/13 matrix (--all: 113)
     python -m repro chaos 1a 8c --seed 5      # fault-injection scenarios
     python -m repro bench-concurrent --clients 1 4 8 --rate-qps 200
@@ -21,7 +21,9 @@ on-disk workload cache).  The sweeps (survey, chaos, bench-*, fuzz) all
 take ``--output FILE`` and write it through one writer: the invocation's
 arguments beside the payload, keys sorted — so a sweep is proved
 deterministic by running it twice and ``cmp``-ing the two files, which
-is what CI does.  A subcommand's own ``--seed`` is the *workload* seed:
+is what CI does.  ``experiment`` prints its payload to stdout as JSON
+with sorted keys, so its two runs compare equal the same way.  A
+subcommand's own ``--seed`` is the *workload* seed:
 fault-plan seed for chaos, arrival/partitioner seed for
 bench-concurrent/bench-cluster, generator seed for fuzz.
 """
@@ -47,20 +49,36 @@ from repro.context import ExecutionContext
 from repro.engine.stacks import Stack
 from repro.errors import ReproError
 from repro.sim import Tracer
+from repro.storage.machines import enterprise_device
 from repro.workloads.job_queries import all_queries, query
 from repro.workloads.loader import build_environment
 
 _STACKS = {"blk": Stack.BLK, "native": Stack.NATIVE, "ndp": Stack.NDP,
            "hybrid": Stack.HYBRID}
 
+_NO_INDEX = {"secondary_indexes": False}
+
+#: name -> (experiment, then the ``build_environment`` arguments of each
+#: environment it takes, in order).  The global ``--scale``, ``--seed``
+#: and ``--cache-dir`` apply to every environment.
 _EXPERIMENTS = {
-    "fig2": exp.exp_intro_fig2,
-    "fig11": exp.exp1_stacks_fig11,
-    "tab3": exp.exp1_table3,
-    "fig16": exp.exp6_split_sweep_fig16,
-    "fig17": exp.exp6_timeline_fig17,
-    "tab4": exp.exp6_table4,
-    "profiler": exp.profiler_compute_gap,
+    "fig2": (exp.exp_intro_fig2, {}),
+    "fig11": (exp.exp1_stacks_fig11, {}),
+    "tab3": (exp.exp1_table3, {}),
+    "fig14": (exp.exp4_nonindexed_fig14, _NO_INDEX),
+    "fig15": (exp.exp5_insitu_index_fig15, {}),
+    "fig16": (exp.exp6_split_sweep_fig16, {}),
+    "fig17": (exp.exp6_timeline_fig17, {}),
+    "tab4": (exp.exp6_table4, {}),
+    "profiler": (exp.profiler_compute_gap, {}),
+    # movie_link pinned to 2000 rows: the BNL outer spans many blocks.
+    "join-buffer": (exp.ablation_join_buffer,
+                    dict(_NO_INDEX, table_overrides=(("movie_link", 2000),))),
+    "compaction": (exp.ablation_compaction,),
+    "enterprise": (exp.ablation_enterprise, {},
+                   {"device_spec": enterprise_device()}),
+    "join-algorithms": (exp.ablation_join_algorithms, {}),
+    "groupby": (exp.ext_groupby_offload, {}),
 }
 
 #: The Fig-12 sample ``survey`` sweeps unless given names or ``--all``.
@@ -72,11 +90,11 @@ _NOT_ECHOED = ("func", "output", "cache_dir", "trace_dir", "corpus_dir",
                "workers")
 
 
-def _build_env(args):
+def _build_env(args, **env_args):
     print(f"building environment (scale={args.scale}, seed={args.seed})...",
           file=sys.stderr)
     return build_environment(scale=args.scale, seed=args.seed,
-                             workload_cache_dir=args.cache_dir)
+                             workload_cache_dir=args.cache_dir, **env_args)
 
 
 def _write_output(args, **payload):
@@ -350,9 +368,9 @@ def cmd_fuzz(args):
 
 
 def cmd_experiment(args):
-    env = _build_env(args)
-    result = _EXPERIMENTS[args.name](env)
-    print(json.dumps(result, indent=2, default=str))
+    experiment, *env_args = _EXPERIMENTS[args.name]
+    envs = [_build_env(args, **kwargs) for kwargs in env_args]
+    print(json.dumps(experiment(*envs), indent=2, sort_keys=True))
     return 0
 
 
@@ -455,7 +473,10 @@ def build_parser():
                        help="output path (default <query>-<strategy>.json)")
     trace.set_defaults(func=cmd_trace)
 
-    experiment = sub.add_parser("experiment")
+    experiment = sub.add_parser(
+        "experiment",
+        help="one paper figure, table or ablation; prints its payload as "
+             "sorted-key JSON")
     experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
     experiment.set_defaults(func=cmd_experiment)
 

@@ -1,18 +1,28 @@
-"""Experiment implementations (paper §5, Experiments 1-6 + extras).
+"""Experiment implementations (paper §5, Experiments 1-6 + ablations).
 
-Each function takes a loaded :class:`~repro.workloads.loader.Environment`
-and returns plain dicts/lists so benchmarks, examples and tests can all
-consume them.
+Each function takes the loaded
+:class:`~repro.workloads.loader.Environment` objects its entry in
+``repro.__main__``'s experiment table names (none, one or two) and
+returns plain dicts/lists: ``python -m repro experiment <name>`` prints
+them as JSON, and ``tests/test_paper_shapes.py`` asserts the paper's
+shapes on them.
 """
 
+import random
+from dataclasses import replace
+
 from repro.core.strategy import ExecutionStrategy
-from repro.engine.stacks import Stack
+from repro.engine.ndp import NDPEngineConfig
+from repro.engine.stacks import Stack, StackRunner
+from repro.errors import ReproError
+from repro.lsm.store import LSMConfig, LSMTree
 from repro.query.physical import AccessPath, JoinAlgorithm
+from repro.storage.flash import FlashDevice
 from repro.storage.machines import HOST_I5
 from repro.storage.profiler import HardwareProfiler
 from repro.workloads.job_queries import (LISTING2_FULL_PROJECTION,
                                          LISTING2_LIMITED_PROJECTION,
-                                         all_queries, query)
+                                         query)
 
 #: Tolerance for calling two strategies "on par" (yellow in Fig 12/13).
 ON_PAR_TOLERANCE = 0.05
@@ -73,7 +83,7 @@ def exp1_table3(env, query_name="17b"):
     for k in range(plan.table_count):
         try:
             report = env.run(plan, Stack.HYBRID, split_index=k)
-        except Exception as error:
+        except ReproError as error:
             rows.append({"split": f"H{k}", "error": str(error)})
             continue
         rows.append({
@@ -89,23 +99,8 @@ def exp1_table3(env, query_name="17b"):
 
 
 # ----------------------------------------------------------------------
-# Experiment 2 — Fig 12: the full JOB matrix
+# Experiment 2 — Fig 12: the JOB matrix (``sweep_job_matrix`` runs it)
 # ----------------------------------------------------------------------
-def exp2_job_matrix_fig12(env, query_names=None, workers=1, trace_dir=None):
-    """Per-query times for host-only, H0..Hn, full NDP.
-
-    ``query_names`` defaults to all 113 JOB queries; pass a subset for
-    quick runs.  ``workers>1`` shards the sweep over processes (each
-    rebuilding ``env`` deterministically); results are identical to the
-    serial sweep.  ``trace_dir`` emits one Perfetto trace per (query,
-    feasible strategy).  Returns {name: {strategy: seconds-or-None}}.
-    """
-    from repro.bench.parallel import sweep_job_matrix
-    names = list(query_names) if query_names else sorted(all_queries())
-    return sweep_job_matrix(query_names=names, workers=workers, env=env,
-                            trace_dir=trace_dir)
-
-
 def classify_matrix(matrix, tolerance=ON_PAR_TOLERANCE):
     """Aggregate a Fig-12 matrix into the paper's summary percentages."""
     total = green = yellow = red = 0
@@ -224,16 +219,17 @@ def exp4_nonindexed_fig14(env_noindex):
 # Experiment 5 — Fig 15: in-situ secondary-index processing
 # ----------------------------------------------------------------------
 def force_join(plan, algorithm):
-    """Rewrite every join of a plan to one index-less algorithm."""
-    for entry in plan.entries[1:]:
-        entry.join_algorithm = algorithm
-        entry.index_column = None
-        entry.access_path = AccessPath.FULL_SCAN
-    return plan
+    """A copy of ``plan`` with every join rewritten to one index-less
+    algorithm.  ``plan`` itself — often the runner's cached plan — is
+    left as it was."""
+    joins = [replace(entry, join_algorithm=algorithm, index_column=None,
+                     access_path=AccessPath.FULL_SCAN)
+             for entry in plan.entries[1:]]
+    return replace(plan, entries=[plan.entries[0], *joins])
 
 
 def force_bnlj(plan):
-    """Rewrite every join of a plan to an index-less BNL join."""
+    """A copy of ``plan`` with every join an index-less BNL join."""
     return force_join(plan, JoinAlgorithm.BNLJ)
 
 
@@ -241,13 +237,13 @@ def exp5_insitu_index_fig15(env_indexed):
     """On-device BNL vs BNLI vs the host, both projections.
 
     Runs on an environment *with* secondary indexes so the optimizer
-    picks BNLJI; the BNL variant force-rewrites the same plan.
+    picks BNLJI; the BNL variant runs a forced copy of the same plan.
     """
     results = {}
     for label, sql in (("limited", LISTING2_LIMITED_PROJECTION),
                        ("full", LISTING2_FULL_PROJECTION)):
         plan_bnli = env_indexed.runner.plan(sql)
-        plan_bnl = force_bnlj(env_indexed.runner.plan(sql))
+        plan_bnl = force_bnlj(plan_bnli)
         results[label] = {
             "host": env_indexed.run(plan_bnli, Stack.NATIVE).total_time,
             "ndp_bnl": env_indexed.run(plan_bnl, Stack.NDP).total_time,
@@ -260,18 +256,19 @@ def exp5_insitu_index_fig15(env_indexed):
 # Experiment 6 — Figs 16/17 and Table 4
 # ----------------------------------------------------------------------
 def exp6_split_sweep_fig16(env, query_name="8c"):
-    """Execution time for block-only, H0..Hn, NDP-only."""
+    """Execution time for block-only, H0..Hn, NDP-only; None where the
+    strategy is infeasible (a :class:`ReproError`, e.g. device overload)."""
     plan = env.runner.plan(query(query_name))
     sweep = {"block-only": env.run(plan, Stack.BLK).total_time}
     for k in range(plan.table_count):
         try:
             sweep[f"H{k}"] = env.run(plan, Stack.HYBRID,
                                      split_index=k).total_time
-        except Exception:
+        except ReproError:
             sweep[f"H{k}"] = None
     try:
         sweep["ndp-only"] = env.run(plan, Stack.NDP).total_time
-    except Exception:
+    except ReproError:
         sweep["ndp-only"] = None
     return {"query": query_name, "times": sweep}
 
@@ -322,4 +319,116 @@ def profiler_compute_gap(env):
         "pcie_bandwidth": report.pcie_bandwidth,
         "internal_page_rate": report.device_flash_page_rate,
         "external_page_rate": report.host_flash_page_rate,
+    }
+
+
+# ----------------------------------------------------------------------
+# Ablations — §5 buffers and joins, §2.2 compaction, §7 device class,
+# §2.1 GROUP BY offload
+# ----------------------------------------------------------------------
+#: Absolute BNL join-buffer sizes of the §5 buffer ablation, largest first.
+JOIN_BUFFER_SIZES = (64 * 1024, 8 * 1024, 2 * 1024, 512)
+
+
+def ablation_join_buffer(env):
+    """NDP time of the Listing-2 full projection with every join forced
+    to BNL, per absolute device join-buffer size (§5: BNL needs a large
+    join buffer, smaller buffers mean more inner re-scans).
+
+    Meant for an index-less environment whose ``movie_link`` is pinned
+    large enough that the outer really spans many buffer blocks.
+    """
+    times = {}
+    for size in JOIN_BUFFER_SIZES:
+        runner = StackRunner(
+            env.catalog, env.database, env.device,
+            buffer_scale=env.buffer_scale,
+            ndp_config=NDPEngineConfig(buffer_scale=env.buffer_scale,
+                                       join_buffer_override=size))
+        plan = force_bnlj(runner.plan(LISTING2_FULL_PROJECTION))
+        times[size] = runner.run(plan, Stack.NDP).total_time
+    return {"times": times}
+
+
+def _update_stream_tree(compaction):
+    """A small LSM tree after 6000 seeded updates of 600 keys."""
+    config = LSMConfig(memtable_size=2048, level_base_bytes=8192,
+                       sst_target_bytes=4096, block_size=1024,
+                       compaction=compaction, tiered_fanout=4)
+    tree = LSMTree(config=config, flash=FlashDevice())
+    rng = random.Random(11)
+    for i in range(6000):
+        key = f"key-{rng.randrange(600):05d}".encode()
+        tree.put(key, f"value-{i}".encode().ljust(40, b"."))
+    tree.freeze_and_flush()
+    return tree
+
+
+def ablation_compaction():
+    """Leveled vs tiered compaction under one update stream (§2.2):
+    tiered writes less, leveled reads fewer components per GET.  Needs
+    no environment."""
+    trees = {name: _update_stream_tree(name)
+             for name in ("leveled", "tiered")}
+    return {
+        "strategies": {
+            name: {"compactions": tree.compactor.stats.compactions,
+                   "bytes_written": tree.compactor.stats.bytes_written,
+                   "ssts": tree.levels.sst_count(),
+                   "read_amplification":
+                       tree.read_amplification(b"key-00007")}
+            for name, tree in trees.items()},
+        "same_data": (dict(trees["leveled"].scan())
+                      == dict(trees["tiered"].scan())),
+    }
+
+
+def ablation_enterprise(consumer_env, enterprise_env, query_name="8c"):
+    """The Fig-16 split sweep on the COSMOS+ profile and on an
+    enterprise-class device over the same data (§7: a stronger device
+    shifts the balance toward offloading)."""
+    return {
+        "query": query_name,
+        "consumer": exp6_split_sweep_fig16(consumer_env, query_name)["times"],
+        "enterprise": exp6_split_sweep_fig16(enterprise_env,
+                                             query_name)["times"],
+    }
+
+
+def ablation_join_algorithms(env):
+    """NDP time of the Listing-2 limited projection with the optimizer's
+    joins and with every join forced to BNLJ, GHJ and NLJ (§2.1, §5)."""
+    plan = env.runner.plan(LISTING2_LIMITED_PROJECTION)
+    times = {"optimizer": env.run(plan, Stack.NDP).total_time}
+    for algorithm in (JoinAlgorithm.BNLJ, JoinAlgorithm.GHJ,
+                      JoinAlgorithm.NLJ):
+        times[algorithm.value] = env.run(force_join(plan, algorithm),
+                                         Stack.NDP).total_time
+    return {"times": times}
+
+
+#: In-situ aggregation: movie_info genres reduced to a small group table.
+GROUP_BY_SQL = """SELECT mi.info, COUNT(*) AS n
+FROM info_type AS it, movie_info AS mi
+WHERE it.info = 'genres'
+  AND it.id = mi.info_type_id
+GROUP BY mi.info"""
+
+
+def ext_groupby_offload(env):
+    """GROUP BY on BLK / NATIVE / NDP (§2.1: a complete NDP pipeline
+    ships only the group table across PCIe)."""
+    reports = {name: env.run(GROUP_BY_SQL, stack)
+               for name, stack in (("blk", Stack.BLK),
+                                   ("native", Stack.NATIVE),
+                                   ("ndp", Stack.NDP))}
+    baseline = reports["blk"].result.sorted_rows()
+    return {
+        "times": {name: report.total_time
+                  for name, report in reports.items()},
+        "groups": {name: len(report.result)
+                   for name, report in reports.items()},
+        "ndp_intermediate_rows": reports["ndp"].intermediate_rows,
+        "same_rows": all(report.result.sorted_rows() == baseline
+                         for report in reports.values()),
     }

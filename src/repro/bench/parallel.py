@@ -19,20 +19,9 @@ from repro.sim import Tracer
 from repro.workloads.job_queries import all_queries, query
 from repro.workloads.loader import build_environment
 
-#: Environment variable read by the benchmark fixtures for worker count.
-WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
-
 # Per-worker-process environment, built once by the pool initializer.
 _WORKER_ENV = None
 _WORKER_TRACE_DIR = None
-
-
-def default_workers():
-    """Worker count from ``$REPRO_SWEEP_WORKERS`` (default: serial)."""
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
 
 
 def strategy_times(env, query_name, trace_dir=None):

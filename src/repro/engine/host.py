@@ -22,7 +22,6 @@ class HostEngineConfig:
 
     join_buffer_bytes: int = 32 * 1024 * 1024
     block_cache_bytes: int = 512 * 1024 * 1024   # page cache share
-    max_rows: int = None
 
 
 class HostEngine:
@@ -37,7 +36,6 @@ class HostEngine:
         return PipelineConfig(
             join_buffer_bytes=self.config.join_buffer_bytes,
             pointer_cache=False,
-            max_rows=self.config.max_rows,
             block_cache_bytes=self.config.block_cache_bytes,
         )
 

@@ -5,7 +5,8 @@ reserves pipeline buffers under the paper's 17/17/7 MB policy, captures
 the shared-state snapshot that makes execution intervention-free, runs
 the volcano pipeline with device-side buffer sizes, and switches the
 intermediate cache from *row* format to *pointer* format when more than
-two tables are processed (paper §4.2).
+two tables are processed (paper §4.2).  Like COSMOS+, the device never
+probes bloom filters: the host already did (§2.2).
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +15,14 @@ from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import PipelineConfig, PipelineExecutor, finalize
 from repro.errors import OffloadError
 from repro.lsm.snapshot import SharedState
+
+#: More device tables than this switch the intermediate cache from row
+#: format to pointer format (§4.2).
+POINTER_CACHE_THRESHOLD = 2
+
+#: The device's data-block/index-block buffers, part of the 520 MB temp
+#: reservation (§5), act as its block cache; scaled by ``buffer_scale``.
+BLOCK_CACHE_BASE_BYTES = 520 * 1024 * 1024
 
 
 @dataclass
@@ -87,17 +96,9 @@ class NDPEngineConfig:
     """
 
     buffer_scale: float = 1.0
-    max_rows: int = None
-    pointer_cache_threshold: int = 2   # >2 tables -> pointer cache (§4.2)
     # Absolute join-buffer size in bytes, bypassing scale and floor —
     # used by the §5 buffer-size ablation.
     join_buffer_override: int = None
-    # Probe bloom filters on the device (paper §2.2 future work for
-    # more powerful smart storage; off on COSMOS+).
-    use_bloom_filters: bool = False
-    # Device data-block/index-block buffers (part of the 520 MB temp
-    # reservation, §5) act as the on-device block cache.
-    block_cache_base_bytes: int = 520 * 1024 * 1024
 
 
 class NDPEngine:
@@ -165,8 +166,7 @@ class NDPEngine:
     def block_cache_bytes(self):
         """Effective on-device block cache."""
         return max(8192,
-                   int(self.config.block_cache_base_bytes
-                       * self.config.buffer_scale))
+                   int(BLOCK_CACHE_BASE_BYTES * self.config.buffer_scale))
 
     def execute(self, command):
         """Execute an NDP command; returns an :class:`NDPExecution`.
@@ -178,13 +178,11 @@ class NDPEngine:
         shape = command.pipeline_shape()
         reservation = self.device.reserve_pipeline(*shape)
         try:
-            pointer_cache = (len(command.entries)
-                             > self.config.pointer_cache_threshold)
+            pointer_cache = len(command.entries) > POINTER_CACHE_THRESHOLD
             counters = WorkCounters()
             pipeline_config = PipelineConfig(
                 join_buffer_bytes=self.join_buffer_bytes(),
                 pointer_cache=pointer_cache,
-                max_rows=self.config.max_rows,
                 block_cache_bytes=self.block_cache_bytes(),
             )
             # Update-aware NDP (§2.1): execute against the shared-state
@@ -224,8 +222,7 @@ class NDPEngine:
             return self.catalog
         table_names = {command.tables[alias] for alias in command.aliases}
         return SnapshotCatalog(self.catalog, command.shared_state,
-                               table_names,
-                               use_bloom_filters=self.config.use_bloom_filters)
+                               table_names)
 
     def release(self, execution):
         """Return the pipeline's buffers to the device."""

@@ -53,8 +53,8 @@ class SnapshotView:
     a ``stats`` parameter) so the device pipeline can run against it
     unchanged.  By default bloom filters are NOT probed — the paper
     notes the NDP engine skips them since the host already did (§2.2) —
-    but ``use_bloom_filters=True`` enables the future-work variant the
-    paper anticipates for more powerful devices.
+    while ``use_bloom_filters=True`` probes them as the live tree does
+    (the host fragment of a split reads its capture this way).
     """
 
     def __init__(self, snapshot, use_bloom_filters=False):

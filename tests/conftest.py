@@ -19,7 +19,8 @@ from repro.workloads.loader import build_environment
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run slow tests (the full 113-query differential suite)")
+        help="run slow tests (the full 113-query differential suite, "
+             "the Fig 12/13 matrix)")
 
 
 def pytest_configure(config):

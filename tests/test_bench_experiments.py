@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.bench.experiments import (classify_matrix,
+from repro.bench.experiments import (classify_matrix, exp1_table3,
                                      exp3_decisions_fig13,
-                                     exp6_table4, force_bnlj)
+                                     exp6_split_sweep_fig16, exp6_table4,
+                                     force_bnlj)
 from repro.bench.reporting import format_table, ms, render_matrix_summary
+from repro.engine.stacks import Stack
+from repro.errors import DeviceOverloadError
 from repro.query.physical import AccessPath, JoinAlgorithm
+from repro.workloads.job_queries import LISTING2_LIMITED_PROJECTION
 
 
 class TestClassifyMatrix:
@@ -53,6 +57,14 @@ class TestForceBnlj:
             assert entry.index_column is None
             assert entry.access_path is AccessPath.FULL_SCAN
 
+    def test_leaves_the_cached_plan_alone(self, job_env):
+        sql = LISTING2_LIMITED_PROJECTION
+        forced = force_bnlj(job_env.runner.plan(sql))
+        plan = job_env.runner.plan(sql)
+        assert forced is not plan
+        assert [entry.join_algorithm for entry in plan.entries[1:]] == [
+            JoinAlgorithm.BNLJI] * plan.join_count
+
     def test_forced_plan_still_correct(self, mini_catalog, kv_db, flash):
         from repro.engine.stacks import Stack, StackRunner
         from repro.query.optimizer import build_plan
@@ -86,6 +98,42 @@ class TestExperimentsOnJobEnv:
         result = exp3_decisions_fig13(job_env, matrix)
         assert result["total"] == 1
         assert result["per_query"]["1a"] in ("best", "acceptable", "miss")
+
+
+def _failing_offloads(monkeypatch, env, error):
+    """Make every NDP and hybrid run of ``env`` raise ``error``."""
+    real = env.run
+
+    def run(plan, stack, split_index=None, ctx=None):
+        if stack in (Stack.NDP, Stack.HYBRID):
+            raise error
+        return real(plan, stack, split_index=split_index, ctx=ctx)
+    monkeypatch.setattr(env, "run", run)
+
+
+class TestInfeasibleStrategies:
+    """Only a ``ReproError`` makes a strategy infeasible; a programming
+    error propagates instead of becoming an empty cell."""
+
+    def test_repro_error_is_recorded_as_infeasible(self, job_env,
+                                                   monkeypatch):
+        _failing_offloads(monkeypatch, job_env,
+                          DeviceOverloadError("pipeline does not fit"))
+        rows = exp1_table3(job_env)["rows"]
+        assert rows and all(row["error"] == "pipeline does not fit"
+                            for row in rows)
+        times = exp6_split_sweep_fig16(job_env, "1a")["times"]
+        assert times.pop("block-only") > 0
+        assert set(times.values()) == {None}
+
+    @pytest.mark.parametrize("experiment", [
+        exp1_table3, lambda env: exp6_split_sweep_fig16(env, "1a")],
+        ids=["tab3", "fig16"])
+    def test_programming_error_propagates(self, job_env, monkeypatch,
+                                          experiment):
+        _failing_offloads(monkeypatch, job_env, TypeError("engine bug"))
+        with pytest.raises(TypeError, match="engine bug"):
+            experiment(job_env)
 
 
 class TestReporting:

@@ -12,8 +12,7 @@ import pytest
 
 import repro.bench.parallel as parallel
 import repro.workloads.loader as loader
-from repro.bench.parallel import (default_workers, strategy_times,
-                                  sweep_job_matrix)
+from repro.bench.parallel import strategy_times, sweep_job_matrix
 from repro.errors import ReproError
 from repro.workloads.loader import build_environment
 
@@ -63,14 +62,6 @@ class TestSweep:
             sweep_job_matrix(query_names=QUERIES, workers=2,
                              env_kwargs=dict(ENV_KWARGS),
                              workload_cache_dir=str(tmp_path))
-
-    def test_default_workers_env_var(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
-        assert default_workers() == 4
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "junk")
-        assert default_workers() == 1
 
 
 class TestWorkloadCache:

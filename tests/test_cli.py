@@ -25,11 +25,14 @@ def subcommands():
 class TestParser:
     def test_commands_registered(self):
         parser = build_parser()
+        experiments = [["experiment", name] for name in cli._EXPERIMENTS]
         for argv in (["info"], ["run", "8c"], ["decide", "1a"],
-                     ["sweep", "8c"], ["experiment", "fig2"],
-                     ["survey"], ["list-queries"]):
+                     ["sweep", "8c"], ["survey"], ["list-queries"],
+                     *experiments):
             args = parser.parse_args(argv)
             assert callable(args.func)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["experiment", "fig99"])
 
     def test_stack_choices(self):
         parser = build_parser()
@@ -112,13 +115,14 @@ def small_env():
 def one_build(monkeypatch, small_env):
     """Every ``main()`` call of the test reuses one environment build —
     the in-process analogue of CI's run-twice-and-``cmp``."""
-    def shared(scale, seed, workload_cache_dir):
-        assert (scale, seed) == (0.0002, 7)
+    def shared(scale, seed, workload_cache_dir, **env_args):
+        assert (scale, seed, env_args) == (0.0002, 7, {})
         return small_env
     monkeypatch.setattr(cli, "build_environment", shared)
 
 
-#: name -> (argv, documented exit code, payload keys beside "arguments")
+#: name -> (argv, documented exit code, payload keys; a sweep's payload
+#: also has "arguments")
 SWEEPS = {
     "chaos": (["chaos", "1a"], 0, {"matrix"}),
     "robustness": (["chaos", "1a", "--scenario", "straggler_device"], 0,
@@ -133,6 +137,9 @@ SWEEPS = {
     "fuzz": (["fuzz", "--queries", "3"], 0, {"report"}),
     "survey": (["survey", "1a", "8c", "--workers", "1"], 0,
                {"matrix", "summary", "decisions", "decision_outcomes"}),
+    # No --output: the payload is stdout.  The two runs share one
+    # environment, so a run that left a cached plan forced would differ.
+    "experiment": (["experiment", "join-algorithms"], 0, {"times"}),
 }
 
 
@@ -141,17 +148,23 @@ class TestSweeps:
     def test_runs_and_rerun_is_byte_identical(self, name, one_build,
                                               tmp_path, capsys):
         argv, code, keys = SWEEPS[name]
-        outputs = [tmp_path / "run1.json", tmp_path / "run2.json"]
-        for output in outputs:
-            assert main(["--scale", "0.0002", *argv,
-                         "--output", str(output)]) == code
-        assert "Traceback" not in capsys.readouterr().err
-        payload = json.loads(outputs[0].read_text())
-        assert set(payload) == keys | {"arguments"}
-        assert payload["arguments"]["command"] == argv[0]
-        assert "output" not in payload["arguments"]
-        assert outputs[0].read_bytes() == outputs[1].read_bytes()
-        assert outputs[0].read_bytes().endswith(b"\n")
+        to_stdout = name == "experiment"
+        runs = []
+        for output in (tmp_path / "run1.json", tmp_path / "run2.json"):
+            written = [] if to_stdout else ["--output", str(output)]
+            assert main(["--scale", "0.0002", *argv, *written]) == code
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            runs.append(captured.out.encode() if to_stdout
+                        else output.read_bytes())
+        assert runs[0] == runs[1]
+        assert runs[0].endswith(b"\n")
+        payload = json.loads(runs[0])
+        if not to_stdout:
+            keys = keys | {"arguments"}
+            assert payload["arguments"]["command"] == argv[0]
+            assert "output" not in payload["arguments"]
+        assert set(payload) == keys
 
     def test_payload_shapes(self, one_build, tmp_path):
         out = tmp_path / "out.json"

@@ -20,7 +20,7 @@ JOIN_SQL = ("SELECT t.id, mc.id FROM title AS t, movie_companies AS mc "
 def run_with(catalog, algorithm, join_buffer=1 << 20):
     plan = build_plan(JOIN_SQL, catalog)
     if algorithm is not None:
-        force_join(plan, algorithm)
+        plan = force_join(plan, algorithm)
     counters = WorkCounters()
     executor = PipelineExecutor(
         catalog, PipelineConfig(join_buffer_bytes=join_buffer), counters)
