@@ -180,9 +180,15 @@ class ColumnBatch:
     # Derivation
     # ------------------------------------------------------------------
     def select(self, mask):
-        """Rows where the boolean ``mask`` is True, in order."""
+        """Rows where the boolean ``mask`` is True, in order.
+
+        An all-true mask returns this batch itself: no caller writes into
+        a batch's arrays, so a selection may share them.
+        """
         mask = np.asarray(mask, dtype=bool)
         length = int(np.count_nonzero(mask))
+        if length == self._length:
+            return self
         cols = {name: (values[mask],
                        None if m is None else m[mask])
                 for name, (values, m) in self._cols.items()}

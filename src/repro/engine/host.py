@@ -127,7 +127,7 @@ class _FragmentSession:
         """Join one batch of device rows with the host-side entries."""
         rows, out_bytes = self._executor.run(
             self.entries, self.plan.spec.tables,
-            residual_conjuncts=list(self.residual),
+            residual_conjuncts=self.residual,
             input_rows=batch,
             input_row_bytes=row_bytes,
             input_aliases=self.input_aliases,

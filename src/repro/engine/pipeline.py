@@ -21,13 +21,12 @@ cache — so stateful block-cache hit counts match exactly.
 """
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from repro.columns import ColumnBatch
 from repro.errors import ExecutionError
-from repro.lsm.store import ReadStats, ReadTrace
+from repro.lsm.store import ReadStats, ReadTrace, Replays
 from repro.query.ast import (Between, ColumnRef, Comparison, InList, IsNull,
                              Like, Literal, Not, And, Or, conjuncts)
 from repro.query.physical import AccessPath, JoinAlgorithm
@@ -298,6 +297,30 @@ def _positions(sorted_values, values, found):
     return positions
 
 
+def _spans(first, count):
+    """``arange(f, f + c)`` for every ``(f, c)`` pair, concatenated."""
+    ends = count.cumsum()
+    return ((first - ends + count).repeat(count)
+            + np.arange(ends[-1] if len(ends) else 0, dtype=np.intp))
+
+
+#: The span of a NULL key's run: it seeks nothing and matches nothing.
+_NO_SPAN = (None, 0, 0)
+
+
+def _constant_keys(values):
+    """Index constants as the ``(values, null mask)`` arrays to seek."""
+    return (np.array(values, dtype=object),
+            np.array([value is None for value in values], dtype=bool))
+
+
+def _keyed_side(inner, columns):
+    """The :class:`_InnerSide` of a decoded inner, keyed on ``columns``."""
+    rows = np.flatnonzero(_keyed_rows(inner, columns))
+    return _InnerSide.keyed(inner, rows, [inner.column(name)[0][rows]
+                                          for name in columns])
+
+
 class PipelineExecutor:
     """Executes a sequence of :class:`TableAccess` stages over batches."""
 
@@ -309,6 +332,11 @@ class PipelineExecutor:
         #: Per-stage trace: (alias, rows after the stage) in order — the
         #: intermediate-result counts Table 3 correlates with runtimes.
         self.stage_trace = []
+        # Per-stage setup, kept across runs (a split's host fragment runs
+        # once per device batch): keyed on object identity, and holding
+        # the keyed objects so that no identity is reused meanwhile.
+        self._costs = {}              # (id(expr), id(tables)) -> cost
+        self._plans = {}              # (kind, id(entry)) -> stage plan
         if config.block_cache_bytes > 0:
             from repro.lsm.cache import BlockCache
             self.block_cache = BlockCache(config.block_cache_bytes)
@@ -379,35 +407,86 @@ class PipelineExecutor:
     # Per-entry decode planning
     # ------------------------------------------------------------------
     def _decode_plan(self, entry):
-        """(needed columns, qualified projection names) for one entry.
+        """(needed columns, emitted columns, exact) for one entry.
 
         ``needed`` covers the entry's projection, its local filter, and
         its join columns so the partial decode suffices for everything
-        the stage evaluates.
+        the stage evaluates; it is sorted, the order a decode of it
+        emits.  ``emitted`` are the columns the stage outputs, in order:
+        ``needed`` itself when ``exact`` (it equals the projection as a
+        set), the projection otherwise.  Names are unqualified.
         """
-        table = self.catalog.table(entry.table_name)
-        needed = set(entry.projection or table.schema.column_names)
-        if entry.local_filter is not None:
-            for ref in entry.local_filter.column_refs():
-                if ref.alias == entry.alias:
-                    needed.add(ref.column)
-        for edge in entry.join_edges:
-            needed.add(edge.column_of(entry.alias))
-        needed = sorted(needed)
-        projection = entry.projection or table.schema.column_names
-        qualified_projection = [f"{entry.alias}.{name}"
-                                for name in projection]
-        exact = set(projection) == set(needed)
-        return needed, qualified_projection, exact
+        held = self._plans.get(("decode", id(entry)))
+        if held is None:
+            table = self.catalog.table(entry.table_name)
+            projection = entry.projection or table.schema.column_names
+            needed = set(projection)
+            if entry.local_filter is not None:
+                for ref in entry.local_filter.column_refs():
+                    if ref.alias == entry.alias:
+                        needed.add(ref.column)
+            for edge in entry.join_edges:
+                needed.add(edge.column_of(entry.alias))
+            needed = sorted(needed)
+            exact = set(projection) == set(needed)
+            plan = needed, (needed if exact else list(projection)), exact
+            held = self._plans[("decode", id(entry))] = entry, plan
+        return held[1]
+
+    def _index_join_plan(self, entry):
+        """(outer key, extra edges, their columns, inner ones) of an
+        indexed join entry.
+
+        The first join edge on the index column is sought with the
+        outer's ``outer key`` column; the other edges are checked on
+        each matched pair.  Their qualified columns are listed, and
+        ``inner ones`` are this entry's columns among them that the
+        stage emits — an inner column the stage does not emit fails its
+        edge, as in the row engine's merged row.
+        """
+        held = self._plans.get(("index", id(entry)))
+        if held is None:
+            index_edge = None
+            extra_edges = []
+            for edge in entry.join_edges:
+                if (edge.column_of(entry.alias) == entry.index_column
+                        and index_edge is None):
+                    index_edge = edge
+                else:
+                    extra_edges.append(edge)
+            if index_edge is None:
+                raise ExecutionError(f"{entry.alias}: BNLJI without an "
+                                     f"edge on the index column")
+            other_alias, other_column = index_edge.other(entry.alias)
+            columns = sorted({f"{alias}.{column}" for edge in extra_edges
+                              for alias, column in (
+                                  (edge.left_alias, edge.left_column),
+                                  (edge.right_alias, edge.right_column))})
+            _needed, emitted, _exact = self._decode_plan(entry)
+            inner = [column for column in emitted
+                     if f"{entry.alias}.{column}" in columns]
+            plan = (f"{other_alias}.{other_column}", extra_edges, columns,
+                    inner)
+            held = self._plans[("index", id(entry))] = entry, plan
+        return held[1]
+
+    def _predicate_cost(self, expr):
+        """:func:`predicate_cost` of ``expr`` over this run's tables."""
+        key = (id(expr), id(self._tables))
+        held = self._costs.get(key)
+        if held is None:
+            held = self._costs[key] = (
+                expr, self._tables,
+                predicate_cost(expr, self.catalog, self._tables))
+        return held[2]
 
     # ------------------------------------------------------------------
     # Driving table
     # ------------------------------------------------------------------
     def _driving(self, entry, shard=None):
         table = self.catalog.table(entry.table_name)
-        ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
-                                     self._tables)
-        needed, q_projection, exact = self._decode_plan(entry)
+        ops, memcmp = self._predicate_cost(entry.local_filter)
+        needed, emitted, exact = self._decode_plan(entry)
         if shard is not None:
             # Shard routing checks need the primary key decoded; keep the
             # projection itself untouched (``exact`` goes False so the
@@ -420,14 +499,13 @@ class PipelineExecutor:
         row_bytes = self._materialized_bytes(entry)
         counters = self.counters
         if entry.access_path is AccessPath.SECONDARY_LOOKUP:
-            build = table.codec.batch_projector(needed, entry.alias)
             if shard is not None and shard.is_empty:
-                batch = build([])
+                batch = table.codec.batch_projector(needed, entry.alias)([])
             else:
-                _, inner_idx, raws = self._seek_all(
+                memo, _, inner_idx = self._seek_all(
                     table, entry.index_column,
-                    self._index_constants(entry), stats)
-                batch = build(raws).take(inner_idx)
+                    *_constant_keys(self._index_constants(entry)), stats)
+                batch = memo.gather(needed, entry.alias, inner_idx)
                 if shard is not None:
                     pk_name = f"{entry.alias}.{table.schema.primary_key}"
                     values, _mask = batch.column(pk_name)
@@ -450,7 +528,8 @@ class PipelineExecutor:
             batch = batch.select(eval_mask(entry.local_filter, batch))
         counters.bytes_materialized += row_bytes * len(batch)
         if not exact:
-            batch = batch.project(q_projection)
+            batch = batch.project([f"{entry.alias}.{name}"
+                                   for name in emitted])
         counters.absorb_read_stats(stats)
         self._row_bytes[entry.alias] = row_bytes
         return batch, row_bytes
@@ -506,27 +585,30 @@ class PipelineExecutor:
             return self._join_nlj(outer, outer_row_bytes, entry)
         return self._join_bnlj(outer, outer_row_bytes, entry)
 
-    def _seek_all(self, table, column, values, stats):
+    def _seek_all(self, table, column, values, null, stats):
         """Seek ``column == value`` for every non-NULL value, in order.
 
-        The one place the pipeline issues index seeks.  Each value is
-        charged one ``index_seeks`` and its reads, but the loop is over
-        runs of equal values — a left-deep pipeline repeats a join key
+        The one place the pipeline issues index seeks.  ``values`` and
+        ``null`` are the sought keys as a value array and a null mask
+        (``None``: no NULL).  Each value is charged one ``index_seeks``
+        and its reads, but the Python loop is over runs of equal values,
+        found with numpy — a left-deep pipeline repeats a join key
         across the fan-out of the stages before it.  A value's first
         walk of the LSM (``get_record`` on the primary key,
         ``index_lookup_raw`` otherwise) runs under a recording
-        :class:`ReadTrace` kept with the records it found in
-        ``table.seek_memo(column)``; every other occurrence is charged
-        by one :meth:`ReadTrace.replay` per run, for the run's length at
-        the run's position in the access order, through this executor's
-        block cache.  On a live table the memo lives for this call; on
-        a snapshot it is shared by every split half pinned at the same
+        :class:`ReadTrace`, kept in ``table.seek_memo(column)`` with the
+        records it found added to the memo's pool.  Every other
+        occurrence is a replay through this executor's block cache,
+        queued run by run, at the run's position in the access order, on
+        one :class:`Replays` that is flushed before each walk and at the
+        end.  On a live table the memo lives for this call; on a
+        snapshot it is shared by every split half pinned at the same
         tree versions with the same bloom flag, so a value may be
         replayed without any walk here.
 
-        Returns ``(outer_idx, inner_idx, raws)``: the distinct matched
-        records, and per matched pair the position of its value in
-        ``values`` and of its record in ``raws`` as ``np.intp`` arrays.
+        Returns ``(memo, outer_idx, inner_idx)``: the memo, and as
+        ``np.intp`` arrays the position in ``values`` and in the memo's
+        pool of every matched pair, outer-major.
         """
         if column == table.schema.primary_key:
             def seek(value):
@@ -536,89 +618,96 @@ class PipelineExecutor:
             def seek(value):
                 return tuple(table.index_lookup_raw(column, value,
                                                     stats=stats))
-        counters = self.counters
         memo = table.seek_memo(column)
-        spans = {}          # value -> (trace, its records' span in raws)
-        raws = []
-        matches = []        # per value, NULLs included: records it found
-        inner_idx = []
-        for value, run in groupby(values):
-            length = len(list(run))
-            if value is None:
-                matches.extend([0] * length)
+        n = len(values)
+        breaks = np.ones(n, dtype=bool)
+        breaks[1:] = values[1:] != values[:-1]
+        if null is not None:
+            breaks[1:] |= null[1:] != null[:-1]
+        starts = breaks.nonzero()[0]
+        bounds = starts.tolist()
+        bounds.append(n)
+        lengths = [end - start for start, end in zip(bounds, bounds[1:])]
+        nulls = ([False] * len(lengths) if null is None
+                 else null[starts].tolist())
+        spans = memo.spans
+        replays = Replays(stats)
+        picked = []         # per run: its value's span
+        for value, length, is_null in zip(values[starts].tolist(), lengths,
+                                          nulls):
+            if is_null:
+                picked.append(_NO_SPAN)
                 continue
-            counters.index_seeks += length
-            replays = length
-            hit = spans.get(value)
-            if hit is None:
-                recorded = memo.get(value)
-                if recorded is None:
-                    with ReadTrace(stats) as trace:
-                        found = seek(value)
-                    memo[value] = trace, found
-                    replays -= 1
-                else:
-                    trace, found = recorded
-                span = list(range(len(raws), len(raws) + len(found)))
-                raws.extend(found)
-                spans[value] = trace, span
-            else:
-                trace, span = hit
-            if replays:
-                trace.replay(stats, replays)
-            matches.extend([len(span)] * length)
-            inner_idx.extend(span * length)
-        outer_idx = np.arange(len(matches), dtype=np.intp).repeat(
-            np.array(matches, dtype=np.intp))
-        return outer_idx, np.array(inner_idx, dtype=np.intp), raws
+            span = spans.get(value)
+            if span is None:
+                replays.flush()
+                with ReadTrace(stats) as trace:
+                    found = seek(value)
+                span = memo.add(value, trace, found)
+                length -= 1
+            replays.add(span[0], length)
+            picked.append(span)
+        replays.flush()
+        self.counters.index_seeks += n if null is None else n - int(
+            null.sum())
+        if not picked:
+            empty = np.zeros(0, dtype=np.intp)
+            return memo, empty, empty
+        _traces, firsts, counts = zip(*picked)
+        row_count = np.array(counts, dtype=np.intp).repeat(lengths)
+        outer_idx = np.arange(n, dtype=np.intp).repeat(row_count)
+        inner_idx = _spans(np.array(firsts, dtype=np.intp).repeat(lengths),
+                           row_count)
+        return memo, outer_idx, inner_idx
 
     def _join_bnlji(self, outer, outer_row_bytes, entry):
-        """Indexed block nested loop: seek the inner on the outer's keys."""
+        """Indexed block nested loop: seek the inner on the outer's keys.
+
+        Every matched pair is charged, but the inner's records are
+        decoded once per seek memo and filtered once per distinct
+        record of the call; extra join edges are checked on the edge
+        columns alone, and each output column is gathered once.
+        """
         table = self.catalog.table(entry.table_name)
-        ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
-                                     self._tables)
-        index_edge = None
-        extra_edges = []
-        for edge in entry.join_edges:
-            if (edge.column_of(entry.alias) == entry.index_column
-                    and index_edge is None):
-                index_edge = edge
-            else:
-                extra_edges.append(edge)
-        if index_edge is None:
-            raise ExecutionError(
-                f"{entry.alias}: BNLJI without an edge on the index column")
-        other_alias, other_column = index_edge.other(entry.alias)
-        outer_key = f"{other_alias}.{other_column}"
-        needed, q_projection, exact = self._decode_plan(entry)
+        ops, memcmp = self._predicate_cost(entry.local_filter)
+        needed, emitted, _exact = self._decode_plan(entry)
+        outer_key, extra_edges, edge_columns, inner_edges = (
+            self._index_join_plan(entry))
+        alias = entry.alias
 
         stats = self._stats()
         inner_bytes = self._materialized_bytes(entry)
         out_bytes = outer_row_bytes + inner_bytes
         counters = self.counters
-        outer_idx, inner_idx, raws = self._seek_all(
-            table, entry.index_column, outer.column_list_or_none(outer_key),
-            stats)
-        # Every matched pair is charged, but the inner side is decoded
-        # and filtered once per distinct record and gathered per pair.
+        if outer.has_column(outer_key):
+            keys, null = outer.column(outer_key)
+        else:               # a missing column reads as NULL: no seeks
+            keys, null = np.zeros(0, dtype=np.int64), None
+        memo, outer_idx, inner_idx = self._seek_all(
+            table, entry.index_column, keys, null, stats)
         m = len(inner_idx)
         counters.records_evaluated += m
         counters.predicate_ops += ops * m
         counters.memcmp_bytes += memcmp * m
-        inner = table.codec.batch_projector(needed, entry.alias)(raws)
         if entry.local_filter is not None:
-            passed = eval_mask(entry.local_filter, inner)[inner_idx]
-            outer_idx = outer_idx[passed]
-            inner_idx = inner_idx[passed]
-        if not exact:
-            inner = inner.project(q_projection)
-        aligned_outer = outer.take(outer_idx)
-        aligned_inner = inner.take(inner_idx)
+            passed = np.zeros(len(memo.records), dtype=bool)
+            passed[inner_idx] = True
+            found = passed.nonzero()[0]
+            passed[found] = eval_mask(entry.local_filter,
+                                      memo.gather(needed, alias, found))
+            keep = passed[inner_idx]
+            outer_idx = outer_idx[keep]
+            inner_idx = inner_idx[keep]
         if extra_edges:
-            keep = _edge_mask(extra_edges, aligned_outer, aligned_inner)
-            aligned_outer = aligned_outer.select(keep)
-            aligned_inner = aligned_inner.select(keep)
-        result = aligned_outer.merged(aligned_inner)
+            keep = _edge_mask(
+                extra_edges,
+                outer.project([name for name in edge_columns
+                               if outer.has_column(name)]).take(outer_idx),
+                memo.gather(inner_edges, alias, inner_idx))
+            outer_idx = outer_idx[keep]
+            inner_idx = inner_idx[keep]
+        result = outer.take(outer_idx).merged(
+            memo.gather(emitted, alias, inner_idx))
         counters.bytes_materialized += out_bytes * len(result)
         counters.absorb_read_stats(stats)
         counters.output_rows += len(result)
@@ -635,8 +724,7 @@ class PipelineExecutor:
         outer row — the order a per-block hash table of the outer yields.
         """
         table = self.catalog.table(entry.table_name)
-        ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
-                                     self._tables)
+        ops, memcmp = self._predicate_cost(entry.local_filter)
         outer_keys = self._outer_keys(entry)
         per_row = max(1, outer_row_bytes)
         rows_per_block = max(1, self.config.join_buffer_bytes // per_row)
@@ -673,8 +761,7 @@ class PipelineExecutor:
         then by inner row.
         """
         table = self.catalog.table(entry.table_name)
-        ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
-                                     self._tables)
+        ops, memcmp = self._predicate_cost(entry.local_filter)
         outer_keys = self._outer_keys(entry)
         out_bytes = outer_row_bytes + self._materialized_bytes(entry)
         counters = self.counters
@@ -700,8 +787,7 @@ class PipelineExecutor:
         partition, then by inner row, then by outer row.
         """
         table = self.catalog.table(entry.table_name)
-        ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
-                                     self._tables)
+        ops, memcmp = self._predicate_cost(entry.local_filter)
         outer_keys = self._outer_keys(entry)
         inner_bytes = self._materialized_bytes(entry)
         out_bytes = outer_row_bytes + inner_bytes
@@ -766,24 +852,25 @@ class PipelineExecutor:
 
         Returns ``(side, records read per pass)``.
         """
-        needed, q_projection, exact = self._decode_plan(entry)
+        needed, emitted, exact = self._decode_plan(entry)
         columns = [f"{entry.alias}.{edge.column_of(entry.alias)}"
                    for edge in entry.join_edges]
         if not passes:
-            raws = []
-            side = self._decode_side(table, entry.alias, needed, columns, raws)
+            inner = table.codec.batch_projector(needed, entry.alias)([])
+            side, read = _keyed_side(inner, columns), 0
         elif (entry.access_path is AccessPath.SECONDARY_LOOKUP
                 and entry.index_column is not None
                 and entry.index_column not in
                 [edge.column_of(entry.alias) for edge in entry.join_edges]):
             stats = self._stats()
+            keys = _constant_keys(self._index_constants(entry))
             for _ in range(passes):
-                _, inner_idx, found = self._seek_all(
-                    table, entry.index_column, self._index_constants(entry),
-                    stats)
+                memo, _, inner_idx = self._seek_all(
+                    table, entry.index_column, *keys, stats)
             self.counters.absorb_read_stats(stats)
-            raws = [found[j] for j in inner_idx.tolist()]
-            side = self._decode_side(table, entry.alias, needed, columns, raws)
+            side = _keyed_side(memo.gather(needed, entry.alias, inner_idx),
+                               columns)
+            read = len(inner_idx)
         else:
             stats = self._stats()
             memo = table.scan_memo()
@@ -795,27 +882,20 @@ class PipelineExecutor:
             if passes:
                 memo.trace.replay(stats, passes)
             self.counters.absorb_read_stats(stats)
-            raws = memo.records
             key = (entry.alias, tuple(needed), tuple(columns))
             side = memo.sides.get(key)
             if side is None:
-                side = memo.sides[key] = self._decode_side(
-                    table, entry.alias, needed, columns, raws)
+                inner = table.codec.batch_projector(needed, entry.alias)(
+                    memo.records)
+                side = memo.sides[key] = _keyed_side(inner, columns)
+            read = len(memo.records)
         if entry.local_filter is None:
             keep = np.ones(len(side.batch), dtype=bool)
         else:
             keep = eval_mask(entry.local_filter, side.batch)
-        batch = side.batch if exact else side.batch.project(q_projection)
-        return side.where(keep, batch), len(raws)
-
-    @staticmethod
-    def _decode_side(table, alias, needed, columns, raws):
-        """Decode an inner table's records and key them on ``columns``."""
-        inner = table.codec.batch_projector(needed, alias)(raws)
-        keyed = _keyed_rows(inner, columns)
-        rows = np.flatnonzero(keyed)
-        return _InnerSide.keyed(inner, rows, [inner.column(name)[0][rows]
-                                              for name in columns])
+        batch = side.batch if exact else side.batch.project(
+            [f"{entry.alias}.{name}" for name in emitted])
+        return side.where(keep, batch), read
 
     # ------------------------------------------------------------------
     # Residual predicates
@@ -830,7 +910,7 @@ class PipelineExecutor:
         total_ops = 0
         total_memcmp = 0
         for conjunct in ready:
-            ops, memcmp = predicate_cost(conjunct, self.catalog, self._tables)
+            ops, memcmp = self._predicate_cost(conjunct)
             total_ops += ops
             total_memcmp += memcmp
         n = len(batch)

@@ -41,8 +41,9 @@ class BlockCache:
     def access_all(self, touches):
         """:meth:`access` every ``(key, nbytes, ...)`` touch in order.
 
-        Returns the touches that missed.  The loop a replayed
-        :class:`~repro.lsm.store.ReadTrace` spends its time in: a hit is
+        Returns the touches that missed.  The loop trace replays spend
+        their time in: one call takes the first replays of all the runs
+        a :class:`~repro.lsm.store.Replays` queue holds.  A hit is
         handled here, anything else by :meth:`access`.
         """
         entries = self._entries

@@ -50,7 +50,7 @@ class ReadStats:
 
 #: ``ReadStats`` fields one seek charges identically every time while the
 #: tree does not change; the others depend on block-cache state.
-#: :meth:`ReadTrace.replay` unpacks them in this order.
+#: :meth:`Replays.flush` unpacks them in this order.
 _static_counts = attrgetter(
     "memtable_gets", "ssts_considered", "ssts_skipped_fence",
     "ssts_skipped_bloom", "bloom_probes", "bloom_negatives",
@@ -81,10 +81,14 @@ class ReadTrace:
         trace.replay(stats)                        # charged again
 
     Reads must finish inside the block (exhaust generators).
+
+    ``fits`` is the byte sum of the trace's distinct blocks: a cache of
+    at least that capacity holds all of them at once (see
+    :class:`Replays`).
     """
 
     __slots__ = ("static", "touches", "index_blocks", "data_blocks",
-                 "nbytes", "_stats", "_cache")
+                 "nbytes", "fits", "_stats", "_cache")
 
     def __init__(self, stats):
         self._stats = stats
@@ -109,76 +113,151 @@ class ReadTrace:
         self.index_blocks = sum(touch[2] for touch in touches)
         self.data_blocks = len(touches) - self.index_blocks
         self.nbytes = sum(touch[1] for touch in touches)
+        self.fits = sum({touch[0]: touch[1] for touch in touches}.values())
         # A memoised trace outlives its recording call; it must not pin
         # that executor's block cache.
         self._stats = self._cache = None
 
     def replay(self, stats, times=1):
-        """Charge ``stats`` (and its block cache) as ``times`` seeks would.
+        """Charge ``stats`` (and its block cache) as ``times`` seeks would."""
+        replays = Replays(stats)
+        replays.add(self, times)
+        replays.flush()
 
-        The seeks are consecutive, so the cache is only touched until
-        the next replay is provably the last one over again; the rest
-        of the run is multiplication.  Two rules, both exact:
 
-        1. A replay without a miss leaves the trace's blocks at the MRU
-           end in its own last-touch order, so an immediate repeat hits
-           everywhere and moves nothing.
-        2. What a replay does depends on the cache's LRU state alone,
-           so one that ends in the state it started from repeats itself,
-           delta and all.  Comparing states is cheap when it matters: a
-           block that fits only misses on an immediate repeat if it was
-           evicted since its last touch, and LRU evicts everything older
-           first — every block this trace does not touch — so by then
-           the cache holds nothing but this trace's blocks.
-        """
-        (memtable_gets, ssts_considered, ssts_skipped_fence,
-         ssts_skipped_bloom, bloom_probes, bloom_negatives,
-         key_comparisons, entries_scanned) = self.static
-        stats.memtable_gets += memtable_gets * times
-        stats.ssts_considered += ssts_considered * times
-        stats.ssts_skipped_fence += ssts_skipped_fence * times
-        stats.ssts_skipped_bloom += ssts_skipped_bloom * times
-        stats.bloom_probes += bloom_probes * times
-        stats.bloom_negatives += bloom_negatives * times
-        stats.key_comparisons += key_comparisons * times
-        stats.entries_scanned += entries_scanned * times
+class Replays:
+    """Runs of back-to-back trace replays, charged to one ``stats``.
+
+    :meth:`add` queues ``times`` consecutive replays of a trace and
+    :meth:`flush` charges everything queued.  Queued runs reach the
+    block cache in queue order, so nothing else may touch ``stats`` or
+    its cache between an ``add`` and the next ``flush`` (a walk flushes
+    first).  Charges and LRU order are exactly those of replaying every
+    seek, by three rules:
+
+    - A trace's cache-independent ``ReadStats`` delta is charged once
+      per flush, multiplied by the replays queued since the last one.
+      With no cache, or one of capacity zero, every touch is a miss and
+      is multiplied likewise.
+    - *Rule 1, a trace that fits* (``trace.fits <= capacity``).  One
+      replay leaves every block of the trace resident, at the MRU end
+      in the trace's own last-touch order: LRU evicts everything older
+      first, and the trace's blocks alone never overflow the cache.  The
+      run's other replays therefore hit everywhere and move nothing.
+      Only the first replay's touches go through the cache — those of
+      consecutive runs through one :meth:`BlockCache.access_all` — and
+      the repeats are counted hits.
+    - *Rule 2, a trace larger than the cache*.  What a replay does
+      depends on the cache's LRU state alone, so one that ends in the
+      state the previous one ended in repeats itself, delta and all.
+      The run is replayed until that happens and multiplied from there.
+      Comparing states is cheap when it matters: a block that fits only
+      misses on an immediate repeat if it was evicted since its last
+      touch, and LRU evicts everything older first — every block this
+      trace does not touch — so by then the cache holds nothing but
+      this trace's blocks.
+    """
+
+    __slots__ = ("stats", "_cache", "_times", "_touches", "_hits")
+
+    def __init__(self, stats):
+        self.stats = stats
         cache = stats.cache
-        touches = self.touches
-        if cache is None or cache.capacity_bytes <= 0:
-            # Nothing is ever resident: every touch is a charged read.
-            stats.index_blocks_read += self.index_blocks * times
-            stats.data_blocks_read += self.data_blocks * times
-            stats.bytes_read += self.nbytes * times
-            if cache is not None:
-                cache.misses += len(touches) * times
+        #: The cache replays go through; ``None`` when nothing is ever
+        #: resident and every touch is a miss.
+        self._cache = (cache if cache is not None and cache.capacity_bytes > 0
+                       else None)
+        self._times = {}        # trace -> replays queued since the flush
+        self._touches = []      # first replays of fitting runs, in order
+        self._hits = 0          # touches of their repeats, all hits
+
+    def add(self, trace, times=1):
+        """Queue ``times`` consecutive replays of ``trace``."""
+        if times <= 0:
             return
+        queued = self._times
+        queued[trace] = queued.get(trace, 0) + times
+        cache = self._cache
+        if cache is None:
+            return
+        if trace.fits <= cache.capacity_bytes:
+            self._touches += trace.touches
+            self._hits += (times - 1) * len(trace.touches)
+        else:
+            self._access()
+            self._thrash(trace, times)
+
+    def flush(self):
+        """Charge every queued replay to ``stats`` and its cache."""
+        self._access()
+        stats = self.stats
+        cold = self._cache is None
+        for trace, times in self._times.items():
+            (memtable_gets, ssts_considered, ssts_skipped_fence,
+             ssts_skipped_bloom, bloom_probes, bloom_negatives,
+             key_comparisons, entries_scanned) = trace.static
+            stats.memtable_gets += memtable_gets * times
+            stats.ssts_considered += ssts_considered * times
+            stats.ssts_skipped_fence += ssts_skipped_fence * times
+            stats.ssts_skipped_bloom += ssts_skipped_bloom * times
+            stats.bloom_probes += bloom_probes * times
+            stats.bloom_negatives += bloom_negatives * times
+            stats.key_comparisons += key_comparisons * times
+            stats.entries_scanned += entries_scanned * times
+            if cold:
+                stats.index_blocks_read += trace.index_blocks * times
+                stats.data_blocks_read += trace.data_blocks * times
+                stats.bytes_read += trace.nbytes * times
+                if stats.cache is not None:
+                    stats.cache.misses += len(trace.touches) * times
+        self._times = {}
+
+    def _access(self):
+        """Send the pending first replays through the cache (rule 1)."""
+        touches = self._touches
+        if not touches:
+            return
+        stats = self.stats
+        missed = self._cache.access_all(touches)
+        self._cache.hits += self._hits
+        stats.cache_hits += len(touches) - len(missed) + self._hits
+        _charge_misses(stats, missed, 1)
+        self._touches = []
+        self._hits = 0
+
+    def _thrash(self, trace, times):
+        """Replay a trace larger than the cache ``times`` times (rule 2)."""
+        stats = self.stats
+        cache = self._cache
+        touches = trace.touches
         state = None
         while times > 0:
             missed = cache.access_all(touches)
             hits = len(touches) - len(missed)
             charged = 1
             if times > 1:
-                if not missed:                      # rule 1
-                    settled = True
-                else:                               # rule 2
-                    before = state
-                    # A block larger than the cache misses however much
-                    # else is resident: never compare a large cache.
-                    state = (cache.lru_state()
-                             if len(cache) <= len(touches) else None)
-                    settled = state is not None and state == before
-                if settled:
+                before = state
+                # A block larger than the cache misses however much else
+                # is resident: never compare a large cache.
+                state = (cache.lru_state()
+                         if len(cache) <= len(touches) else None)
+                if state is not None and state == before:
                     charged = times
                     cache.hits += hits * (times - 1)
                     cache.misses += len(missed) * (times - 1)
             times -= charged
             stats.cache_hits += hits * charged
-            for _key, nbytes, is_index in missed:
-                if is_index:
-                    stats.index_blocks_read += charged
-                else:
-                    stats.data_blocks_read += charged
-                stats.bytes_read += nbytes * charged
+            _charge_misses(stats, missed, charged)
+
+
+def _charge_misses(stats, missed, times):
+    """Charge ``times`` reads of every missed ``(key, nbytes, is index)``."""
+    for _key, nbytes, is_index in missed:
+        if is_index:
+            stats.index_blocks_read += times
+        else:
+            stats.data_blocks_read += times
+        stats.bytes_read += nbytes * times
 
 
 @dataclass
@@ -476,5 +555,5 @@ def require_bytes(key):
     return key
 
 
-__all__ = ["LSMTree", "LSMConfig", "ReadStats", "ReadTrace", "TOMBSTONE",
-           "require_bytes"]
+__all__ = ["LSMTree", "LSMConfig", "ReadStats", "ReadTrace", "Replays",
+           "TOMBSTONE", "require_bytes"]

@@ -16,7 +16,9 @@ reads pinned snapshot views the same way.
 
 from dataclasses import replace
 
-from repro.columns import shard_membership
+import numpy as np
+
+from repro.columns import ColumnBatch, shard_membership
 from repro.errors import CatalogError, ReproError, SchemaError
 from repro.lsm.store import ReadStats
 from repro.relational.encoding import (RecordCodec, composite_key, encode_key,
@@ -93,6 +95,101 @@ class ScanMemo:
         self.trace = None
         self.records = None
         self.sides = {}
+
+
+class SeekMemo:
+    """The seeks of one column at one set of tree versions.
+
+    ``spans`` maps each sought value to ``(trace, first, count)``: the
+    :class:`~repro.lsm.store.ReadTrace` of its walk and the span of the
+    records it found in ``records``, the pool of every record the memo's
+    seeks found, in discovery order.  Columns are decoded from the pool
+    once, per column whichever projection asks, and extended when the
+    pool grows (:meth:`gather`).  Filled by ``PipelineExecutor._seek_all``;
+    it holds no executor's stats or block cache.
+    """
+
+    __slots__ = ("spans", "records", "_codec", "_columns")
+
+    def __init__(self, codec):
+        self.spans = {}
+        self.records = []
+        self._codec = codec
+        self._columns = {}      # column name -> _PooledColumn
+
+    def add(self, value, trace, found):
+        """Pool the records a walk for ``value`` found; its span."""
+        span = self.spans[value] = (trace, len(self.records), len(found))
+        self.records.extend(found)
+        return span
+
+    def gather(self, names, alias, rows):
+        """The pooled records at ``rows`` as a batch of ``alias.name``
+        columns, in ``names`` order — what ``batch_projector(names,
+        alias)`` decodes from those records."""
+        columns = self._columns
+        end = len(self.records)
+        stale = {}          # decoded length -> columns decoded that far
+        for name in names:
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = _PooledColumn()
+            if column.values is None or column.length < end:
+                stale.setdefault(column.length, []).append(name)
+        for start, group in stale.items():
+            batch = self._codec.batch_projector(group)(
+                self.records[start:end])
+            for name in group:
+                columns[name].extend(*batch.column(name))
+        cols = {}
+        for name in names:
+            column = columns[name]
+            mask = column.mask
+            cols[f"{alias}.{name}"] = (
+                column.values[rows], None if mask is None else mask[rows])
+        return ColumnBatch(tuple(cols), cols, len(rows))
+
+
+class _PooledColumn:
+    """One decoded column of a :class:`SeekMemo`'s pool, growable.
+
+    ``values[:length]`` and ``mask[:length]`` (``None`` while no pooled
+    value is NULL) hold the decoded records.  The arrays grow by a
+    quarter at a time — amortised, a seek call that pools a few records
+    does not copy the pool, and little capacity sits unused — and a CHAR
+    column's dtype widens to its longest value.
+    """
+
+    __slots__ = ("values", "mask", "length")
+
+    def __init__(self):
+        self.values = None
+        self.mask = None
+        self.length = 0
+
+    def extend(self, values, mask):
+        """Append the decoded ``(values, mask)`` of newly pooled records."""
+        start = self.length
+        end = start + len(values)
+        if self.values is None:
+            self.values, self.mask, self.length = values, mask, end
+            return
+        dtype = np.result_type(self.values.dtype, values.dtype)
+        if end > len(self.values) or dtype != self.values.dtype:
+            size = max(end, len(self.values) * 5 // 4)
+            grown = np.empty(size, dtype=dtype)
+            grown[:start] = self.values[:start]
+            self.values = grown
+            if self.mask is not None:
+                grown = np.zeros(size, dtype=bool)
+                grown[:start] = self.mask[:start]
+                self.mask = grown
+        self.values[start:end] = values
+        if mask is not None:
+            if self.mask is None:
+                self.mask = np.zeros(len(self.values), dtype=bool)
+            self.mask[start:end] = mask
+        self.length = end
 
 
 class TableReads:
@@ -243,21 +340,22 @@ class TableReads:
         return held[1]
 
     def seek_memo(self, column_name):
-        """The ``value -> (ReadTrace, records)`` memo of seeks on a column.
+        """The :class:`SeekMemo` of seeks on a column.
 
         A seek's records and charges are fixed by the tree versions it
         reads and by whether it probes bloom filters.  Live seeks get a
         fresh memo, which lives for one ``PipelineExecutor._seek_all``
         call; snapshot seeks share one per bloom flag, column and
-        captured versions.
+        captured versions, decoded columns included.
         """
         if column_name != self.schema.primary_key:
             self._index_tree(column_name)     # CatalogError when absent
         shared = self._seek_versions(column_name)
         if shared is None:
-            return {}
+            return SeekMemo(self.codec)
         key, versions = shared
-        return self.memo(("seek",) + key, versions, dict)
+        return self.memo(("seek",) + key, versions,
+                         lambda: SeekMemo(self.codec))
 
     def scan_memo(self):
         """The :class:`ScanMemo` of the primary tree at its version.

@@ -24,6 +24,7 @@ from repro.columns import ColumnBatch
 from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import PipelineConfig, PipelineExecutor, finalize
 from repro.lsm.cache import BlockCache
+from repro.lsm.store import ReadTrace
 from repro.query.ast import conjuncts
 from repro.workloads.job_queries import query as job_query
 from repro.workloads.sqlgen import RandomSqlGenerator
@@ -87,33 +88,70 @@ def test_job_sample_equivalence(job_env, name):
     _assert_equivalent(job_env, job_query(name))
 
 
+def _key_runs(entry, outer_rows):
+    """Runs of one non-NULL key among the keys an indexed join seeks."""
+    edge = next(edge for edge in entry.join_edges
+                if edge.column_of(entry.alias) == entry.index_column)
+    alias, column = edge.other(entry.alias)
+    keys = (row.get(f"{alias}.{column}") for row in outer_rows)
+    return sum(key is not None for key, _run in groupby(keys))
+
+
 def test_17e_replays_grow_with_key_runs_not_with_seeks(job_env):
     # A complexity guard that counts instead of timing: 17e's joins are
     # keyed on columns of earlier aliases, so their 56 825 seeks arrive
-    # in 14 453 runs of one key.  Behind the device's smallest block
-    # cache, where nothing stays resident for long, a run still costs
-    # at most two trips through the cache — the second proves the third
-    # would repeat it (docs/engine.md) — and the counters stay the row
-    # engine's.
-    counts = {"replays": 0, "runs": 0}
+    # in 14 453 runs of one key, counted here from the row engine's
+    # inputs.  Behind the device's smallest block cache, where nothing
+    # stays resident for long, a run still costs at most two trips
+    # through the cache — the second proves the third would repeat it
+    # (docs/engine.md).  Behind a cache every trace fits, a seek call
+    # sends its replays through the cache at once, apart from the walks
+    # that interrupt them.  The counters stay the row engine's.
+    join_bnlji = RowPipelineExecutor._join_bnlji
     access_all = BlockCache.access_all
     seek_all = PipelineExecutor._seek_all
+    enter = ReadTrace.__enter__
 
-    def counting_access_all(self, touches):
-        counts["replays"] += 1
-        return access_all(self, touches)
+    def counted(config):
+        counts = {"runs": 0, "passes": 0, "calls": 0}
+        traces = []
 
-    def counting_seek_all(self, table, column, values, stats):
-        counts["runs"] += sum(key is not None for key, _ in groupby(values))
-        return seek_all(self, table, column, values, stats)
+        def counting_join_bnlji(self, outer_rows, outer_row_bytes, entry):
+            counts["runs"] += _key_runs(entry, outer_rows)
+            return join_bnlji(self, outer_rows, outer_row_bytes, entry)
 
-    with mock.patch.object(BlockCache, "access_all", counting_access_all), \
-            mock.patch.object(PipelineExecutor, "_seek_all",
-                              counting_seek_all):
-        counters = _assert_equivalent(
-            job_env, job_query("17e"), PipelineConfig(block_cache_bytes=8192))
-    assert 0 < counts["replays"] <= 2 * counts["runs"]
+        def counting_access_all(self, touches):
+            counts["passes"] += 1
+            return access_all(self, touches)
+
+        def counting_seek_all(self, *args, **kwargs):
+            counts["calls"] += 1
+            return seek_all(self, *args, **kwargs)
+
+        def recording_enter(self):
+            traces.append(self)
+            return enter(self)
+
+        with mock.patch.object(RowPipelineExecutor, "_join_bnlji",
+                               counting_join_bnlji), \
+                mock.patch.object(BlockCache, "access_all",
+                                  counting_access_all), \
+                mock.patch.object(PipelineExecutor, "_seek_all",
+                                  counting_seek_all), \
+                mock.patch.object(ReadTrace, "__enter__", recording_enter):
+            counters = _assert_equivalent(job_env, job_query("17e"), config)
+        return counts, traces, counters
+
+    counts, traces, counters = counted(PipelineConfig(block_cache_bytes=8192))
+    assert 0 < counts["passes"] <= 2 * counts["runs"]
     assert 2 * counts["runs"] < counters["index_seeks"]
+    assert any(trace.fits > 8192 for trace in traces)
+
+    big = 512 * 1024 * 1024
+    counts, traces, counters = counted(PipelineConfig(block_cache_bytes=big))
+    assert traces and all(trace.fits <= big for trace in traces)
+    assert 0 < counts["passes"] <= counts["calls"] + len(traces)
+    assert counts["calls"] + len(traces) < counts["runs"]
 
 
 def test_result_values_are_plain_python(job_env):

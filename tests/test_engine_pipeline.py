@@ -67,10 +67,11 @@ class TestDecodePlan:
         executor, _ = make_executor(mini_catalog)
         executor._tables = plan.spec.tables
         mc = plan.entry("mc")
-        needed, q_projection, _exact = executor._decode_plan(mc)
+        needed, emitted, exact = executor._decode_plan(mc)
         assert "note" in needed               # filter column
         assert "movie_id" in needed           # join column
-        assert all(name.startswith("mc.") for name in q_projection)
+        assert emitted == (needed if exact else mc.projection)
+        assert executor._decode_plan(mc) is executor._decode_plan(mc)
 
 
 class TestRun:

@@ -2,8 +2,10 @@
 
 The columnar indexed join walks the LSM once per distinct join key and
 replays the recorded :class:`~repro.lsm.store.ReadTrace` for every
-repeat, a run of one key in one call that stops touching the cache once
-the next replay is provably the last one again (``docs/engine.md``).
+repeat.  A call queues its runs of one key on one
+:class:`~repro.lsm.store.Replays`, which sends only what can change the
+cache through it (``docs/engine.md``), and gathers its rows from the
+memo's record pool, decoded once per column.
 Nothing observable may change: rows, the full :class:`WorkCounters`
 dict and the block cache's final LRU order, hit and miss counts must
 equal the row-at-a-time reference (``tests/rowref.py``), which really
@@ -24,8 +26,9 @@ from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columns import ColumnBatch
@@ -37,13 +40,15 @@ from repro.lsm.cache import BlockCache
 from repro.lsm.column_family import KVDatabase
 from repro.lsm.snapshot import SharedState, SnapshotView
 from repro.lsm.sstable import INDEX_BLOCK
-from repro.lsm.store import LSMTree, ReadStats, ReadTrace, WriteBatch
+from repro.lsm.store import LSMTree, ReadStats, ReadTrace, Replays, WriteBatch
 from repro.query.ast import ColumnRef, Comparison, Literal
 from repro.query.logical import JoinEdge
 from repro.query.physical import JoinAlgorithm, TableAccess
 from repro.relational.catalog import Catalog
+from repro.relational.encoding import RecordCodec
 from repro.relational.schema import TableSchema, char_col, int_col
 from repro.relational.snapshot_table import SnapshotCatalog
+from repro.relational.table import SeekMemo
 from repro.storage.flash import FlashDevice
 from repro.storage.topology import Topology
 from tests.conftest import small_lsm_config
@@ -305,6 +310,120 @@ def test_replaying_a_run_equals_replaying_it_seek_by_seek(
     assert _cache_facts(at_once.cache) == _cache_facts(one_by_one.cache)
 
 
+def _seek(stats, blocks, comparisons, sizes):
+    """A stand-in seek: a fixed static charge, then its block touches,
+    charged as ``SSTable`` charges them."""
+    stats.key_comparisons += comparisons
+    stats.bloom_probes += 1
+    for block_id in blocks:
+        key, nbytes = _touch(block_id, sizes)
+        if stats.cache is not None and stats.cache.access(key, nbytes):
+            stats.cache_hits += 1
+        elif key[0] == INDEX_BLOCK:
+            stats.index_blocks_read += 1
+            stats.bytes_read += nbytes
+        else:
+            stats.data_blocks_read += 1
+            stats.bytes_read += nbytes
+
+
+@given(seeks=st.lists(st.tuples(_TOUCH_KEYS, st.integers(0, 5)),
+                      min_size=1, max_size=4),
+       ops=st.lists(st.tuples(st.sampled_from(["run", "run", "walk"]),
+                              st.integers(min_value=0, max_value=3),
+                              st.integers(min_value=0, max_value=20)),
+                    min_size=1, max_size=12),
+       sizes=st.lists(st.integers(min_value=1, max_value=5),
+                      min_size=8, max_size=8),
+       capacity=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+       warmth=st.sampled_from(["cold", "warm", "foreign"]))
+@settings(max_examples=300, deadline=None)
+def test_queued_runs_equal_replaying_each_run_and_each_seek(
+        seeks, ops, sizes, capacity, warmth):
+    # What ``_seek_all`` does with one call's runs: queue them on one
+    # ``Replays``, flushed before every walk that interrupts them.  It
+    # must charge, field for field, and leave the LRU exactly as one
+    # ``replay(stats, times)`` per run does, and as seeking every time.
+    def prepared():
+        cache = None if capacity is None else BlockCache(capacity)
+        stats = ReadStats(cache=cache)
+        traces = []
+        for blocks, comparisons in seeks:
+            with ReadTrace(stats) as trace:
+                _seek(stats, blocks, comparisons, sizes)
+            traces.append(trace)
+        if cache is not None and warmth == "cold":
+            cache = BlockCache(capacity)
+        elif cache is not None and warmth == "foreign":
+            for block_id in range(4, 12):
+                cache.access(*_touch(block_id, sizes * 2))
+        return traces, ReadStats(cache=cache)
+
+    def seek(stats, i):
+        _seek(stats, *seeks[i % len(seeks)], sizes)
+
+    traces, queued = prepared()
+    replays = Replays(queued)
+    for kind, i, times in ops:
+        if kind == "walk":
+            replays.flush()
+            seek(queued, i)
+        else:
+            replays.add(traces[i % len(traces)], times)
+    replays.flush()
+
+    traces, by_run = prepared()
+    for kind, i, times in ops:
+        if kind == "walk":
+            seek(by_run, i)
+        else:
+            traces[i % len(traces)].replay(by_run, times)
+
+    _traces, by_seek = prepared()
+    for kind, i, times in ops:
+        for _ in range(1 if kind == "walk" else times):
+            seek(by_seek, i)
+
+    assert queued == by_run == by_seek      # every ReadStats field
+    assert (_cache_facts(queued.cache) == _cache_facts(by_run.cache)
+            == _cache_facts(by_seek.cache))
+
+
+@pytest.mark.parametrize("capacity, passes", [(5, 1), (4, 2)])
+def test_a_trace_fits_when_its_distinct_blocks_do(capacity, passes):
+    # Blocks 1, 2, 1: five distinct bytes, though the touches sum to
+    # seven.  A cache of exactly five holds the trace, so a run is one
+    # pass through the cache (rule 1); one byte less and the run is
+    # replayed until the LRU state repeats (rule 2).
+    sizes = [1, 2, 3, 1, 1, 1, 1, 1]
+    blocks = [1, 2, 1]
+    calls = Counter()
+    access_all = BlockCache.access_all
+
+    def counting(self, touches):
+        calls["access_all"] += 1
+        return access_all(self, touches)
+
+    def warmed():
+        cache = BlockCache(capacity)
+        for block_id in (5, 6, 7):
+            cache.access(*_touch(block_id, sizes))
+        return ReadStats(cache=cache)
+
+    recorder = ReadStats(cache=BlockCache(capacity))
+    with ReadTrace(recorder) as trace:
+        _seek(recorder, blocks, 3, sizes)
+    assert trace.fits == 5 and trace.nbytes == 7
+    queued, by_seek = warmed(), warmed()
+    with mock.patch.object(BlockCache, "access_all", counting):
+        trace.replay(queued, times=10)
+    for _ in range(10):
+        _seek(by_seek, blocks, 3, sizes)
+    assert calls["access_all"] == passes
+    assert queued == by_seek
+    assert _cache_facts(queued.cache) == _cache_facts(by_seek.cache)
+
+
 # ----------------------------------------------------------------------
 # The snapshot memo, shared by every command at one set of tree versions
 # ----------------------------------------------------------------------
@@ -486,8 +605,88 @@ def test_memoised_traces_do_not_pin_the_recording_cache():
                  input_rows=ColumnBatch.from_rows(
                      [{"o.n": 0, "o.key": 3}], names=["o.n", "o.key"]),
                  input_row_bytes=16, input_aliases=("o",))
-    assert snapshot.table("inner").seek_memo("k")       # a trace is kept
+    assert snapshot.table("inner").seek_memo("k").spans     # a trace is kept
     cache = weakref.ref(executor.block_cache)
     del executor
     gc.collect()
     assert cache() is None
+
+
+@pytest.mark.parametrize("write", sorted(_WRITES))
+def test_the_pool_is_dropped_with_its_memo(write):
+    # The memo store keeps one version per key: once a seek at the new
+    # versions asks for the memo, the old one — record pool and decoded
+    # columns with it — is no longer reachable from any table.
+    database, catalog, table = _stale_table()
+
+    def memo(state):
+        return SnapshotCatalog(catalog, state, {"inner"}).table(
+            "inner").seek_memo("k")
+
+    before = SharedState.capture(database, table.column_families())
+    first = _device_joins(catalog, before, bloom=False)
+    pooled = memo(before)
+    assert pooled.records and pooled.gather(["note"], "i", [0]).rows()
+    _WRITES[write](catalog, table)
+    after = SharedState.capture(database, table.column_families())
+    _device_joins(catalog, after, bloom=False)
+    assert memo(after) is not pooled and memo(after).records
+    again = memo(before)                # replaces the newer one in turn
+    assert again is not pooled and not again.records and not again.spans
+    assert _device_joins(catalog, before, bloom=False) == first
+
+
+# ----------------------------------------------------------------------
+# The record pool: decoded once per column, gathered per call
+# ----------------------------------------------------------------------
+
+_POOLED = TableSchema(
+    "pooled",
+    (int_col("id", False), int_col("n"), char_col("s", 6), char_col("t", 3)),
+    "id")
+#: Multi-byte characters a CHAR(3) cuts in half, and trailing blanks.
+_TEXT = st.one_of(st.none(), st.text(alphabet="aé日 z", max_size=4))
+_POOL_ROW = st.fixed_dictionaries({
+    "n": st.one_of(st.none(), st.integers(min_value=-5, max_value=5)),
+    "s": _TEXT, "t": _TEXT})
+
+
+@given(rows=st.lists(_POOL_ROW, max_size=30),
+       steps=st.lists(st.tuples(
+           st.integers(min_value=0, max_value=8),
+           st.lists(st.sampled_from(["id", "n", "s", "t"]), unique=True,
+                    min_size=1),
+           st.sampled_from(["a", "b"]),
+           st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                    max_size=12)),
+           min_size=1, max_size=6))
+@example(    # the first NULL of a column arrives after its first decode
+    rows=[{"n": 1, "s": "ab", "t": "日"}, {"n": None, "s": None, "t": None}],
+    steps=[(1, ["n", "s", "t"], "a", [0]), (1, ["t", "n"], "b", [0, 1, 0])])
+@settings(max_examples=150, deadline=None)
+def test_pooled_columns_equal_a_fresh_decode(rows, steps):
+    # Stages with other projections and aliases gather from one pool
+    # between the seeks that grow it; each gather must equal decoding
+    # the gathered records afresh, NULLs and cut characters included.
+    codec = RecordCodec(_POOLED)
+    raws = [codec.encode(dict(row, id=i)) for i, row in enumerate(rows)]
+    memo = SeekMemo(codec)
+    for grow, names, alias, picks in steps:
+        start = len(memo.records)
+        memo.add(len(memo.spans), None, raws[start:start + grow])
+        size = len(memo.records)
+        picked = np.array([pick % size for pick in picks] if size else [],
+                          dtype=np.intp)
+        got = memo.gather(names, alias, picked)
+        want = codec.batch_projector(names, alias)(
+            [memo.records[i] for i in picked.tolist()])
+        assert got.schema == want.schema
+        for name in want.schema:
+            (got_values, got_mask), (want_values, want_mask) = (
+                got.column(name), want.column(name))
+            assert got_values.dtype.kind == want_values.dtype.kind
+            assert got_values.tolist() == want_values.tolist()
+            none = np.zeros(len(picked), dtype=bool)
+            assert ((none if got_mask is None else got_mask).tolist()
+                    == (none if want_mask is None else want_mask).tolist())
+        assert got.rows() == want.rows()
