@@ -59,6 +59,7 @@ from repro.cluster.partition import Partitioner
 from repro.engine.cooperative import CooperativeExecutor
 from repro.engine.counters import WorkCounters
 from repro.engine.ndp import NDPEngine
+from repro.engine.pipeline import gather_fragments
 from repro.engine.results import ExecutionReport, TimelinePhase
 from repro.engine.timing import ExecutionLocation, TimingModel
 from repro.errors import (DeadlineExceededError, DeviceOverloadError,
@@ -431,7 +432,9 @@ class ScatterGatherExecutor:
         prepared = attempt.prepared
         part.device = attempt.device_index
         part.placement = f"H{part.split_index}@d{attempt.device_index}"
-        part.rows = ColumnBatch.concat(sim.joined_rows)
+        part.rows = gather_fragments(sim.joined_rows,
+                                     state.plan.select_items,
+                                     state.plan.group_by)
         part.completed_at = now
         part.host_counters = sim.host_counters
         part.device_counters = prepared.execution.counters
@@ -749,7 +752,9 @@ class ScatterGatherExecutor:
         kernel = state.kernel
         partitions = state.partitions
         # Partition order => deterministic gather-merge of the batches.
-        merged_rows = ColumnBatch.concat([part.rows for part in partitions])
+        merged_rows = gather_fragments([part.rows for part in partitions],
+                                       state.plan.select_items,
+                                       state.plan.group_by)
         merge_counters = WorkCounters()
         result = cluster.host.finalize_fragment(state.plan, merged_rows,
                                                 merge_counters)

@@ -8,6 +8,23 @@ dicts; :meth:`ColumnBatch.rows` is the compatibility view that restores
 the dict-row surface (gather-merge diffing, fuzz corpora, report row
 samples) with plain Python values.
 
+Late materialisation
+--------------------
+A batch holds its columns as a few *bases* — dicts of ``(values,
+mask)`` arrays decoded once, such as a filtered driving table, a scan
+join's decoded inner side or a seek memo's record pool — plus one
+``intp`` index vector per base (``None``: the base's rows as they
+are).  Each column name maps to the base it comes from.  Deriving a
+batch (:meth:`~ColumnBatch.take`, :meth:`~ColumnBatch.select`, slicing)
+composes one index vector per base, and :meth:`~ColumnBatch.project` /
+:meth:`~ColumnBatch.merged` only re-map names; a column is gathered,
+``values[index]``, when :meth:`~ColumnBatch.column` first reads it, and
+kept in the batch.  So a join stage that reads one key column gathers
+that column, not the width of every row it joined.  No caller writes
+into a batch's arrays or into an index vector it passed; a base may
+grow past the rows its index vectors reach (a seek memo's pool does),
+never below.
+
 Dtype conventions
 -----------------
 INT columns decode to ``int64`` arrays, CHAR columns to numpy unicode
@@ -29,17 +46,37 @@ class ColumnBatch:
     """A schema-tagged batch of column arrays (the operator exchange type).
 
     Construction goes through the classmethods (:meth:`from_columns`,
-    :meth:`from_rows`, :meth:`empty`, :meth:`concat`); operators derive
-    new batches with :meth:`select` / :meth:`take` / :meth:`project` /
-    :meth:`merged` and slicing.
+    :meth:`from_rows`, :meth:`over`, :meth:`empty`, :meth:`concat`);
+    operators derive new batches with :meth:`select` / :meth:`take` /
+    :meth:`project` / :meth:`merged` and slicing.
     """
 
-    __slots__ = ("_names", "_cols", "_length")
+    __slots__ = ("_names", "_source", "_bases", "_index", "_cols",
+                 "_length")
 
     def __init__(self, names, cols, length):
+        """A batch of the columns ``cols`` (``{name: (values, mask)}``),
+        all ``length`` long: one base, read as it is."""
         self._names = tuple(names)
-        self._cols = cols          # name -> (values ndarray, mask|None)
+        self._source = dict.fromkeys(self._names, 0)
+        self._bases = (cols,)
+        self._index = (None,)
+        self._cols = cols          # name -> gathered (values, mask|None)
         self._length = length
+
+    @classmethod
+    def _late(cls, names, source, bases, index, length, cols=None):
+        """A batch of ``names`` whose column ``name`` is row ``index[i]``
+        of base ``bases[i]``, ``i = source[name]``; ``cols`` holds the
+        columns already gathered at these indices."""
+        batch = cls.__new__(cls)
+        batch._names = names
+        batch._source = source
+        batch._bases = bases
+        batch._index = index
+        batch._cols = {} if cols is None else cols
+        batch._length = length
+        return batch
 
     # ------------------------------------------------------------------
     # Constructors
@@ -56,7 +93,19 @@ class ColumnBatch:
                                          and len(mask) != length):
                 raise ReproError(
                     f"column {name!r}: array length does not match batch")
-        return cls(names, dict(cols), length)
+        return cls(names, {name: cols[name] for name in names}, length)
+
+    @classmethod
+    def over(cls, cols, index):
+        """The rows ``index`` of the columns ``cols``, gathered when read.
+
+        ``cols`` maps each name, in schema order, to ``(values, mask)``
+        arrays that every entry of ``index`` lies within.
+        """
+        index = np.asarray(index, dtype=np.intp)
+        names = tuple(cols)
+        return cls._late(names, dict.fromkeys(names, 0), (cols,), (index,),
+                         len(index))
 
     @classmethod
     def empty(cls):
@@ -103,6 +152,7 @@ class ColumnBatch:
 
         Zero-row batches are skipped; all non-empty inputs must share
         one schema.  An all-empty input keeps the first batch's schema.
+        Each column of each input is gathered once.
         """
         batches = list(batches)
         live = [batch for batch in batches if len(batch)]
@@ -119,15 +169,15 @@ class ColumnBatch:
         length = sum(len(batch) for batch in live)
         cols = {}
         for name in names:
-            values = np.concatenate([batch._cols[name][0] for batch in live])
-            if any(batch._cols[name][1] is not None for batch in live):
-                mask = np.concatenate(
-                    [batch._cols[name][1] if batch._cols[name][1] is not None
-                     else np.zeros(len(batch), dtype=bool)
-                     for batch in live])
-            else:
+            parts = [batch.column(name) for batch in live]
+            masks = [part[1] for part in parts]
+            if all(mask is None for mask in masks):
                 mask = None
-            cols[name] = (values, mask)
+            else:
+                mask = np.concatenate(
+                    [np.zeros(len(values), dtype=bool) if part_mask is None
+                     else part_mask for (values, part_mask) in parts])
+            cols[name] = (np.concatenate([part[0] for part in parts]), mask)
         return cls(names, cols, length)
 
     # ------------------------------------------------------------------
@@ -146,19 +196,29 @@ class ColumnBatch:
 
     def has_column(self, name):
         """Whether the batch carries the named column."""
-        return name in self._cols
+        return name in self._source
 
     def column(self, name):
-        """``(values, mask)`` arrays of one column.
+        """``(values, mask)`` arrays of one column, gathered on first read.
 
         Raises :class:`~repro.errors.PlanError` like
         :meth:`repro.query.ast.ColumnRef.eval` does on an unbound key.
         """
+        column = self._cols.get(name)
+        if column is not None:
+            return column
         try:
-            return self._cols[name]
+            position = self._source[name]
         except KeyError:
             raise PlanError(
                 f"column {name!r} not bound in batch") from None
+        values, mask = self._bases[position][name]
+        index = self._index[position]
+        if index is not None:
+            values = values[index]
+            mask = None if mask is None else mask[index]
+        column = self._cols[name] = (values, mask)
+        return column
 
     def column_list(self, name):
         """One column as a Python list with ``None`` at null slots."""
@@ -168,13 +228,6 @@ class ColumnBatch:
             for i in np.flatnonzero(mask).tolist():
                 result[i] = None
         return result
-
-    def column_list_or_none(self, name):
-        """Like :meth:`column_list`, all-``None`` for a missing column
-        (the ``row.get(name)`` compatibility semantics)."""
-        if name not in self._cols:
-            return [None] * self._length
-        return self.column_list(name)
 
     # ------------------------------------------------------------------
     # Derivation
@@ -186,25 +239,32 @@ class ColumnBatch:
         a batch's arrays, so a selection may share them.
         """
         mask = np.asarray(mask, dtype=bool)
-        length = int(np.count_nonzero(mask))
-        if length == self._length:
+        if int(np.count_nonzero(mask)) == self._length:
             return self
-        cols = {name: (values[mask],
-                       None if m is None else m[mask])
-                for name, (values, m) in self._cols.items()}
-        return ColumnBatch(self._names, cols, length)
+        return self.take(np.flatnonzero(mask))
 
     def take(self, indices):
-        """Rows at ``indices`` (repeats allowed), in index order."""
+        """Rows at ``indices`` (repeats allowed), in index order: one
+        index composition per base, no column gathered."""
         idx = np.asarray(indices, dtype=np.intp)
-        cols = {name: (values[idx], None if m is None else m[idx])
-                for name, (values, m) in self._cols.items()}
-        return ColumnBatch(self._names, cols, len(idx))
+        return ColumnBatch._late(
+            self._names, self._source, self._bases,
+            tuple([idx if index is None else index[idx]
+                   for index in self._index]),
+            len(idx))
 
     def project(self, names):
         """Subset/reorder to the named columns."""
-        cols = {name: self.column(name) for name in names}
-        return ColumnBatch(tuple(names), cols, self._length)
+        names = tuple(names)
+        try:
+            source = {name: self._source[name] for name in names}
+        except KeyError as missing:
+            raise PlanError(f"column {missing.args[0]!r} not bound in "
+                            f"batch") from None
+        cached = self._cols
+        cols = {name: cached[name] for name in names if name in cached}
+        return self._rebased(names, source, self._bases, self._index,
+                             cols)
 
     def merged(self, other):
         """Horizontal merge with ``dict.update`` semantics.
@@ -216,19 +276,58 @@ class ColumnBatch:
         if len(other) != self._length:
             raise ReproError("merged() needs batches of equal length")
         names = list(self._names)
-        cols = dict(self._cols)
+        source = dict(self._source)
+        cached = self._cols
+        cols = {name: cached[name] for name in self._names
+                if name in cached}
+        shift = len(self._bases)
         for name in other._names:
-            if name not in cols:
+            if name not in source:
                 names.append(name)
-            cols[name] = other._cols[name]
-        return ColumnBatch(tuple(names), cols, self._length)
+            source[name] = other._source[name] + shift
+            column = other._cols.get(name)
+            if column is None:
+                cols.pop(name, None)
+            else:
+                cols[name] = column
+        return self._rebased(tuple(names), source,
+                             self._bases + other._bases,
+                             self._index + other._index, cols)
+
+    def _rebased(self, names, source, bases, index, cols):
+        """A batch of ``names`` over the bases some name still reads."""
+        used = set(source.values())
+        if len(used) < len(bases):
+            position = {old: new for new, old in enumerate(sorted(used))}
+            source = {name: position[old] for name, old in source.items()}
+            bases = tuple(bases[old] for old in position)
+            index = tuple(index[old] for old in position)
+        return ColumnBatch._late(names, source, bases, index, self._length,
+                                 cols)
+
+    def materialized(self):
+        """This batch with every column gathered, as one base: it keeps
+        no other row or column of the bases it was derived from."""
+        return ColumnBatch(self._names,
+                           {name: self.column(name) for name in self._names},
+                           self._length)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            length = len(range(*item.indices(self._length)))
-            cols = {name: (values[item], None if m is None else m[item])
-                    for name, (values, m) in self._cols.items()}
-            return ColumnBatch(self._names, cols, length)
+            rows = range(*item.indices(self._length))
+            identity = None
+            index = []
+            for base_index in self._index:
+                if base_index is None:
+                    if identity is None:
+                        identity = np.arange(rows.start, rows.stop,
+                                             rows.step, dtype=np.intp)
+                    base_index = identity
+                else:
+                    base_index = base_index[item]
+                index.append(base_index)
+            return ColumnBatch._late(self._names, self._source, self._bases,
+                                     tuple(index), len(rows))
         return self.row_at(int(item))
 
     # ------------------------------------------------------------------
@@ -238,11 +337,14 @@ class ColumnBatch:
         """One row as a dict (schema key order, Python values)."""
         row = {}
         for name in self._names:
-            values, mask = self._cols[name]
-            if mask is not None and mask[index]:
+            position = self._source[name]
+            values, mask = self._bases[position][name]
+            base_index = self._index[position]
+            at = index if base_index is None else base_index[index]
+            if mask is not None and mask[at]:
                 row[name] = None
             else:
-                value = values[index]
+                value = values[at]
                 row[name] = value.item() if isinstance(value, np.generic) \
                     else value
         return row

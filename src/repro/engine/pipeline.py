@@ -306,6 +306,8 @@ def _spans(first, count):
 
 #: The span of a NULL key's run: it seeks nothing and matches nothing.
 _NO_SPAN = (None, 0, 0)
+#: Runs of one key :meth:`PipelineExecutor._seek_all` visits at a time.
+_RUN_SLICE = 1 << 16
 
 
 def _constant_keys(values):
@@ -434,15 +436,12 @@ class PipelineExecutor:
         return held[1]
 
     def _index_join_plan(self, entry):
-        """(outer key, extra edges, their columns, inner ones) of an
-        indexed join entry.
+        """(outer key, extra edges, their columns) of an indexed join
+        entry.
 
         The first join edge on the index column is sought with the
         outer's ``outer key`` column; the other edges are checked on
-        each matched pair.  Their qualified columns are listed, and
-        ``inner ones`` are this entry's columns among them that the
-        stage emits — an inner column the stage does not emit fails its
-        edge, as in the row engine's merged row.
+        each matched pair.  Their qualified columns are listed.
         """
         held = self._plans.get(("index", id(entry)))
         if held is None:
@@ -462,11 +461,7 @@ class PipelineExecutor:
                               for alias, column in (
                                   (edge.left_alias, edge.left_column),
                                   (edge.right_alias, edge.right_column))})
-            _needed, emitted, _exact = self._decode_plan(entry)
-            inner = [column for column in emitted
-                     if f"{entry.alias}.{column}" in columns]
-            plan = (f"{other_alias}.{other_column}", extra_edges, columns,
-                    inner)
+            plan = f"{other_alias}.{other_column}", extra_edges, columns
             held = self._plans[("index", id(entry))] = entry, plan
         return held[1]
 
@@ -532,7 +527,9 @@ class PipelineExecutor:
                                    for name in emitted])
         counters.absorb_read_stats(stats)
         self._row_bytes[entry.alias] = row_bytes
-        return batch, row_bytes
+        # The driving base holds the filtered projection alone, so no
+        # later stage keeps the scanned table or a seek pool alive.
+        return batch.materialized(), row_bytes
 
     def _index_constants(self, entry):
         """Constants bound to the driving entry's index column."""
@@ -620,44 +617,51 @@ class PipelineExecutor:
                                                     stats=stats))
         memo = table.seek_memo(column)
         n = len(values)
-        breaks = np.ones(n, dtype=bool)
-        breaks[1:] = values[1:] != values[:-1]
+        if not n:
+            empty = np.zeros(0, dtype=np.intp)
+            return memo, empty, empty
+        breaks = np.ones(n + 1, dtype=bool)
+        breaks[1:n] = values[1:] != values[:-1]
         if null is not None:
-            breaks[1:] |= null[1:] != null[:-1]
-        starts = breaks.nonzero()[0]
-        bounds = starts.tolist()
-        bounds.append(n)
-        lengths = [end - start for start, end in zip(bounds, bounds[1:])]
-        nulls = ([False] * len(lengths) if null is None
-                 else null[starts].tolist())
+            breaks[1:n] |= null[1:] != null[:-1]
+        bounds = breaks.nonzero()[0]        # the runs' starts, then n
+        starts = bounds[:-1]
+        lengths = bounds[1:] - starts
+        firsts = np.zeros(len(starts), dtype=np.intp)   # per run: its span
+        counts = np.zeros(len(starts), dtype=np.intp)
         spans = memo.spans
         replays = Replays(stats)
-        picked = []         # per run: its value's span
-        for value, length, is_null in zip(values[starts].tolist(), lengths,
-                                          nulls):
-            if is_null:
-                picked.append(_NO_SPAN)
-                continue
-            span = spans.get(value)
-            if span is None:
-                replays.flush()
-                with ReadTrace(stats) as trace:
-                    found = seek(value)
-                span = memo.add(value, trace, found)
-                length -= 1
-            replays.add(span[0], length)
-            picked.append(span)
+        # Runs are visited a slice at a time, so the Python objects of a
+        # long outer's runs are never all alive at once.
+        for lo in range(0, len(starts), _RUN_SLICE):
+            at = starts[lo:lo + _RUN_SLICE]
+            run_lengths = lengths[lo:lo + _RUN_SLICE].tolist()
+            nulls = ([False] * len(at) if null is None
+                     else null[at].tolist())
+            picked = []
+            for value, length, is_null in zip(values[at].tolist(),
+                                              run_lengths, nulls):
+                if is_null:
+                    picked.append(_NO_SPAN)
+                    continue
+                span = spans.get(value)
+                if span is None:
+                    replays.flush()
+                    with ReadTrace(stats) as trace:
+                        found = seek(value)
+                    span = memo.add(value, trace, found)
+                    length -= 1
+                replays.add(span[0], length)
+                picked.append(span)
+            _traces, run_firsts, run_counts = zip(*picked)
+            firsts[lo:lo + len(at)] = run_firsts
+            counts[lo:lo + len(at)] = run_counts
         replays.flush()
         self.counters.index_seeks += n if null is None else n - int(
             null.sum())
-        if not picked:
-            empty = np.zeros(0, dtype=np.intp)
-            return memo, empty, empty
-        _traces, firsts, counts = zip(*picked)
-        row_count = np.array(counts, dtype=np.intp).repeat(lengths)
+        row_count = counts.repeat(lengths)
         outer_idx = np.arange(n, dtype=np.intp).repeat(row_count)
-        inner_idx = _spans(np.array(firsts, dtype=np.intp).repeat(lengths),
-                           row_count)
+        inner_idx = _spans(firsts.repeat(lengths), row_count)
         return memo, outer_idx, inner_idx
 
     def _join_bnlji(self, outer, outer_row_bytes, entry):
@@ -666,13 +670,13 @@ class PipelineExecutor:
         Every matched pair is charged, but the inner's records are
         decoded once per seek memo and filtered once per distinct
         record of the call; extra join edges are checked on the edge
-        columns alone, and each output column is gathered once.
+        columns alone, and the output is late-bound over the outer's
+        bases and the memo's pool.
         """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = self._predicate_cost(entry.local_filter)
         needed, emitted, _exact = self._decode_plan(entry)
-        outer_key, extra_edges, edge_columns, inner_edges = (
-            self._index_join_plan(entry))
+        outer_key, extra_edges, edge_columns = self._index_join_plan(entry)
         alias = entry.alias
 
         stats = self._stats()
@@ -698,16 +702,16 @@ class PipelineExecutor:
             keep = passed[inner_idx]
             outer_idx = outer_idx[keep]
             inner_idx = inner_idx[keep]
+        inner = memo.gather(emitted, alias, inner_idx)
         if extra_edges:
             keep = _edge_mask(
                 extra_edges,
                 outer.project([name for name in edge_columns
                                if outer.has_column(name)]).take(outer_idx),
-                memo.gather(inner_edges, alias, inner_idx))
+                inner)
             outer_idx = outer_idx[keep]
-            inner_idx = inner_idx[keep]
-        result = outer.take(outer_idx).merged(
-            memo.gather(emitted, alias, inner_idx))
+            inner = inner.select(keep)
+        result = outer.take(outer_idx).merged(inner)
         counters.bytes_materialized += out_bytes * len(result)
         counters.absorb_read_stats(stats)
         counters.output_rows += len(result)
@@ -821,7 +825,8 @@ class PipelineExecutor:
                           side.rows[probe[probe_idx]], out_bytes)
 
     def _emit(self, outer, side, outer_idx, inner_idx, out_bytes):
-        """Gather the matched pairs into the stage's output batch."""
+        """The matched pairs as the stage's output batch, late-bound
+        over the outer's bases and the inner side's decoded batch."""
         result = outer.take(outer_idx).merged(side.batch.take(inner_idx))
         self.counters.bytes_materialized += out_bytes * len(result)
         self.counters.output_rows += len(result)
@@ -934,17 +939,46 @@ class PipelineExecutor:
         return max(4, entry.projection_bytes)
 
 
+def gather_fragments(batches, select_items, group_by):
+    """What :func:`finalize` reads of ``batches`` as one batch.
+
+    ``batches`` are a split's per-batch fragments or a cluster's
+    partitions.  Each is projected to the columns the select items and
+    group-by name — all of them for a ``SELECT *`` without aggregates —
+    then they are concatenated, so a column nothing reads is never
+    gathered.
+    """
+    if (group_by or any(item.aggregate for item in select_items)
+            or all(item.expr != "*" for item in select_items)):
+        names = [col.qualified for col in group_by]
+        names.extend(item.expr.qualified for item in select_items
+                     if item.expr != "*")
+        batches = [batch.project([name for name in dict.fromkeys(names)
+                                  if batch.has_column(name)])
+                   for batch in batches]
+    return ColumnBatch.concat(batches)
+
+
+def _column_list(batch, name):
+    """``batch.column_list(name)``; a missing column reads as all-``None``
+    (the row engine's ``row.get(name)``)."""
+    if not batch.has_column(name):
+        return [None] * len(batch)
+    return batch.column_list(name)
+
+
 def finalize(batch, select_items, group_by, counters, limit=None):
     """Final projection / aggregation / grouping stage.
 
     ``batch`` is a :class:`ColumnBatch` or a list of them (a split's
-    per-batch fragments — concatenated here).  Returns
+    per-batch fragments — see :func:`gather_fragments`).  Only the
+    columns the select items and group-by read are gathered.  Returns
     ``(result_rows, column_names)`` with plain-Python dict rows, and
     charges exactly what the row engine's epilogue
     (``tests/rowref.py``) does.
     """
     if not isinstance(batch, ColumnBatch):
-        batch = ColumnBatch.concat(batch)
+        batch = gather_fragments(batch, select_items, group_by)
     has_aggregates = any(item.aggregate for item in select_items)
     columns = [item.output_name for item in select_items]
     n = len(batch)
@@ -960,15 +994,14 @@ def finalize(batch, select_items, group_by, counters, limit=None):
                 columns = sorted(batch.schema)
             return output, columns
         value_lists = [(item.output_name,
-                        limited.column_list_or_none(item.expr.qualified))
+                        _column_list(limited, item.expr.qualified))
                        for item in select_items]
         output = [{name: values[i] for name, values in value_lists}
                   for i in range(len(limited))]
         counters.output_rows += len(output)
         return output, columns
 
-    key_lists = [batch.column_list_or_none(col.qualified)
-                 for col in group_by]
+    key_lists = [_column_list(batch, col.qualified) for col in group_by]
     counters.records_evaluated += n
     counters.hash_probes += n
     groups = {}
@@ -983,7 +1016,7 @@ def finalize(batch, select_items, group_by, counters, limit=None):
         if item.expr != "*":
             name = item.expr.qualified
             if name not in value_lists:
-                value_lists[name] = batch.column_list_or_none(name)
+                value_lists[name] = _column_list(batch, name)
 
     output = []
     for key, members in groups.items():

@@ -126,7 +126,14 @@ class SeekMemo:
     def gather(self, names, alias, rows):
         """The pooled records at ``rows`` as a batch of ``alias.name``
         columns, in ``names`` order — what ``batch_projector(names,
-        alias)`` decodes from those records."""
+        alias)`` decodes from those records.
+
+        The batch is late-bound over the pooled arrays
+        (:meth:`ColumnBatch.over`): a column is gathered when read.  A
+        pool only writes past the length these ``rows`` reach, or into
+        a fresh array when it grows or widens, so later seeks never
+        change what the batch reads.
+        """
         columns = self._columns
         end = len(self.records)
         stale = {}          # decoded length -> columns decoded that far
@@ -141,13 +148,9 @@ class SeekMemo:
                 self.records[start:end])
             for name in group:
                 columns[name].extend(*batch.column(name))
-        cols = {}
-        for name in names:
-            column = columns[name]
-            mask = column.mask
-            cols[f"{alias}.{name}"] = (
-                column.values[rows], None if mask is None else mask[rows])
-        return ColumnBatch(tuple(cols), cols, len(rows))
+        return ColumnBatch.over(
+            {f"{alias}.{name}": (columns[name].values, columns[name].mask)
+             for name in names}, rows)
 
 
 class _PooledColumn:

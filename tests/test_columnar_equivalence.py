@@ -13,6 +13,7 @@ differential harness sweeps); a JOB sample pins the hand-written
 workload too.
 """
 
+import tracemalloc
 from itertools import groupby
 from unittest import mock
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from repro.columns import ColumnBatch
 from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import PipelineConfig, PipelineExecutor, finalize
+from repro.engine.stacks import Stack
 from repro.lsm.cache import BlockCache
 from repro.lsm.store import ReadTrace
 from repro.query.ast import conjuncts
@@ -152,6 +154,28 @@ def test_17e_replays_grow_with_key_runs_not_with_seeks(job_env):
     assert traces and all(trace.fits <= big for trace in traces)
     assert 0 < counts["passes"] <= counts["calls"] + len(traces)
     assert counts["calls"] + len(traces) < counts["runs"]
+
+
+def test_25a_holds_index_vectors_not_gathered_columns(job_env):
+    # A memory guard that counts bytes instead of timing.  Under
+    # tracemalloc, 25a host-only here peaked 180.3 MiB above its start
+    # when every join stage gathered every carried column of both sides
+    # (commit d933530): its ci stage alone held 341 068 rows x 13
+    # columns.  Stages now compose one index vector per base and gather
+    # a column when something reads it; the peak is 45.4 MiB, most of
+    # it the ci seek's 1.84 M matched pairs.  The bound is a third of
+    # the eager peak.
+    sql = job_query("25a")
+    job_env.runner.plan(sql)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = job_env.runner.run(sql, Stack.NATIVE)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report.result.rows
+    assert peak <= 180.3 * 2 ** 20 / 3
 
 
 def test_result_values_are_plain_python(job_env):
