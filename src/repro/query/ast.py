@@ -4,6 +4,11 @@ Rows at evaluation time are dicts keyed by qualified column names
 (``alias.column``).  Comparisons follow SQL three-valued logic where it
 matters for JOB: any comparison with NULL is false, NOT LIKE over NULL is
 false, and IS [NOT] NULL tests nullness explicitly.
+
+``Expr.eval`` is the row-at-a-time statement of these semantics.  The
+engine and the planner's sampled estimator evaluate through
+:func:`repro.query.vectorized.eval_mask`; ``eval`` stays as the
+reference the tests hold it to.
 """
 
 import re

@@ -7,23 +7,36 @@ cardinality lowest.  Join selectivity uses the classical 1/max(NDV)
 formula over index-sample distinct counts.
 """
 
+import numpy as np
+
 from repro.errors import PlanError
+from repro.query.vectorized import eval_mask
 
 
-def qualify_row(alias, row):
-    """Present a sample row under its qualified column names."""
-    return {f"{alias}.{name}": value for name, value in row.items()}
+def sampled_selectivity(stats, alias, expr):
+    """Fraction of rows satisfying ``expr``, estimated over ``stats``'
+    reservoir sample.
+
+    ``expr`` names its columns ``alias.column``; it is evaluated by the
+    engine's own :func:`eval_mask` over the sample's columns, with
+    add-one smoothing.  An empty sample yields the MySQL-ish default of
+    0.1.
+    """
+    if not stats.sample:
+        return 0.1
+    columns = dict.fromkeys(ref.column for ref in expr.column_refs())
+    batch = stats.sample_batch(alias, columns)
+    matched = int(np.count_nonzero(eval_mask(expr, batch)))
+    return (matched + 1.0) / (len(batch) + 2.0)
 
 
 def filtered_cardinality(spec, catalog, alias):
     """(selectivity, rows) of one table after its local filter."""
-    table = catalog.table(spec.tables[alias])
-    stats = table.statistics
+    stats = catalog.table(spec.tables[alias]).statistics
     expr = spec.filter_for(alias)
     if expr is None:
         return 1.0, max(1, stats.row_count)
-    selectivity = stats.selectivity(
-        lambda row: expr.eval(qualify_row(alias, row)))
+    selectivity = sampled_selectivity(stats, alias, expr)
     return selectivity, stats.estimated_rows(selectivity)
 
 
@@ -41,22 +54,22 @@ def join_selectivity(spec, catalog, edge):
 def order_tables(spec, catalog):
     """Compute a left-deep join order.
 
-    Returns ``(ordered_aliases, base_cards, cumulative_cards)`` where
-    ``base_cards[alias]`` is the filtered cardinality of each table and
-    ``cumulative_cards[i]`` estimates the intermediate result after
-    joining the first ``i+1`` tables.
+    Returns ``(ordered_aliases, estimates, cumulative_cards)`` where
+    ``estimates[alias]`` is the ``(selectivity, rows)`` of each table
+    after its local filter (:func:`filtered_cardinality`, evaluated once
+    per alias) and ``cumulative_cards[i]`` estimates the intermediate
+    result after joining the first ``i+1`` tables.
     """
     aliases = spec.aliases
     if not aliases:
         raise PlanError("query references no tables")
 
-    base = {}
-    for alias in aliases:
-        _selectivity, rows = filtered_cardinality(spec, catalog, alias)
-        base[alias] = rows
+    estimates = {alias: filtered_cardinality(spec, catalog, alias)
+                 for alias in aliases}
+    base = {alias: rows for alias, (_selectivity, rows) in estimates.items()}
 
     if len(aliases) == 1:
-        return aliases, base, [base[aliases[0]]]
+        return aliases, estimates, [base[aliases[0]]]
 
     remaining = set(aliases)
     # Driving table: the connected table with the smallest filtered
@@ -92,4 +105,4 @@ def order_tables(spec, catalog):
         current = max(1.0, best_rows)
         cumulative.append(int(round(current)))
 
-    return order, base, cumulative
+    return order, estimates, cumulative

@@ -9,7 +9,12 @@ the columns that must survive each table's early projection.
 from dataclasses import dataclass, field
 
 from repro.errors import PlanError
-from repro.query.ast import (ColumnRef, Comparison, conjuncts, make_and)
+from repro.query.ast import (And, Between, ColumnRef, Comparison, Literal,
+                             Not, Or, conjuncts, make_and)
+from repro.relational.schema import DataType
+
+#: Comparisons that order their operands: INT against CHAR has no answer.
+_ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,10 @@ def _bind(expr, alias_columns):
     """Qualify unqualified ColumnRefs; returns a rewritten expression."""
     if isinstance(expr, ColumnRef):
         if expr.alias:
+            if expr.alias not in alias_columns:
+                raise PlanError(f"unknown table alias {expr.alias!r}")
+            if expr.column not in alias_columns[expr.alias]:
+                raise PlanError(f"unknown column {expr.qualified!r}")
             return expr
         owners = [alias for alias, columns in alias_columns.items()
                   if expr.column in columns]
@@ -120,6 +129,46 @@ def _bind(expr, alias_columns):
     raise PlanError(f"cannot bind expression of type {type(expr)}")
 
 
+def _operand_type(expr, tables, catalog):
+    """INT or CHAR for a column or a non-NULL literal, else None."""
+    if isinstance(expr, ColumnRef):
+        return catalog.table(tables[expr.alias]).schema.column(
+            expr.column).dtype
+    if not isinstance(expr, Literal) or expr.value is None:
+        return None
+    return DataType.CHAR if isinstance(expr.value, str) else DataType.INT
+
+
+def _check_ordering(expr, tables, catalog):
+    """Reject ``<``, ``<=``, ``>``, ``>=`` and ``BETWEEN`` between an INT
+    and a CHAR operand.
+
+    SQL gives them no answer, and the vectorized evaluator cannot order
+    an integer array against strings.  ``=``, ``!=`` and ``IN`` across
+    types stay legal: no value equals a value of the other type.
+    """
+    if isinstance(expr, (And, Or)):
+        for item in expr.items:
+            _check_ordering(item, tables, catalog)
+        return
+    if isinstance(expr, Not):
+        _check_ordering(expr.operand, tables, catalog)
+        return
+    if isinstance(expr, Comparison) and expr.op in _ORDERING_OPS:
+        pairs = [(expr.left, expr.right)]
+    elif isinstance(expr, Between):
+        pairs = [(expr.operand, expr.low), (expr.operand, expr.high)]
+    else:
+        return
+    for left, right in pairs:
+        left_type = _operand_type(left, tables, catalog)
+        right_type = _operand_type(right, tables, catalog)
+        if {left_type, right_type} == {DataType.INT, DataType.CHAR}:
+            raise PlanError(
+                f"cannot order {left} ({left_type.name}) against {right} "
+                f"({right_type.name}) in {expr}")
+
+
 def _is_join_conjunct(conjunct):
     """Detects ``a.x = b.y`` with distinct aliases."""
     return (isinstance(conjunct, Comparison) and conjunct.op == "="
@@ -146,6 +195,7 @@ def analyze(parsed, catalog, sql=""):
     where = parsed.where
     if where is not None:
         where = _bind(where, alias_columns)
+        _check_ordering(where, tables, catalog)
 
     select_items = []
     for item in parsed.select_items:

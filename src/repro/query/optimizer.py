@@ -7,8 +7,7 @@ resulting plan with offloading decisions; this module is deliberately the
 """
 
 from repro.query.ast import ColumnRef, Comparison, InList, conjuncts
-from repro.query.join_order import (filtered_cardinality, join_selectivity,
-                                    order_tables)
+from repro.query.join_order import join_selectivity, order_tables
 from repro.query.logical import analyze
 from repro.query.parser import parse_query
 from repro.query.physical import (AccessPath, JoinAlgorithm, QueryPlan,
@@ -57,14 +56,14 @@ def build_plan(sql_or_spec, catalog):
     else:
         spec = sql_or_spec
 
-    order, base_cards, cumulative = order_tables(spec, catalog)
+    order, estimates, cumulative = order_tables(spec, catalog)
 
     entries = []
     placed = []
     for position, alias in enumerate(order):
         table = catalog.table(spec.tables[alias])
         local_filter = spec.filter_for(alias)
-        selectivity, rows = filtered_cardinality(spec, catalog, alias)
+        selectivity, rows = estimates[alias]
         projection = spec.projections.get(alias, [])
         entry = TableAccess(
             alias=alias,

@@ -15,6 +15,7 @@ parentheses — exactly what the Join-Order Benchmark needs.
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ParseError
 from repro.query.ast import (Between, ColumnRef, Comparison, InList,
@@ -39,8 +40,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str
@@ -51,22 +51,26 @@ class Token:
 def tokenize(sql):
     """Tokenize SQL text; raises :class:`ParseError` on junk."""
     tokens = []
+    append = tokens.append
+    match_at = _TOKEN_RE.match
+    keywords = _KEYWORDS
     position = 0
-    while position < len(sql):
-        match = _TOKEN_RE.match(sql, position)
+    end = len(sql)
+    while position < end:
+        match = match_at(sql, position)
         if match is None:
             raise ParseError(f"unexpected character {sql[position]!r}",
                              position)
-        position = match.end()
-        if match.lastgroup == "ws":
-            continue
-        text = match.group()
         kind = match.lastgroup
-        if kind == "ident" and text.lower() in _KEYWORDS and "." not in text:
-            kind = "keyword"
-            text = text.lower()
-        tokens.append(Token(kind, text, match.start()))
-    tokens.append(Token("eof", "", len(sql)))
+        if kind != "ws":
+            text = match.group()
+            if (kind == "ident" and "." not in text
+                    and text.lower() in keywords):
+                kind = "keyword"
+                text = text.lower()
+            append(Token(kind, text, position))
+        position = match.end()
+    append(Token("eof", "", end))
     return tokens
 
 

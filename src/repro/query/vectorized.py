@@ -58,11 +58,10 @@ def _broadcast(raw, n):
 def _in_list(values, candidates):
     """Elementwise ``value in candidates`` with Python equality."""
     if values.dtype.kind == "i":
-        typed = [v for v in candidates
-                 if isinstance(v, int) and not isinstance(v, bool)]
+        typed = [v for v in candidates if isinstance(v, (int, float))]
         if not typed:
             return np.zeros(len(values), dtype=bool)
-        return np.isin(values, np.array(typed, dtype=np.int64))
+        return np.isin(values, np.array(typed))
     if values.dtype.kind in ("U", "S"):
         typed = [v for v in candidates if isinstance(v, str)]
         if not typed:

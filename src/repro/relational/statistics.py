@@ -7,11 +7,21 @@ imperfection is what Experiment 3 measures).  We mirror the approach: a
 bounded reservoir sample of rows per table, with per-column min/max and
 distinct counts; predicate selectivity is estimated by evaluating the
 predicate over the sample, with smoothing.
+
+The sample is kept as the dict rows it was fed and, for the estimator,
+as columns typed like the engine's decoded ones (``int64`` for INT,
+numpy unicode for CHAR, ``0`` / ``""`` filler flagged in a null mask).
+A column's arrays are built the first time an estimate reads it and
+dropped whenever :meth:`TableStatistics.observe_row` changes the
+sample, so every estimate sees the sample as it is.
 """
 
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.columns import ColumnBatch
 from repro.errors import SchemaError
 
 _DEFAULT_SAMPLE = 512
@@ -111,6 +121,7 @@ class TableStatistics:
         self.sample = []
         self.columns = {}
         self._rng = random.Random(seed)
+        self._sample_columns = {}    # column -> (values, mask) of ``sample``
 
     def observe_row(self, row):
         """Fold one row into counts, column stats, and the reservoir."""
@@ -125,8 +136,11 @@ class TableStatistics:
             self.sample.append(dict(row))
         else:
             slot = self._rng.randrange(self.row_count)
-            if slot < self.sample_size:
-                self.sample[slot] = dict(row)
+            if slot >= self.sample_size:
+                return
+            self.sample[slot] = dict(row)
+        if self._sample_columns:
+            self._sample_columns = {}
 
     def column(self, name):
         """Stats for one column (empty stats when never observed)."""
@@ -135,24 +149,38 @@ class TableStatistics:
     # ------------------------------------------------------------------
     # Selectivity estimation
     # ------------------------------------------------------------------
-    def selectivity(self, predicate):
-        """Estimate the fraction of rows satisfying ``predicate``.
+    def sample_batch(self, alias, columns):
+        """The sample as a :class:`ColumnBatch` of ``columns``, named
+        ``alias.column``.
 
-        ``predicate`` is a callable row -> bool, typically the compiled
-        WHERE fragment for this table.  Evaluation runs over the sample
-        with add-one smoothing; an empty sample yields the MySQL-ish
-        default of 0.1.
+        The arrays are shared with later calls until the sample changes;
+        a column no sampled row carries reads as all-NULL.
         """
-        if not self.sample:
-            return 0.1
-        matched = 0
-        for row in self.sample:
-            try:
-                if predicate(row):
-                    matched += 1
-            except (KeyError, TypeError):
-                continue
-        return (matched + 1.0) / (len(self.sample) + 2.0)
+        cols = {}
+        for name in columns:
+            column = self._sample_columns.get(name)
+            if column is None:
+                column = self._sample_column(name)
+                self._sample_columns[name] = column
+            cols[f"{alias}.{name}"] = column
+        return ColumnBatch(tuple(cols), cols, len(self.sample))
+
+    def _sample_column(self, name):
+        """``(values, mask)`` of one column over the sample."""
+        values = [row.get(name) for row in self.sample]
+        null = [value is None for value in values]
+        present = [value for value in values if value is not None]
+        if all(isinstance(value, int) for value in present):
+            arr = np.array([0 if value is None else value
+                            for value in values], dtype=np.int64)
+        elif all(isinstance(value, str) for value in present):
+            arr = np.array(["" if value is None else value
+                            for value in values], dtype=str)
+        else:
+            raise SchemaError(
+                f"{self.table_name}.{name}: sampled values mix types")
+        mask = np.array(null, dtype=bool) if any(null) else None
+        return arr, mask
 
     def equality_selectivity(self, column_name):
         """1/NDV estimate for ``column = const`` when no sample predicate

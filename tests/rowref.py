@@ -11,6 +11,12 @@ It is the equivalence baseline the columnar
 identical rows *and* identical :class:`WorkCounters`.
 
 It is not wired into any engine; production execution is columnar.
+
+:func:`row_sampled_selectivity` is the row-at-a-time estimator the
+columnar :func:`~repro.query.join_order.sampled_selectivity` replaced:
+``Expr.eval`` over each sampled dict row, presented under qualified
+names.  The estimator equivalence tests
+(tests/test_sampled_estimation.py) hold the two to float equality.
 """
 
 from repro.engine.pipeline import _POINTER_BYTES, predicate_cost, stable_hash
@@ -20,7 +26,8 @@ from repro.query.ast import ColumnRef, Comparison, InList, Literal, conjuncts
 from repro.query.physical import AccessPath, JoinAlgorithm
 from repro.relational.scan import ScanRequest
 
-__all__ = ["RowPipelineExecutor", "finalize_rows"]
+__all__ = ["RowPipelineExecutor", "finalize_rows",
+           "row_sampled_selectivity"]
 
 
 class RowPipelineExecutor:
@@ -565,3 +572,24 @@ def _aggregate(name, values, star, members):
     if name == "avg":
         return sum(values) / len(values)
     raise ExecutionError(f"unknown aggregate {name!r}")
+
+
+def qualify_row(alias, row):
+    """Present a sample row under its qualified column names."""
+    return {f"{alias}.{name}": value for name, value in row.items()}
+
+
+def row_sampled_selectivity(stats, alias, expr):
+    """Smoothed fraction of ``stats``' sampled rows satisfying ``expr``,
+    one ``Expr.eval`` per row; a row whose evaluation raises
+    ``KeyError`` or ``TypeError`` counts as non-matching."""
+    if not stats.sample:
+        return 0.1
+    matched = 0
+    for row in stats.sample:
+        try:
+            if expr.eval(qualify_row(alias, row)):
+                matched += 1
+        except (KeyError, TypeError):
+            continue
+    return (matched + 1.0) / (len(stats.sample) + 2.0)

@@ -6,8 +6,7 @@ import pytest
 from repro.errors import ParseError, StorageError
 from repro.lsm.iterator import live_entries, merge_sources
 from repro.lsm.memtable import TOMBSTONE
-from repro.query.join_order import (join_selectivity, order_tables,
-                                    qualify_row)
+from repro.query.join_order import join_selectivity, order_tables
 from repro.query.logical import analyze
 from repro.query.parser import parse_query
 from repro.storage.machines import DeviceSpec, HostSpec
@@ -16,9 +15,6 @@ from repro.storage.machines import DeviceSpec, HostSpec
 class TestJoinOrderInternals:
     def _spec(self, sql, catalog):
         return analyze(parse_query(sql), catalog, sql=sql)
-
-    def test_qualify_row(self):
-        assert qualify_row("t", {"a": 1}) == {"t.a": 1}
 
     def test_join_selectivity_uses_max_ndv(self, mini_catalog):
         spec = self._spec(
@@ -39,9 +35,10 @@ class TestJoinOrderInternals:
 
     def test_single_table_order(self, mini_catalog):
         spec = self._spec("SELECT t.id FROM title AS t", mini_catalog)
-        order, base, cumulative = order_tables(spec, mini_catalog)
+        order, estimates, cumulative = order_tables(spec, mini_catalog)
         assert order == ["t"]
-        assert cumulative == [base["t"]]
+        assert estimates["t"] == (1.0, 400)
+        assert cumulative == [400]
 
 
 class TestMachineSpecValidation:

@@ -44,6 +44,15 @@ class TestLogicalAnalysis:
         with pytest.raises(PlanError):
             self._spec("SELECT ghost FROM title AS t", mini_catalog)
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT t.ghost FROM title AS t",
+        "SELECT t.id FROM title AS t WHERE t.ghost < 5",
+        "SELECT t.id FROM title AS t WHERE x.title = 'a'",
+        "SELECT t.id FROM title AS t GROUP BY x.id"])
+    def test_unknown_qualified_column_rejected(self, mini_catalog, sql):
+        with pytest.raises(PlanError):
+            self._spec(sql, mini_catalog)
+
     def test_duplicate_alias_rejected(self, mini_catalog):
         with pytest.raises(PlanError):
             self._spec("SELECT t.id FROM title AS t, company_type AS t",

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.query.ast import ColumnRef, Comparison, IsNull, Literal
+from repro.query.join_order import sampled_selectivity
 from repro.relational.statistics import Histogram, TableStatistics
+
+V = ColumnRef("t", "v")
 
 
 def load_stats(values, column="v", sample_size=256):
@@ -105,16 +109,21 @@ class TestTableSelectivity:
 
     def test_predicate_selectivity_smoothed(self):
         stats = load_stats(range(100))
-        never = stats.selectivity(lambda row: False)
-        always = stats.selectivity(lambda row: True)
+        never = sampled_selectivity(stats, "t",
+                                    Comparison("<", V, Literal(0)))
+        always = sampled_selectivity(stats, "t", IsNull(V, negated=True))
         assert 0.0 < never < 0.05
         assert 0.95 < always < 1.0
 
     def test_selectivity_tolerates_bad_predicates(self):
+        # A column no sampled row carries reads as NULL: never matches.
         stats = load_stats(range(10))
-        sel = stats.selectivity(lambda row: row["missing"] > 1)
+        sel = sampled_selectivity(
+            stats, "t", Comparison(">", ColumnRef("t", "missing"),
+                                   Literal(1)))
         assert 0.0 < sel < 0.2
 
     def test_empty_sample_default(self):
         stats = TableStatistics("t")
-        assert stats.selectivity(lambda row: True) == 0.1
+        assert sampled_selectivity(stats, "t",
+                                   IsNull(V, negated=True)) == 0.1

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import CatalogError, SchemaError
 from repro.lsm.store import ReadStats
+from repro.query.ast import ColumnRef, Comparison, Literal
+from repro.query.join_order import sampled_selectivity
 from repro.relational.catalog import Catalog
 from repro.relational.scan import ScanRequest
 from repro.relational.schema import TableSchema, char_col, int_col
@@ -167,7 +169,8 @@ class TestCatalog:
 class TestStatistics:
     def test_selectivity_from_sample(self, people):
         stats = people.statistics
-        sel = stats.selectivity(lambda r: r["age"] == 30)
+        sel = sampled_selectivity(
+            stats, "p", Comparison("=", ColumnRef("p", "age"), Literal(30)))
         assert 0.2 < sel < 0.8
 
     def test_column_minmax(self, people):
