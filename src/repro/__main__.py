@@ -9,23 +9,23 @@
     python -m repro experiment fig11          # a paper figure/table/ablation
     python -m repro survey 1a 8c              # Fig-12/13 matrix (--all: 113)
     python -m repro chaos 1a 8c --seed 5      # fault-injection scenarios
-    python -m repro bench-concurrent --clients 1 4 8 --rate-qps 200
-    python -m repro bench-cluster --devices 1 2 4 8
-    python -m repro bench-adaptive            # re-planning regret bench
     python -m repro fuzz --queries 50 --seed 7     # differential fuzzing
+    python -m repro experiment concurrency    # client-scaling sweep
+    python -m repro experiment cluster        # device-count scaling sweep
+    python -m repro experiment adaptive       # re-planning regret bench
 
 All commands build the synthetic JOB environment (seeded, deterministic)
 from the global options, which go *before* the subcommand: ``--scale``
 (default 0.0004), ``--seed`` (the dataset seed) and ``--cache-dir`` (the
-on-disk workload cache).  The sweeps (survey, chaos, bench-*, fuzz) all
-take ``--output FILE`` and write it through one writer: the invocation's
-arguments beside the payload, keys sorted — so a sweep is proved
-deterministic by running it twice and ``cmp``-ing the two files, which
-is what CI does.  ``experiment`` prints its payload to stdout as JSON
-with sorted keys, so its two runs compare equal the same way.  A
-subcommand's own ``--seed`` is the *workload* seed:
-fault-plan seed for chaos, arrival/partitioner seed for
-bench-concurrent/bench-cluster, generator seed for fuzz.
+on-disk workload cache).  ``experiment`` runs one registered paper
+artifact or extension sweep at its fixed defaults and prints the payload
+to stdout as JSON with sorted keys — so a run is proved deterministic by
+running it twice and ``cmp``-ing the two outputs, which is what CI does.
+The sweeps that take more (survey, chaos, fuzz) write ``--output FILE``
+through one writer: the invocation's arguments beside the payload, keys
+sorted, so their two runs compare equal the same way.  A subcommand's
+own ``--seed`` is the *workload* seed: fault-plan seed for chaos,
+generator seed for fuzz.
 """
 
 import argparse
@@ -34,12 +34,10 @@ import os
 import sys
 
 from repro.bench import experiments as exp
-from repro.bench.adaptive import (DEFAULT_QUERIES as ADAPTIVE_QUERIES,
-                                  DEFAULT_ROUNDS, DEFAULT_SKEW,
-                                  adaptive_matrix)
+from repro.bench.adaptive import adaptive_matrix
 from repro.bench.chaos import SCENARIOS, chaos_matrix, generated_queries
-from repro.bench.cluster import DEFAULT_DEVICE_COUNTS, cluster_matrix
-from repro.bench.concurrency import DEFAULT_QUERIES, concurrency_matrix
+from repro.bench.cluster import cluster_matrix
+from repro.bench.concurrency import concurrency_matrix
 from repro.bench.fuzz import MODES, FuzzHarness, replay_failures, \
     write_corpus
 from repro.bench.parallel import sweep_job_matrix
@@ -79,6 +77,10 @@ _EXPERIMENTS = {
                    {"device_spec": enterprise_device()}),
     "join-algorithms": (exp.ablation_join_algorithms, {}),
     "groupby": (exp.ext_groupby_offload, {}),
+    # Extension sweeps (docs/concurrency.md, cluster.md, adaptivity.md).
+    "concurrency": (concurrency_matrix, {}),
+    "cluster": (cluster_matrix, {}),
+    "adaptive": (adaptive_matrix, {}),
 }
 
 #: The Fig-12 sample ``survey`` sweeps unless given names or ``--all``.
@@ -256,81 +258,6 @@ def cmd_chaos(args):
     return 0 if all(cell["ok"] for cell in cells) else 1
 
 
-def cmd_bench_concurrent(args):
-    env = _build_env(args)
-    matrix = concurrency_matrix(
-        env, query_names=args.queries, client_counts=args.clients,
-        think_time=args.think_time, repeat=args.repeat,
-        seed=args.workload_seed, rate_qps=args.rate_qps)
-    cells = [(f"closed/{clients}", summary)
-             for clients, summary in matrix["closed"].items()]
-    if matrix["open"] is not None:
-        cells.append((f"open/{args.rate_qps}", matrix["open"]))
-    rows = [[label, summary["queries"], ms(summary["makespan"]),
-             f"{summary['queries_per_second']:.1f}",
-             ms(summary["latency"]["p50"]), ms(summary["latency"]["p95"]),
-             ms(summary["latency"]["p99"]),
-             ", ".join(f"{name}={count}" for name, count
-                       in summary["placements"].items())]
-            for label, summary in cells]
-    print(format_table(
-        ["arrivals", "queries", "makespan", "queries/sec", "p50", "p95",
-         "p99", "placements"], rows,
-        title=f"concurrent workload (seed {args.workload_seed})"))
-    _write_output(args, matrix=matrix)
-    return 0
-
-
-def cmd_bench_adaptive(args):
-    env = _build_env(args)
-    summary = adaptive_matrix(
-        env, query_names=args.queries, rounds=args.rounds, skew=args.skew,
-        alpha=args.alpha, error_threshold=args.error_threshold)
-    rows = [[row["round"], ms(row["static_regret"]),
-             ms(row["adaptive_regret"]),
-             sum(cell["replans"] for cell in row["per_query"].values())]
-            for row in summary["rounds"]]
-    print(format_table(
-        ["round", "static regret", "adaptive regret", "replans"], rows,
-        title=f"adaptive re-planning regret (skew {args.skew}x)"))
-    totals = summary["totals"]
-    print(f"totals: static {ms(totals['static_regret'])}, adaptive "
-          f"{ms(totals['adaptive_regret'])}; "
-          f"beats_static={totals['adaptive_beats_static']}, "
-          f"converged={totals['regret_converged']}")
-    _write_output(args, summary=summary)
-    return 0 if (totals["adaptive_beats_static"]
-                 and totals["regret_converged"]) else 1
-
-
-def cmd_bench_cluster(args):
-    env = _build_env(args)
-    matrix = cluster_matrix(
-        env, device_counts=tuple(args.devices), query_names=args.queries,
-        partitioner=args.partitioner, seed=args.workload_seed,
-        clients=args.clients)
-    rows = []
-    for n_devices, summary in matrix["cells"].items():
-        latency = summary["scatter_gather"]["latency"]
-        speedup = summary["speedup"]
-        rows.append([
-            n_devices,
-            ms(latency["p50"]),
-            ms(latency["p95"]),
-            ms(summary["scatter_gather"]["total_time"]),
-            f"{speedup['scatter_gather']:.2f}x",
-            ms(summary["workload"]["makespan"]),
-            f"{speedup['workload']:.2f}x",
-        ])
-    print(format_table(
-        ["devices", "p50", "p95", "sweep total", "speedup",
-         "workload makespan", "speedup"], rows,
-        title=f"cluster scaling ({args.partitioner} partitioning, "
-              f"seed {args.workload_seed})"))
-    _write_output(args, matrix=matrix)
-    return 0
-
-
 def cmd_fuzz(args):
     args.modes = args.modes or list(MODES)
     modes = tuple(args.modes)
@@ -442,9 +369,9 @@ def build_parser():
                         help="write the arguments and the results as JSON")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", dest="workload_seed", type=int, default=0,
-                        help="workload seed: fault plan (chaos), arrivals "
-                             "and partitioner (bench-*), generator (fuzz); "
-                             "the dataset seed is the global --seed")
+                        help="workload seed: fault plan (chaos), "
+                             "generator (fuzz); the dataset seed is the "
+                             "global --seed")
 
     sub.add_parser("info").set_defaults(func=cmd_info)
     sub.add_parser("list-queries").set_defaults(func=cmd_list_queries)
@@ -475,8 +402,8 @@ def build_parser():
 
     experiment = sub.add_parser(
         "experiment",
-        help="one paper figure, table or ablation; prints its payload as "
-             "sorted-key JSON")
+        help="one paper figure, table, ablation or extension sweep; "
+             "prints its payload as sorted-key JSON")
     experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
     experiment.set_defaults(func=cmd_experiment)
 
@@ -508,67 +435,6 @@ def build_parser():
                        help="additionally chaos N random sqlgen queries "
                             "(seeded by --seed)")
     chaos.set_defaults(func=cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench-concurrent", parents=[output, seeded],
-        help="closed-loop client-scaling sweep on one shared device")
-    bench.add_argument("queries", nargs="*", default=DEFAULT_QUERIES,
-                       help=f"JOB query mix (default {DEFAULT_QUERIES})")
-    bench.add_argument("--clients", type=int, nargs="+",
-                       default=[1, 2, 4, 8],
-                       help="closed-loop client counts (default 1 2 4 8)")
-    bench.add_argument("--think-time", type=float, default=0.0,
-                       help="closed-loop think time in seconds")
-    bench.add_argument("--rate-qps", type=float, default=None,
-                       help="also run an open-loop point at this offered "
-                            "rate")
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="replay the query mix this many times")
-    bench.set_defaults(func=cmd_bench_concurrent)
-
-    bench_cluster = sub.add_parser(
-        "bench-cluster", parents=[output, seeded],
-        help="sweep device counts with scatter-gather execution")
-    bench_cluster.add_argument("queries", nargs="*", default=DEFAULT_QUERIES,
-                               help="JOB query mix (default "
-                                    f"{DEFAULT_QUERIES})")
-    bench_cluster.add_argument("--devices", type=int, nargs="+",
-                               default=list(DEFAULT_DEVICE_COUNTS),
-                               help="device counts to sweep "
-                                    "(default 1 2 4 8)")
-    bench_cluster.add_argument("--partitioner",
-                               choices=["range", "hash"], default="range",
-                               help="driving-table partitioning layout")
-    bench_cluster.add_argument("--clients", type=int, default=4,
-                               help="closed-loop clients for the workload "
-                                    "cell (default 4)")
-    bench_cluster.set_defaults(func=cmd_bench_cluster)
-
-    bench_adaptive = sub.add_parser(
-        "bench-adaptive", parents=[output],
-        help="regret bench: adaptive re-planning vs static vs oracle "
-             "over a misestimated (skewed-prior) workload; exits 1 when "
-             "adaptive does not beat static or regret does not converge")
-    bench_adaptive.add_argument("queries", nargs="*",
-                                default=ADAPTIVE_QUERIES,
-                                help="JOB query mix (default "
-                                     f"{ADAPTIVE_QUERIES}, calibrated at "
-                                     "the default --scale)")
-    bench_adaptive.add_argument("--rounds", type=int,
-                                default=DEFAULT_ROUNDS,
-                                help="workload rounds "
-                                     f"(default {DEFAULT_ROUNDS})")
-    bench_adaptive.add_argument("--skew", type=float, default=DEFAULT_SKEW,
-                                help="stale-statistics prior factor "
-                                     f"(default {DEFAULT_SKEW})")
-    bench_adaptive.add_argument("--alpha", type=float, default=0.5,
-                                help="EWMA observation weight "
-                                     "(default 0.5)")
-    bench_adaptive.add_argument("--error-threshold", type=float,
-                                default=2.0,
-                                help="breaker error triggering a "
-                                     "revision (default 2.0)")
-    bench_adaptive.set_defaults(func=cmd_bench_adaptive)
 
     fuzz = sub.add_parser(
         "fuzz", parents=[output, seeded],

@@ -16,11 +16,13 @@ three policies:
   mid-flight (the cancelled attempt's time is charged), and the EWMA
   correction washes the prior out across rounds.
 
-Per-round *regret* is the summed time above oracle.  The bench asserts
-the adaptive loop's two promises — total adaptive regret below static,
-and last-round regret no worse than first-round (the loop must not
-oscillate) — and the whole run is a deterministic pure simulation, so
-two invocations produce byte-identical JSON.
+Per-round *regret* is the summed time above oracle.  The summary's
+``totals`` report the adaptive loop's two promises — total adaptive
+regret below static, and last-round regret no worse than first-round
+(the loop must not oscillate); ``tests/test_adaptive.py`` asserts both
+at :data:`DEFAULT_SCALE`.  The whole run is a deterministic pure
+simulation, so two invocations produce byte-identical JSON
+(``python -m repro experiment adaptive``).
 """
 
 from repro.core import (CostCorrection, PlanningContext, ReplanPolicy)
@@ -56,15 +58,17 @@ def strategy_sweep(env, plan):
 
 
 def adaptive_matrix(env, query_names=None, rounds=DEFAULT_ROUNDS,
-                    skew=DEFAULT_SKEW, alpha=0.5, error_threshold=2.0,
-                    min_batches=1, max_replans=1):
-    """Run the regret experiment; returns a JSON-ready summary."""
+                    skew=DEFAULT_SKEW):
+    """Run the regret experiment; returns a JSON-ready summary.
+
+    The loop runs under the default :class:`ReplanPolicy` and
+    :class:`CostCorrection`, whose settings the summary's ``config``
+    echoes.
+    """
     names = list(query_names or DEFAULT_QUERIES)
     if rounds < 2:
         raise ReproError("the regret trend needs at least 2 rounds")
-    policy = ReplanPolicy(error_threshold=error_threshold,
-                          min_batches=min_batches,
-                          max_replans=max_replans)
+    policy = ReplanPolicy()
 
     queries = {}
     for name in names:
@@ -89,7 +93,7 @@ def adaptive_matrix(env, query_names=None, rounds=DEFAULT_ROUNDS,
             "sweep": times,
         }
 
-    correction = CostCorrection(alpha=alpha)
+    correction = CostCorrection()
     for name in names:
         correction.prime(job_query(name), skew)
     runner = AdaptiveRunner(env, policy=policy, correction=correction)
@@ -130,10 +134,10 @@ def adaptive_matrix(env, query_names=None, rounds=DEFAULT_ROUNDS,
         "config": {
             "rounds": rounds,
             "skew": skew,
-            "alpha": alpha,
-            "error_threshold": error_threshold,
-            "min_batches": min_batches,
-            "max_replans": max_replans,
+            "alpha": correction.alpha,
+            "error_threshold": policy.error_threshold,
+            "min_batches": policy.min_batches,
+            "max_replans": policy.max_replans,
         },
         "rounds": round_rows,
         "totals": {

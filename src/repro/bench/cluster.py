@@ -13,40 +13,39 @@ count:
 
 Everything is seeded and simulated: a summary is a deterministic
 function of ``(environment, query mix, partitioner, seed)``, so two
-runs serialize to identical JSON — the CI ``cluster`` job runs
-``repro bench-cluster`` twice and byte-compares the two
-``BENCH_cluster.json`` files.
+runs serialize to identical JSON — CI runs ``python -m repro experiment
+cluster`` twice and byte-compares the two payloads.
 """
 
 from repro.bench.concurrency import DEFAULT_QUERIES, distribution
 from repro.cluster import DeviceCluster
-from repro.context import ExecutionContext
 from repro.sched import ClosedLoopArrivals, WorkloadScheduler
 from repro.storage.topology import PartitionSpec
 from repro.workloads.job_queries import query as job_query
 
 #: Device counts of the scaling sweep.
 DEFAULT_DEVICE_COUNTS = (1, 2, 4, 8)
+#: The driving-table layout of every cell.
+PARTITIONER = "range"
+#: Seeds the partitioner and the closed-loop arrivals.
+SEED = 0
 
 
-def run_cluster_benchmark(env, n_devices, query_names=None,
-                          partitioner="range", seed=0, clients=4,
-                          ctx=None):
+def run_cluster_benchmark(env, n_devices, query_names=None, clients=4):
     """One cell of the scaling sweep; returns a JSON-ready summary.
 
-    Builds an ``n_devices`` cluster over ``env``'s mirrored store with a
-    seeded ``partitioner`` (``"range"``/``"hash"``), scatter-gathers
-    every query once, then replays the mix as a closed-loop scheduled
-    workload on the same cluster.
+    Builds an ``n_devices`` cluster over ``env``'s mirrored store with
+    the seeded :data:`PARTITIONER` layout, scatter-gathers every query
+    once, then replays the mix as a closed-loop scheduled workload of
+    ``clients`` clients on the same cluster.
     """
-    ctx = ExecutionContext.coerce(ctx)
     names = list(query_names or DEFAULT_QUERIES)
-    spec = PartitionSpec(kind=partitioner, seed=seed)
+    spec = PartitionSpec(kind=PARTITIONER, seed=SEED)
     cluster = DeviceCluster(env, n_devices=n_devices, partitioner=spec)
 
     queries = []
     for name in names:
-        report = cluster.run(job_query(name), ctx=ctx)
+        report = cluster.run(job_query(name))
         placements = {}
         for part in report.cluster["partitions"]:
             key = part["placement"]
@@ -63,16 +62,16 @@ def run_cluster_benchmark(env, n_devices, query_names=None,
         })
     latencies = [entry["total_time"] for entry in queries]
 
-    scheduler = WorkloadScheduler(env, ctx=ctx, cluster=cluster)
+    scheduler = WorkloadScheduler(env, cluster=cluster)
     scheduler.submit_closed_loop(
-        names, ClosedLoopArrivals(clients=clients, seed=seed))
+        names, ClosedLoopArrivals(clients=clients, seed=SEED))
     workload = scheduler.run()
-    workload.seed = seed
+    workload.seed = SEED
 
     return {
         "schema_version": 1,
         "n_devices": n_devices,
-        "seed": seed,
+        "seed": SEED,
         "partitioner": cluster.partitioner.describe(),
         "query_names": names,
         "scatter_gather": {
@@ -92,21 +91,18 @@ def run_cluster_benchmark(env, n_devices, query_names=None,
     }
 
 
-def cluster_matrix(env, device_counts=DEFAULT_DEVICE_COUNTS,
-                   query_names=None, partitioner="range", seed=0,
-                   clients=4):
-    """The scaling sweep: one summary per device count, plus speedups.
+def cluster_matrix(env):
+    """The scaling sweep: one summary per device count of
+    :data:`DEFAULT_DEVICE_COUNTS` over the default query mix, plus
+    speedups.
 
     Speedup is the single-device cell's total scatter-gather time (or
     workload makespan) over each cell's own — >1 means the cluster
     helped.
     """
-    cells = {
-        n_devices: run_cluster_benchmark(
-            env, n_devices, query_names=query_names,
-            partitioner=partitioner, seed=seed, clients=clients)
-        for n_devices in device_counts}
-    baseline = cells.get(1) or cells[min(cells)]
+    cells = {n_devices: run_cluster_benchmark(env, n_devices)
+             for n_devices in DEFAULT_DEVICE_COUNTS}
+    baseline = cells[1]
     base_total = baseline["scatter_gather"]["total_time"]
     base_makespan = baseline["workload"]["makespan"]
     for summary in cells.values():
@@ -119,8 +115,8 @@ def cluster_matrix(env, device_counts=DEFAULT_DEVICE_COUNTS,
                          if own_makespan > 0 else None),
         }
     return {
-        "partitioner": partitioner,
-        "seed": seed,
-        "device_counts": list(device_counts),
+        "partitioner": PARTITIONER,
+        "seed": SEED,
+        "device_counts": list(DEFAULT_DEVICE_COUNTS),
         "cells": cells,
     }

@@ -6,12 +6,11 @@ latency, queries per second, queue waits, placement mix, and
 per-resource utilization of the shared kernel.  Everything is seeded and
 simulated, so a benchmark summary is a deterministic function of
 ``(environment, query mix, arrival spec, seed)`` — two runs with the
-same inputs serialize to identical JSON, which is what the CI
-``concurrency`` job checks by running ``repro bench-concurrent`` twice
-and byte-comparing the two ``BENCH_concurrency.json`` files.
+same inputs serialize to identical JSON, which is what CI checks by
+running ``python -m repro experiment concurrency`` twice and
+byte-comparing the two payloads.
 """
 
-from repro.context import ExecutionContext
 from repro.errors import ReproError
 from repro.sched import (ClosedLoopArrivals, OpenLoopArrivals,
                          WorkloadScheduler)
@@ -20,6 +19,12 @@ from repro.sched import (ClosedLoopArrivals, OpenLoopArrivals,
 #: workload exercises every placement (tiny queries stay host-attractive,
 #: big ones want the device and contend for its DRAM budget).
 DEFAULT_QUERIES = ["1a", "2a", "3b", "4a", "6a", "8c", "16b", "17e"]
+
+#: Closed-loop client populations of :func:`concurrency_matrix`.
+CLIENT_COUNTS = (1, 2, 4, 8)
+#: Offered rate of every open-loop run; a float, as it is echoed
+#: into the payload's ``arrivals``.
+OPEN_LOOP_RATE_QPS = 200.0
 
 
 def percentile(values, fraction):
@@ -50,30 +55,28 @@ def distribution(values):
 
 
 def run_concurrency_benchmark(env, query_names=None, mode="closed",
-                              clients=4, think_time=0.0, stagger=0.0,
-                              rate_qps=50.0, repeat=1, seed=0, ctx=None,
+                              clients=4, think_time=0.0, seed=0,
                               include_jobs=True):
     """Run one concurrent workload; returns a JSON-ready summary dict.
 
     ``mode="closed"`` runs ``clients`` closed-loop clients (each submits
     its next query on completion plus ``think_time``); ``mode="open"``
-    offers the queries on a Poisson process at ``rate_qps``.  ``repeat``
-    replays the query list that many times for a larger sample.  ``seed``
-    drives the arrival process (the dataset seed lives in ``env``).
+    offers the queries on a Poisson process at
+    :data:`OPEN_LOOP_RATE_QPS`.  ``seed`` drives the arrival process (the
+    dataset seed lives in ``env``).
     """
-    names = list(query_names or DEFAULT_QUERIES) * max(1, repeat)
-    scheduler = WorkloadScheduler(env, ctx=ExecutionContext.coerce(ctx))
+    names = list(query_names or DEFAULT_QUERIES)
+    scheduler = WorkloadScheduler(env)
     if mode == "closed":
+        arrivals = ClosedLoopArrivals(clients=clients, think_time=think_time,
+                                      seed=seed)
         arrival_spec = {"clients": clients, "think_time": think_time,
-                        "stagger": stagger}
-        scheduler.submit_closed_loop(
-            names, ClosedLoopArrivals(clients=clients,
-                                      think_time=think_time,
-                                      stagger=stagger, seed=seed))
+                        "stagger": arrivals.stagger}
+        scheduler.submit_closed_loop(names, arrivals)
     elif mode == "open":
-        arrival_spec = {"rate_qps": rate_qps}
+        arrival_spec = {"rate_qps": OPEN_LOOP_RATE_QPS}
         scheduler.submit_open_loop(
-            names, OpenLoopArrivals(rate_qps=rate_qps, seed=seed))
+            names, OpenLoopArrivals(rate_qps=OPEN_LOOP_RATE_QPS, seed=seed))
     else:
         raise ReproError(f"unknown arrival mode {mode!r}; "
                          "expected 'closed' or 'open'")
@@ -107,23 +110,18 @@ def run_concurrency_benchmark(env, query_names=None, mode="closed",
     return summary
 
 
-def concurrency_matrix(env, query_names=None, client_counts=(1, 2, 4, 8),
-                       think_time=0.0, repeat=1, seed=0, rate_qps=None):
-    """Closed-loop scaling sweep (plus an optional open-loop point).
+def concurrency_matrix(env):
+    """Closed-loop scaling sweep over :data:`CLIENT_COUNTS` plus one
+    open-loop point at :data:`OPEN_LOOP_RATE_QPS`.
 
-    Returns ``{"closed": {clients: summary}, "open": summary | None}`` —
-    the throughput/latency curve as the client population grows, which
-    is where admission control and load-aware placement become visible.
+    Returns ``{"closed": {clients: summary}, "open": summary}`` — the
+    throughput/latency curve as the client population grows, which is
+    where admission control and load-aware placement become visible.
     """
     closed = {
         clients: run_concurrency_benchmark(
-            env, query_names=query_names, mode="closed", clients=clients,
-            think_time=think_time, repeat=repeat, seed=seed,
-            include_jobs=False)
-        for clients in client_counts}
-    open_summary = None
-    if rate_qps is not None:
-        open_summary = run_concurrency_benchmark(
-            env, query_names=query_names, mode="open", rate_qps=rate_qps,
-            repeat=repeat, seed=seed, include_jobs=False)
+            env, mode="closed", clients=clients, include_jobs=False)
+        for clients in CLIENT_COUNTS}
+    open_summary = run_concurrency_benchmark(env, mode="open",
+                                             include_jobs=False)
     return {"closed": closed, "open": open_summary}

@@ -11,6 +11,7 @@ shapes on them.
 import random
 from dataclasses import replace
 
+from repro.bench.parallel import strategy_times
 from repro.core.strategy import ExecutionStrategy
 from repro.engine.ndp import NDPEngineConfig
 from repro.engine.stacks import Stack, StackRunner
@@ -255,22 +256,17 @@ def exp5_insitu_index_fig15(env_indexed):
 # ----------------------------------------------------------------------
 # Experiment 6 — Figs 16/17 and Table 4
 # ----------------------------------------------------------------------
+#: Fig 16's names for the two ends of :func:`strategy_times`' sweep.
+_FIG16_LABELS = {"host-only": "block-only", "full-ndp": "ndp-only"}
+
+
 def exp6_split_sweep_fig16(env, query_name="8c"):
     """Execution time for block-only, H0..Hn, NDP-only; None where the
     strategy is infeasible (a :class:`ReproError`, e.g. device overload)."""
-    plan = env.runner.plan(query(query_name))
-    sweep = {"block-only": env.run(plan, Stack.BLK).total_time}
-    for k in range(plan.table_count):
-        try:
-            sweep[f"H{k}"] = env.run(plan, Stack.HYBRID,
-                                     split_index=k).total_time
-        except ReproError:
-            sweep[f"H{k}"] = None
-    try:
-        sweep["ndp-only"] = env.run(plan, Stack.NDP).total_time
-    except ReproError:
-        sweep["ndp-only"] = None
-    return {"query": query_name, "times": sweep}
+    times = strategy_times(env, query_name)
+    return {"query": query_name,
+            "times": {_FIG16_LABELS.get(name, name): value
+                      for name, value in times.items()}}
 
 
 def exp6_timeline_fig17(env, query_name="8d", split_index=2):

@@ -36,8 +36,8 @@ class NDPCommand:
 
     entries: list                      # TableAccess fragment (device side)
     tables: dict                       # alias -> table name
+    shared_state: SharedState          # the capture the fragment reads
     residual_conjuncts: list = field(default_factory=list)
-    shared_state: SharedState = None
     aggregates_on_device: bool = False
     select_items: list = field(default_factory=list)
     group_by: list = field(default_factory=list)
@@ -53,9 +53,7 @@ class NDPCommand:
         base += 64 * len(self.residual_conjuncts)
         if self.shard is not None:
             base += 48                                # partition descriptor
-        if self.shared_state is not None:
-            base += self.shared_state.payload_bytes
-        return base
+        return base + self.shared_state.payload_bytes
 
     @property
     def aliases(self):
@@ -218,8 +216,6 @@ class NDPEngine:
     def _device_catalog(self, command):
         """The snapshot catalog one command's execution reads through."""
         from repro.relational.snapshot_table import SnapshotCatalog
-        if command.shared_state is None:
-            return self.catalog
         table_names = {command.tables[alias] for alias in command.aliases}
         return SnapshotCatalog(self.catalog, command.shared_state,
                                table_names)

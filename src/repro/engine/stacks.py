@@ -37,24 +37,21 @@ class StackRunner:
     """Convenience facade: run queries on any stack over one catalog."""
 
     def __init__(self, catalog, database, device, host_spec=None,
-                 buffer_scale=1.0, host_config=None, ndp_config=None):
+                 buffer_scale=1.0, ndp_config=None):
         self.catalog = catalog
         self.database = database
         self.device = device
         self.host_spec = host_spec or HOST_I5
-        if host_config is None:
-            # The host page cache is a share of host DRAM; like the device
-            # buffers it is scaled to the synthetic dataset so the
-            # cache-to-data ratio matches the paper's 4 GB vs 16 GB.
-            page_cache = max(64 * 1024,
-                             int(self.host_spec.memory_bytes // 2
-                                 * buffer_scale))
-            host_config = HostEngineConfig(
-                join_buffer_bytes=max(
-                    64 * 1024, int(32 * 1024 * 1024 * buffer_scale * 16)),
-                block_cache_bytes=page_cache,
-            )
-        self._host_config = host_config
+        # The host page cache is a share of host DRAM; like the device
+        # buffers it is scaled to the synthetic dataset so the
+        # cache-to-data ratio matches the paper's 4 GB vs 16 GB.
+        page_cache = max(64 * 1024,
+                         int(self.host_spec.memory_bytes // 2 * buffer_scale))
+        self._host_config = HostEngineConfig(
+            join_buffer_bytes=max(
+                64 * 1024, int(32 * 1024 * 1024 * buffer_scale * 16)),
+            block_cache_bytes=page_cache,
+        )
         self._ndp_config = ndp_config or NDPEngineConfig(
             buffer_scale=buffer_scale)
 

@@ -405,6 +405,8 @@ class RandomSqlGenerator:
 
     def generate(self, count):
         """The first ``count`` queries of this seed."""
+        if count < 0:
+            raise ReproError(f"query count must be non-negative, got {count}")
         return [self.generate_one(index) for index in range(count)]
 
     def generate_one(self, index):

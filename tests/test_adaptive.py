@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.adaptive import adaptive_matrix
+from repro.bench.adaptive import DEFAULT_SCALE, adaptive_matrix
 from repro.context import ExecutionContext
 from repro.core import (CardinalityFeedback, CostCorrection,
                         PlanningContext, ReplanPolicy)
@@ -184,6 +184,15 @@ class TestAdaptiveExecution:
         final = summary["rounds"][-1]["per_query"]
         for cell in final.values():
             assert cell["correction_factor"] < 5.0
+
+    def test_registered_defaults_beat_static_and_converge(self, job_env):
+        # The regret gate of ``python -m repro experiment adaptive``: its
+        # default mix, rounds and skew at the scale they were calibrated
+        # at, which is ``job_env``'s.
+        assert job_env.spec.scale == DEFAULT_SCALE
+        totals = adaptive_matrix(job_env)["totals"]
+        assert totals["adaptive_beats_static"]
+        assert totals["regret_converged"]
 
     def test_noop_breaker_hook_is_byte_invisible(self, job_env):
         plan = job_env.runner.plan(query("1a"))

@@ -101,14 +101,14 @@ class TestExperimentsOnJobEnv:
 
 
 def _failing_offloads(monkeypatch, env, error):
-    """Make every NDP and hybrid run of ``env`` raise ``error``."""
-    real = env.run
+    """Make every NDP and hybrid run of ``env``'s runner raise ``error``."""
+    real = env.runner.run
 
     def run(plan, stack, split_index=None, ctx=None):
         if stack in (Stack.NDP, Stack.HYBRID):
             raise error
         return real(plan, stack, split_index=split_index, ctx=ctx)
-    monkeypatch.setattr(env, "run", run)
+    monkeypatch.setattr(env.runner, "run", run)
 
 
 class TestInfeasibleStrategies:

@@ -8,8 +8,7 @@ import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import build_parser, main
-from repro.bench.adaptive import (DEFAULT_ROUNDS, DEFAULT_SCALE,
-                                  DEFAULT_SKEW)
+from repro.bench.adaptive import DEFAULT_SCALE
 from repro.workloads.loader import build_environment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,8 +58,7 @@ class TestParser:
             assert line in readme, name
 
     def test_sweeps_share_the_output_option(self):
-        sweeps = {"survey", "chaos", "bench-concurrent", "bench-cluster",
-                  "bench-adaptive", "fuzz"}
+        sweeps = {"survey", "chaos", "fuzz"}
         with_output = {name for name, sub in subcommands().items()
                        if "--output" in sub.format_help()}
         assert with_output == sweeps
@@ -72,12 +70,10 @@ class TestParser:
         assert (args.seed, args.workload_seed) == (11, 5)
         assert args.cache_dir == "cache"
 
-    def test_bench_adaptive_defaults_come_from_the_bench(self):
-        args = build_parser().parse_args(["bench-adaptive"])
-        assert args.rounds == DEFAULT_ROUNDS
-        assert args.skew == DEFAULT_SKEW
-        # CI runs bench-adaptive without --scale: the CLI default must be
-        # the scale its query mix was calibrated at.
+    def test_adaptive_experiment_defaults_to_its_calibrated_scale(self):
+        # ``experiment adaptive`` without --scale must run its query mix
+        # at the scale the mix was calibrated at.
+        args = build_parser().parse_args(["experiment", "adaptive"])
         assert args.scale == DEFAULT_SCALE
 
 
@@ -127,19 +123,19 @@ SWEEPS = {
     "chaos": (["chaos", "1a"], 0, {"matrix"}),
     "robustness": (["chaos", "1a", "--scenario", "straggler_device"], 0,
                    {"matrix"}),
-    "bench-concurrent": (["bench-concurrent", "1a", "3b", "--clients", "1",
-                          "2", "--rate-qps", "200"], 0, {"matrix"}),
-    "bench-cluster": (["bench-cluster", "1a", "3b", "--devices", "1", "2",
-                       "--clients", "2"], 0, {"matrix"}),
-    # Three rounds are too few to beat static: exit 1 is the bench's
-    # documented "did not beat static / did not converge" verdict.
-    "bench-adaptive": (["bench-adaptive", "--rounds", "3"], 1, {"summary"}),
     "fuzz": (["fuzz", "--queries", "3"], 0, {"report"}),
     "survey": (["survey", "1a", "8c", "--workers", "1"], 0,
                {"matrix", "summary", "decisions", "decision_outcomes"}),
-    # No --output: the payload is stdout.  The two runs share one
-    # environment, so a run that left a cached plan forced would differ.
+    # No --output for ``experiment``: the payload is stdout.  The two
+    # runs share one environment, so a run that left a cached plan
+    # forced would differ.
     "experiment": (["experiment", "join-algorithms"], 0, {"times"}),
+    "concurrency": (["experiment", "concurrency"], 0, {"closed", "open"}),
+    "cluster": (["experiment", "cluster"], 0,
+                {"cells", "device_counts", "partitioner", "seed"}),
+    "adaptive": (["experiment", "adaptive"], 0,
+                 {"config", "queries", "rounds", "schema_version",
+                  "totals"}),
 }
 
 
@@ -148,7 +144,7 @@ class TestSweeps:
     def test_runs_and_rerun_is_byte_identical(self, name, one_build,
                                               tmp_path, capsys):
         argv, code, keys = SWEEPS[name]
-        to_stdout = name == "experiment"
+        to_stdout = argv[0] == "experiment"
         runs = []
         for output in (tmp_path / "run1.json", tmp_path / "run2.json"):
             written = [] if to_stdout else ["--output", str(output)]
@@ -166,13 +162,15 @@ class TestSweeps:
             assert "output" not in payload["arguments"]
         assert set(payload) == keys
 
-    def test_payload_shapes(self, one_build, tmp_path):
-        out = tmp_path / "out.json"
-        main(["--scale", "0.0002", "bench-concurrent", "1a", "--clients",
-              "2", "--rate-qps", "200", "--output", str(out)])
-        matrix = json.loads(out.read_text())["matrix"]
-        assert set(matrix["closed"]) == {"2"}
+    def test_payload_shapes(self, one_build, tmp_path, capsys):
+        main(["--scale", "0.0002", "experiment", "concurrency"])
+        printed = capsys.readouterr().out
+        matrix = json.loads(printed)
+        assert set(matrix["closed"]) == {"1", "2", "4", "8"}
         assert matrix["open"]["mode"] == "open"
+        # The offered rate is echoed as a float.
+        assert '"rate_qps": 200.0' in printed
+        out = tmp_path / "out.json"
         main(["--scale", "0.0002", "chaos", "1a", "--scenario", "flash-ecc",
               "--generated", "1", "--output", str(out)])
         matrix = json.loads(out.read_text())["matrix"]
@@ -204,6 +202,10 @@ class TestTypedErrors:
         (["chaos", "1a", "--scenario", "nope"],
          "unknown chaos scenario nope"),
         (["chaos"], "chaos needs a query name and/or --generated N"),
+        (["chaos", "1a", "--generated", "-2"],
+         "query count must be non-negative, got -2"),
+        (["fuzz", "--queries", "-1"],
+         "query count must be non-negative, got -1"),
     ])
     def test_repro_error_is_one_line_and_exit_2(self, argv, message,
                                                 one_build, capsys):
