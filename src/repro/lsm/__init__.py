@@ -1,6 +1,6 @@
 """nKV-style LSM key-value substrate (RocksDB/MyRocks model, paper §2).
 
-A multi-level LSM tree per column family: a skiplist MemTable (C0),
+A multi-level LSM tree per column family: a dict-backed MemTable (C0),
 Sorted String Tables with sorted data blocks, a sparse index block, bloom
 filters and min/max fence pointers; an overlapping C1 and non-overlapping
 C2..Ck maintained by leveled compaction; merging iterators for GET/SCAN
@@ -8,7 +8,6 @@ with key- and value-predicates; and shared-state snapshots so NDP
 executions are transactionally consistent without host interaction.
 """
 
-from repro.lsm.skiplist import SkipList
 from repro.lsm.memtable import MemTable
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.sstable import SSTable, SSTableBuilder
@@ -20,7 +19,6 @@ from repro.lsm.snapshot import SharedState
 TOMBSTONE = b"\x00__repro_tombstone__\x00"
 
 __all__ = [
-    "SkipList",
     "MemTable",
     "BloomFilter",
     "SSTable",

@@ -7,6 +7,9 @@ already been probed on the host when the command was prepared.
 
 import math
 import zlib
+from itertools import repeat
+
+import numpy as np
 
 from repro.errors import LSMError
 
@@ -43,18 +46,29 @@ class BloomFilter:
 
     def add(self, key):
         """Insert a key."""
+        self.add_many([key])
+
+    def add_many(self, keys):
+        """Insert every key of a list in one numpy pass.
+
+        Sets the ``(h1 + i*h2) % nbits`` bits of every key, the positions
+        :meth:`might_contain` probes, taken in ``int64`` (``h1`` and
+        ``h2`` are reduced first, so no sum overflows).
+        """
+        if not keys:
+            return
         nbits = self._nbits
-        bits = self._bits
-        # (h1 + i*h2) % nbits, computed incrementally in reduced residues
-        # so the loop never multiplies or reduces a wide integer.
-        pos = zlib.crc32(key) % nbits
-        step = (((zlib.crc32(key, 0x9E3779B9) << 15) | 1)) % nbits
-        for _ in range(self._nhashes):
-            bits[pos >> 3] |= 1 << (pos & 7)
-            pos += step
-            if pos >= nbits:
-                pos -= nbits
-        self._items += 1
+        count = len(keys)
+        h1 = np.fromiter(map(zlib.crc32, keys), np.int64, count) % nbits
+        h2 = np.fromiter(map(zlib.crc32, keys, repeat(0x9E3779B9)),
+                         np.int64, count)
+        h2 = ((h2 << 15) | 1) % nbits
+        pos = (h1[:, None] + np.arange(self._nhashes) * h2[:, None]) % nbits
+        bitmap = np.zeros(len(self._bits) * 8, dtype=bool)
+        bitmap[pos.ravel()] = True
+        bits = np.frombuffer(self._bits, dtype=np.uint8)    # a writable view
+        bits |= np.packbits(bitmap, bitorder="little")
+        self._items += count
 
     def might_contain(self, key):
         """False means definitely absent; True means possibly present."""

@@ -5,26 +5,42 @@ frozen (made immutable) and a new MemTable takes over, as in RocksDB.
 Deletes are tombstones so they shadow older on-disk versions.
 """
 
+from bisect import bisect_left, insort
+
 from repro.errors import LSMError
-from repro.lsm.skiplist import SkipList
 
 #: Sentinel stored for deleted keys; chosen to be an invalid record value.
 TOMBSTONE = b"\x00__repro_tombstone__\x00"
 
 
 class MemTable:
-    """A size-bounded, skiplist-backed write buffer."""
+    """A size-bounded write buffer: a dict plus a sorted key list.
 
-    def __init__(self, size_limit=4 * 1024 * 1024, seed=0):
+    Puts, deletes and gets go to the dict.  The sorted key list is built
+    at the first ordered read (:meth:`items` / :meth:`entries`) and kept
+    sorted with ``insort`` on every new key after that, so a bulk load —
+    puts only, then one flush — sorts its keys once.  Only
+    ``memtable_gets`` are priced by the timing model, never the
+    structure, so the choice of structure moves no simulated time.
+
+    An :meth:`items` walk is a snapshot: it yields the keys in range and
+    their values as they were when it was called, and puts or deletes
+    made while it is open do not reach it.  ``LSMTree.scan`` builds its
+    sources at its first ``next()``, so a tree scan sees the whole tree
+    as of that moment.
+    """
+
+    def __init__(self, size_limit=4 * 1024 * 1024):
         if size_limit <= 0:
             raise LSMError("memtable size limit must be positive")
-        self._list = SkipList(seed=seed)
+        self._entries = {}
+        self._sorted = None         # sorted keys, from the first ordered read
         self._size_limit = size_limit
         self._bytes = 0
         self._immutable = False
 
     def __len__(self):
-        return len(self._list)
+        return len(self._entries)
 
     @property
     def byte_size(self):
@@ -55,21 +71,26 @@ class MemTable:
             raise LSMError("cannot write to an immutable MemTable")
         if not isinstance(value, bytes):
             raise LSMError(f"values must be bytes, got {type(value)}")
-        self._list.insert(key, value)
-        self._bytes += len(key) + len(value)
+        self._write(key, value)
 
     def delete(self, key):
         """Record a tombstone for a key."""
         if self._immutable:
             raise LSMError("cannot write to an immutable MemTable")
-        self._list.insert(key, TOMBSTONE)
-        self._bytes += len(key) + len(TOMBSTONE)
+        self._write(key, TOMBSTONE)
+
+    def _write(self, key, value):
+        if not isinstance(key, bytes):
+            raise LSMError(f"memtable keys must be bytes, got {type(key)}")
+        entries = self._entries
+        if self._sorted is not None and key not in entries:
+            insort(self._sorted, key)
+        entries[key] = value
+        self._bytes += len(key) + len(value)
 
     def get(self, key):
         """Return (found, value). Tombstones report found with value None."""
-        if not len(self._list):        # loaded-and-flushed tables sit empty
-            return False, None
-        value = self._list.get(key)
+        value = self._entries.get(key)
         if value is None:
             return False, None
         if value == TOMBSTONE:
@@ -77,9 +98,16 @@ class MemTable:
         return True, value
 
     def items(self, lo=None, hi=None):
-        """Yield (key, value) pairs in order; tombstones included as-is."""
-        return self._list.items(lo=lo, hi=hi)
+        """(key, value) pairs in key order within [lo, hi), as of the call;
+        tombstones included as-is."""
+        keys = self._sorted
+        if keys is None:
+            keys = self._sorted = sorted(self._entries)
+        start = 0 if lo is None else bisect_left(keys, lo)
+        end = len(keys) if hi is None else bisect_left(keys, hi)
+        keys = keys[start:end]
+        return zip(keys, list(map(self._entries.__getitem__, keys)))
 
     def entries(self):
         """Materialize all entries (used when freezing into an SST)."""
-        return list(self._list.items())
+        return list(self.items())

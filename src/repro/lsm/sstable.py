@@ -12,6 +12,7 @@ read, bytes read, key comparisons) which the timing model prices.
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import LSMError
 from repro.lsm.bloom import BloomFilter
@@ -35,11 +36,7 @@ class _DataBlock:
     nbytes: int
     offset: int
     cache_key: tuple         # ("blk", sst id, offset), built once
-    keys: list = None        # sorted key array for binary search
-
-    def __post_init__(self):
-        if self.keys is None:
-            self.keys = [entry[0] for entry in self.entries]
+    keys: list               # sorted key array for binary search
 
 
 class SSTableBuilder:
@@ -63,43 +60,56 @@ class SSTableBuilder:
         self._entries.append((key, value))
         self._last_key = key
 
+    @classmethod
+    def from_sorted(cls, entries, block_size=4096, bits_per_key=10):
+        """A builder holding ``entries`` as they are, without :meth:`add`'s
+        per-entry checks: bytes keys in strictly increasing order with
+        bytes values, as a MemTable's entries are by construction."""
+        builder = cls(block_size=block_size, bits_per_key=bits_per_key)
+        builder._entries = entries
+        if entries:
+            builder._last_key = entries[-1][0]
+        return builder
+
     def __len__(self):
         return len(self._entries)
 
     def finish(self, flash=None, sst_id=0, level=0):
-        """Build the SSTable, allocating it on ``flash`` when given."""
-        if not self._entries:
+        """Build the SSTable, allocating it on ``flash`` when given.
+
+        A data block takes entries while they fit in ``block_size`` (its
+        first entry always), so each block ends where the running entry
+        bytes first pass the block's budget — found by bisecting their
+        prefix sums, one search per block.
+        """
+        entries = self._entries
+        if not entries:
             raise LSMError("cannot build an empty SSTable")
+        keys = [entry[0] for entry in entries]
+        bloom = BloomFilter(len(entries), self._bits_per_key)
+        bloom.add_many(keys)
+        ends = list(accumulate(
+            (_ENTRY_HEADER + len(key) + len(value) for key, value in entries),
+            initial=0))
+        budget = self._block_size - _BLOCK_HEADER
         blocks = []
         offset = 0
-        current = []
-        current_bytes = _BLOCK_HEADER
-        bloom = BloomFilter(len(self._entries), self._bits_per_key)
-
-        def close_block():
-            nonlocal current, current_bytes, offset
-            block = _DataBlock(
-                first_key=current[0][0],
-                last_key=current[-1][0],
-                entries=current,
-                nbytes=current_bytes,
+        start = 0
+        while start < len(entries):
+            stop = max(start + 1,
+                       bisect.bisect_right(ends, ends[start] + budget) - 1)
+            nbytes = _BLOCK_HEADER + ends[stop] - ends[start]
+            blocks.append(_DataBlock(
+                first_key=keys[start],
+                last_key=keys[stop - 1],
+                entries=entries[start:stop],
+                nbytes=nbytes,
                 offset=offset,
                 cache_key=("blk", sst_id, offset),
-            )
-            blocks.append(block)
-            offset += current_bytes
-            current = []
-            current_bytes = _BLOCK_HEADER
-
-        for key, value in self._entries:
-            bloom.add(key)
-            entry_bytes = _ENTRY_HEADER + len(key) + len(value)
-            if current and current_bytes + entry_bytes > self._block_size:
-                close_block()
-            current.append((key, value))
-            current_bytes += entry_bytes
-        if current:
-            close_block()
+                keys=keys[start:stop],
+            ))
+            offset += nbytes
+            start = stop
 
         index_bytes = sum(
             len(block.first_key) + _INDEX_ENTRY_OVERHEAD for block in blocks)
@@ -114,7 +124,7 @@ class SSTableBuilder:
             bloom=bloom,
             index_bytes=index_bytes,
             nbytes=total_bytes,
-            entry_count=len(self._entries),
+            entry_count=len(entries),
             extent=extent,
         )
 

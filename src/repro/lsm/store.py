@@ -270,7 +270,11 @@ class _WriteStats:
 
 @dataclass
 class LSMConfig:
-    """Tuning knobs for one LSM tree."""
+    """Tuning knobs for one LSM tree.
+
+    ``seed`` is inert: it seeded the skiplist MemTables the dict-backed
+    ones replaced, and is kept only because callers still pass it.
+    """
 
     memtable_size: int = 4 * 1024 * 1024
     block_size: int = 4096
@@ -297,7 +301,7 @@ class LSMTree:
         self.name = name
         self.config = config or LSMConfig()
         self.flash = flash
-        self._active = MemTable(self.config.memtable_size, seed=self.config.seed)
+        self._active = MemTable(self.config.memtable_size)
         self._immutables = []
         tiered = self.config.compaction == "tiered"
         self.levels = LevelStructure(self.config.max_levels, tiered=tiered)
@@ -368,8 +372,7 @@ class LSMTree:
             return
         self._active.freeze()
         self._immutables.append(self._active)
-        self._active = MemTable(self.config.memtable_size,
-                                seed=self.config.seed + self.write_stats.flushes + 1)
+        self._active = MemTable(self.config.memtable_size)
         self.flush()
 
     def flush(self):
@@ -384,10 +387,9 @@ class LSMTree:
             entries = memtable.entries()
             if not entries:
                 continue
-            builder = SSTableBuilder(block_size=self.config.block_size,
-                                     bits_per_key=self.config.bits_per_key)
-            for key, value in entries:
-                builder.add(key, value)
+            builder = SSTableBuilder.from_sorted(
+                entries, block_size=self.config.block_size,
+                bits_per_key=self.config.bits_per_key)
             sst = builder.finish(flash=self.flash, sst_id=self._next_sst_id,
                                  level=1)
             self._next_sst_id += 1
@@ -405,8 +407,7 @@ class LSMTree:
         if len(self._active):
             self._active.freeze()
             self._immutables.append(self._active)
-            self._active = MemTable(self.config.memtable_size,
-                                    seed=self.config.seed + self.write_stats.flushes + 1)
+            self._active = MemTable(self.config.memtable_size)
         self.flush()
 
     # ------------------------------------------------------------------
@@ -448,7 +449,9 @@ class LSMTree:
 
         With a ``value_predicate`` the scan must still touch every entry of
         the range (the substantial-I/O case NDP targets, paper §2.2); the
-        predicate filters the output stream.
+        predicate filters the output stream.  The scan reads the tree as
+        it is at its first ``next()``: writes, flushes and compactions
+        made while it is open do not reach it (see :class:`MemTable`).
         """
         stats = stats if stats is not None else ReadStats()
         sources = []

@@ -66,10 +66,22 @@ class RecordCodec:
         self._bitmap_bytes = (bitmap + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
         self._offsets = []
         offset = self._bitmap_bytes
-        for column in schema.columns:
+        # The whole record is one struct: the null bitmap, then each
+        # column at its offset (INT as ``i``, CHAR as ``{width}s`` plus
+        # alignment padding); ``_encode_plan`` holds what :meth:`encode`
+        # checks per column.
+        layout = [f"<{self._bitmap_bytes}s"]
+        self._encode_plan = []
+        for i, column in enumerate(schema.columns):
             self._offsets.append(offset)
             offset += column.storage_width
+            is_int = column.dtype is DataType.INT
+            layout.append(f"{'i' if is_int else f'{column.width}s'}"
+                          f"{column.storage_width - column.width}x")
+            self._encode_plan.append((column.name, 1 << i, column.nullable,
+                                      is_int, column.width))
         self._record_bytes = offset
+        self._record = struct.Struct("".join(layout))
         self._projectors = {}
         self._batch_projectors = {}
 
@@ -80,36 +92,32 @@ class RecordCodec:
 
     def encode(self, row):
         """Encode a mapping of column name -> value into record bytes."""
-        schema = self.schema
-        buffer = bytearray(self._record_bytes)
-        for i, column in enumerate(schema.columns):
-            value = row.get(column.name)
+        table = self.schema.name
+        values = []
+        nulls = 0
+        for name, bit, nullable, is_int, width in self._encode_plan:
+            value = row.get(name)
             if value is None:
-                if not column.nullable:
-                    raise SchemaError(
-                        f"{schema.name}.{column.name} is NOT NULL")
-                buffer[i // 8] |= 1 << (i % 8)
-                continue
-            offset = self._offsets[i]
-            if column.dtype is DataType.INT:
+                if not nullable:
+                    raise SchemaError(f"{table}.{name} is NOT NULL")
+                nulls |= bit
+                values.append(0 if is_int else b"")
+            elif is_int:
                 if not isinstance(value, int):
                     raise SchemaError(
-                        f"{schema.name}.{column.name}: expected int, "
-                        f"got {type(value)}")
+                        f"{table}.{name}: expected int, got {type(value)}")
                 if not _INT_MIN <= value <= _INT_MAX:
                     raise SchemaError(
-                        f"{schema.name}.{column.name}: {value} out of "
-                        f"4-byte range")
-                struct.pack_into("<i", buffer, offset, value)
+                        f"{table}.{name}: {value} out of 4-byte range")
+                values.append(value)
             else:
                 if not isinstance(value, str):
                     raise SchemaError(
-                        f"{schema.name}.{column.name}: expected str, "
-                        f"got {type(value)}")
-                raw = value.encode("utf-8", errors="replace")
-                raw = raw[:column.width].ljust(column.width, b" ")
-                buffer[offset:offset + len(raw)] = raw
-        return bytes(buffer)
+                        f"{table}.{name}: expected str, got {type(value)}")
+                values.append(value.encode("utf-8", errors="replace")
+                              [:width].ljust(width, b" "))
+        return self._record.pack(
+            nulls.to_bytes(self._bitmap_bytes, "little"), *values)
 
     def decode(self, raw):
         """Decode record bytes into a dict of column name -> value."""

@@ -12,12 +12,13 @@ The sample is kept as the dict rows it was fed and, for the estimator,
 as columns typed like the engine's decoded ones (``int64`` for INT,
 numpy unicode for CHAR, ``0`` / ``""`` filler flagged in a null mask).
 A column's arrays are built the first time an estimate reads it and
-dropped whenever :meth:`TableStatistics.observe_row` changes the
+dropped whenever :meth:`TableStatistics.observe_rows` changes the
 sample, so every estimate sees the sample as it is.
 """
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from repro.errors import SchemaError
 
 _DEFAULT_SAMPLE = 512
 _DEFAULT_BUCKETS = 16
+#: Distinct values a column remembers; ``distinct_estimate`` stops there.
+_DISTINCT_CAP = 4096
 
 
 class Histogram:
@@ -87,20 +90,34 @@ class ColumnStats:
     distinct_estimate: int = 0
     _distinct: set = field(default_factory=set, repr=False)
 
-    def observe(self, value):
-        """Fold one value into the summary."""
-        if value is None:
-            self.n_nulls += 1
+    def observe_many(self, values):
+        """Fold a list of values into the summary, as folding them one at
+        a time would."""
+        present = [value for value in values if value is not None]
+        self.n_nulls += len(values) - len(present)
+        if not present:
             return
-        self.n_values += 1
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
-        if len(self._distinct) < 4096:
-            self._distinct.add(value)
-        self.distinct_estimate = max(self.distinct_estimate,
-                                     len(self._distinct))
+        self.n_values += len(present)
+        low, high = min(present), max(present)
+        if self.min_value is None or low < self.min_value:
+            self.min_value = low
+        if self.max_value is None or high > self.max_value:
+            self.max_value = high
+        distinct = self._distinct
+        room = _DISTINCT_CAP - len(distinct)
+        if room > 0:
+            fresh = set(present)
+            fresh -= distinct
+            if len(fresh) <= room:
+                distinct |= fresh
+            else:
+                # The cap falls inside this batch: the first ``room`` new
+                # values in order get in, as they would one at a time.
+                for value in present:
+                    if len(distinct) >= _DISTINCT_CAP:
+                        break
+                    distinct.add(value)
+        self.distinct_estimate = max(self.distinct_estimate, len(distinct))
 
     @property
     def null_fraction(self):
@@ -125,21 +142,35 @@ class TableStatistics:
 
     def observe_row(self, row):
         """Fold one row into counts, column stats, and the reservoir."""
-        self.row_count += 1
-        for name, value in row.items():
-            stats = self.columns.get(name)
+        self.observe_rows([row])
+
+    def observe_rows(self, rows):
+        """Fold a list of rows, exactly as folding them one at a time
+        would: column stats column by column (a column first seen in a
+        later row starts there), then the reservoir row by row, so its
+        ``randrange`` draws — and the sample — are the same.
+        """
+        columns = self.columns
+        for name in dict.fromkeys(chain.from_iterable(rows)):
+            stats = columns.get(name)
             if stats is None:
-                stats = ColumnStats(name)
-                self.columns[name] = stats
-            stats.observe(value)
-        if len(self.sample) < self.sample_size:
-            self.sample.append(dict(row))
-        else:
-            slot = self._rng.randrange(self.row_count)
-            if slot >= self.sample_size:
-                return
-            self.sample[slot] = dict(row)
-        if self._sample_columns:
+                stats = columns[name] = ColumnStats(name)
+            stats.observe_many([row[name] for row in rows if name in row])
+        sample = self.sample
+        size = self.sample_size
+        fill = max(0, min(len(rows), size - len(sample)))
+        sample.extend(map(dict, rows[:fill]))
+        changed = fill > 0
+        count = self.row_count + fill
+        randrange = self._rng.randrange
+        for row in rows[fill:]:
+            count += 1
+            slot = randrange(count)
+            if slot < size:
+                sample[slot] = dict(row)
+                changed = True
+        self.row_count = count
+        if changed and self._sample_columns:
             self._sample_columns = {}
 
     def column(self, name):

@@ -422,23 +422,47 @@ class RelationalTable(TableReads):
 
     def insert(self, row):
         """Insert a row (mapping of column name -> value)."""
-        pk_value = row.get(self.schema.primary_key)
-        if pk_value is None:
-            raise SchemaError(
-                f"{self.name}: primary key {self.schema.primary_key!r} "
-                f"must be set")
-        raw_key = self.primary_key_bytes(pk_value)
-        raw_record = self.codec.encode(row)
-        self.family.put(raw_key, raw_record)
-        for column_name, index in self.indexes.items():
-            index.insert(row.get(column_name), raw_key)
-        self.statistics.observe_row(row)
-        self.mutation_count += 1
+        self.insert_many([row])
 
     def insert_many(self, rows):
-        """Bulk insert."""
-        for row in rows:
-            self.insert(row)
+        """Insert rows in order — the table's one write path.
+
+        Each row's puts go out interleaved, primary then each index, as
+        row-at-a-time inserts would: every column family shares one flash
+        device, so loading one family at a time would reorder flushes
+        and compactions and move SST extents.  A row whose primary key
+        is unset, repeats within ``rows`` or is already in the table, or
+        that the codec rejects, raises :class:`SchemaError` before any
+        of its puts; the rows before it stay written and observed.
+        """
+        rows = list(rows)
+        pk = self.schema.primary_key
+        put = self.family.tree.put
+        get = self.family.tree.get if self.row_count else None
+        encode = self.codec.encode
+        indexes = [(name, index.insert) for name, index in self.indexes.items()]
+        seen = set()
+        done = 0
+        try:
+            for row in rows:
+                pk_value = row.get(pk)
+                if pk_value is None:
+                    raise SchemaError(
+                        f"{self.name}: primary key {pk!r} must be set")
+                raw_key = encode_key(pk_value)
+                if raw_key in seen or (get is not None
+                                       and get(raw_key) is not None):
+                    raise SchemaError(
+                        f"{self.name}: duplicate primary key {pk_value!r}")
+                seen.add(raw_key)
+                put(raw_key, encode(row))
+                for name, index_insert in indexes:
+                    index_insert(row.get(name), raw_key)
+                done += 1
+        finally:
+            if done:
+                self.statistics.observe_rows(rows[:done])
+                self.mutation_count += done
 
     def delete(self, pk_value):
         """Delete by primary key (also cleans secondary indexes)."""

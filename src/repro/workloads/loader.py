@@ -102,7 +102,6 @@ def _lsm_config_for(spec):
         level_base_bytes=4 * memtable,
         size_ratio=8,
         sst_target_bytes=2 * memtable,
-        seed=spec.seed,
     )
 
 

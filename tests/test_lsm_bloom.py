@@ -1,5 +1,7 @@
 """Tests for the bloom filter."""
 
+import zlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,3 +54,41 @@ class TestBloom:
         for key in keys:
             bloom.add(key)
         assert all(key in bloom for key in keys)
+
+
+def _scalar_bits(bloom, keys):
+    """The filter bytes that setting ``(h1 + i*h2) % nbits`` key by key
+    gives: the positions ``might_contain`` probes."""
+    bits = bytearray(bloom.size_bytes)
+    for key in keys:
+        h1 = zlib.crc32(key)
+        h2 = (zlib.crc32(key, 0x9E3779B9) << 15) | 1
+        for i in range(bloom.nhashes):
+            pos = (h1 + i * h2) % bloom.nbits
+            bits[pos >> 3] |= 1 << (pos & 7)
+    return bytes(bits)
+
+
+class TestAddMany:
+    @given(st.lists(st.binary(max_size=16), max_size=300),
+           st.integers(min_value=0, max_value=300),
+           st.integers(min_value=1, max_value=16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_scalar_positions(self, keys, expected, bits_per_key,
+                                          data):
+        bloom = BloomFilter(expected, bits_per_key)
+        cut = data.draw(st.integers(min_value=0, max_value=len(keys)))
+        bloom.add_many(keys[:cut])          # two passes: the second ORs in
+        bloom.add_many(keys[cut:])
+        assert bytes(bloom._bits) == _scalar_bits(bloom, keys)
+        assert bloom.items == len(keys)
+
+    def test_nbits_not_a_multiple_of_eight(self):
+        keys = [b"key-%d" % i for i in range(13)]
+        bloom = BloomFilter(len(keys), bits_per_key=7)
+        assert bloom.nbits == 91 and bloom.size_bytes == 12
+        bloom.add_many(keys)
+        assert bytes(bloom._bits) == _scalar_bits(bloom, keys)
+        assert all(key in bloom for key in keys)
+        # The padding bits past ``nbits`` are never set.
+        assert bloom._bits[-1] >> (bloom.nbits & 7) == 0

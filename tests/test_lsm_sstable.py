@@ -1,6 +1,8 @@
 """Tests for SSTables (blocks, sparse index, fences, cache charging)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LSMError
 from repro.lsm.cache import BlockCache
@@ -135,3 +137,61 @@ class TestStatsCharging:
         sst.get(b"key-00042", stats)
         sst.get(b"key-00042", stats)
         assert stats.cache_hits == 0
+
+
+def _greedy_blocks(entries, block_size):
+    """Reference block cut: entries join the open block while it stays
+    within ``block_size`` (8-byte block header, 8-byte entry header);
+    a block's first entry always joins."""
+    blocks, current, current_bytes = [], [], 8
+    for key, value in entries:
+        entry_bytes = 8 + len(key) + len(value)
+        if current and current_bytes + entry_bytes > block_size:
+            blocks.append((current, current_bytes))
+            current, current_bytes = [], 8
+        current.append((key, value))
+        current_bytes += entry_bytes
+    blocks.append((current, current_bytes))
+    return blocks
+
+
+class TestBlockCut:
+    @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                    max_size=80),
+           st.integers(min_value=1, max_value=200))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_greedy_loop(self, value_sizes, block_size):
+        """Including entries that fill a block exactly, and entries larger
+        than a block."""
+        entries = [(b"k%04d" % i, b"v" * size)
+                   for i, size in enumerate(value_sizes)]
+        builder = SSTableBuilder(block_size=block_size)
+        for key, value in entries:
+            builder.add(key, value)
+        sst = builder.finish()
+        expected = _greedy_blocks(entries, block_size)
+        assert [(block.entries, block.nbytes) for block in sst._blocks] == \
+            expected
+        offsets = [block.offset for block in sst._blocks]
+        assert offsets == [sum(n for _e, n in expected[:i])
+                           for i in range(len(expected))]
+
+    def test_exact_fit_closes_no_early_block(self):
+        # Two 12-byte entries fill a 32-byte block exactly (8 + 12 + 12).
+        builder = SSTableBuilder(block_size=32)
+        for key in (b"aa", b"bb", b"cc"):
+            builder.add(key, b"vv")
+        sst = builder.finish()
+        assert [len(block.entries) for block in sst._blocks] == [2, 1]
+
+    def test_from_sorted_builds_what_add_builds(self):
+        entries = [(b"key-%03d" % i, b"x" * (i % 7)) for i in range(50)]
+        added = SSTableBuilder(block_size=64)
+        for key, value in entries:
+            added.add(key, value)
+        one = added.finish(sst_id=3)
+        two = SSTableBuilder.from_sorted(list(entries), block_size=64).finish(
+            sst_id=3)
+        assert [(b.entries, b.nbytes, b.offset) for b in one._blocks] == \
+            [(b.entries, b.nbytes, b.offset) for b in two._blocks]
+        assert bytes(one.bloom._bits) == bytes(two.bloom._bits)

@@ -1,5 +1,7 @@
 """Tests for statistics: reservoir sampling, histograms, selectivity."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +129,98 @@ class TestTableSelectivity:
         stats = TableStatistics("t")
         assert sampled_selectivity(stats, "t",
                                    IsNull(V, negated=True)) == 0.1
+
+
+def _fold_one_at_a_time(rows, sample_size, seed):
+    """Reference: every value and row folded alone, the plain way."""
+    columns = {}
+    sample = []
+    rng = random.Random(seed)
+    for count, row in enumerate(rows, start=1):
+        for name, value in row.items():
+            col = columns.setdefault(
+                name, {"n_values": 0, "n_nulls": 0, "min": None,
+                       "max": None, "distinct": set()})
+            if value is None:
+                col["n_nulls"] += 1
+                continue
+            col["n_values"] += 1
+            if col["min"] is None or value < col["min"]:
+                col["min"] = value
+            if col["max"] is None or value > col["max"]:
+                col["max"] = value
+            if len(col["distinct"]) < 4096:
+                col["distinct"].add(value)
+        if len(sample) < sample_size:
+            sample.append(dict(row))
+        else:
+            slot = rng.randrange(count)
+            if slot < sample_size:
+                sample[slot] = dict(row)
+    return columns, sample, rng.getstate()
+
+
+def _state(stats):
+    columns = {name: {"n_values": col.n_values, "n_nulls": col.n_nulls,
+                      "min": col.min_value, "max": col.max_value,
+                      "distinct": col._distinct}
+               for name, col in stats.columns.items()}
+    for name, col in stats.columns.items():
+        assert col.distinct_estimate == len(col._distinct), name
+    return columns, stats.sample, stats._rng.getstate()
+
+
+def _assert_folds_like_reference(batches, sample_size=16, seed=3):
+    stats = TableStatistics("t", sample_size=sample_size, seed=seed)
+    for batch in batches:
+        stats.observe_rows(batch)
+    rows = [row for batch in batches for row in batch]
+    want = _fold_one_at_a_time(rows, sample_size, seed)
+    got = _state(stats)
+    assert got == want
+    # Column order is first appearance, as one-at-a-time folding has it.
+    assert list(got[0]) == list(want[0])
+    assert stats.row_count == len(rows)
+
+
+class TestObserveRows:
+    def test_distinct_cap_crossed_mid_batch(self):
+        first = [{"v": i} for i in range(4000)]
+        # Repeats of seen values, then more new values than the cap has
+        # room for: only the first 96 new ones may get in.
+        second = ([{"v": i} for i in range(0, 4000, 7)]
+                  + [{"v": None}]
+                  + [{"v": 10_000 - i} for i in range(300)])
+        _assert_folds_like_reference([first, second])
+        stats = TableStatistics("t", seed=3)
+        stats.observe_rows(first)
+        stats.observe_rows(second)
+        column = stats.column("v")
+        assert column.distinct_estimate == 4096
+        assert 10_000 - 95 in column._distinct
+        assert 10_000 - 96 not in column._distinct
+
+    def test_cap_crossed_within_one_batch(self):
+        _assert_folds_like_reference(
+            [[{"v": i % 5000, "w": str(i % 3)} for i in range(9000)]])
+
+    @given(st.lists(st.lists(
+        st.dictionaries(st.sampled_from("abc"),
+                        st.none() | st.integers(-5, 5), max_size=3),
+        max_size=12), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_differing_key_sets(self, batches):
+        _assert_folds_like_reference(batches, sample_size=5)
+
+    def test_observe_row_is_a_batch_of_one(self):
+        rows = [{"a": i, "b": None if i % 3 else str(i)} for i in range(50)]
+        _assert_folds_like_reference([[row] for row in rows], sample_size=8)
+
+    def test_sample_columns_dropped_only_when_the_sample_changes(self):
+        stats = TableStatistics("t", sample_size=2, seed=0)
+        stats.observe_rows([{"v": 1}, {"v": 2}])
+        before = stats.sample_batch("t", ["v"]).column("t.v")[0]
+        assert list(before) == [1, 2]
+        stats.observe_rows([{"v": 3}] * 40)
+        after = stats.sample_batch("t", ["v"]).column("t.v")[0]
+        assert sorted(after) == sorted(row["v"] for row in stats.sample)

@@ -46,6 +46,70 @@ class TestInsertGet:
         assert people.row_count == 4
 
 
+class TestWritePath:
+    def _lsm_state(self, table):
+        trees = [table.family.tree] + [index.family.tree
+                                       for index in table.indexes.values()]
+        return [(tree.version, tree.write_stats.puts) for tree in trees]
+
+    def test_reinserting_a_primary_key_is_rejected(self, kv_db):
+        table = Catalog(kv_db).create_table(TableSchema(
+            "t", (int_col("id", False), int_col("age")), "id", ("age",)))
+        table.insert({"id": 1, "age": 30})
+        before = self._lsm_state(table)
+        with pytest.raises(SchemaError, match="duplicate primary key 1"):
+            table.insert({"id": 1, "age": 40})
+        assert self._lsm_state(table) == before      # nothing written
+        assert table.row_count == 1
+        assert table.get_by_pk(1) == {"id": 1, "age": 30}
+        assert list(table.index_lookup("age", 30)) == [{"id": 1, "age": 30}]
+        assert list(table.index_lookup("age", 40)) == []
+
+    def test_reinsert_after_delete_is_allowed(self, people):
+        assert people.delete(1)
+        people.insert({"id": 1, "name": "al", "age": 31, "city": "oslo"})
+        assert people.get_by_pk(1)["name"] == "al"
+        assert [r["id"] for r in people.index_lookup("age", 31)] == [1]
+
+    def test_key_repeated_within_a_batch_is_rejected(self, people):
+        with pytest.raises(SchemaError, match="duplicate primary key 7"):
+            people.insert_many([{"id": 7, "name": "x"},
+                                {"id": 8, "name": "y"},
+                                {"id": 7, "name": "z"}])
+        assert people.get_by_pk(7)["name"] == "x"
+        assert people.get_by_pk(8)["name"] == "y"
+        assert people.row_count == 6
+
+    @pytest.mark.parametrize("bad_row", [
+        {"id": 12, "name": "n", "age": "old"},           # codec: type
+        {"name": "no-id", "age": 1},                      # pk unset
+        {"id": 2, "name": "dup", "age": 1},               # pk in the table
+        {"id": 11, "name": "dup-in-batch", "age": 1},     # pk in the batch
+    ])
+    def test_error_in_row_i_keeps_rows_before_it(self, people, bad_row):
+        rows = ([{"id": 10, "name": "j", "age": 50, "city": "kyiv"},
+                 {"id": 11, "name": "k", "age": 51, "city": None}]
+                + [bad_row]
+                + [{"id": 13, "name": "m", "age": 53, "city": "lima"}])
+        with pytest.raises(SchemaError):
+            people.insert_many(rows)
+        # Rows 0 and 1 are written, indexed and observed...
+        assert [people.get_by_pk(pk)["name"] for pk in (10, 11)] == ["j", "k"]
+        assert [r["id"] for r in people.index_lookup("age", 51)] == [11]
+        assert people.row_count == 6
+        assert people.mutation_count == 6
+        age = people.statistics.column("age")
+        assert (age.n_values, age.max_value) == (5, 51)
+        assert people.statistics.column("city").n_nulls == 1
+        assert {row["id"] for row in people.statistics.sample} == {
+            1, 2, 3, 4, 10, 11}
+        # ... and nothing from the bad row on.
+        assert people.get_by_pk(13) is None
+        assert people.get_by_pk(12) is None
+        assert list(people.index_lookup("age", 53)) == []
+        assert list(people.index_lookup("city", "lima")) == []
+
+
 class TestScan:
     def test_full_scan(self, people):
         assert len(list(people.scan())) == 4
