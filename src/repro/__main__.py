@@ -40,7 +40,7 @@ from repro.bench.cluster import cluster_matrix
 from repro.bench.concurrency import concurrency_matrix
 from repro.bench.fuzz import MODES, FuzzHarness, replay_failures, \
     write_corpus
-from repro.bench.parallel import sweep_job_matrix
+from repro.bench.parallel import BUDGET, sweep_job_matrix
 from repro.bench.reporting import (format_table, ms, render_family_grid,
                                    render_matrix_summary)
 from repro.context import ExecutionContext
@@ -218,7 +218,8 @@ def cmd_trace(args):
 def cmd_sweep(args):
     env = _build_env(args)
     result = exp.exp6_split_sweep_fig16(env, args.query)
-    rows = [[name, ms(value) if value is not None else "infeasible"]
+    rows = [[name, "infeasible" if value is None
+             else value if value == BUDGET else ms(value)]
             for name, value in result["times"].items()]
     print(format_table(["strategy", "time [ms]"], rows,
                        title=f"Q{args.query} split sweep"))

@@ -21,7 +21,8 @@ from dataclasses import replace
 from repro.cluster import ClusterFaultPlan, DeviceCluster, SpeculationPolicy
 from repro.context import ExecutionContext
 from repro.engine.stacks import Stack
-from repro.errors import DeviceOverloadError, OffloadError, ReproError
+from repro.errors import (DeviceOverloadError, EventBudgetExceeded,
+                          OffloadError, ReproError)
 from repro.faults import (CommandFaultModel, CoreFaultModel, DramFaultModel,
                           FaultPlan, FaultWindow, FlashFaultModel,
                           LinkFaultModel, SlowDeviceModel)
@@ -218,7 +219,8 @@ def run_chaos(env, query_name, scenario, seed=0, ctx=None, queries=None):
 
     A generated query whose pipeline cannot be offloaded or reserved at
     this scale is reported as ``infeasible`` (and ``ok``) rather than a
-    failure — mirroring the differential fuzzer's classification.
+    failure — mirroring the differential fuzzer's classification — and
+    one whose simulation exceeds the event loop's cap as ``budget``.
     """
     _check_scenarios([scenario])
     ctx = ExecutionContext.coerce(ctx)
@@ -239,6 +241,10 @@ def run_chaos(env, query_name, scenario, seed=0, ctx=None, queries=None):
         return _cell(query_name, scenario, seed, split, baseline, 0.0,
                      strategy="infeasible", rows=len(baseline.result),
                      infeasible=True, error=str(error))
+    except EventBudgetExceeded as error:
+        return _cell(query_name, scenario, seed, split, baseline, 0.0,
+                     strategy="budget", rows=len(baseline.result),
+                     budget=True, error=str(error))
     return _cell(query_name, scenario, seed, split, baseline,
                  reference.total_time, faulted,
                  bound=_slowdown_bound(baseline, reference))

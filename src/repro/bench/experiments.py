@@ -11,7 +11,7 @@ shapes on them.
 import random
 from dataclasses import replace
 
-from repro.bench.parallel import strategy_times
+from repro.bench.parallel import strategy_times, timed
 from repro.core.strategy import ExecutionStrategy
 from repro.engine.ndp import NDPEngineConfig
 from repro.engine.stacks import Stack, StackRunner
@@ -113,8 +113,8 @@ def classify_matrix(matrix, tolerance=ON_PAR_TOLERANCE):
         if host is None:
             continue
         total += 1
-        strategies = {k: v for k, v in times.items()
-                      if v is not None and k != "host-only"}
+        strategies = {k: v for k, v in timed(times).items()
+                      if k != "host-only"}
         if not strategies:
             red += 1
             per_query[name] = "red"
@@ -165,7 +165,7 @@ def exp3_decisions_fig13(env, matrix, tolerance=0.10):
     outcomes = {}
     best = acceptable = miss = 0
     for name, times in matrix.items():
-        valid = {k: v for k, v in times.items() if v is not None}
+        valid = timed(times)
         if not valid:
             continue
         fastest = min(valid, key=lambda k: valid[k])
@@ -262,7 +262,8 @@ _FIG16_LABELS = {"host-only": "block-only", "full-ndp": "ndp-only"}
 
 def exp6_split_sweep_fig16(env, query_name="8c"):
     """Execution time for block-only, H0..Hn, NDP-only; None where the
-    strategy is infeasible (a :class:`ReproError`, e.g. device overload)."""
+    strategy is infeasible (a :class:`ReproError`, e.g. device overload),
+    ``"budget"`` where its simulation exceeded the event cap."""
     times = strategy_times(env, query_name)
     return {"query": query_name,
             "times": {_FIG16_LABELS.get(name, name): value

@@ -39,7 +39,8 @@ from repro.bench.chaos import default_split
 from repro.cluster import DeviceCluster
 from repro.context import ExecutionContext
 from repro.engine.stacks import Stack
-from repro.errors import DeviceOverloadError, OffloadError, ReproError
+from repro.errors import (DeviceOverloadError, EventBudgetExceeded,
+                          OffloadError, ReproError)
 from repro.query.ast import ColumnRef, Comparison, InList, Or, conjuncts, \
     make_and
 from repro.query.parser import SelectItem, parse_query
@@ -89,6 +90,7 @@ class FuzzReport:
     modes: tuple
     checks: int = 0            # (query, mode) comparisons that ran
     infeasible: int = 0        # split attempts the device cannot run
+    budget: int = 0            # runs that exceeded the event loop's cap
     failures: list = field(default_factory=list)
     corpus: list = field(default_factory=list)   # GeneratedQuery list
 
@@ -97,8 +99,11 @@ class FuzzReport:
         return not self.failures
 
     def to_dict(self):
-        """JSON-ready, stable ordering — the determinism artifact."""
-        return {
+        """JSON-ready, stable ordering — the determinism artifact.
+
+        ``budget`` is only present when some run exceeded the event cap.
+        """
+        payload = {
             "schema_version": 1,
             "seed": self.seed,
             "queries": self.queries,
@@ -108,6 +113,9 @@ class FuzzReport:
             "ok": self.ok,
             "failures": [failure.to_dict() for failure in self.failures],
         }
+        if self.budget:
+            payload["budget"] = self.budget
+        return payload
 
 
 class FuzzHarness:
@@ -177,6 +185,9 @@ class FuzzHarness:
         except INFEASIBLE:
             report.infeasible += 1
             return
+        except EventBudgetExceeded:
+            report.budget += 1
+            return
         except ReproError as exc:
             self._fail(report, query, mode, "error",
                        f"{type(exc).__name__}: {exc}")
@@ -205,6 +216,9 @@ class FuzzHarness:
                     [query.name for query in batch],
                     ClosedLoopArrivals(clients=4, seed=self.seed))
                 result = scheduler.run()
+            except EventBudgetExceeded:
+                report.budget += len(batch)
+                continue
             except ReproError as exc:
                 for query in batch:
                     self._fail(report, query, "scheduler", "error",
@@ -277,7 +291,7 @@ class FuzzHarness:
                         split_index=split).result.sorted_rows()
                 else:
                     rows = self._cluster(mode).run(plan).result.sorted_rows()
-            except INFEASIBLE:
+            except (INFEASIBLE, EventBudgetExceeded):
                 return False
             except ReproError:
                 return kind == "error"

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.context import ExecutionContext
-from repro.errors import ReproError
+from repro.errors import EventBudgetExceeded, ReproError
 from repro.sim import Tracer
 from repro.workloads.job_queries import all_queries, query
 from repro.workloads.loader import build_environment
@@ -23,9 +23,28 @@ from repro.workloads.loader import build_environment
 _WORKER_ENV = None
 _WORKER_TRACE_DIR = None
 
+#: A strategy's entry in :func:`strategy_times` when its simulation
+#: exceeded the event loop's cap (:class:`EventBudgetExceeded`).
+BUDGET = "budget"
+
+
+def _outcome(report):
+    """A strategy's sweep entry: its time, ``None`` when infeasible."""
+    if isinstance(report, EventBudgetExceeded):
+        return BUDGET
+    return None if isinstance(report, Exception) else report.total_time
+
+
+def timed(times):
+    """The entries of a :func:`strategy_times` map that are times."""
+    return {strategy: value for strategy, value in times.items()
+            if value is not None and value != BUDGET}
+
 
 def strategy_times(env, query_name, trace_dir=None):
-    """{strategy: total_time or None} for one query on one environment.
+    """{strategy: total_time, None or BUDGET} for one query on one
+    environment: ``None`` marks an infeasible strategy, :data:`BUDGET`
+    one whose simulation exceeded the event cap.
 
     With ``trace_dir`` set, every feasible strategy run is traced and
     written as ``<trace_dir>/<query>-<strategy>.json`` (Chrome
@@ -43,11 +62,10 @@ def strategy_times(env, query_name, trace_dir=None):
         os.makedirs(trace_dir, exist_ok=True)
         for strategy, report in reports.items():
             if isinstance(report, Exception):
-                continue   # infeasible: its tracer may hold open spans
+                continue   # no report: its tracer may hold open spans
             tracers[strategy].write(os.path.join(
                 trace_dir, f"{query_name}-{strategy}.json"))
-    return {strategy: (None if isinstance(report, Exception)
-                       else report.total_time)
+    return {strategy: _outcome(report)
             for strategy, report in reports.items()}
 
 

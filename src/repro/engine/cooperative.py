@@ -19,7 +19,10 @@ transfers serialize with queuing delays that feed the ``host_wait_*`` /
 Every split runs through one lifecycle (docs/architecture.md):
 :meth:`CooperativeExecutor.prepare_split` *stages* it on a
 :class:`~repro.sim.SimContext`, ``start(at)`` schedules it, the kernel's
-event loop drains it, ``finish`` builds the report.
+event loop drains it, ``finish`` builds the report.  The host's join
+work is computed a chunk of device batches at a time, when the first
+batch of the chunk is consumed, and priced batch by batch as each is
+consumed (docs/engine.md, "Segmented host fragments").
 :meth:`CooperativeExecutor.run_split` drives exactly that on a fresh
 one-device kernel; the workload scheduler (:mod:`repro.sched`) and the
 scatter-gather executor (:mod:`repro.cluster`) start many staged splits
@@ -143,9 +146,12 @@ class _SplitSimulation:
     process posts a small fetch/completion command on ``link`` per batch,
     joins the batch on ``cpu``, which frees the slot.  The device blocks
     when all ``slots`` slots hold unconsumed batches; the host blocks when
-    the next batch has not arrived yet.  Real host-side join work happens
-    inside the consume events, in batch order, so results are identical to
-    the sequential implementation.
+    the next batch has not arrived yet.  The host joins for real: the
+    first consume event that finds no joined batch waiting has the
+    fragment session join a chunk of batches in one segmented pipeline
+    run, and each consume event takes its own batch's rows and counter
+    delta and prices them, in batch order — rows, counters and times
+    are those of joining batch by batch.
 
     The simulation runs on ``kernel`` (a one-device
     :class:`~repro.sim.SimContext` or a view of a larger one), which the
@@ -521,10 +527,7 @@ class _SplitSimulation:
                             operator="stall")
             self._device_produce(index)
 
-        batch_time, delta = self._host_charge(
-            lambda: self.executor._process_batch(
-                self.session, self.batches[i], self.row_bytes,
-                self.host_counters, self.joined_rows))
+        batch_time, delta = self._host_charge(lambda: self._join(i))
         begin, end = self.cpu.acquire(now, batch_time,
                                       label=f"process batch {i}")
         if begin > now:
@@ -538,6 +541,20 @@ class _SplitSimulation:
         self.host_processing += batch_time
         self.loop.schedule_at(end, lambda: self._host_want(i + 1),
                               label=f"host want {i + 1}")
+
+    def _join(self, i):
+        """Take batch ``i``'s joined rows and price its host work.
+
+        Returns ``(charged_seconds, counter_delta)`` — the delta is the
+        host work the batch added, which traced runs attach to the
+        batch's compute span.
+        """
+        fragment, delta = self.session.batch(i)
+        # Each fragment is one ColumnBatch; finalize concatenates them.
+        self.joined_rows.append(fragment)
+        self.host_counters.merge(delta)
+        batch_time, _ = self.timing.charge(delta, ExecutionLocation.HOST)
+        return batch_time, delta
 
     def _host_epilogue(self):
         if self.cancelled:
@@ -721,31 +738,11 @@ class CooperativeExecutor:
         return (device_entries, host_entries, device_aliases,
                 device_residual, host_residual)
 
-    def _process_batch(self, session, batch, row_bytes, host_counters,
-                       joined_rows):
-        """Join one device batch on the host.
-
-        Returns ``(charged_seconds, counter_delta)`` — the delta is the
-        host work this batch added, which traced runs attach to the
-        batch's compute span.
-        """
-        before = host_counters.copy()
-        if session is not None:
-            fragment_rows, _fragment_bytes = session.process_batch(
-                batch, row_bytes)
-        else:
-            fragment_rows = batch
-        # Each fragment is one ColumnBatch; finalize concatenates them.
-        joined_rows.append(fragment_rows)
-        delta = host_counters.delta_since(before)
-        batch_time, _ = self.timing.charge(delta, ExecutionLocation.HOST)
-        return batch_time, delta
-
     def _finalize_time(self, sim):
         """Run the host epilogue for ``sim``.
 
         Returns ``(charged_seconds, counter_delta)`` like
-        :meth:`_process_batch`.
+        :meth:`_SplitSimulation._join`.
         """
         counters = sim.host_counters
         before = counters.copy()
@@ -875,22 +872,21 @@ class CooperativeExecutor:
             batch_rows = max(1, slot_bytes // row_bytes)
             rows = execution.rows
             n_batches = max(1, math.ceil(len(rows) / batch_rows))
-            batches = [rows[i * batch_rows:(i + 1) * batch_rows]
-                       for i in range(n_batches)]
+            offsets = [min(i * batch_rows, len(rows))
+                       for i in range(n_batches)] + [len(rows)]
+            batches = [rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
             slots = self.ndp.device.spec.shared_buffer_slots
             per_batch_device = device_time / n_batches
 
-            host_counters = WorkCounters()
-            session = None
-            if host_entries or host_residual:
-                session = self.host.fragment_session(
-                    plan, host_entries, device_aliases, host_counters,
-                    captured, residual_conjuncts=host_residual)
+            session = self.host.fragment_session(
+                plan, host_entries, device_aliases, captured, rows,
+                offsets, row_bytes, residual_conjuncts=host_residual)
 
             sim = _SplitSimulation(
                 self, plan, batches, per_batch_device, row_bytes, slots,
-                setup_time, session, host_counters, kernel, tracer, injector,
-                f"H{split_index}", admission_wait, trace_label, finalize)
+                setup_time, session, WorkCounters(), kernel, tracer,
+                injector, f"H{split_index}", admission_wait, trace_label,
+                finalize)
             return PreparedSplit(sim, split_index, execution, device_time,
                                  device_breakdown, device_aliases)
         except BaseException:

@@ -6,6 +6,8 @@ pays the external flash path for every byte it reads, which is exactly
 the data movement NDP removes.
 """
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 from repro.engine.counters import WorkCounters
@@ -79,13 +81,16 @@ class HostEngine:
     # ------------------------------------------------------------------
     # Fragment execution (hybrid host side)
     # ------------------------------------------------------------------
-    def fragment_session(self, plan, entries, input_aliases, counters,
-                         shared_state, residual_conjuncts=None):
+    def fragment_session(self, plan, entries, input_aliases, shared_state,
+                         rows, offsets, row_bytes, residual_conjuncts=None):
         """A stateful session for the host side of a hybrid split.
 
+        ``rows`` are the device fragment's output, of ``row_bytes`` bytes
+        a row, shipped as the batches ``rows[offsets[i]:offsets[i + 1]]``.
         The session keeps one pipeline executor — and therefore one warm
         block cache — across all device-result batches, as a real engine
-        would.  ``counters`` accumulates host work across batches.
+        would, and hands out each batch's joined rows and host work in
+        batch order (:meth:`_FragmentSession.batch`).
 
         It reads ``shared_state``, the capture the split's NDP command
         was cut from, so both halves of the split read one database
@@ -99,8 +104,11 @@ class HostEngine:
         catalog = SnapshotCatalog(self.catalog, shared_state,
                                   set(plan.spec.tables.values()),
                                   use_bloom_filters=True)
-        return _FragmentSession(self, catalog, plan, entries,
-                                list(input_aliases), counters, residual)
+        executor = PipelineExecutor(catalog, self._pipeline_config(),
+                                    WorkCounters())
+        return _FragmentSession(executor, plan.spec.tables, entries,
+                                list(input_aliases), residual, rows,
+                                offsets, row_bytes)
 
     def finalize_fragment(self, plan, rows, counters):
         """Aggregation/projection epilogue over accumulated rows."""
@@ -110,26 +118,55 @@ class HostEngine:
         return QueryResult(result_rows, columns)
 
 
-class _FragmentSession:
-    """Executes device-result batches against the host-side entries."""
+#: Device rows one pipeline run of a host fragment joins at most: whole
+#: device batches, one at least.
+_CHUNK_ROWS = 1 << 12
 
-    def __init__(self, engine, catalog, plan, entries, input_aliases,
-                 counters, residual):
-        self.plan = plan
+
+class _FragmentSession:
+    """Joins a split's device batches with the host-side entries.
+
+    Batches are joined a chunk of consecutive ones per pipeline run, as
+    one input cut into segments (``PipelineExecutor.run(segments=)``):
+    each batch's rows and :class:`WorkCounters` are exactly those of a
+    run over it alone, after the batches before it.  A chunk is joined
+    when its first batch is asked for, so a split cancelled before its
+    host consumes anything joins nothing.
+    """
+
+    def __init__(self, executor, tables, entries, input_aliases, residual,
+                 rows, offsets, row_bytes):
+        self.tables = tables
         self.entries = entries
         self.input_aliases = input_aliases
-        self.counters = counters
         self.residual = residual
-        self._executor = PipelineExecutor(
-            catalog, engine._pipeline_config(), counters)
+        self.rows = rows
+        self.offsets = offsets
+        self.row_bytes = row_bytes
+        self._executor = executor
+        self._joined = deque()      # (rows, counters) of joined batches
 
-    def process_batch(self, batch, row_bytes):
-        """Join one batch of device rows with the host-side entries."""
-        rows, out_bytes = self._executor.run(
-            self.entries, self.plan.spec.tables,
+    def batch(self, index):
+        """Batch ``index``'s joined rows and the host work it took.
+
+        Batches are asked for in order, each once.
+        """
+        if not self._joined:
+            self._join_chunk(index)
+        return self._joined.popleft()
+
+    def _join_chunk(self, first):
+        """Join the chunk of batches that starts at batch ``first``."""
+        offsets = self.offsets
+        lo = offsets[first]
+        last = min(len(offsets) - 1, max(
+            first + 1, bisect_right(offsets, lo + _CHUNK_ROWS) - 1))
+        parts, _row_bytes = self._executor.run(
+            self.entries, self.tables,
             residual_conjuncts=self.residual,
-            input_rows=batch,
-            input_row_bytes=row_bytes,
+            input_rows=self.rows[lo:offsets[last]],
+            input_row_bytes=self.row_bytes,
             input_aliases=self.input_aliases,
+            segments=[offset - lo for offset in offsets[first:last + 1]],
         )
-        return rows, out_bytes
+        self._joined.extend(parts)

@@ -17,7 +17,9 @@ defers decode and predicate work and never reorders or skips a *charged*
 read — a key sought again, or an inner table scanned again at the
 same tree version, replays its recorded
 :class:`~repro.lsm.store.ReadTrace` through the executor's own block
-cache — so stateful block-cache hit counts match exactly.
+cache — so stateful block-cache hit counts match exactly.  One run may
+join many batches at once as *segments* of one input, each charged as
+if it ran alone (``PipelineExecutor.run(segments=...)``).
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.columns import ColumnBatch
+from repro.engine.counters import WorkCounters
 from repro.errors import ExecutionError
 from repro.lsm.store import ReadStats, ReadTrace, Replays
 from repro.query.ast import (Between, ColumnRef, Comparison, InList, IsNull,
@@ -323,6 +326,39 @@ def _keyed_side(inner, columns):
                                           for name in columns])
 
 
+def _prefix(counts):
+    """``[0, c0, c0 + c1, ...]``: indexed with a run's segment offsets,
+    the counts that fall before each offset."""
+    prefix = np.zeros(len(counts) + 1, dtype=np.intp)
+    prefix[1:] = counts
+    return prefix.cumsum()
+
+
+def _cut(positions, bounds):
+    """Where each offset of ``bounds`` falls among ``positions``, which
+    ascend by segment: the offsets that cut them into the segments."""
+    if len(bounds) == 2:        # one segment: all of them
+        return np.array((0, len(positions)), dtype=np.intp)
+    return np.searchsorted(positions, bounds)
+
+
+def _lengths(bounds):
+    """The lengths of the segments ``bounds`` delimit, as a list."""
+    if len(bounds) == 2:
+        return [int(bounds[1] - bounds[0])]
+    return (bounds[1:] - bounds[:-1]).tolist()
+
+
+def _whole(n):
+    """The offsets of one segment of ``n`` positions."""
+    return np.array([0, n], dtype=np.intp)
+
+
+def _sought(null):
+    """How many of some seek keys are sought: those not NULL."""
+    return len(null) - int(np.count_nonzero(null))
+
+
 class PipelineExecutor:
     """Executes a sequence of :class:`TableAccess` stages over batches."""
 
@@ -355,7 +391,8 @@ class PipelineExecutor:
     # Entry points
     # ------------------------------------------------------------------
     def run(self, entries, tables, residual_conjuncts=(), input_rows=None,
-            input_row_bytes=0, input_aliases=(), driving_shard=None):
+            input_row_bytes=0, input_aliases=(), driving_shard=None,
+            segments=None):
         """Execute stages over ``entries``.
 
         ``tables`` maps alias -> table name (from the QuerySpec).
@@ -375,35 +412,116 @@ class PipelineExecutor:
 
         Returns ``(batch, row_bytes)`` where ``row_bytes`` is the
         materialized size of one output row (feeds transfer volumes and
-        the next fragment's buffer math).
+        the next fragment's buffer math); the work lands in
+        :attr:`counters`.
+
+        ``segments`` cuts ``input_rows`` into consecutive batches: the
+        ascending offsets ``[0, ..., len(input_rows)]`` of their
+        boundaries (docs/engine.md, *Segmented host fragments*).  Each
+        segment is joined as if this executor ran over it alone, one
+        segment after the other: every kernel applies its per-batch
+        rules per segment, and block-cache charges reach the cache in
+        segment-major, stage-minor order.  The call then returns
+        ``(parts, row_bytes)``, ``parts[i]`` being the output rows and
+        the :class:`WorkCounters` of segment ``i``, and leaves
+        :attr:`counters` alone.  A run without ``segments`` is a run of
+        one segment.
         """
         self._tables = tables
         pending_residual = list(residual_conjuncts)
         if input_rows is not None:
             batch = input_rows
             row_bytes = input_row_bytes
+            bounds = np.asarray([0, len(batch)] if segments is None
+                                else segments, dtype=np.intp)
+            if (len(bounds) < 2 or bounds[0] != 0
+                    or bounds[-1] != len(batch)
+                    or (bounds[1:] < bounds[:-1]).any()):
+                raise ExecutionError("segments must ascend from 0 to the "
+                                     "input's length")
+            self._begin([self.counters] if segments is None else
+                        [WorkCounters() for _ in range(len(bounds) - 1)])
             available = set(input_aliases)
             stages = entries
         else:
             if not entries:
                 raise ExecutionError("pipeline needs at least one stage")
+            if segments is not None:
+                raise ExecutionError("only an input batch is segmented")
+            self._begin([self.counters])
             batch, row_bytes = self._driving(entries[0], shard=driving_shard)
+            bounds = np.array([0, len(batch)], dtype=np.intp)
             available = {entries[0].alias}
-            batch, pending_residual = self._apply_residual(
-                batch, pending_residual, available)
+            batch, bounds, pending_residual = self._apply_residual(
+                batch, bounds, pending_residual, available)
             self.stage_trace.append((entries[0].alias, len(batch)))
+            self._flush(0)
             stages = entries[1:]
 
         for entry in stages:
-            batch, row_bytes = self._join(batch, row_bytes, entry)
+            batch, bounds, row_bytes = self._join(batch, bounds, row_bytes,
+                                                  entry)
             available.add(entry.alias)
-            batch, pending_residual = self._apply_residual(
-                batch, pending_residual, available)
+            batch, bounds, pending_residual = self._apply_residual(
+                batch, bounds, pending_residual, available)
             self.stage_trace.append((entry.alias, len(batch)))
-            if self.config.max_rows and len(batch) > self.config.max_rows:
+            if (self.config.max_rows
+                    and max(_lengths(bounds)) > self.config.max_rows):
                 raise ExecutionError(
                     f"intermediate result exceeded {self.config.max_rows} rows")
-        return batch, row_bytes
+            self._flush(0)
+        for segment in range(1, len(bounds) - 1):
+            self._flush(segment)
+        work = self._work
+        self._work = self._logs = None
+        if segments is None:
+            return batch, row_bytes
+        starts = bounds.tolist()
+        return [(batch[lo:hi], counters) for lo, hi, counters
+                in zip(starts, starts[1:], work)], row_bytes
+
+    # ------------------------------------------------------------------
+    # Per-segment work and block-cache charges
+    # ------------------------------------------------------------------
+    def _begin(self, work):
+        """Open a run with nothing queued; segment ``i`` charges its work
+        to ``work[i]``."""
+        #: Per segment, the :class:`WorkCounters` charged with its work.
+        self._work = work
+        #: Per segment, the replays queued for it in access order, as
+        #: ``(traces, times)`` pairs of parallel sequences (see
+        #: :meth:`_flush`).
+        self._logs = [[] for _ in work]
+
+    def _evaluated(self, records, ops, memcmp):
+        """Charge each segment evaluating its ``records`` with a
+        predicate of ``ops`` primitive ops and ``memcmp`` bytes."""
+        for work, n in zip(self._work, records):
+            work.records_evaluated += n
+            work.predicate_ops += ops * n
+            work.memcmp_bytes += memcmp * n
+
+    def _flush(self, segment):
+        """Charge ``segment``'s queued replays through the block cache.
+
+        Walks record against scratch stats and every charged read is
+        queued as a replay of its trace, so a stage touches no cache
+        while it runs.  Segment 0 is flushed after every stage and
+        between slices of key runs: nothing of a later segment has
+        reached the cache, so its reads are next in the order of
+        per-segment runs.  The others are flushed after the last stage,
+        in order.  A one-segment run thus charges stage by stage.
+        """
+        log = self._logs[segment]
+        if not log:
+            return
+        stats = self._stats()
+        replays = Replays(stats)
+        for traces, times in log:
+            replays.extend(traces, times)
+        replays.flush()
+        log.clear()
+        self._work[segment].absorb_read_stats(stats)
 
     # ------------------------------------------------------------------
     # Per-entry decode planning
@@ -492,14 +610,15 @@ class PipelineExecutor:
                 exact = False
         stats = self._stats()
         row_bytes = self._materialized_bytes(entry)
-        counters = self.counters
         if entry.access_path is AccessPath.SECONDARY_LOOKUP:
             if shard is not None and shard.is_empty:
                 batch = table.codec.batch_projector(needed, entry.alias)([])
             else:
+                keys = _constant_keys(self._index_constants(entry))
                 memo, _, inner_idx = self._seek_all(
-                    table, entry.index_column,
-                    *_constant_keys(self._index_constants(entry)), stats)
+                    table, entry.index_column, *keys,
+                    _whole(len(keys[0])), self._logs)
+                self._work[0].index_seeks += _sought(keys[1])
                 batch = memo.gather(needed, entry.alias, inner_idx)
                 if shard is not None:
                     pk_name = f"{entry.alias}.{table.schema.primary_key}"
@@ -516,16 +635,14 @@ class PipelineExecutor:
                 columns=tuple(needed), pk_lo=lo, pk_hi=hi, stats=stats,
                 qualified_as=entry.alias, shard=shard))
         n = len(batch)
-        counters.records_evaluated += n
-        counters.predicate_ops += ops * n
-        counters.memcmp_bytes += memcmp * n
+        self._evaluated([n], ops, memcmp)
         if entry.local_filter is not None and n:
             batch = batch.select(eval_mask(entry.local_filter, batch))
-        counters.bytes_materialized += row_bytes * len(batch)
+        self._work[0].bytes_materialized += row_bytes * len(batch)
         if not exact:
             batch = batch.project([f"{entry.alias}.{name}"
                                    for name in emitted])
-        counters.absorb_read_stats(stats)
+        self._work[0].absorb_read_stats(stats)
         self._row_bytes[entry.alias] = row_bytes
         # The driving base holds the filtered projection alone, so no
         # later stage keeps the scanned table or a seek pool alive.
@@ -572,47 +689,54 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _join(self, outer, outer_row_bytes, entry):
+    def _join(self, outer, bounds, outer_row_bytes, entry):
+        """Join the segments ``bounds`` cut ``outer`` into with one entry.
+
+        Returns ``(batch, bounds, row_bytes)``: the output, segment-major,
+        and its segments' offsets.
+        """
         if entry.join_algorithm in (JoinAlgorithm.BNLJI, JoinAlgorithm.NLJ) \
                 and entry.index_column is not None:
-            return self._join_bnlji(outer, outer_row_bytes, entry)
+            return self._join_bnlji(outer, bounds, outer_row_bytes, entry)
         if entry.join_algorithm is JoinAlgorithm.GHJ:
-            return self._join_ghj(outer, outer_row_bytes, entry)
+            return self._join_ghj(outer, bounds, outer_row_bytes, entry)
         if entry.join_algorithm is JoinAlgorithm.NLJ:
-            return self._join_nlj(outer, outer_row_bytes, entry)
-        return self._join_bnlj(outer, outer_row_bytes, entry)
+            return self._join_nlj(outer, bounds, outer_row_bytes, entry)
+        return self._join_bnlj(outer, bounds, outer_row_bytes, entry)
 
-    def _seek_all(self, table, column, values, null, stats):
+    def _seek_all(self, table, column, values, null, bounds, logs):
         """Seek ``column == value`` for every non-NULL value, in order.
 
         The one place the pipeline issues index seeks.  ``values`` and
         ``null`` are the sought keys as a value array and a null mask
-        (``None``: no NULL).  Each value is charged one ``index_seeks``
-        and its reads, but the Python loop is over runs of equal values,
-        found with numpy — a left-deep pipeline repeats a join key
-        across the fan-out of the stages before it.  A value's first
-        walk of the LSM (``get_record`` on the primary key,
-        ``index_lookup_raw`` otherwise) runs under a recording
-        :class:`ReadTrace`, kept in ``table.seek_memo(column)`` with the
-        records it found added to the memo's pool.  Every other
-        occurrence is a replay through this executor's block cache,
-        queued run by run, at the run's position in the access order, on
-        one :class:`Replays` that is flushed before each walk and at the
-        end.  On a live table the memo lives for this call; on a
-        snapshot it is shared by every split half pinned at the same
-        tree versions with the same bloom flag, so a value may be
-        replayed without any walk here.
+        (``None``: no NULL); ``bounds`` cut them into segments, and
+        ``logs[i]`` receives the replays of segment ``i``.  Each value
+        is charged its reads, but the Python loop is over runs of equal
+        values, found with numpy — a left-deep pipeline repeats a join
+        key across the fan-out of the stages before it — and no run
+        crosses a segment boundary.  A value's first walk of the LSM
+        (``get_record`` on the primary key, ``index_lookup_raw``
+        otherwise) runs under a recording :class:`ReadTrace` against
+        scratch stats, kept in ``table.seek_memo(column)`` with the
+        records it found added to the memo's pool.  Nothing is charged
+        here: every occurrence, the walked one included, is queued as a
+        replay of the trace, run by run, at the run's position in the
+        access order (:meth:`_flush` charges the queues).  On a live
+        table the memo lives for this call; on a snapshot it is shared
+        by every split half pinned at the same tree versions with the
+        same bloom flag, so a value may be replayed without any walk
+        here.  ``index_seeks`` are the caller's to charge.
 
         Returns ``(memo, outer_idx, inner_idx)``: the memo, and as
         ``np.intp`` arrays the position in ``values`` and in the memo's
         pool of every matched pair, outer-major.
         """
         if column == table.schema.primary_key:
-            def seek(value):
+            def seek(value, stats):
                 raw = table.get_record(value, stats=stats)
                 return () if raw is None else (raw,)
         else:
-            def seek(value):
+            def seek(value, stats):
                 return tuple(table.index_lookup_raw(column, value,
                                                     stats=stats))
         memo = table.seek_memo(column)
@@ -624,54 +748,66 @@ class PipelineExecutor:
         breaks[1:n] = values[1:] != values[:-1]
         if null is not None:
             breaks[1:n] |= null[1:] != null[:-1]
-        bounds = breaks.nonzero()[0]        # the runs' starts, then n
-        starts = bounds[:-1]
-        lengths = bounds[1:] - starts
+        if len(bounds) > 2:                 # no run crosses a segment
+            breaks[bounds[1:-1]] = True
+        cuts = breaks.nonzero()[0]          # the runs' starts, then n
+        starts = cuts[:-1]
+        lengths = cuts[1:] - starts
         firsts = np.zeros(len(starts), dtype=np.intp)   # per run: its span
         counts = np.zeros(len(starts), dtype=np.intp)
         spans = memo.spans
-        replays = Replays(stats)
+        # Per segment, the index of its first run; a segment's runs end
+        # where the next one's begin.
+        edges = _cut(starts, bounds).tolist()
+        segment = 0
         # Runs are visited a slice at a time, so the Python objects of a
         # long outer's runs are never all alive at once.
         for lo in range(0, len(starts), _RUN_SLICE):
             at = starts[lo:lo + _RUN_SLICE]
-            run_lengths = lengths[lo:lo + _RUN_SLICE].tolist()
+            hi = lo + len(at)
+            run_lengths = lengths[lo:hi].tolist()
             nulls = ([False] * len(at) if null is None
                      else null[at].tolist())
             picked = []
-            for value, length, is_null in zip(values[at].tolist(),
-                                              run_lengths, nulls):
+            for value, is_null in zip(values[at].tolist(), nulls):
                 if is_null:
                     picked.append(_NO_SPAN)
                     continue
                 span = spans.get(value)
                 if span is None:
-                    replays.flush()
-                    with ReadTrace(stats) as trace:
-                        found = seek(value)
+                    scratch = ReadStats()
+                    with ReadTrace(scratch) as trace:
+                        found = seek(value, scratch)
                     span = memo.add(value, trace, found)
-                    length -= 1
-                replays.add(span[0], length)
                 picked.append(span)
-            _traces, run_firsts, run_counts = zip(*picked)
-            firsts[lo:lo + len(at)] = run_firsts
-            counts[lo:lo + len(at)] = run_counts
-        replays.flush()
-        self.counters.index_seeks += n if null is None else n - int(
-            null.sum())
+            traces, run_firsts, run_counts = zip(*picked)
+            firsts[lo:hi] = run_firsts
+            counts[lo:hi] = run_counts
+            # Each segment's runs of this slice join its log.
+            while segment < len(logs) and edges[segment] < hi:
+                first = max(edges[segment], lo) - lo
+                last = min(edges[segment + 1], hi) - lo
+                if first < last:
+                    logs[segment].append((traces[first:last],
+                                          run_lengths[first:last]))
+                if edges[segment + 1] > hi:
+                    break
+                segment += 1
+            self._flush(0)
         row_count = counts.repeat(lengths)
         outer_idx = np.arange(n, dtype=np.intp).repeat(row_count)
         inner_idx = _spans(firsts.repeat(lengths), row_count)
         return memo, outer_idx, inner_idx
 
-    def _join_bnlji(self, outer, outer_row_bytes, entry):
+    def _join_bnlji(self, outer, bounds, outer_row_bytes, entry):
         """Indexed block nested loop: seek the inner on the outer's keys.
 
         Every matched pair is charged, but the inner's records are
         decoded once per seek memo and filtered once per distinct
         record of the call; extra join edges are checked on the edge
         columns alone, and the output is late-bound over the outer's
-        bases and the memo's pool.
+        bases and the memo's pool.  Pairs come out outer-major, so
+        segment by segment.
         """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = self._predicate_cost(entry.local_filter)
@@ -679,20 +815,20 @@ class PipelineExecutor:
         outer_key, extra_edges, edge_columns = self._index_join_plan(entry)
         alias = entry.alias
 
-        stats = self._stats()
         inner_bytes = self._materialized_bytes(entry)
         out_bytes = outer_row_bytes + inner_bytes
-        counters = self.counters
         if outer.has_column(outer_key):
             keys, null = outer.column(outer_key)
+            sought = bounds
         else:               # a missing column reads as NULL: no seeks
             keys, null = np.zeros(0, dtype=np.int64), None
+            sought = np.zeros_like(bounds)
         memo, outer_idx, inner_idx = self._seek_all(
-            table, entry.index_column, keys, null, stats)
-        m = len(inner_idx)
-        counters.records_evaluated += m
-        counters.predicate_ops += ops * m
-        counters.memcmp_bytes += memcmp * m
+            table, entry.index_column, keys, null, sought, self._logs)
+        for work, seeks in zip(self._work, _lengths(
+                sought if null is None else _prefix(~null)[sought])):
+            work.index_seeks += seeks
+        self._evaluated(_lengths(_cut(outer_idx, bounds)), ops, memcmp)
         if entry.local_filter is not None:
             passed = np.zeros(len(memo.records), dtype=bool)
             passed[inner_idx] = True
@@ -711,21 +847,19 @@ class PipelineExecutor:
                 inner)
             outer_idx = outer_idx[keep]
             inner = inner.select(keep)
-        result = outer.take(outer_idx).merged(inner)
-        counters.bytes_materialized += out_bytes * len(result)
-        counters.absorb_read_stats(stats)
-        counters.output_rows += len(result)
-        return result, out_bytes
+        return self._output(outer.take(outer_idx).merged(inner),
+                            _cut(outer_idx, bounds), out_bytes)
 
-    def _join_bnlj(self, outer, outer_row_bytes, entry):
+    def _join_bnlj(self, outer, bounds, outer_row_bytes, entry):
         """Block nested loop with a hash table built in the join buffer.
 
-        The outer is cut into blocks that fit the join buffer and the
-        inner is read once per block (the LSM counters therefore grow
-        with block count — the buffer-pressure effect the paper reports
-        for small buffers); every block probes the one decoded inner
-        side.  Pairs come out block by block, then by inner row, then by
-        outer row — the order a per-block hash table of the outer yields.
+        Each segment's outer is cut into blocks that fit the join buffer
+        and the inner is read once per block (the LSM counters therefore
+        grow with block count — the buffer-pressure effect the paper
+        reports for small buffers); every block probes the one decoded
+        inner side.  Pairs come out segment by segment, and within one
+        block by block, then by inner row, then by outer row — the order
+        a per-block hash table of the outer yields.
         """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = self._predicate_cost(entry.local_filter)
@@ -733,30 +867,32 @@ class PipelineExecutor:
         per_row = max(1, outer_row_bytes)
         rows_per_block = max(1, self.config.join_buffer_bytes // per_row)
         out_bytes = outer_row_bytes + self._materialized_bytes(entry)
-        counters = self.counters
 
-        n_outer = len(outer)
-        blocks = -(-n_outer // rows_per_block)
+        n_outer = _lengths(bounds)
+        blocks = [-(-n // rows_per_block) for n in n_outer]
         side, m = self._inner_side(table, entry, blocks)
         keyed = _keyed_rows(outer, outer_keys)
-        counters.hash_probes += (int(np.count_nonzero(keyed))
-                                 + len(side.rows) * blocks)
-        counters.bytes_materialized += n_outer * per_row
-        counters.records_evaluated += m * blocks
-        counters.predicate_ops += ops * m * blocks
-        counters.memcmp_bytes += memcmp * m * blocks
+        for work, built, count, n in zip(
+                self._work, _lengths(_prefix(keyed)[bounds]), blocks, n_outer):
+            work.hash_probes += built + len(side.rows) * count
+            work.bytes_materialized += n * per_row
+        self._evaluated([m * count for count in blocks], ops, memcmp)
         codes = side.outer_codes(outer, outer_keys, keyed)
         build = np.flatnonzero(codes >= 0)
         probe_idx, build_idx = _match(codes[build], side.codes)
         out_outer = build[build_idx]
         out_inner = side.rows[probe_idx]
-        if blocks > 1:
-            order = np.argsort(out_outer // rows_per_block, kind="stable")
+        if sum(blocks) > 1:
+            segment = np.searchsorted(bounds, out_outer, "right") - 1
+            first_block = _prefix(blocks)[segment]
+            order = np.argsort(first_block + (out_outer - bounds[segment])
+                               // rows_per_block, kind="stable")
             out_outer = out_outer[order]
             out_inner = out_inner[order]
-        return self._emit(outer, side, out_outer, out_inner, out_bytes)
+        return self._emit(outer, bounds, side, out_outer, out_inner,
+                          out_bytes)
 
-    def _join_nlj(self, outer, outer_row_bytes, entry):
+    def _join_nlj(self, outer, bounds, outer_row_bytes, entry):
         """Classical nested loop join: re-read the inner per outer row.
 
         Present for completeness (nKV offers it, §2.1); the optimizer
@@ -768,69 +904,85 @@ class PipelineExecutor:
         ops, memcmp = self._predicate_cost(entry.local_filter)
         outer_keys = self._outer_keys(entry)
         out_bytes = outer_row_bytes + self._materialized_bytes(entry)
-        counters = self.counters
         keyed = _keyed_rows(outer, outer_keys)
-        passes = int(np.count_nonzero(keyed))
+        passes = _lengths(_prefix(keyed)[bounds])
         side, m = self._inner_side(table, entry, passes)
-        counters.records_evaluated += m * passes
-        counters.predicate_ops += (ops + len(outer_keys)) * m * passes
-        counters.memcmp_bytes += memcmp * m * passes
+        self._evaluated([m * count for count in passes],
+                        ops + len(outer_keys), memcmp)
         codes = side.outer_codes(outer, outer_keys, keyed)
         probe = np.flatnonzero(codes >= 0)
         probe_idx, build_idx = _match(side.codes, codes[probe])
-        return self._emit(outer, side, probe[probe_idx],
+        return self._emit(outer, bounds, side, probe[probe_idx],
                           side.rows[build_idx], out_bytes)
 
-    def _join_ghj(self, outer, outer_row_bytes, entry):
+    def _join_ghj(self, outer, bounds, outer_row_bytes, entry):
         """Grace hash join: partition both inputs, then hash per pair.
 
         Partitions are materialized (on-device they would be persisted
         to flash, §2.1 result-set management), charged as memcpy bytes,
-        and each pair joins with one in-buffer hash table.  Equal keys
-        share a partition, so pairs come out by the inner row's
-        partition, then by inner row, then by outer row.
+        and each pair joins with one in-buffer hash table.  Each segment
+        reads the inner once, an empty one too, and partitions by its
+        own size.  Equal keys share a partition, so pairs come out
+        segment by segment, and within one by the inner row's partition,
+        then by inner row, then by outer row.
         """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = self._predicate_cost(entry.local_filter)
         outer_keys = self._outer_keys(entry)
         inner_bytes = self._materialized_bytes(entry)
         out_bytes = outer_row_bytes + inner_bytes
-        counters = self.counters
 
         per_row = max(1, outer_row_bytes)
-        partitions = max(1, -(-(len(outer) * per_row)
-                              // self.config.join_buffer_bytes))
+        partitions = np.maximum(1, -(-((bounds[1:] - bounds[:-1]) * per_row)
+                                     // self.config.join_buffer_bytes))
         keyed = _keyed_rows(outer, outer_keys)
-        built = int(np.count_nonzero(keyed))
-        counters.hash_probes += built
-        counters.bytes_materialized += built * per_row
+        built = _lengths(_prefix(keyed)[bounds])
+        for work, count in zip(self._work, built):
+            work.hash_probes += count
+            work.bytes_materialized += count * per_row
 
-        side, m = self._inner_side(table, entry, 1)
-        counters.records_evaluated += m
-        counters.predicate_ops += ops * m
-        counters.memcmp_bytes += memcmp * m
+        side, m = self._inner_side(table, entry, [1] * len(built))
+        self._evaluated([m] * len(built), ops, memcmp)
         passed = len(side.rows)
-        # Once to partition each passing inner row, once to probe it.
-        counters.hash_probes += 2 * passed
-        counters.bytes_materialized += inner_bytes * passed
+        for work in self._work:
+            # Once to partition each passing inner row, once to probe it.
+            work.hash_probes += 2 * passed
+            work.bytes_materialized += inner_bytes * passed
 
-        probe = np.arange(passed, dtype=np.intp)
-        if partitions > 1:
-            part = side.key_hashes()[side.codes] % partitions
-            probe = np.argsort(part, kind="stable")
         codes = side.outer_codes(outer, outer_keys, keyed)
         build = np.flatnonzero(codes >= 0)
-        probe_idx, build_idx = _match(codes[build], side.codes[probe])
-        return self._emit(outer, side, build[build_idx],
-                          side.rows[probe[probe_idx]], out_bytes)
+        probe_idx, build_idx = _match(codes[build], side.codes)
+        out_outer = build[build_idx]
+        if len(bounds) > 2 or partitions[0] > 1:
+            segment = np.searchsorted(bounds, out_outer, "right") - 1
+            part = np.zeros_like(segment)
+            if partitions.max() > 1:
+                part = (side.key_hashes()[side.codes[probe_idx]]
+                        % partitions[segment])
+            order = np.lexsort((part, segment))
+            out_outer = out_outer[order]
+            probe_idx = probe_idx[order]
+        return self._emit(outer, bounds, side, out_outer,
+                          side.rows[probe_idx], out_bytes)
 
-    def _emit(self, outer, side, outer_idx, inner_idx, out_bytes):
-        """The matched pairs as the stage's output batch, late-bound
-        over the outer's bases and the inner side's decoded batch."""
-        result = outer.take(outer_idx).merged(side.batch.take(inner_idx))
-        self.counters.bytes_materialized += out_bytes * len(result)
-        self.counters.output_rows += len(result)
-        return result, out_bytes
+    def _emit(self, outer, bounds, side, outer_idx, inner_idx, out_bytes):
+        """The matched pairs, segment-major, as the stage's output,
+        late-bound over the outer's bases and the inner side's decoded
+        batch."""
+        return self._output(
+            outer.take(outer_idx).merged(side.batch.take(inner_idx)),
+            _cut(outer_idx, bounds), out_bytes)
+
+    def _output(self, result, bounds, out_bytes):
+        """A join's ``(result, bounds, out_bytes)``, its rows charged.
+
+        ``bounds`` are the offsets of the output's segments (:func:`_cut`
+        of its outer positions).
+        """
+        for work, rows in zip(self._work, _lengths(bounds)):
+            work.bytes_materialized += out_bytes * rows
+            work.output_rows += rows
+        return result, bounds, out_bytes
 
     @staticmethod
     def _outer_keys(entry):
@@ -839,7 +991,8 @@ class PipelineExecutor:
                 (edge.other(entry.alias) for edge in entry.join_edges)]
 
     def _inner_side(self, table, entry, passes):
-        """The inner table of a scan join, its reads charged ``passes`` times.
+        """The inner table of a scan join, its reads charged ``passes``
+        times per segment.
 
         The one place a scan join reads its inner: each pass charges one
         physical read of the inner (same access order and read stats as
@@ -847,46 +1000,48 @@ class PipelineExecutor:
         but the records are decoded and keyed once.  A full scan is
         recorded once per tree version under a :class:`ReadTrace` kept
         in ``table.scan_memo()`` — with the keyed sides decoded from it,
-        one per set of decoded and join columns — and every other pass,
-        here or in any later call at that version, is a replay: the
-        passes of one call are consecutive, so one
-        :meth:`ReadTrace.replay` charges them all.  An inner read
-        through a secondary index on a constant is sought once per pass.
-        No pass (an empty outer) reads nothing and joins nothing.  The
-        stage's local filter and projection are applied on every call.
+        one per set of decoded and join columns — and every pass, here
+        or in any later call at that version, is a replay: the passes
+        of one segment are consecutive, so one queued run charges them
+        all.  An inner read through a secondary index on a constant is
+        sought once per pass.  No pass at all (empty outers) reads
+        nothing and joins nothing.  The stage's local filter and
+        projection are applied on every call.
 
         Returns ``(side, records read per pass)``.
         """
         needed, emitted, exact = self._decode_plan(entry)
         columns = [f"{entry.alias}.{edge.column_of(entry.alias)}"
                    for edge in entry.join_edges]
-        if not passes:
+        reading = [segment for segment, count in enumerate(passes) if count]
+        if not reading:
             inner = table.codec.batch_projector(needed, entry.alias)([])
             side, read = _keyed_side(inner, columns), 0
         elif (entry.access_path is AccessPath.SECONDARY_LOOKUP
                 and entry.index_column is not None
                 and entry.index_column not in
                 [edge.column_of(entry.alias) for edge in entry.join_edges]):
-            stats = self._stats()
             keys = _constant_keys(self._index_constants(entry))
-            for _ in range(passes):
-                memo, _, inner_idx = self._seek_all(
-                    table, entry.index_column, *keys, stats)
-            self.counters.absorb_read_stats(stats)
+            runs = []
+            memo, _, inner_idx = self._seek_all(
+                table, entry.index_column, *keys, _whole(len(keys[0])),
+                [runs])
+            for segment in reading:
+                self._logs[segment].extend(runs * passes[segment])
+            for work, count in zip(self._work, passes):
+                work.index_seeks += _sought(keys[1]) * count
             side = _keyed_side(memo.gather(needed, entry.alias, inner_idx),
                                columns)
             read = len(inner_idx)
         else:
-            stats = self._stats()
             memo = table.scan_memo()
             if memo.trace is None:
-                with ReadTrace(stats) as trace:
-                    records = list(table.scan_raw(ScanRequest(stats=stats)))
+                scratch = ReadStats()
+                with ReadTrace(scratch) as trace:
+                    records = list(table.scan_raw(ScanRequest(stats=scratch)))
                 memo.trace, memo.records = trace, records
-                passes -= 1
-            if passes:
-                memo.trace.replay(stats, passes)
-            self.counters.absorb_read_stats(stats)
+            for segment in reading:
+                self._logs[segment].append(((memo.trace,), [passes[segment]]))
             key = (entry.alias, tuple(needed), tuple(columns))
             side = memo.sides.get(key)
             if side is None:
@@ -905,11 +1060,15 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     # Residual predicates
     # ------------------------------------------------------------------
-    def _apply_residual(self, batch, pending, available):
+    def _apply_residual(self, batch, bounds, pending, available):
+        """Apply the conjuncts of ``pending`` that ``available`` binds.
+
+        Returns ``(batch, bounds, still pending)``.
+        """
         ready = [conjunct for conjunct in pending
                  if conjunct.aliases() <= available]
         if not ready:
-            return batch, pending
+            return batch, bounds, pending
         remaining = [conjunct for conjunct in pending
                      if conjunct not in ready]
         total_ops = 0
@@ -918,16 +1077,14 @@ class PipelineExecutor:
             ops, memcmp = self._predicate_cost(conjunct)
             total_ops += ops
             total_memcmp += memcmp
-        n = len(batch)
-        if n:
-            self.counters.records_evaluated += n
-            self.counters.predicate_ops += total_ops * n
-            self.counters.memcmp_bytes += total_memcmp * n
-            keep = np.ones(n, dtype=bool)
+        if len(batch):
+            self._evaluated(_lengths(bounds), total_ops, total_memcmp)
+            keep = np.ones(len(batch), dtype=bool)
             for conjunct in ready:
                 keep &= eval_mask(conjunct, batch)
             batch = batch.select(keep)
-        return batch, remaining
+            bounds = _prefix(keep)[bounds]
+        return batch, bounds, remaining
 
     # ------------------------------------------------------------------
     # Helpers

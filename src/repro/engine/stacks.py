@@ -214,8 +214,10 @@ class StackRunner:
         of the paper's Figs 12 and 16.  The key of each entry matches the
         report's own ``strategy`` label; the baseline runs on the BLK
         stack under the matrix's canonical ``"host-only"`` name.  Only
-        repro errors (device overload and friends) are recorded as
-        infeasible strategies — programming errors propagate.
+        repro errors are recorded in place of a report — device overload
+        and friends mark an infeasible strategy, an
+        :class:`~repro.errors.EventBudgetExceeded` one whose simulation
+        ran out of events — and programming errors propagate.
 
         ``ctx_factory(strategy_name)`` — when given — is called once per
         strategy and must return an
@@ -236,7 +238,7 @@ class StackRunner:
                                             split_index=k,
                                             ctx=_ctx(f"H{k}"))
             except ReproError as error:
-                # overload -> strategy infeasible
+                # overload -> infeasible; event cap -> over budget
                 reports[f"H{k}"] = error
         try:
             reports["full-ndp"] = self.run(plan, Stack.NDP,

@@ -47,6 +47,18 @@ class ResourceError(ReproError):
     """A simulated resource was used inconsistently (over-subscription)."""
 
 
+class EventBudgetExceeded(ReproError):
+    """A simulation fired more events than its loop's cap allows.
+
+    Not a device limit: the strategy ran out of simulation budget, so
+    sweeps record it as ``budget`` rather than as infeasible.
+    """
+
+    def __init__(self, message, max_events=0):
+        super().__init__(message)
+        self.max_events = max_events
+
+
 class DeviceOverloadError(ExecutionError):
     """The NDP device ran out of memory or buffer slots for the request."""
 

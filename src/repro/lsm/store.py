@@ -128,12 +128,14 @@ class ReadTrace:
 class Replays:
     """Runs of back-to-back trace replays, charged to one ``stats``.
 
-    :meth:`add` queues ``times`` consecutive replays of a trace and
-    :meth:`flush` charges everything queued.  Queued runs reach the
-    block cache in queue order, so nothing else may touch ``stats`` or
-    its cache between an ``add`` and the next ``flush`` (a walk flushes
-    first).  Charges and LRU order are exactly those of replaying every
-    seek, by three rules:
+    :meth:`add` queues ``times`` consecutive replays of a trace,
+    :meth:`extend` a sequence of such runs, and :meth:`flush` charges
+    everything queued.  Queued runs reach the block cache in queue
+    order, so nothing else may touch ``stats`` or its cache between an
+    ``add`` and the next ``flush``.  (The pipeline records its walks
+    against scratch stats and queues each walked seek as a replay too.)
+    Charges and LRU order are exactly those of replaying every seek, by
+    three rules:
 
     - A trace's cache-independent ``ReadStats`` delta is charged once
       per flush, multiplied by the replays queued since the last one.
@@ -173,19 +175,32 @@ class Replays:
 
     def add(self, trace, times=1):
         """Queue ``times`` consecutive replays of ``trace``."""
-        if times <= 0:
-            return
+        self.extend((trace,), (times,))
+
+    def extend(self, traces, counts):
+        """Queue runs in order, as :meth:`add` of each ``traces[i]``,
+        ``counts[i]`` pair would; a ``None`` trace queues nothing."""
         queued = self._times
-        queued[trace] = queued.get(trace, 0) + times
         cache = self._cache
-        if cache is None:
-            return
-        if trace.fits <= cache.capacity_bytes:
-            self._touches += trace.touches
-            self._hits += (times - 1) * len(trace.touches)
-        else:
-            self._access()
-            self._thrash(trace, times)
+        capacity = -1 if cache is None else cache.capacity_bytes
+        touches = self._touches
+        hits = 0
+        for trace, times in zip(traces, counts):
+            if trace is None or times <= 0:
+                continue
+            queued[trace] = queued.get(trace, 0) + times
+            if cache is None:
+                continue
+            if trace.fits <= capacity:
+                touches += trace.touches
+                hits += (times - 1) * len(trace.touches)
+            else:
+                self._hits += hits
+                hits = 0
+                self._access()
+                touches = self._touches
+                self._thrash(trace, times)
+        self._hits += hits
 
     def flush(self):
         """Charge every queued replay to ``stats`` and its cache."""

@@ -57,22 +57,28 @@ class SnapshotCatalog:
     pipeline the tables its command names, for a split's host fragment
     every table of the query.  Resolving anything else is an error (no
     state was captured for it — a device execution would not be
-    intervention-free).
+    intervention-free).  A table's view is built when it is first
+    resolved: a host fragment reads only its own tables, and a residual
+    the tables it names.
     """
 
     def __init__(self, catalog, shared_state, table_names,
                  use_bloom_filters=False):
+        self._catalog = catalog
+        self._shared_state = shared_state
+        self._names = frozenset(table_names)
+        self._use_bloom_filters = use_bloom_filters
         self._tables = {}
-        for name in table_names:
-            self._tables[name] = SnapshotTable(
-                catalog.table(name), shared_state,
-                use_bloom_filters=use_bloom_filters)
 
     def table(self, name):
         """Resolve a snapshotted table."""
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise CatalogError(
-                f"table {name!r} is not part of the captured "
-                f"shared state") from None
+        held = self._tables.get(name)
+        if held is None:
+            if name not in self._names:
+                raise CatalogError(
+                    f"table {name!r} is not part of the captured "
+                    f"shared state")
+            held = self._tables[name] = SnapshotTable(
+                self._catalog.table(name), self._shared_state,
+                use_bloom_filters=self._use_bloom_filters)
+        return held

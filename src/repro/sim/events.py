@@ -9,8 +9,12 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
+from repro.errors import EventBudgetExceeded, ReproError
 from repro.sim.trace import as_tracer
+
+#: Events one :meth:`EventLoop.run` fires at most, guarding against
+#: runaway loops.
+MAX_EVENTS = 1_000_000
 
 
 @dataclass(order=True)
@@ -79,10 +83,19 @@ class EventLoop:
         event.action()
         return event
 
-    def run(self, max_events=1_000_000):
-        """Drain the queue. ``max_events`` guards against runaway loops."""
+    def run(self, max_events=None):
+        """Drain the queue; returns the final time.
+
+        Raises :class:`~repro.errors.EventBudgetExceeded` when events
+        are still queued after ``max_events`` (default
+        :data:`MAX_EVENTS`) have fired.
+        """
+        if max_events is None:
+            max_events = MAX_EVENTS
         while self._queue:
             if self._fired >= max_events:
-                raise ReproError(f"event loop exceeded {max_events} events")
+                raise EventBudgetExceeded(
+                    f"event loop exceeded {max_events} events",
+                    max_events=max_events)
             self.step()
         return self._clock.now

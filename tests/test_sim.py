@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError, ResourceError
+from repro.errors import EventBudgetExceeded, ReproError, ResourceError
 from repro.sim import BusyResource, EventLoop, SimClock, Tracer
 
 
@@ -101,8 +101,10 @@ class TestEventLoop:
             loop.schedule_after(1.0, forever)
 
         loop.schedule_at(0.0, forever)
-        with pytest.raises(ReproError):
+        with pytest.raises(EventBudgetExceeded) as raised:
             loop.run(max_events=100)
+        assert isinstance(raised.value, ReproError)
+        assert raised.value.max_events == 100 == loop.fired
 
     def test_step_returns_none_on_empty_queue(self):
         assert EventLoop(SimClock()).step() is None

@@ -19,8 +19,8 @@ import pytest
 
 from repro.cluster import DeviceCluster
 from repro.core.strategy import ExecutionStrategy, HybridDecision
-from repro.engine.cooperative import CooperativeExecutor
 from repro.engine.counters import WorkCounters
+from repro.engine.host import _FragmentSession
 from repro.engine.pipeline import PipelineExecutor
 from repro.engine.stacks import Stack, StackRunner
 from repro.errors import ReproError
@@ -88,15 +88,14 @@ _WRITES = {"insert": _insert, "update join key": _update_join_key,
 def _writing_before_the_first_batch(env, write):
     """Apply ``write`` once, as the host is about to join the first
     device batch — after every split of the run was prepared."""
-    original = CooperativeExecutor._process_batch
+    original = _FragmentSession._join_chunk
     pending = [write]
 
-    def process_batch(self, *args, **kwargs):
+    def join_chunk(self, *args, **kwargs):
         while pending:
             pending.pop()(env)
         return original(self, *args, **kwargs)
-    return mock.patch.object(CooperativeExecutor, "_process_batch",
-                             process_batch)
+    return mock.patch.object(_FragmentSession, "_join_chunk", join_chunk)
 
 
 def _by_hand(env, write):
