@@ -201,8 +201,8 @@ class ColumnBatch:
     def column(self, name):
         """``(values, mask)`` arrays of one column, gathered on first read.
 
-        Raises :class:`~repro.errors.PlanError` like
-        :meth:`repro.query.ast.ColumnRef.eval` does on an unbound key.
+        Raises :class:`~repro.errors.PlanError` for an unbound key, as
+        the row-at-a-time expression reference does.
         """
         column = self._cols.get(name)
         if column is not None:

@@ -58,7 +58,7 @@ class ExecutionContext:
     deadline: float = None
 
     def __post_init__(self):
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:
             raise ReproError("deadline must be a positive number of "
                              "simulated seconds (or None)")
 

@@ -11,9 +11,17 @@ family's shared state: it merges the shipped MemTable entries with the
 referenced SSTs exactly like the live read path, but is pinned — host
 writes after capture are invisible, which is what makes the NDP
 execution transactionally consistent.
+
+A family's capture is a function of its tree and the tree's
+:attr:`~repro.lsm.store.LSMTree.version`: the first capture at a version
+builds the immutable :class:`FamilySnapshot`, every later capture at
+that version returns the same object, and a put, delete, write batch,
+flush or compaction moves the version so the next capture rebuilds.  A
+snapshot taken before a write keeps the state it pinned.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.lsm.iterator import live_entries, merge_sources
 from repro.lsm.memtable import TOMBSTONE
@@ -25,7 +33,7 @@ class FamilySnapshot:
     """Snapshot of a single column family."""
 
     name: str
-    memtable_entries: tuple          # ((key, value_or_tombstone), ...)
+    memtable_entries: tuple          # ((key, value_or_tombstone), ...) by key
     placements: tuple                # physical placement dicts
     total_bytes: int
     # The tree's LSMTree.version at capture: two snapshots of one family
@@ -34,6 +42,30 @@ class FamilySnapshot:
     # Device-side handles to the referenced SSTs (the simulation's
     # address-mapping resolution; not part of the wire payload).
     sst_refs: tuple = field(default=(), repr=False, compare=False)
+
+    @classmethod
+    def capture(cls, name, tree):
+        """The snapshot of ``tree`` (family ``name``) at its current
+        version: built at the first capture at that version, the same
+        object after (the tree keeps it as ``last_capture``)."""
+        held = tree.last_capture
+        if held is not None and held.version == tree.version:
+            return held
+        held = tree.last_capture = cls(
+            name=name,
+            memtable_entries=tuple(tree.memtable.items()),
+            placements=tuple(tuple(sorted(placement.items()))
+                             for placement in tree.placements()),
+            total_bytes=tree.total_bytes(),
+            version=tree.version,
+            sst_refs=tuple(tree.levels.all_ssts()),
+        )
+        return held
+
+    @cached_property
+    def memtable_map(self):
+        """``memtable_entries`` as a dict, for point lookups."""
+        return dict(self.memtable_entries)
 
     @property
     def memtable_count(self):
@@ -59,9 +91,8 @@ class SnapshotView:
 
     def __init__(self, snapshot, use_bloom_filters=False):
         self._snapshot = snapshot
-        self._memtable = dict(snapshot.memtable_entries)
-        self._memtable_sorted = sorted(snapshot.memtable_entries)
-        self._ssts = list(snapshot.sst_refs)
+        self._memtable = snapshot.memtable_map
+        self._ssts = snapshot.sst_refs
         self.use_bloom_filters = use_bloom_filters
 
     @property
@@ -100,8 +131,9 @@ class SnapshotView:
         """
         stats = stats if stats is not None else ReadStats()
         sources = []
-        if self._memtable_sorted:
-            sources.append(iter([(k, v) for k, v in self._memtable_sorted
+        entries = self._snapshot.memtable_entries
+        if entries:
+            sources.append(iter([(k, v) for k, v in entries
                                  if (lo is None or k >= lo)
                                  and (hi is None or k < hi)]))
         for sst in self._ssts:
@@ -126,25 +158,9 @@ class SharedState:
     @classmethod
     def capture(cls, database, family_names):
         """Capture a consistent snapshot of the named column families."""
-        snapshots = []
-        for name in family_names:
-            family = database.column_family(name)
-            tree = family.tree
-            entries = tuple(tree.memtable.items())
-            placements = tuple(
-                tuple(sorted(placement.items(), key=lambda kv: kv[0]))
-                if isinstance(placement, dict) else placement
-                for placement in tree.placements()
-            )
-            snapshots.append(FamilySnapshot(
-                name=name,
-                memtable_entries=entries,
-                placements=placements,
-                total_bytes=tree.total_bytes(),
-                version=tree.version,
-                sst_refs=tuple(tree.levels.all_ssts()),
-            ))
-        return cls(families=tuple(snapshots))
+        return cls(families=tuple(
+            FamilySnapshot.capture(name, database.column_family(name).tree)
+            for name in family_names))
 
     def subset(self, family_names):
         """The state of the named families, in that order (a name may

@@ -347,6 +347,10 @@ class LSMTree:
         #: the plan cache's key) it also moves when a flush or compaction
         #: reshapes the tree without changing a row.
         self.version = 0
+        #: The last :class:`~repro.lsm.snapshot.FamilySnapshot` captured
+        #: of this tree; :meth:`FamilySnapshot.capture` hands it out again
+        #: while its ``version`` equals :attr:`version`.
+        self.last_capture = None
 
     # ------------------------------------------------------------------
     # Writes

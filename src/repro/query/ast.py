@@ -1,14 +1,14 @@
-"""Expression AST and evaluator.
+"""Expression AST.
 
-Rows at evaluation time are dicts keyed by qualified column names
-(``alias.column``).  Comparisons follow SQL three-valued logic where it
-matters for JOB: any comparison with NULL is false, NOT LIKE over NULL is
-false, and IS [NOT] NULL tests nullness explicitly.
+Columns are named by qualified column names (``alias.column``).
+Comparisons follow SQL three-valued logic where it matters for JOB: any
+comparison with NULL is false, NOT LIKE over NULL is false, and IS [NOT]
+NULL tests nullness explicitly.
 
-``Expr.eval`` is the row-at-a-time statement of these semantics.  The
-engine and the planner's sampled estimator evaluate through
-:func:`repro.query.vectorized.eval_mask`; ``eval`` stays as the
-reference the tests hold it to.
+The engine and the planner's sampled estimator evaluate expressions
+through :func:`repro.query.vectorized.eval_mask`; the tests hold it to a
+row-at-a-time reference over dict rows (``eval_row`` in
+``tests/rowref.py``).
 """
 
 import re
@@ -19,10 +19,6 @@ from repro.errors import PlanError
 
 class Expr:
     """Base class for expressions."""
-
-    def eval(self, row):
-        """Evaluate against a row dict; subclasses override."""
-        raise NotImplementedError
 
     def column_refs(self):
         """All :class:`ColumnRef` nodes in this subtree."""
@@ -50,13 +46,6 @@ class ColumnRef(Expr):
         """The key used in row dicts."""
         return f"{self.alias}.{self.column}" if self.alias else self.column
 
-    def eval(self, row):
-        try:
-            return row[self.qualified]
-        except KeyError:
-            raise PlanError(
-                f"column {self.qualified!r} not bound in row") from None
-
     def _collect_refs(self, refs):
         refs.append(self)
 
@@ -69,9 +58,6 @@ class Literal(Expr):
     """A constant."""
 
     value: object
-
-    def eval(self, row):
-        return self.value
 
     def _collect_refs(self, refs):
         pass
@@ -104,13 +90,6 @@ class Comparison(Expr):
     def __post_init__(self):
         if self.op not in _COMPARATORS:
             raise PlanError(f"unknown comparison operator {self.op!r}")
-
-    def eval(self, row):
-        left = self.left.eval(row)
-        right = self.right.eval(row)
-        if left is None or right is None:
-            return False
-        return _COMPARATORS[self.op](left, right)
 
     def _collect_refs(self, refs):
         self.left._collect_refs(refs)
@@ -145,13 +124,6 @@ class Like(Expr):
     def __post_init__(self):
         object.__setattr__(self, "_regex", like_to_regex(self.pattern))
 
-    def eval(self, row):
-        value = self.operand.eval(row)
-        if value is None:
-            return False
-        matched = self._regex.match(str(value)) is not None
-        return (not matched) if self.negated else matched
-
     def _collect_refs(self, refs):
         self.operand._collect_refs(refs)
 
@@ -167,13 +139,6 @@ class InList(Expr):
     operand: Expr
     values: tuple
     negated: bool = False
-
-    def eval(self, row):
-        value = self.operand.eval(row)
-        if value is None:
-            return False
-        matched = value in self.values
-        return (not matched) if self.negated else matched
 
     def _collect_refs(self, refs):
         self.operand._collect_refs(refs)
@@ -192,14 +157,6 @@ class Between(Expr):
     low: Expr
     high: Expr
 
-    def eval(self, row):
-        value = self.operand.eval(row)
-        low = self.low.eval(row)
-        high = self.high.eval(row)
-        if value is None or low is None or high is None:
-            return False
-        return low <= value <= high
-
     def _collect_refs(self, refs):
         self.operand._collect_refs(refs)
         self.low._collect_refs(refs)
@@ -216,10 +173,6 @@ class IsNull(Expr):
     operand: Expr
     negated: bool = False
 
-    def eval(self, row):
-        is_null = self.operand.eval(row) is None
-        return (not is_null) if self.negated else is_null
-
     def _collect_refs(self, refs):
         self.operand._collect_refs(refs)
 
@@ -233,9 +186,6 @@ class And(Expr):
     """Conjunction."""
 
     items: tuple
-
-    def eval(self, row):
-        return all(item.eval(row) for item in self.items)
 
     def _collect_refs(self, refs):
         for item in self.items:
@@ -251,9 +201,6 @@ class Or(Expr):
 
     items: tuple
 
-    def eval(self, row):
-        return any(item.eval(row) for item in self.items)
-
     def _collect_refs(self, refs):
         for item in self.items:
             item._collect_refs(refs)
@@ -267,9 +214,6 @@ class Not(Expr):
     """Negation."""
 
     operand: Expr
-
-    def eval(self, row):
-        return not self.operand.eval(row)
 
     def _collect_refs(self, refs):
         self.operand._collect_refs(refs)

@@ -1,13 +1,13 @@
 """Vectorized predicate evaluation over :class:`~repro.columns.ColumnBatch`.
 
 :func:`eval_mask` maps an expression tree from :mod:`repro.query.ast`
-onto a boolean numpy mask, one slot per batch row, with semantics
-identical to evaluating ``expr.eval(row)`` on every dict row: SQL
-three-valued logic collapses NULL comparisons to False, ``NOT LIKE`` /
-``NOT IN`` over NULL stay False, and ``IS [NOT] NULL`` reads the null
-mask directly.  Null slots hold filler values (``0`` / ``""``) in the
-value arrays; every node masks them out with the column's null mask
-before they can influence the result.
+onto a boolean numpy mask, one slot per batch row: SQL three-valued
+logic collapses NULL comparisons to False, ``NOT LIKE`` / ``NOT IN``
+over NULL stay False, and ``IS [NOT] NULL`` reads the null mask
+directly.  Null slots hold filler values (``0`` / ``""``) in the value
+arrays; every node masks them out with the column's null mask before
+they can influence the result.  The tests hold it to a row-at-a-time
+reference over dict rows, ``eval_row`` in ``tests/rowref.py``.
 """
 
 import numpy as np
@@ -74,8 +74,8 @@ def _in_list(values, candidates):
 def eval_mask(expr, batch):
     """Evaluate ``expr`` over every row of ``batch`` at once.
 
-    Returns a boolean array of ``len(batch)`` slots, identical to
-    ``[bool(expr.eval(row)) for row in batch.rows()]``.
+    Returns a boolean array of ``len(batch)`` slots, slot *i* true
+    exactly when row *i* of ``batch.rows()`` satisfies ``expr``.
     """
     n = len(batch)
 

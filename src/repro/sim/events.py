@@ -2,12 +2,13 @@
 
 Used by the cooperative executor to interleave host- and device-side
 progress.  Events fire in timestamp order; ties break by insertion order so
-runs are fully deterministic.
+runs are fully deterministic.  The heap holds plain ``(time, seq, action,
+label)`` tuples: ``seq`` is unique, so ``action`` is never compared.
 """
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 
 from repro.errors import EventBudgetExceeded, ReproError
 from repro.sim.trace import as_tracer
@@ -15,16 +16,6 @@ from repro.sim.trace import as_tracer
 #: Events one :meth:`EventLoop.run` fires at most, guarding against
 #: runaway loops.
 MAX_EVENTS = 1_000_000
-
-
-@dataclass(order=True)
-class Event:
-    """An event scheduled at a simulated timestamp."""
-
-    time: float
-    seq: int
-    action: object = field(compare=False)
-    label: str = field(compare=False, default="")
 
 
 class EventLoop:
@@ -56,13 +47,14 @@ class EventLoop:
 
     def schedule_at(self, time, action, label=""):
         """Schedule ``action`` at absolute simulated ``time``."""
-        if time < self._clock.now:
+        if not time >= self._clock.now:
+            if math.isnan(time):
+                raise ReproError("cannot schedule event at a NaN time")
             raise ReproError(
                 f"cannot schedule event at {time} before now={self._clock.now}"
             )
-        event = Event(time=time, seq=next(self._counter), action=action, label=label)
-        heapq.heappush(self._queue, event)
-        return event
+        heapq.heappush(self._queue,
+                       (time, next(self._counter), action, label))
 
     def schedule_after(self, delay, action, label=""):
         """Schedule ``action`` after ``delay`` seconds of simulated time."""
@@ -71,16 +63,18 @@ class EventLoop:
         return self.schedule_at(self._clock.now + delay, action, label=label)
 
     def step(self):
-        """Execute the next event; return it, or None if the queue is empty."""
+        """Execute the next event; return its ``(time, seq, action,
+        label)`` tuple, or None if the queue is empty."""
         if not self._queue:
             return None
         event = heapq.heappop(self._queue)
-        self._clock.advance_to(event.time)
+        time, seq, action, label = event
+        self._clock.advance_to(time)
         self._fired += 1
         if self.tracer.enabled:
-            self.tracer.instant("events", event.label or "event", event.time,
-                                args={"seq": event.seq})
-        event.action()
+            self.tracer.instant("events", label or "event", time,
+                                args={"seq": seq})
+        action()
         return event
 
     def run(self, max_events=None):

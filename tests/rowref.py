@@ -12,22 +12,80 @@ identical rows *and* identical :class:`WorkCounters`.
 
 It is not wired into any engine; production execution is columnar.
 
+:func:`eval_row` is the row interpreter over the expression AST: SQL's
+three-valued semantics, one dict row at a time, the reference
+:func:`~repro.query.vectorized.eval_mask` is held to.
+
 :func:`row_sampled_selectivity` is the row-at-a-time estimator the
 columnar :func:`~repro.query.join_order.sampled_selectivity` replaced:
-``Expr.eval`` over each sampled dict row, presented under qualified
+:func:`eval_row` over each sampled dict row, presented under qualified
 names.  The estimator equivalence tests
 (tests/test_sampled_estimation.py) hold the two to float equality.
 """
 
 from repro.engine.pipeline import _POINTER_BYTES, predicate_cost, stable_hash
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanError
 from repro.lsm.store import ReadStats
-from repro.query.ast import ColumnRef, Comparison, InList, Literal, conjuncts
+from repro.query.ast import (_COMPARATORS, And, Between, ColumnRef,
+                             Comparison, InList, IsNull, Like, Literal, Not,
+                             Or, conjuncts)
 from repro.query.physical import AccessPath, JoinAlgorithm
 from repro.relational.scan import ScanRequest
 
-__all__ = ["RowPipelineExecutor", "finalize_rows",
+__all__ = ["RowPipelineExecutor", "eval_row", "finalize_rows",
            "row_sampled_selectivity"]
+
+
+def eval_row(expr, row):
+    """Evaluate ``expr`` against one dict row keyed by qualified names.
+
+    Any comparison, LIKE, IN or BETWEEN with a NULL operand is false,
+    negated or not; ``IS [NOT] NULL`` tests nullness.  An unbound column
+    raises :class:`~repro.errors.PlanError`.
+    """
+    if isinstance(expr, ColumnRef):
+        try:
+            return row[expr.qualified]
+        except KeyError:
+            raise PlanError(
+                f"column {expr.qualified!r} not bound in row") from None
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Comparison):
+        left = eval_row(expr.left, row)
+        right = eval_row(expr.right, row)
+        if left is None or right is None:
+            return False
+        return _COMPARATORS[expr.op](left, right)
+    if isinstance(expr, Like):
+        value = eval_row(expr.operand, row)
+        if value is None:
+            return False
+        matched = expr._regex.match(str(value)) is not None
+        return (not matched) if expr.negated else matched
+    if isinstance(expr, InList):
+        value = eval_row(expr.operand, row)
+        if value is None:
+            return False
+        matched = value in expr.values
+        return (not matched) if expr.negated else matched
+    if isinstance(expr, Between):
+        value = eval_row(expr.operand, row)
+        low = eval_row(expr.low, row)
+        high = eval_row(expr.high, row)
+        if value is None or low is None or high is None:
+            return False
+        return low <= value <= high
+    if isinstance(expr, IsNull):
+        is_null = eval_row(expr.operand, row) is None
+        return (not is_null) if expr.negated else is_null
+    if isinstance(expr, And):
+        return all(eval_row(item, row) for item in expr.items)
+    if isinstance(expr, Or):
+        return any(eval_row(item, row) for item in expr.items)
+    if isinstance(expr, Not):
+        return not eval_row(expr.operand, row)
+    raise PlanError(f"cannot evaluate {type(expr).__name__}")
 
 
 class RowPipelineExecutor:
@@ -469,7 +527,7 @@ class RowPipelineExecutor:
             self.counters.records_evaluated += 1
             self.counters.predicate_ops += total_ops
             self.counters.memcmp_bytes += total_memcmp
-            if all(conjunct.eval(row) for conjunct in ready):
+            if all(eval_row(conjunct, row) for conjunct in ready):
                 kept.append(row)
         return kept, remaining
 
@@ -480,7 +538,7 @@ class RowPipelineExecutor:
         expr = entry.local_filter
         if expr is None:
             return None
-        return expr.eval
+        return lambda row: eval_row(expr, row)
 
     def _materialized_bytes(self, entry):
         """Bytes one projected row of this table occupies in caches."""
@@ -581,14 +639,14 @@ def qualify_row(alias, row):
 
 def row_sampled_selectivity(stats, alias, expr):
     """Smoothed fraction of ``stats``' sampled rows satisfying ``expr``,
-    one ``Expr.eval`` per row; a row whose evaluation raises
+    one :func:`eval_row` per row; a row whose evaluation raises
     ``KeyError`` or ``TypeError`` counts as non-matching."""
     if not stats.sample:
         return 0.1
     matched = 0
     for row in stats.sample:
         try:
-            if expr.eval(qualify_row(alias, row)):
+            if eval_row(expr, qualify_row(alias, row)):
                 matched += 1
         except (KeyError, TypeError):
             continue

@@ -151,3 +151,9 @@ class TestDeadline:
     def test_negative_deadline_rejected(self):
         with pytest.raises(ReproError):
             ExecutionContext(deadline=-1.0)
+
+    def test_nan_deadline_rejected(self):
+        # A NaN passed `deadline <= 0` and a split then raised
+        # "deadline nans expired" mid-run.
+        with pytest.raises(ReproError, match="positive"):
+            ExecutionContext(deadline=float("nan"))

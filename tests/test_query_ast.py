@@ -1,4 +1,5 @@
-"""Tests for expression evaluation semantics (incl. NULL handling)."""
+"""Tests for expression semantics (incl. NULL handling), evaluated by the
+row-at-a-time reference ``tests.rowref.eval_row``."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.errors import PlanError
 from repro.query.ast import (And, Between, ColumnRef, Comparison, InList,
                              IsNull, Like, Literal, Not, Or, conjuncts,
                              like_to_regex, make_and)
+from tests.rowref import eval_row
 
 
 def col(name):
@@ -17,12 +19,12 @@ ROW = {"t.a": 5, "t.s": "hello world", "t.n": None}
 
 class TestComparisons:
     def test_numeric(self):
-        assert Comparison("<", col("a"), Literal(10)).eval(ROW)
-        assert not Comparison(">", col("a"), Literal(10)).eval(ROW)
+        assert eval_row(Comparison("<", col("a"), Literal(10)), ROW)
+        assert not eval_row(Comparison(">", col("a"), Literal(10)), ROW)
 
     def test_null_compares_false(self):
-        assert not Comparison("=", col("n"), Literal(5)).eval(ROW)
-        assert not Comparison("!=", col("n"), Literal(5)).eval(ROW)
+        assert not eval_row(Comparison("=", col("n"), Literal(5)), ROW)
+        assert not eval_row(Comparison("!=", col("n"), Literal(5)), ROW)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(PlanError):
@@ -30,31 +32,31 @@ class TestComparisons:
 
     def test_unbound_column_raises(self):
         with pytest.raises(PlanError):
-            Comparison("=", ColumnRef("x", "y"), Literal(1)).eval(ROW)
+            eval_row(Comparison("=", ColumnRef("x", "y"), Literal(1)), ROW)
 
 
 class TestLike:
     def test_percent_wildcard(self):
-        assert Like(col("s"), "%world").eval(ROW)
-        assert Like(col("s"), "hello%").eval(ROW)
-        assert Like(col("s"), "%lo wo%").eval(ROW)
+        assert eval_row(Like(col("s"), "%world"), ROW)
+        assert eval_row(Like(col("s"), "hello%"), ROW)
+        assert eval_row(Like(col("s"), "%lo wo%"), ROW)
 
     def test_underscore_wildcard(self):
-        assert Like(col("s"), "hell_ world").eval(ROW)
-        assert not Like(col("s"), "hell_world").eval(ROW)
+        assert eval_row(Like(col("s"), "hell_ world"), ROW)
+        assert not eval_row(Like(col("s"), "hell_world"), ROW)
 
     def test_regex_metachars_escaped(self):
         row = {"t.s": "a.b(c)"}
-        assert Like(col("s"), "a.b(c)").eval(row)
-        assert not Like(col("s"), "axb(c)").eval(row)
+        assert eval_row(Like(col("s"), "a.b(c)"), row)
+        assert not eval_row(Like(col("s"), "axb(c)"), row)
 
     def test_negation(self):
-        assert Like(col("s"), "%mars%", negated=True).eval(ROW)
-        assert not Like(col("s"), "%world%", negated=True).eval(ROW)
+        assert eval_row(Like(col("s"), "%mars%", negated=True), ROW)
+        assert not eval_row(Like(col("s"), "%world%", negated=True), ROW)
 
     def test_null_is_false_even_negated(self):
-        assert not Like(col("n"), "%x%").eval(ROW)
-        assert not Like(col("n"), "%x%", negated=True).eval(ROW)
+        assert not eval_row(Like(col("n"), "%x%"), ROW)
+        assert not eval_row(Like(col("n"), "%x%", negated=True), ROW)
 
     def test_like_to_regex(self):
         assert like_to_regex("a%b_c").match("aXXXbYc")
@@ -62,34 +64,34 @@ class TestLike:
 
 class TestOtherPredicates:
     def test_in_list(self):
-        assert InList(col("a"), (1, 5, 9)).eval(ROW)
-        assert not InList(col("a"), (2, 3)).eval(ROW)
-        assert InList(col("a"), (2, 3), negated=True).eval(ROW)
+        assert eval_row(InList(col("a"), (1, 5, 9)), ROW)
+        assert not eval_row(InList(col("a"), (2, 3)), ROW)
+        assert eval_row(InList(col("a"), (2, 3), negated=True), ROW)
 
     def test_in_list_null_false(self):
-        assert not InList(col("n"), (1, 2)).eval(ROW)
-        assert not InList(col("n"), (1, 2), negated=True).eval(ROW)
+        assert not eval_row(InList(col("n"), (1, 2)), ROW)
+        assert not eval_row(InList(col("n"), (1, 2), negated=True), ROW)
 
     def test_between_inclusive(self):
-        assert Between(col("a"), Literal(5), Literal(10)).eval(ROW)
-        assert Between(col("a"), Literal(1), Literal(5)).eval(ROW)
-        assert not Between(col("a"), Literal(6), Literal(10)).eval(ROW)
+        assert eval_row(Between(col("a"), Literal(5), Literal(10)), ROW)
+        assert eval_row(Between(col("a"), Literal(1), Literal(5)), ROW)
+        assert not eval_row(Between(col("a"), Literal(6), Literal(10)), ROW)
 
     def test_is_null(self):
-        assert IsNull(col("n")).eval(ROW)
-        assert not IsNull(col("a")).eval(ROW)
-        assert IsNull(col("a"), negated=True).eval(ROW)
+        assert eval_row(IsNull(col("n")), ROW)
+        assert not eval_row(IsNull(col("a")), ROW)
+        assert eval_row(IsNull(col("a"), negated=True), ROW)
 
 
 class TestBooleans:
     def test_and_or_not(self):
         true = Comparison("=", col("a"), Literal(5))
         false = Comparison("=", col("a"), Literal(6))
-        assert And((true, true)).eval(ROW)
-        assert not And((true, false)).eval(ROW)
-        assert Or((false, true)).eval(ROW)
-        assert not Or((false, false)).eval(ROW)
-        assert Not(false).eval(ROW)
+        assert eval_row(And((true, true)), ROW)
+        assert not eval_row(And((true, false)), ROW)
+        assert eval_row(Or((false, true)), ROW)
+        assert not eval_row(Or((false, false)), ROW)
+        assert eval_row(Not(false), ROW)
 
     def test_conjuncts_flattening(self):
         a = Comparison("=", col("a"), Literal(1))

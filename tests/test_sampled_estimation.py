@@ -184,11 +184,10 @@ _EXPR_CLASSES = (ColumnRef, Literal, Comparison, Like, InList, Between,
 
 
 def test_planning_job_runs_no_row_eval_and_builds_columns_once(monkeypatch):
+    # The AST carries no row interpreter (it lives in tests/rowref.py),
+    # so planning cannot evaluate a predicate row by row.
+    assert not any(hasattr(cls, "eval") for cls in _EXPR_CLASSES)
     env = build_environment(scale=0.0002, seed=7)
-    evals = []
-    for cls in _EXPR_CLASSES:
-        monkeypatch.setattr(cls, "eval",
-                            lambda self, row: evals.append(self))
     builds = Counter()
     build_column = TableStatistics._sample_column
 
@@ -213,7 +212,6 @@ def test_planning_job_runs_no_row_eval_and_builds_columns_once(monkeypatch):
                        if entry.local_filter is not None]
             assert sorted(map(str, evaluated)) == sorted(map(str, filters)), \
                 name
-    assert evals == []
     assert builds and set(builds.values()) == {1}
 
 

@@ -79,6 +79,14 @@ class TestEventLoop:
         with pytest.raises(ReproError):
             loop.schedule_at(1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        loop = EventLoop(SimClock())
+        with pytest.raises(ReproError, match="NaN"):
+            loop.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ReproError, match="NaN"):
+            loop.schedule_after(float("nan"), lambda: None)
+        assert loop.pending == 0
+
     def test_actions_may_schedule_more_events(self):
         clock = SimClock()
         loop = EventLoop(clock)

@@ -141,6 +141,27 @@ def test_split_reads_the_state_it_was_prepared_at(env, driver):
         assert _host_rows(env) != before, f"{name} changed no answer"
 
 
+def _no_write(env):
+    pass
+
+
+@pytest.mark.parametrize("driver", [_by_hand, _scheduled, _scattered],
+                         ids=["prepare_split", "scheduler", "cluster"])
+def test_split_staged_after_a_write_reads_it(env, driver):
+    """Captures are reused while a tree's version stands still, so a
+    split staged after a write must still see that write."""
+    plan = env.runner.plan(_SQL)
+    for name, write in _WRITES.items():
+        before = driver(env, _no_write)
+        ndp = env.runner.ndp_engine
+        assert all(a is b for a, b in zip(ndp.capture(plan).families,
+                                          ndp.capture(plan).families)), name
+        write(env)
+        after = _host_rows(env)
+        assert after != before, name
+        assert driver(env, _no_write) == after, name
+
+
 def _live_host_fragment(runner, plan, k, prepared):
     """Rows and host counters of split ``k``'s host half, read from the
     live trees: the staged device batches joined by one executor over
