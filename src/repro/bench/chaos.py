@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from repro.cluster import ClusterFaultPlan, DeviceCluster, SpeculationPolicy
 from repro.context import ExecutionContext
+from repro.core.planner import fit_to_device
 from repro.engine.stacks import Stack
 from repro.errors import (DeviceOverloadError, EventBudgetExceeded,
                           OffloadError, ReproError)
@@ -122,10 +123,8 @@ def scenario_plan(name, seed=0):
 def default_split(runner, plan):
     """The split point chaos runs degrade: the deepest offloadable Hk
     at or below the middle of the pipeline."""
-    k = plan.table_count // 2
-    while k > 0 and not runner.ndp_engine.can_offload(plan.prefix(k)):
-        k -= 1
-    return k
+    return fit_to_device(runner.ndp_engine.device, plan,
+                         plan.table_count // 2)
 
 
 def generated_queries(count, seed=0):

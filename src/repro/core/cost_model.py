@@ -98,11 +98,6 @@ class NodeCost:
     node_brc: float          # buffer-management cost of this node
     c_node: float            # cumulative cost up to and including this node
 
-    @property
-    def c_table(self):
-        """Total access cost of the table itself (eq. 1 without join)."""
-        return self.c_scan + self.c_cpu + self.c_trans
-
 
 @dataclass
 class PlanCost:

@@ -16,6 +16,16 @@ from repro.core.planning import CostEstimate, PlanningContext
 from repro.core.splitter import SplitPlanner
 from repro.core.strategy import ExecutionStrategy, HybridDecision
 from repro.query.optimizer import build_plan
+from repro.query.physical import operator_counts
+
+
+def fit_to_device(device, plan, split_index):
+    """The deepest split at or below ``split_index`` whose NDP fragment
+    fits the free buffers of ``device`` (0 when no deeper one fits)."""
+    while split_index > 0 and not device.can_host_pipeline(
+            *operator_counts(plan.prefix(split_index))):
+        split_index -= 1
+    return split_index
 
 
 class HybridPlanner:
@@ -81,7 +91,7 @@ class HybridPlanner:
             return self._bind(decision, plan, context)
 
         choice = splitter.choose_split(plan)
-        split_index = self._fit_to_device(plan, choice.split_index)
+        split_index = fit_to_device(self.device, plan, choice.split_index)
 
         last = plan.table_count - 1
         estimates = {
@@ -154,20 +164,6 @@ class HybridPlanner:
             return revised
 
         return decision.bind_reviser(_revise)
-
-    def _fit_to_device(self, plan, split_index):
-        """Shrink the split until the NDP fragment fits device buffers."""
-        while split_index > 0:
-            fragment = plan.prefix(split_index)
-            selections = len(fragment)
-            secondary = sum(1 for entry in fragment
-                            if entry.uses_secondary_index)
-            joins = sum(1 for entry in fragment
-                        if entry.join_algorithm is not None)
-            if self.device.can_host_pipeline(selections, secondary, joins):
-                return split_index
-            split_index -= 1
-        return split_index
 
     def _hybrid_cost(self, plan, device_cost, host_cost, split_index):
         """Estimated cost of Hk: fragments overlap, transfers accrue.

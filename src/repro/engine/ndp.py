@@ -15,6 +15,7 @@ from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import PipelineConfig, PipelineExecutor, finalize
 from repro.errors import OffloadError
 from repro.lsm.snapshot import SharedState
+from repro.query.physical import operator_counts
 
 #: More device tables than this switch the intermediate cache from row
 #: format to pointer format (§4.2).
@@ -62,13 +63,8 @@ class NDPCommand:
 
     def pipeline_shape(self):
         """(selections, secondary selections, joins, group-bys) counts."""
-        selections = len(self.entries)
-        secondary = sum(1 for entry in self.entries
-                        if entry.uses_secondary_index)
-        joins = sum(1 for entry in self.entries
-                    if entry.join_algorithm is not None)
         group_bys = 1 if (self.aggregates_on_device and self.group_by) else 0
-        return selections, secondary, joins, group_bys
+        return (*operator_counts(self.entries), group_bys)
 
 
 @dataclass
@@ -224,11 +220,6 @@ class NDPEngine:
         """Return the pipeline's buffers to the device."""
         self.device.release_pipeline(execution.reservation)
 
-    def can_offload(self, entries, with_group_by=False):
+    def can_offload(self, entries):
         """Pre-flight buffer check for a candidate fragment."""
-        selections = len(entries)
-        secondary = sum(1 for entry in entries if entry.uses_secondary_index)
-        joins = sum(1 for entry in entries
-                    if entry.join_algorithm is not None)
-        return self.device.can_host_pipeline(
-            selections, secondary, joins, 1 if with_group_by else 0)
+        return self.device.can_host_pipeline(*operator_counts(entries))

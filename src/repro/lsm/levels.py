@@ -10,6 +10,52 @@ import bisect
 from repro.errors import LSMError
 
 
+class LookupPlan:
+    """What a read needs of the levels, frozen at one shape of the tree.
+
+    ``ssts`` is every SST in read precedence: C1 newest first, then each
+    deeper level (a tiered level newest first, a leveled one by key).
+    ``levels`` holds, per non-empty level, ``(overlapping, ssts, min
+    keys)``: :meth:`candidates` fences every SST of an overlapping level
+    and bisects a sorted one.  A plan copies the level lists it is built
+    from, so a plan pinned by a capture still reads the SSTs it saw
+    after the tree has flushed or compacted.
+    """
+
+    __slots__ = ("ssts", "levels")
+
+    def __init__(self, buckets, tiered):
+        ssts = []
+        levels = []
+        for i, bucket in enumerate(buckets):
+            if not bucket:
+                continue
+            if i == 0 or tiered:
+                # Overlapping runs: newest (appended last) first.
+                run = tuple(reversed(bucket))
+                levels.append((True, run, None))
+            else:
+                run = tuple(bucket)
+                levels.append((False, run, [sst.min_key for sst in run]))
+            ssts.extend(run)
+        self.ssts = tuple(ssts)
+        self.levels = tuple(levels)
+
+    def candidates(self, key):
+        """SSTs whose fences admit ``key``, in read-precedence order."""
+        result = []
+        for overlapping, ssts, keys in self.levels:
+            if overlapping:
+                for sst in ssts:
+                    if sst.min_key <= key <= sst.max_key:
+                        result.append(sst)
+            else:
+                pos = bisect.bisect_right(keys, key) - 1
+                if pos >= 0 and ssts[pos].max_key >= key:
+                    result.append(ssts[pos])
+        return result
+
+
 class LevelStructure:
     """Holds the SSTs of levels 1..K for one LSM tree."""
 
@@ -22,15 +68,9 @@ class LevelStructure:
         self.tiered = tiered
         # _levels[0] is C1 (overlapping); _levels[i] is C(i+1).
         self._levels = [[] for _ in range(max_levels)]
-        # Cached per-level min-key arrays for binary search on the read
-        # path; rebuilt lazily after mutations.
-        self._min_keys = [None] * max_levels
-        # Cached all_ssts() read-precedence list; scans call it per
-        # range, so it must not be rebuilt per call.
-        self._all_ssts = None
-        # Cached lookup plan over the non-empty levels only: point gets
-        # walk this instead of enumerating every (mostly empty) level.
-        self._lookup_plan = None
+        # The LookupPlan of the current shape; rebuilt at the first read
+        # after a mutation.
+        self._plan = None
 
     # ------------------------------------------------------------------
     # Structure access
@@ -49,17 +89,14 @@ class LevelStructure:
 
     def all_ssts(self):
         """Every SST, newest level first, suitable for read precedence."""
-        result = self._all_ssts
-        if result is None:
-            result = []
-            for i, ssts in enumerate(self._levels):
-                if i == 0 or self.tiered:
-                    # Overlapping runs: newest (appended last) first.
-                    result.extend(reversed(ssts))
-                else:
-                    result.extend(ssts)
-            self._all_ssts = result
-        return result
+        return self.lookup_plan().ssts
+
+    def lookup_plan(self):
+        """The :class:`LookupPlan` of the levels as they are now."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = LookupPlan(self._levels, self.tiered)
+        return plan
 
     def sst_count(self):
         """Total number of SSTs."""
@@ -85,9 +122,7 @@ class LevelStructure:
         bucket = self._levels[n - 1]
         if n == 1 or self.tiered:
             bucket.append(sst)
-            self._min_keys[n - 1] = None
-            self._all_ssts = None
-            self._lookup_plan = None
+            self._plan = None
             return
         keys = [existing.min_key for existing in bucket]
         pos = bisect.bisect_left(keys, sst.min_key)
@@ -98,18 +133,14 @@ class LevelStructure:
             raise LSMError(
                 f"SST overlaps successor in non-overlapping level {n}")
         bucket.insert(pos, sst)
-        self._min_keys[n - 1] = None
-        self._all_ssts = None
-        self._lookup_plan = None
+        self._plan = None
 
     def remove(self, sst):
         """Remove an SST wherever it lives."""
-        for i, bucket in enumerate(self._levels):
+        for bucket in self._levels:
             if sst in bucket:
                 bucket.remove(sst)
-                self._min_keys[i] = None
-                self._all_ssts = None
-                self._lookup_plan = None
+                self._plan = None
                 return
         raise LSMError(f"SST {sst.sst_id} not present in any level")
 
@@ -122,30 +153,7 @@ class LevelStructure:
 
     def candidates_for_key(self, key):
         """SSTs possibly containing ``key``, in read-precedence order."""
-        plan = self._lookup_plan
-        if plan is None:
-            plan = []
-            for i, bucket in enumerate(self._levels):
-                if not bucket:
-                    continue
-                if i == 0 or self.tiered:
-                    # Overlapping runs, newest (appended last) first.
-                    plan.append((True, list(reversed(bucket)), None))
-                else:
-                    plan.append((False, list(bucket),
-                                 [sst.min_key for sst in bucket]))
-            self._lookup_plan = plan
-        result = []
-        for overlapping, ssts, keys in plan:
-            if overlapping:
-                for sst in ssts:
-                    if sst.min_key <= key <= sst.max_key:
-                        result.append(sst)
-            else:
-                pos = bisect.bisect_right(keys, key) - 1
-                if pos >= 0 and ssts[pos].max_key >= key:
-                    result.append(ssts[pos])
-        return result
+        return self.lookup_plan().candidates(key)
 
     def check_invariants(self):
         """Validate non-overlap in levels >= 2; raises on violation.

@@ -19,9 +19,9 @@ class MemTable:
     Puts, deletes and gets go to the dict.  The sorted key list is built
     at the first ordered read (:meth:`items` / :meth:`entries`) and kept
     sorted with ``insort`` on every new key after that, so a bulk load —
-    puts only, then one flush — sorts its keys once.  Only
-    ``memtable_gets`` are priced by the timing model, never the
-    structure, so the choice of structure moves no simulated time.
+    puts only, then one flush — sorts its keys once.  The timing model
+    prices no MemTable work (not even ``memtable_gets``), so the choice
+    of structure moves no simulated time.
 
     An :meth:`items` walk is a snapshot: it yields the keys in range and
     their values as they were when it was called, and puts or deletes
@@ -64,6 +64,16 @@ class MemTable:
     def freeze(self):
         """Make the table immutable (pre-flush state in RocksDB)."""
         self._immutable = True
+
+    @classmethod
+    def pinned(cls, entries):
+        """A frozen table holding ``entries``, ``(key, value)`` pairs in
+        key order as :meth:`items` yields them (tombstones included)."""
+        table = cls()
+        table._entries = dict(entries)
+        table._sorted = [key for key, _ in entries]
+        table._immutable = True
+        return table
 
     def put(self, key, value):
         """Insert or overwrite a key."""

@@ -7,10 +7,11 @@ consistent snapshot of the database without further host interaction
 (paper §2.1, "Shared State" / update-aware NDP).
 
 :class:`SnapshotView` is the device-side read structure built from one
-family's shared state: it merges the shipped MemTable entries with the
-referenced SSTs exactly like the live read path, but is pinned — host
-writes after capture are invisible, which is what makes the NDP
-execution transactionally consistent.
+family's shared state: it reads the shipped MemTable entries and the
+referenced SSTs through the live tree's own read path
+(:mod:`repro.lsm.iterator`), but is pinned — host writes after capture
+are invisible, which is what makes the NDP execution transactionally
+consistent.
 
 A family's capture is a function of its tree and the tree's
 :attr:`~repro.lsm.store.LSMTree.version`: the first capture at a version
@@ -23,8 +24,8 @@ snapshot taken before a write keeps the state it pinned.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.lsm.iterator import live_entries, merge_sources
-from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.iterator import point_lookup, range_scan
+from repro.lsm.memtable import MemTable
 from repro.lsm.store import ReadStats
 
 
@@ -39,9 +40,10 @@ class FamilySnapshot:
     # The tree's LSMTree.version at capture: two snapshots of one family
     # with equal versions read and charge alike (not on the wire).
     version: int = field(repr=False, compare=False)
-    # Device-side handles to the referenced SSTs (the simulation's
-    # address-mapping resolution; not part of the wire payload).
-    sst_refs: tuple = field(default=(), repr=False, compare=False)
+    # The tree's LookupPlan at capture: device-side handles to the
+    # referenced SSTs (the simulation's address-mapping resolution; not
+    # part of the wire payload).
+    lookup_plan: object = field(repr=False, compare=False)
 
     @classmethod
     def capture(cls, name, tree):
@@ -58,14 +60,14 @@ class FamilySnapshot:
                              for placement in tree.placements()),
             total_bytes=tree.total_bytes(),
             version=tree.version,
-            sst_refs=tuple(tree.levels.all_ssts()),
+            lookup_plan=tree.levels.lookup_plan(),
         )
         return held
 
     @cached_property
-    def memtable_map(self):
-        """``memtable_entries`` as a dict, for point lookups."""
-        return dict(self.memtable_entries)
+    def memtable(self):
+        """``memtable_entries`` as a frozen :class:`MemTable`, for reads."""
+        return MemTable.pinned(self.memtable_entries)
 
     @property
     def memtable_count(self):
@@ -82,17 +84,19 @@ class SnapshotView:
     """Pinned read view over one family's shared state.
 
     Mirrors the :class:`~repro.lsm.store.LSMTree` read API (get/scan with
-    a ``stats`` parameter) so the device pipeline can run against it
-    unchanged.  By default bloom filters are NOT probed — the paper
-    notes the NDP engine skips them since the host already did (§2.2) —
-    while ``use_bloom_filters=True`` probes them as the live tree does
-    (the host fragment of a split reads its capture this way).
+    a ``stats`` parameter) and runs the same read path over the
+    capture's MemTable and lookup plan, so a read charges what the live
+    tree charged at the captured version.  By default bloom filters are
+    NOT probed — the paper notes the NDP engine skips them since the
+    host already did (§2.2) — while ``use_bloom_filters=True`` probes
+    them as the live tree does (the host fragment of a split reads its
+    capture this way).
     """
 
     def __init__(self, snapshot, use_bloom_filters=False):
         self._snapshot = snapshot
-        self._memtable = snapshot.memtable_map
-        self._ssts = snapshot.sst_refs
+        self._memtable = snapshot.memtable
+        self._plan = snapshot.lookup_plan
         self.use_bloom_filters = use_bloom_filters
 
     @property
@@ -102,51 +106,17 @@ class SnapshotView:
 
     def get(self, key, stats=None):
         """Point lookup following memtable -> SST precedence."""
-        stats = stats if stats is not None else ReadStats()
-        if key in self._memtable:
-            stats.memtable_gets += 1
-            value = self._memtable[key]
-            return None if value == TOMBSTONE else value
-        for sst in self._ssts:
-            if not sst.overlaps(key, key):
-                stats.ssts_skipped_fence += 1
-                continue
-            if self.use_bloom_filters and not sst.might_contain(key, stats):
-                stats.ssts_skipped_bloom += 1
-                continue
-            stats.ssts_considered += 1
-            found, value = sst.get(key, stats)
-            if found:
-                return value
-        return None
+        return point_lookup(self._memtable, self._plan, key,
+                            stats if stats is not None else ReadStats(),
+                            self.use_bloom_filters)
 
     def scan(self, lo=None, hi=None, value_predicate=None, stats=None):
-        """Range scan over the pinned components.
+        """Range scan over the pinned components."""
+        return range_scan(self._read_inputs, lo, hi, value_predicate,
+                          stats if stats is not None else ReadStats())
 
-        Builds its sources as ``LSMTree.scan`` does — the memtable only
-        when it holds entries, no merge over a single source — because
-        a merge reads one entry ahead of its consumer: an index lookup
-        seeks the primary tree between two entries, so the block
-        touches interleave exactly as on the live tree.
-        """
-        stats = stats if stats is not None else ReadStats()
-        sources = []
-        entries = self._snapshot.memtable_entries
-        if entries:
-            sources.append(iter([(k, v) for k, v in entries
-                                 if (lo is None or k >= lo)
-                                 and (hi is None or k < hi)]))
-        for sst in self._ssts:
-            if not sst.overlaps(lo, hi):
-                stats.ssts_skipped_fence += 1
-                continue
-            stats.ssts_considered += 1
-            sources.append(sst.iter_range(lo, hi, stats=stats))
-        merged = sources[0] if len(sources) == 1 else merge_sources(sources)
-        for key, value in live_entries(merged):
-            stats.entries_scanned += 1
-            if value_predicate is None or value_predicate(value):
-                yield key, value
+    def _read_inputs(self):
+        return self._memtable, self._plan
 
 
 @dataclass(frozen=True)

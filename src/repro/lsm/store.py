@@ -10,7 +10,7 @@ from operator import attrgetter, sub
 
 from repro.errors import LSMError
 from repro.lsm.compaction import LeveledCompactor
-from repro.lsm.iterator import live_entries, merge_sources
+from repro.lsm.iterator import point_lookup, range_scan
 from repro.lsm.levels import LevelStructure
 from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import INDEX_BLOCK, SSTableBuilder
@@ -317,7 +317,6 @@ class LSMTree:
         self.config = config or LSMConfig()
         self.flash = flash
         self._active = MemTable(self.config.memtable_size)
-        self._immutables = []
         tiered = self.config.compaction == "tiered"
         self.levels = LevelStructure(self.config.max_levels, tiered=tiered)
         if tiered:
@@ -387,27 +386,25 @@ class LSMTree:
         self._maybe_rotate()
 
     def _maybe_rotate(self):
-        if not self._active.is_full():
-            return
-        self._active.freeze()
-        self._immutables.append(self._active)
-        self._active = MemTable(self.config.memtable_size)
-        self.flush()
+        if self._active.is_full():
+            self._active.freeze()
+            self.flush()
 
     def flush(self):
-        """Flush all immutable MemTables to C1 (no merge, paper §2.2).
+        """Flush a frozen active MemTable to C1 (no merge, paper §2.2).
 
-        Compaction only ever runs here, so one :attr:`version` bump
-        covers both whenever either changed the tree.
+        A MemTable is frozen only right before this runs, so it is
+        written as one SST and replaced by a fresh one before any read
+        can see it.  Compaction only ever runs here, so one
+        :attr:`version` bump covers both whenever either changed the
+        tree.
         """
         changed = False
-        while self._immutables:
-            memtable = self._immutables.pop(0)
-            entries = memtable.entries()
-            if not entries:
-                continue
+        memtable = self._active
+        if memtable.immutable:
+            self._active = MemTable(self.config.memtable_size)
             builder = SSTableBuilder.from_sorted(
-                entries, block_size=self.config.block_size,
+                memtable.entries(), block_size=self.config.block_size,
                 bits_per_key=self.config.bits_per_key)
             sst = builder.finish(flash=self.flash, sst_id=self._next_sst_id,
                                  level=1)
@@ -425,8 +422,6 @@ class LSMTree:
         """Force the active MemTable out to C1 (e.g. after bulk load)."""
         if len(self._active):
             self._active.freeze()
-            self._immutables.append(self._active)
-            self._active = MemTable(self.config.memtable_size)
         self.flush()
 
     # ------------------------------------------------------------------
@@ -439,59 +434,18 @@ class LSMTree:
 
     def get(self, key, stats=None):
         """Point lookup following the C0 -> C1 -> Ck search order."""
-        stats = stats if stats is not None else ReadStats()
-        stats.memtable_gets += 1
-        found, value = self._active.get(key)
-        if found:
-            return value  # may be None for a tombstone
-        for memtable in reversed(self._immutables):
-            stats.memtable_gets += 1
-            found, value = memtable.get(key)
-            if found:
-                return value
-        for sst in self.levels.candidates_for_key(key):
-            # Inlined sst.might_contain(key, stats): this loop runs once
-            # per candidate on every point lookup.
-            stats.ssts_considered += 1
-            stats.bloom_probes += 1
-            if not sst.bloom.might_contain(key):
-                stats.bloom_negatives += 1
-                stats.ssts_skipped_bloom += 1
-                continue
-            found, value = sst.get(key, stats)
-            if found:
-                return value
-        return None
+        return point_lookup(self._active, self.levels.lookup_plan(), key,
+                            stats if stats is not None else ReadStats(),
+                            True)
 
     def scan(self, lo=None, hi=None, value_predicate=None, stats=None):
-        """Range scan over [lo, hi) merging all components.
+        """Range scan over [lo, hi) merging all components, as of its
+        first ``next()`` (see :func:`repro.lsm.iterator.range_scan`)."""
+        return range_scan(self._read_inputs, lo, hi, value_predicate,
+                          stats if stats is not None else ReadStats())
 
-        With a ``value_predicate`` the scan must still touch every entry of
-        the range (the substantial-I/O case NDP targets, paper §2.2); the
-        predicate filters the output stream.  The scan reads the tree as
-        it is at its first ``next()``: writes, flushes and compactions
-        made while it is open do not reach it (see :class:`MemTable`).
-        """
-        stats = stats if stats is not None else ReadStats()
-        sources = []
-        if len(self._active):
-            sources.append(self._active.items(lo=lo, hi=hi))
-        for memtable in reversed(self._immutables):
-            if len(memtable):
-                sources.append(memtable.items(lo=lo, hi=hi))
-        for sst in self.levels.all_ssts():
-            if not sst.overlaps(lo, hi if hi is not None else None):
-                stats.ssts_skipped_fence += 1
-                continue
-            stats.ssts_considered += 1
-            sources.append(sst.iter_range(lo, hi, stats=stats))
-        # A single source needs no heap merge and cannot self-shadow
-        # (memtables and SSTs are internally deduplicated).
-        merged = sources[0] if len(sources) == 1 else merge_sources(sources)
-        for key, value in live_entries(merged):
-            stats.entries_scanned += 1
-            if value_predicate is None or value_predicate(value):
-                yield key, value
+    def _read_inputs(self):
+        return self._active, self.levels.lookup_plan()
 
     def full_scan(self, value_predicate=None, stats=None):
         """Scan the whole key space."""
@@ -501,12 +455,6 @@ class LSMTree:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def entry_count_estimate(self):
-        """Approximate number of live entries (ignores shadowing)."""
-        count = len(self._active) + sum(len(m) for m in self._immutables)
-        count += sum(sst.entry_count for sst in self.levels.all_ssts())
-        return count
-
     def total_bytes(self):
         """Bytes held across all on-flash components."""
         return self.levels.total_bytes()
@@ -529,8 +477,7 @@ class LSMTree:
 
     def read_amplification(self, key):
         """Number of components a GET for ``key`` may need to touch."""
-        memtables = 1 + len(self._immutables)
-        return memtables + len(self.levels.candidates_for_key(key))
+        return 1 + len(self.levels.candidates_for_key(key))
 
     def __repr__(self):
         return (f"LSMTree({self.name!r}, memtable={len(self._active)}, "

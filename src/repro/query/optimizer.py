@@ -7,7 +7,7 @@ resulting plan with offloading decisions; this module is deliberately the
 """
 
 from repro.query.ast import ColumnRef, Comparison, InList, conjuncts
-from repro.query.join_order import join_selectivity, order_tables
+from repro.query.join_order import order_tables
 from repro.query.logical import analyze
 from repro.query.parser import parse_query
 from repro.query.physical import (AccessPath, JoinAlgorithm, QueryPlan,
@@ -135,12 +135,4 @@ def _indexed_join_column(table, edges, alias):
     return None
 
 
-def estimate_join_output(spec, catalog, prefix_rows, entry):
-    """Cardinality after joining the prefix with one more entry."""
-    rows = prefix_rows * entry.estimated_rows
-    for edge in entry.join_edges:
-        rows *= join_selectivity(spec, catalog, edge)
-    return max(1, int(round(rows)))
-
-
-__all__ = ["build_plan", "estimate_join_output"]
+__all__ = ["build_plan"]

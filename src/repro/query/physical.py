@@ -147,3 +147,12 @@ class QueryPlan:
             cols = ", ".join(str(c) for c in self.group_by)
             lines.append(f"  group by: {cols}")
         return "\n".join(lines)
+
+
+def operator_counts(entries):
+    """``(selections, secondary-index lookups, joins)`` of a device
+    pipeline over ``entries``: the shape its buffer reservation is sized
+    by (``SmartStorageDevice.pipeline_cost_bytes``)."""
+    secondary = sum(1 for entry in entries if entry.uses_secondary_index)
+    joins = sum(1 for entry in entries if entry.join_algorithm is not None)
+    return len(entries), secondary, joins

@@ -26,56 +26,8 @@ from repro.columns import ColumnBatch
 from repro.errors import SchemaError
 
 _DEFAULT_SAMPLE = 512
-_DEFAULT_BUCKETS = 16
 #: Distinct values a column remembers; ``distinct_estimate`` stops there.
 _DISTINCT_CAP = 4096
-
-
-class Histogram:
-    """Equi-depth histogram over a numeric column's sample.
-
-    MySQL 8 builds equi-height histograms the same way; range
-    selectivity interpolates within the boundary buckets instead of
-    assuming a uniform min..max spread.
-    """
-
-    def __init__(self, values, buckets=_DEFAULT_BUCKETS):
-        values = sorted(v for v in values if v is not None)
-        if not values:
-            raise SchemaError("histogram needs at least one value")
-        self.n_values = len(values)
-        buckets = max(1, min(buckets, len(values)))
-        self.bounds = []       # (low, high, count) per bucket, inclusive
-        per_bucket = len(values) / buckets
-        start = 0
-        for b in range(buckets):
-            end = int(round((b + 1) * per_bucket))
-            end = max(start + 1, min(end, len(values)))
-            chunk = values[start:end]
-            if chunk:
-                self.bounds.append((chunk[0], chunk[-1], len(chunk)))
-            start = end
-            if start >= len(values):
-                break
-
-    def selectivity(self, lo=None, hi=None):
-        """Estimated fraction of values in [lo, hi] (None = open end)."""
-        covered = 0.0
-        for low, high, count in self.bounds:
-            b_lo = low if lo is None else max(lo, low)
-            b_hi = high if hi is None else min(hi, high)
-            if b_hi < b_lo:
-                continue
-            if high == low:
-                covered += count
-            else:
-                covered += count * (b_hi - b_lo) / (high - low)
-        return min(1.0, covered / self.n_values)
-
-    @property
-    def bucket_count(self):
-        """Number of buckets actually built."""
-        return len(self.bounds)
 
 
 @dataclass
@@ -118,12 +70,6 @@ class ColumnStats:
                         break
                     distinct.add(value)
         self.distinct_estimate = max(self.distinct_estimate, len(distinct))
-
-    @property
-    def null_fraction(self):
-        """Fraction of observed values that were NULL."""
-        total = self.n_values + self.n_nulls
-        return self.n_nulls / total if total else 0.0
 
 
 class TableStatistics:
@@ -212,47 +158,6 @@ class TableStatistics:
                 f"{self.table_name}.{name}: sampled values mix types")
         mask = np.array(null, dtype=bool) if any(null) else None
         return arr, mask
-
-    def equality_selectivity(self, column_name):
-        """1/NDV estimate for ``column = const`` when no sample predicate
-        is available (index-dive style)."""
-        stats = self.column(column_name)
-        if stats.distinct_estimate <= 0:
-            return 0.1
-        return 1.0 / stats.distinct_estimate
-
-    def histogram(self, column_name, buckets=_DEFAULT_BUCKETS):
-        """Equi-depth histogram over the sampled values of a column.
-
-        Returns None when the column has no numeric sampled values.
-        """
-        values = [row.get(column_name) for row in self.sample
-                  if isinstance(row.get(column_name), (int, float))]
-        if not values:
-            return None
-        return Histogram(values, buckets=buckets)
-
-    def range_selectivity(self, column_name, lo=None, hi=None):
-        """Range fraction for numeric columns.
-
-        Uses the equi-depth histogram over the sample when available;
-        falls back to linear min/max interpolation.
-        """
-        histogram = self.histogram(column_name)
-        if histogram is not None:
-            return histogram.selectivity(lo=lo, hi=hi)
-        stats = self.column(column_name)
-        if (stats.min_value is None or stats.max_value is None
-                or not isinstance(stats.min_value, (int, float))):
-            return 0.3
-        span = stats.max_value - stats.min_value
-        if span <= 0:
-            return 1.0
-        lo_val = stats.min_value if lo is None else max(lo, stats.min_value)
-        hi_val = stats.max_value if hi is None else min(hi, stats.max_value)
-        if hi_val < lo_val:
-            return 1.0 / max(1, self.row_count)
-        return min(1.0, max(0.0, (hi_val - lo_val) / span))
 
     def estimated_rows(self, selectivity):
         """Cardinality from a selectivity, never below one row."""

@@ -5,8 +5,11 @@ later capture at that version returns the same object; a put, delete,
 write batch, flush or compaction moves the version, so the next capture
 rebuilds.  Checked over random write sequences on a tree whose
 memtables are small enough that flushes and compactions run: a reused
-capture equals, field by field, one built from the tree directly, and
-every earlier capture keeps reading exactly what it read when taken.
+capture equals, field by field, one built from the tree directly; both
+of its views answer every get and scan as the live tree does, and the
+bloom view charges the same ``ReadStats`` too (one read path); and
+every earlier capture keeps reading and charging exactly what it did
+when taken.
 """
 
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.lsm.column_family import KVDatabase
 from repro.lsm.snapshot import FamilySnapshot, SharedState, SnapshotView
-from repro.lsm.store import LSMTree, WriteBatch
+from repro.lsm.store import LSMTree, ReadStats, WriteBatch
 from repro.storage.flash import FlashDevice
 
 from tests.conftest import small_lsm_config
@@ -64,7 +67,7 @@ def _apply(tree, step):
 def _fields(snapshot):
     return (snapshot.memtable_entries, snapshot.placements,
             snapshot.total_bytes,
-            tuple(sst.sst_id for sst in snapshot.sst_refs))
+            tuple(sst.sst_id for sst in snapshot.lookup_plan.ssts))
 
 
 def _built_from(tree):
@@ -76,22 +79,34 @@ def _built_from(tree):
             tuple(sst.sst_id for sst in tree.levels.all_ssts()))
 
 
+def _each_read(source):
+    """``(answer, ReadStats charged)`` of every read a step checks on
+    ``source`` (a tree or a view): scans full, bounded and half-open,
+    and a get of every key."""
+    reads = [lambda stats, lo=lo, hi=hi: list(source.scan(lo, hi,
+                                                          stats=stats))
+             for lo, hi in ((None, None), (_KEYS[8], _KEYS[24]),
+                            (_KEYS[20], None), (None, _KEYS[4]))]
+    reads += [lambda stats, key=key: source.get(key, stats)
+              for key in _KEYS]
+    charged = []
+    for read in reads:
+        stats = ReadStats()
+        charged.append((read(stats), stats))
+    return charged
+
+
 def _reads(snapshot):
-    """Everything a capture shows through its views: a full scan, a
-    bounded scan and a get of every key, with and without blooms."""
-    result = []
-    for use_bloom_filters in (False, True):
-        view = SnapshotView(snapshot, use_bloom_filters=use_bloom_filters)
-        result.append((list(view.scan()),
-                       list(view.scan(_KEYS[8], _KEYS[24])),
-                       [view.get(key) for key in _KEYS]))
-    return result
+    """What a capture's device view (no blooms) answers, and what its
+    host view (blooms) answers and charges."""
+    device = _each_read(SnapshotView(snapshot))
+    host = _each_read(SnapshotView(snapshot, use_bloom_filters=True))
+    return [answer for answer, _stats in device], host
 
 
 def _live_reads(tree):
-    reads = (list(tree.scan()), list(tree.scan(_KEYS[8], _KEYS[24])),
-             [tree.get(key) for key in _KEYS])
-    return [reads, reads]
+    live = _each_read(tree)
+    return [answer for answer, _stats in live], live
 
 
 @given(st.lists(_step, min_size=20, max_size=60))

@@ -245,15 +245,5 @@ class TestStatistics:
     def test_distinct_estimate(self, people):
         assert people.statistics.column("city").distinct_estimate == 3
 
-    def test_equality_selectivity(self, people):
-        assert people.statistics.equality_selectivity("city") == (
-            pytest.approx(1 / 3))
-
-    def test_range_selectivity(self, people):
-        sel = people.statistics.range_selectivity("age", lo=25, hi=30)
-        assert sel == pytest.approx(1.0)
-        tiny = people.statistics.range_selectivity("age", lo=40, hi=50)
-        assert tiny < 0.5
-
     def test_estimated_rows_floor(self, people):
         assert people.statistics.estimated_rows(0.0) == 1

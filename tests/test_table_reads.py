@@ -186,11 +186,9 @@ def test_one_memo_store_three_sharing_rules(tables):
 # Charge parity: a split's host fragment reads a bloom snapshot
 # ----------------------------------------------------------------------
 
-#: The ``ReadStats`` fields ``WorkCounters.absorb_read_stats`` prices.
-_ABSORBED = ("bytes_read", "index_blocks_read", "data_blocks_read",
-             "key_comparisons", "cache_hits")
-#: Fields a point read counts differently through a snapshot.
-_UNPRICED = ("memtable_gets", "ssts_considered", "ssts_skipped_fence")
+#: Every ``ReadStats`` counter.
+_COUNTERS = tuple(name for name in ReadStats.__dataclass_fields__
+                  if name != "cache")
 _PARITY_BLOCK = 512
 _PARITY_CACHES = (0, _PARITY_BLOCK, 4 * _PARITY_BLOCK, 512 * 1024 * 1024)
 _PARITY_ROWS = 240
@@ -271,36 +269,30 @@ def test_bloom_snapshot_charges_what_the_live_table_charges(state,
     """At one tree version a ``SnapshotTable(use_bloom_filters=True)``
     answers and charges every read like the live ``RelationalTable``.
 
-    Both visit the same SSTs in the same order — ``all_ssts()`` is the
-    order of ``candidates_for_key`` — probe the same bloom filters and
-    touch the same blocks, interleaved alike with the primary seeks of
-    an index lookup, through one block cache each: the five fields
-    ``WorkCounters`` absorbs and the cache's LRU order, hits and misses
-    come out equal, read after read.  Three fields are counted
-    differently and are safe because nothing prices them: the live
-    tree counts ``memtable_gets`` on every point read and the snapshot
-    only when its memtable answers; the live tree counts
-    ``ssts_considered`` before the bloom probe and the snapshot after
-    it; the snapshot counts the ``ssts_skipped_fence`` the live tree's
-    candidate list never offers.
+    Both run the one LSM read path (``repro.lsm.iterator``) over the
+    same MemTable entries and the same lookup plan, so they probe the
+    same bloom filters and touch the same blocks, interleaved alike with
+    the primary seeks of an index lookup, through one block cache each:
+    every ``ReadStats`` counter and the cache's LRU order, hits and
+    misses come out equal, read after read.
     """
     live, snap = _parity_table(state)
     walked, pinned = (ReadStats(cache=BlockCache(cache_bytes))
                       for _ in range(2))
     for name, read in _parity_reads():
         assert read(live, walked) == read(snap, pinned), name
-        assert _fields(walked, _ABSORBED) == _fields(pinned, _ABSORBED), name
+        assert (_fields(walked, _COUNTERS)
+                == _fields(pinned, _COUNTERS)), name
         assert walked.cache.lru_state() == pinned.cache.lru_state(), name
         assert ((walked.cache.hits, walked.cache.misses)
                 == (pinned.cache.hits, pinned.cache.misses)), name
-    others = [name for name in walked.__dataclass_fields__
-              if name not in _UNPRICED + ("cache",)]
-    assert _fields(walked, others) == _fields(pinned, others)
     assert walked.bytes_read and walked.bloom_negatives
     # Some absent key passed a bloom filter and was charged a block.
     charged = [ReadStats() for _ in _PARITY_ABSENT]
     for pk, stats in zip(_PARITY_ABSENT, charged):
         assert live.get_record(pk, stats=stats) is None
     assert any(stats.data_blocks_read for stats in charged)
-    unpriced = ReadStats(**dict.fromkeys(_UNPRICED, 7))
+    # The timing model prices neither MemTable reads nor fence checks.
+    unpriced = ReadStats(memtable_gets=7, ssts_considered=7,
+                         ssts_skipped_fence=7)
     assert WorkCounters().absorb_read_stats(unpriced) == WorkCounters()
