@@ -14,14 +14,15 @@ the row-at-a-time reference the tests keep (``tests/rowref.py``), so
 golden traces, differential tests and chaos/cluster audits stay
 byte-identical.  LSM access *order* is likewise preserved: batching only
 defers decode and predicate work and never reorders or skips a *charged*
-read — a key sought again, or an inner table scanned again at the
-same tree version, replays its recorded
-:class:`~repro.lsm.store.ReadTrace` through the executor's own block
-cache — so stateful block-cache hit counts match exactly.  One run may
-join many batches at once as *segments* of one input, each charged as
-if it ran alone (``PipelineExecutor.run(segments=...)``).
+read — a key sought again, or a table scanned again at the same tree
+version, replays its recorded :class:`~repro.lsm.store.ReadTrace`
+through the executor's own block cache — so stateful block-cache hit
+counts match exactly.  One run may join many batches at once as
+*segments* of one input, each charged as if it ran alone
+(``PipelineExecutor.run(segments=...)``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,6 +327,73 @@ def _keyed_side(inner, columns):
                                           for name in columns])
 
 
+def pk_bounds(local_filter, pk):
+    """Inclusive primary-key bounds ``(lo, hi)`` (``None``: unbounded)
+    that the conjuncts of ``local_filter`` comparing ``pk`` with a
+    literal imply.
+
+    A float literal bounds the integers it admits: ``> 3.5`` starts at
+    4, ``<= 5.9`` ends at 5 and ``= 4.5`` admits none (``lo > hi``).  A
+    literal that is not a finite number (a string, or a decimal too long
+    for a float, which parses as ``inf``) bounds nothing; the filter,
+    applied to every scanned row, decides.  An equality replaces the
+    bounds before it.
+    """
+    lo = hi = None
+    for conjunct in conjuncts(local_filter):
+        if not (isinstance(conjunct, Comparison)
+                and isinstance(conjunct.left, ColumnRef)
+                and conjunct.left.column == pk
+                and isinstance(conjunct.right, Literal)
+                and isinstance(conjunct.right.value, (int, float))):
+            continue
+        value = conjunct.right.value
+        if isinstance(value, float) and not math.isfinite(value):
+            continue
+        # The least admitted integer at or above the value, the greatest
+        # at or below it.
+        up, down = ((math.ceil(value), math.floor(value))
+                    if isinstance(value, float) else (value, value))
+        if conjunct.op == "=":
+            lo, hi = up, down
+        elif conjunct.op in ("<", "<="):
+            bound = down if conjunct.op == "<=" else up - 1
+            hi = bound if hi is None else min(hi, bound)
+        elif conjunct.op in (">", ">="):
+            bound = up if conjunct.op == ">=" else down + 1
+            lo = bound if lo is None else max(lo, bound)
+    return lo, hi
+
+
+#: Filter masks a scan memo keeps per table version; the oldest goes
+#: first.  A JOB pass filters a table in fewer distinct ways than this.
+_MASKS_PER_SCAN = 64
+
+
+def _filter_mask(memo, entry, batch):
+    """:func:`eval_mask` of ``entry``'s local filter over ``batch``.
+
+    With a scan memo, ``batch`` is its records decoded, and the mask is
+    memoised in ``memo`` by the filter's ``repr``: the records have one
+    row order per version, the filter's column references name the
+    alias, and the ``repr`` tells apart literals that compare equal in
+    Python (``2``, ``2.0``, ``True``).  A memo keeps the
+    ``_MASKS_PER_SCAN`` latest filters' masks, one byte per record each,
+    so literals that vary from query to query cannot grow it without
+    bound.  A memoised mask is read-only: every caller selects with it.
+    """
+    if memo is None:
+        return eval_mask(entry.local_filter, batch)
+    key = repr(entry.local_filter)
+    mask = memo.masks.get(key)
+    if mask is None:
+        if len(memo.masks) == _MASKS_PER_SCAN:
+            del memo.masks[next(iter(memo.masks))]
+        mask = memo.masks[key] = eval_mask(entry.local_filter, batch)
+        mask.flags.writeable = False
+    return mask
+
+
 def _prefix(counts):
     """``[0, c0, c0 + c1, ...]``: indexed with a run's segment offsets,
     the counts that fall before each offset."""
@@ -597,6 +665,14 @@ class PipelineExecutor:
     # Driving table
     # ------------------------------------------------------------------
     def _driving(self, entry, shard=None):
+        """The driving stage: the entry's table read, filtered and
+        projected, as ``(batch, row bytes)``.
+
+        A full scan without a shard reads through the table's scan memo
+        (:meth:`_scanned`), its one read queued on segment 0's log and
+        its filter mask memoised with it; a primary-key range or a shard
+        scans the table, a secondary lookup seeks its constants.
+        """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = self._predicate_cost(entry.local_filter)
         needed, emitted, exact = self._decode_plan(entry)
@@ -608,18 +684,18 @@ class PipelineExecutor:
             if pk not in needed:
                 needed = sorted(set(needed) | {pk})
                 exact = False
-        stats = self._stats()
         row_bytes = self._materialized_bytes(entry)
+        memo = None
         if entry.access_path is AccessPath.SECONDARY_LOOKUP:
             if shard is not None and shard.is_empty:
                 batch = table.codec.batch_projector(needed, entry.alias)([])
             else:
                 keys = _constant_keys(self._index_constants(entry))
-                memo, _, inner_idx = self._seek_all(
+                seeks, _, inner_idx = self._seek_all(
                     table, entry.index_column, *keys,
                     _whole(len(keys[0])), self._logs)
                 self._work[0].index_seeks += _sought(keys[1])
-                batch = memo.gather(needed, entry.alias, inner_idx)
+                batch = seeks.gather(needed, entry.alias, inner_idx)
                 if shard is not None:
                     pk_name = f"{entry.alias}.{table.schema.primary_key}"
                     values, _mask = batch.column(pk_name)
@@ -627,25 +703,32 @@ class PipelineExecutor:
                     # dropped before any predicate work is charged.
                     from repro.columns import shard_membership
                     batch = batch.select(shard_membership(shard, values))
+        elif entry.access_path is AccessPath.FULL_SCAN and shard is None:
+            memo, batch = self._scanned(table, entry.alias, needed)
+            self._logs[0].append(((memo.trace,), [1]))
         else:
             lo = hi = None
             if entry.access_path is AccessPath.PK_RANGE:
-                lo, hi = self._pk_bounds(entry)
+                lo, hi = pk_bounds(entry.local_filter,
+                                   table.schema.primary_key)
+            stats = self._stats()
             batch = table.scan_batch(ScanRequest(
                 columns=tuple(needed), pk_lo=lo, pk_hi=hi, stats=stats,
                 qualified_as=entry.alias, shard=shard))
+            self._work[0].absorb_read_stats(stats)
         n = len(batch)
         self._evaluated([n], ops, memcmp)
         if entry.local_filter is not None and n:
-            batch = batch.select(eval_mask(entry.local_filter, batch))
+            batch = batch.select(_filter_mask(memo, entry, batch))
         self._work[0].bytes_materialized += row_bytes * len(batch)
         if not exact:
             batch = batch.project([f"{entry.alias}.{name}"
                                    for name in emitted])
-        self._work[0].absorb_read_stats(stats)
         self._row_bytes[entry.alias] = row_bytes
         # The driving base holds the filtered projection alone, so no
-        # later stage keeps the scanned table or a seek pool alive.
+        # later stage keeps a seek pool alive; a full scan's records,
+        # decoded batch and mask stay in the table's scan memo until
+        # its primary version moves.
         return batch.materialized(), row_bytes
 
     def _index_constants(self, entry):
@@ -665,26 +748,6 @@ class PipelineExecutor:
             raise ExecutionError(
                 f"no constant bound to index column {entry.index_column!r}")
         return values
-
-    def _pk_bounds(self, entry):
-        lo = hi = None
-        pk = self.catalog.table(entry.table_name).schema.primary_key
-        for conjunct in conjuncts(entry.local_filter):
-            if not (isinstance(conjunct, Comparison)
-                    and isinstance(conjunct.left, ColumnRef)
-                    and conjunct.left.column == pk
-                    and isinstance(conjunct.right, Literal)):
-                continue
-            value = conjunct.right.value
-            if conjunct.op in ("=",):
-                lo = hi = value
-            elif conjunct.op in ("<", "<="):
-                bound = value if conjunct.op == "<=" else value - 1
-                hi = bound if hi is None else min(hi, bound)
-            elif conjunct.op in (">", ">="):
-                bound = value if conjunct.op == ">=" else value + 1
-                lo = bound if lo is None else max(lo, bound)
-        return lo, hi
 
     # ------------------------------------------------------------------
     # Joins
@@ -998,15 +1061,14 @@ class PipelineExecutor:
         physical read of the inner (same access order and read stats as
         the row engine's rescan, through this executor's block cache),
         but the records are decoded and keyed once.  A full scan is
-        recorded once per tree version under a :class:`ReadTrace` kept
-        in ``table.scan_memo()`` — with the keyed sides decoded from it,
-        one per set of decoded and join columns — and every pass, here
-        or in any later call at that version, is a replay: the passes
-        of one segment are consecutive, so one queued run charges them
-        all.  An inner read through a secondary index on a constant is
-        sought once per pass.  No pass at all (empty outers) reads
-        nothing and joins nothing.  The stage's local filter and
-        projection are applied on every call.
+        read through :meth:`_scanned` — with the keyed sides built from
+        it, one per set of decoded and join columns, and the filter
+        masks, one per filter — and every pass, here or in any later
+        call at that version, is a replay: the passes of one segment are
+        consecutive, so one queued run charges them all.  An inner read
+        through a secondary index on a constant is sought once per pass.
+        No pass at all (empty outers) reads nothing and joins nothing.
+        The stage's selection and projection are applied on every call.
 
         Returns ``(side, records read per pass)``.
         """
@@ -1014,6 +1076,7 @@ class PipelineExecutor:
         columns = [f"{entry.alias}.{edge.column_of(entry.alias)}"
                    for edge in entry.join_edges]
         reading = [segment for segment, count in enumerate(passes) if count]
+        memo = None
         if not reading:
             inner = table.codec.batch_projector(needed, entry.alias)([])
             side, read = _keyed_side(inner, columns), 0
@@ -1023,39 +1086,57 @@ class PipelineExecutor:
                 [edge.column_of(entry.alias) for edge in entry.join_edges]):
             keys = _constant_keys(self._index_constants(entry))
             runs = []
-            memo, _, inner_idx = self._seek_all(
+            seeks, _, inner_idx = self._seek_all(
                 table, entry.index_column, *keys, _whole(len(keys[0])),
                 [runs])
             for segment in reading:
                 self._logs[segment].extend(runs * passes[segment])
             for work, count in zip(self._work, passes):
                 work.index_seeks += _sought(keys[1]) * count
-            side = _keyed_side(memo.gather(needed, entry.alias, inner_idx),
+            side = _keyed_side(seeks.gather(needed, entry.alias, inner_idx),
                                columns)
             read = len(inner_idx)
         else:
-            memo = table.scan_memo()
-            if memo.trace is None:
-                scratch = ReadStats()
-                with ReadTrace(scratch) as trace:
-                    records = list(table.scan_raw(ScanRequest(stats=scratch)))
-                memo.trace, memo.records = trace, records
+            memo, inner = self._scanned(table, entry.alias, needed)
             for segment in reading:
                 self._logs[segment].append(((memo.trace,), [passes[segment]]))
             key = (entry.alias, tuple(needed), tuple(columns))
             side = memo.sides.get(key)
             if side is None:
-                inner = table.codec.batch_projector(needed, entry.alias)(
-                    memo.records)
                 side = memo.sides[key] = _keyed_side(inner, columns)
             read = len(memo.records)
         if entry.local_filter is None:
             keep = np.ones(len(side.batch), dtype=bool)
         else:
-            keep = eval_mask(entry.local_filter, side.batch)
+            keep = _filter_mask(memo, entry, side.batch)
         batch = side.batch if exact else side.batch.project(
             [f"{entry.alias}.{name}" for name in emitted])
         return side.where(keep, batch), read
+
+    @staticmethod
+    def _scanned(table, alias, needed):
+        """``(memo, batch)``: ``table.scan_memo()`` and its records
+        decoded as the ``alias.name`` columns of ``needed``.
+
+        The one place a full scan is read.  The first read at a primary
+        version walks the tree under a recording :class:`ReadTrace`,
+        against scratch stats, and keeps the trace and the records in
+        the memo; the records are decoded once per alias and columns.
+        Nothing is charged: the caller queues ``memo.trace`` on the log
+        of each segment that reads the table.
+        """
+        memo = table.scan_memo()
+        if memo.trace is None:
+            scratch = ReadStats()
+            with ReadTrace(scratch) as trace:
+                records = list(table.scan_raw(ScanRequest(stats=scratch)))
+            memo.trace, memo.records = trace, records
+        key = (alias, tuple(needed))
+        batch = memo.batches.get(key)
+        if batch is None:
+            batch = memo.batches[key] = table.codec.batch_projector(
+                needed, alias)(memo.records)
+        return memo, batch
 
     # ------------------------------------------------------------------
     # Residual predicates

@@ -109,7 +109,9 @@ def like_to_regex(pattern):
             parts.append(".")
         else:
             parts.append(re.escape(ch))
-    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
+    # ``\Z``, not ``$``: a value with a trailing newline must match
+    # the pattern whole, newline included.
+    return re.compile("".join(parts) + r"\Z", re.DOTALL)
 
 
 @dataclass(frozen=True)

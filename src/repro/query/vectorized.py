@@ -6,8 +6,11 @@ logic collapses NULL comparisons to False, ``NOT LIKE`` / ``NOT IN``
 over NULL stay False, and ``IS [NOT] NULL`` reads the null mask
 directly.  Null slots hold filler values (``0`` / ``""``) in the value
 arrays; every node masks them out with the column's null mask before
-they can influence the result.  The tests hold it to a row-at-a-time
-reference over dict rows, ``eval_row`` in ``tests/rowref.py``.
+they can influence the result.  A LIKE whose only wildcard is ``%``
+runs over a unicode column as numpy string kernels; any other LIKE
+matches the pattern's compiled regex row by row.  The tests hold it to
+a row-at-a-time reference over dict rows, ``eval_row`` in
+``tests/rowref.py``.
 """
 
 import numpy as np
@@ -71,6 +74,36 @@ def _in_list(values, candidates):
                     dtype=bool)
 
 
+def _like_percent(values, pattern):
+    """``values LIKE pattern`` over a unicode array, for a pattern whose
+    only wildcard is ``%``, as numpy string kernels.
+
+    The pattern's pieces between ``%`` signs must occur in order without
+    overlapping: the first at the start, the last at the end, and each
+    middle one at its leftmost occurrence after the piece before it —
+    leftmost is never worse for the pieces after it.  ``end`` holds,
+    per value, where the part matched so far ends.  The kernels are
+    ``np.char``'s, which numpy 2 runs as the ``np.strings`` ufuncs and
+    numpy 1.24 as the ``str`` methods per element, ``find`` with its
+    ``start`` array broadcast.
+    """
+    if "%" not in pattern:
+        return values == pattern
+    head, *middle, tail = pattern.split("%")
+    matched = np.char.startswith(values, head)
+    end = len(head)
+    for piece in middle:
+        if piece:
+            found = np.char.find(values, piece, end)
+            matched &= found >= 0
+            end = found + len(piece)
+    if tail:
+        # The tail must fit after the pieces before it, not overlap them.
+        matched &= np.char.endswith(values, tail)
+        matched &= np.char.str_len(values) - len(tail) >= end
+    return matched
+
+
 def eval_mask(expr, batch):
     """Evaluate ``expr`` over every row of ``batch`` at once.
 
@@ -92,10 +125,13 @@ def eval_mask(expr, batch):
         values, mask = _operand(expr.operand, batch)
         if values is None:
             return np.zeros(n, dtype=bool)
-        match = expr._regex.match
-        matched = np.array(
-            [match(str(value)) is not None for value in values.tolist()],
-            dtype=bool)
+        if values.dtype.kind == "U" and "_" not in expr.pattern:
+            matched = _like_percent(values, expr.pattern)
+        else:
+            match = expr._regex.match
+            matched = np.array(
+                [match(str(value)) is not None for value in values.tolist()],
+                dtype=bool)
         if expr.negated:
             matched = ~matched
         return matched if mask is None else matched & ~mask

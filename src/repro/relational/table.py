@@ -82,18 +82,22 @@ class ScanMemo:
 
     ``trace`` is the scan's :class:`~repro.lsm.store.ReadTrace` and
     ``records`` the record bytes it yielded (both ``None`` until the
-    first scan); ``sides`` holds what an executor derives from the
-    records alone — the decoded, keyed inner sides of scan joins — by
-    alias, decoded columns and join columns.  Filled by
-    ``PipelineExecutor._inner_side``; it holds no executor's stats or
-    block cache.
+    first scan).  The rest is what an executor derives from the records
+    alone: ``batches`` the records decoded, by alias and decoded
+    columns; ``masks`` a stage filter's outcome over the records, by the
+    filter's ``repr`` (the 64 latest); and ``sides`` the keyed inner
+    sides of scan joins, by alias, decoded columns and join columns.
+    Filled by ``PipelineExecutor``'s full scans, driving and inner; it
+    holds no executor's stats or block cache.
     """
 
-    __slots__ = ("trace", "records", "sides")
+    __slots__ = ("trace", "records", "batches", "masks", "sides")
 
     def __init__(self):
         self.trace = None
         self.records = None
+        self.batches = {}
+        self.masks = {}
         self.sides = {}
 
 

@@ -23,6 +23,8 @@ names.  The estimator equivalence tests
 (tests/test_sampled_estimation.py) hold the two to float equality.
 """
 
+import math
+
 from repro.engine.pipeline import _POINTER_BYTES, predicate_cost, stable_hash
 from repro.errors import ExecutionError, PlanError
 from repro.lsm.store import ReadStats
@@ -86,6 +88,16 @@ def eval_row(expr, row):
     if isinstance(expr, Not):
         return not eval_row(expr.operand, row)
     raise PlanError(f"cannot evaluate {type(expr).__name__}")
+
+
+def _admitted(op, value, step):
+    """The first integer ``key``, stepping by ``step`` (1: upwards, -1:
+    downwards) from just past ``value`` on the other side, for which
+    ``key op value`` holds."""
+    key = int(value) - step
+    while not _COMPARATORS[op](key, value):
+        key += step
+    return key
 
 
 class RowPipelineExecutor:
@@ -248,6 +260,11 @@ class RowPipelineExecutor:
         return values
 
     def _pk_bounds(self, entry):
+        """The least and greatest primary keys the filter's literal
+        comparisons on the key admit, found by stepping from the
+        literal's integer part until the comparison holds; an equality
+        replaces the bounds before it, and a literal that is not a
+        finite number bounds nothing."""
         lo = hi = None
         pk = self.catalog.table(entry.table_name).schema.primary_key
         for conjunct in conjuncts(entry.local_filter):
@@ -257,13 +274,17 @@ class RowPipelineExecutor:
                     and isinstance(conjunct.right, Literal)):
                 continue
             value = conjunct.right.value
-            if conjunct.op in ("=",):
-                lo = hi = value
+            if not (isinstance(value, int) or (isinstance(value, float)
+                                               and math.isfinite(value))):
+                continue
+            if conjunct.op == "=":
+                lo = _admitted(">=", value, 1)
+                hi = _admitted("<=", value, -1)
             elif conjunct.op in ("<", "<="):
-                bound = value if conjunct.op == "<=" else value - 1
+                bound = _admitted(conjunct.op, value, -1)
                 hi = bound if hi is None else min(hi, bound)
             elif conjunct.op in (">", ">="):
-                bound = value if conjunct.op == ">=" else value + 1
+                bound = _admitted(conjunct.op, value, 1)
                 lo = bound if lo is None else max(lo, bound)
         return lo, hi
 

@@ -27,6 +27,7 @@ from repro.engine.pipeline import PipelineConfig, PipelineExecutor, finalize
 from repro.engine.stacks import Stack
 from repro.lsm.cache import BlockCache
 from repro.lsm.store import ReadTrace
+from repro.query.physical import AccessPath
 from repro.query.ast import conjuncts
 from repro.workloads.job_queries import query as job_query
 from repro.workloads.sqlgen import RandomSqlGenerator
@@ -88,6 +89,30 @@ def test_sqlgen_corpus_equivalence(job_env, index):
 @pytest.mark.parametrize("name", ["1a", "2a", "3b", "6a", "8c", "16b", "17e"])
 def test_job_sample_equivalence(job_env, name):
     _assert_equivalent(job_env, job_query(name))
+
+
+@pytest.mark.parametrize("where, ids", [
+    ("t.id > 3.5 AND t.id < 6", [4, 5]),
+    ("t.id >= 3.5 AND t.id <= 5.5", [4, 5]),
+    ("t.id > 3 AND t.id < 5.0", [4]),
+    ("t.id = 4.0", [4]),
+    ("t.id = 4.5", []),
+    ("t.id = 'x'", []),
+    # A decimal too long for a float parses as inf and bounds nothing.
+    ("t.id > 3.5 AND t.id < " + "9" * 400 + ".5 AND t.id < 6", [4, 5]),
+])
+def test_non_integer_literals_bound_a_driving_primary_key(job_env, where, ids):
+    # The scan's bounds are the integers the literals admit; a float
+    # used to reach the key encoder and raise SchemaError, a string to
+    # raise TypeError.
+    sql = f"SELECT t.id FROM title AS t WHERE {where}"
+    plan = job_env.runner.plan(sql)
+    assert plan.entries[0].access_path is AccessPath.PK_RANGE
+    _assert_equivalent(job_env, sql)
+    rows, _columns, _counters = _run_columnar(job_env.catalog, plan)
+    assert [row["t.id"] for row in rows] == ids
+    aggregate = sql.replace("SELECT t.id", "SELECT MIN(t.title)")
+    _assert_equivalent(job_env, aggregate)
 
 
 def _key_runs(entry, outer_rows):

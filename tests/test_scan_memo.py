@@ -1,16 +1,19 @@
-"""Scan joins read their inner once per tree version ≡ the row engine.
+"""Full scans read each table once per tree version ≡ the row engine.
 
 BNLJ, GHJ and NLJ read their inner table through one memoised side
-(``PipelineExecutor._inner_side``): a full scan is walked once per tree
-version under a :class:`~repro.lsm.store.ReadTrace` and replayed for
-every other pass, its records are decoded and keyed once per set of
-decoded and join columns (the stage's filter and projection are applied
-per call), and the probe is numpy (``docs/engine.md``).  Nothing
-observable may change: rows in order, the full :class:`WorkCounters`
-dict and the block cache's LRU facts must equal the row-at-a-time
-reference (``tests/rowref.py``), which really rescans the inner per
-pass and probes Python dicts — on the live trees and through device
-snapshots, before and after every kind of write.
+(``PipelineExecutor._inner_side``), and a driving full scan reads
+through the same memo: a full scan is walked once per tree version
+under a :class:`~repro.lsm.store.ReadTrace` and replayed for every
+other read, its records are decoded once per alias and columns and
+keyed once per set of join columns, a stage filter's mask is kept per
+filter (the selection and projection are applied per call), and the
+probe is numpy (``docs/engine.md``).  Nothing observable may change:
+rows in order, the full :class:`WorkCounters` dict and the block
+cache's LRU facts must equal the row-at-a-time reference
+(``tests/rowref.py``), which really rescans the table per read and
+probes Python dicts — on the live trees, through device snapshots and
+through a split's pinned host fragment, before and after every kind of
+write.
 """
 
 import gc
@@ -24,16 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.partition import TableShard
 from repro.columns import ColumnBatch
 from repro.engine.counters import WorkCounters
-from repro.engine.pipeline import PipelineConfig, PipelineExecutor
+from repro.engine.pipeline import (_MASKS_PER_SCAN, PipelineConfig,
+                                   PipelineExecutor)
 from repro.engine.stacks import Stack, StackRunner
 from repro.lsm.column_family import KVDatabase
 from repro.lsm.snapshot import SharedState, SnapshotView
 from repro.lsm.store import LSMTree, WriteBatch
-from repro.query.ast import ColumnRef, Comparison, Literal
+from repro.query.ast import ColumnRef, Comparison, Like, Literal
 from repro.query.logical import JoinEdge
-from repro.query.physical import JoinAlgorithm, TableAccess
+from repro.query.physical import AccessPath, JoinAlgorithm, TableAccess
 from repro.relational.catalog import Catalog
 from repro.relational.encoding import RecordCodec
 from repro.relational.schema import TableSchema, char_col, int_col
@@ -308,6 +313,151 @@ def test_scan_memos_do_not_pin_the_recording_cache():
         del executor
         gc.collect()
         assert cache() is None
+
+
+# ----------------------------------------------------------------------
+# Driving full scans read through the same memo
+# ----------------------------------------------------------------------
+
+#: Driving filters at one version: the first three differ only in a
+#: literal, then a ``%``-only LIKE and a LIKE the regex runs.
+_DRIVING_FILTERS = (
+    Comparison("<", ColumnRef("o", "grp"), Literal(2)),
+    Comparison("<", ColumnRef("o", "grp"), Literal(1)),
+    Comparison("<", ColumnRef("o", "grp"), Literal(1.5)),
+    Like(ColumnRef("o", "note"), "%te 3%"),
+    Like(ColumnRef("o", "note"), "note _", negated=True),
+    None,
+)
+
+
+def _driving(local_filter, access_path=AccessPath.FULL_SCAN):
+    return TableAccess(
+        alias="o", table_name="inner", local_filter=local_filter,
+        projection=["id", "k"], access_path=access_path,
+        projection_bytes=8, projection_field_count=2)
+
+
+def _drive(executor_cls, catalog, entries, shard=None,
+           cache_bytes=4 * _BLOCK):
+    counters = WorkCounters()
+    executor = executor_cls(
+        catalog, PipelineConfig(block_cache_bytes=cache_bytes), counters)
+    result, _row_bytes = executor.run(
+        entries, {entry.alias: entry.table_name for entry in entries},
+        driving_shard=shard)
+    rows = result.rows() if isinstance(result, ColumnBatch) else result
+    return rows, counters.as_dict(), _cache_facts(executor.block_cache)
+
+
+def _drives(catalog):
+    """Every driving filter alone and before a scan join of the same
+    table, each equal to the row engine's."""
+    runs = []
+    for local_filter in _DRIVING_FILTERS:
+        for entries in ([_driving(local_filter)],
+                        [_driving(local_filter),
+                         _entry(JoinAlgorithm.BNLJ, ("k",))]):
+            got, want = (_drive(cls, catalog, entries)
+                         for cls in (PipelineExecutor, RowPipelineExecutor))
+            assert got == want      # rows, WorkCounters, LRU facts
+            runs.append(got)
+    return runs
+
+
+@pytest.mark.parametrize("write", sorted(_WRITES))
+def test_driving_scans_equal_row_engine_across_writes(write):
+    database, catalog, table = _stale_table()
+
+    def capture():
+        state = SharedState.capture(database, table.column_families())
+        # A device command's snapshot and a split's pinned host fragment.
+        return (SnapshotCatalog(catalog, state, {"inner"}),
+                SnapshotCatalog(catalog, state, {"inner"},
+                                use_bloom_filters=True))
+
+    before = capture()
+    firsts = [_drives(kind) for kind in (catalog,) + before]
+    assert [_drives(kind) for kind in (catalog,) + before] == firsts
+    _WRITES[write](catalog, table)
+    after = capture()
+    seconds = [_drives(kind) for kind in after + (catalog,)]
+    assert seconds[-1] != firsts[0]     # the write reaches these scans
+    assert [_drives(kind) for kind in before] == firsts[1:]
+    assert [_drives(kind) for kind in (catalog,) + after] == (
+        seconds[-1:] + seconds[:-1])
+
+
+def test_filters_differing_in_a_literal_never_share_a_mask():
+    _, catalog, table = _stale_table()
+    grp, note = ColumnRef("o", "grp"), ColumnRef("o", "note")
+    filters = [Comparison("<", grp, Literal(value)) for value in (2, 1, 1.5)]
+    filters += [Like(note, pattern) for pattern in ("%e 3", "%e 4")]
+    passed = []
+    for local_filter in filters:
+        entries = [_driving(local_filter)]
+        got = _drive(PipelineExecutor, catalog, entries)
+        assert got == _drive(RowPipelineExecutor, catalog, entries)
+        passed.append({row["o.id"] for row in got[0]})
+    below_2, below_1, below_1_5, note_3, note_4 = passed
+    assert below_1 < below_2 == below_1_5
+    assert note_3 and note_4 and not note_3 & note_4
+    masks = table.scan_memo().masks
+    assert sorted(masks) == sorted(map(repr, filters))
+    assert not any(mask.flags.writeable for mask in masks.values())
+
+
+def test_a_scan_memo_keeps_the_latest_masks():
+    # Literals that change from query to query add a mask each; the
+    # memo keeps the latest _MASKS_PER_SCAN, and an evicted filter is
+    # evaluated again, to the same rows.
+    _, catalog, table = _stale_table()
+    grp = ColumnRef("o", "grp")
+    filters = [Comparison("<=", grp, Literal(float(i)))
+               for i in range(_MASKS_PER_SCAN + 2)]
+    for local_filter in filters + filters[:1]:
+        entries = [_driving(local_filter)]
+        got = _drive(PipelineExecutor, catalog, entries)
+        assert got == _drive(RowPipelineExecutor, catalog, entries)
+    masks = table.scan_memo().masks
+    assert list(masks) == [repr(f) for f in filters[3:] + filters[:1]]
+
+
+def _walks(seen):
+    """Count every LSM scan, live or through a snapshot."""
+    stack = ExitStack()
+    for cls in (LSMTree, SnapshotView):
+        original = cls.scan
+
+        def scan(self, *args, _original=original, **kwargs):
+            seen["scans"] += 1
+            return _original(self, *args, **kwargs)
+        stack.enter_context(mock.patch.object(cls, "scan", scan))
+    return stack
+
+
+@pytest.mark.parametrize("how", ["full scan", "pk range", "range shard",
+                                 "hash shard"])
+def test_only_unsharded_full_scans_are_replayed(how):
+    _, catalog, _ = _stale_table()
+    local_filter = Comparison(">", ColumnRef("o", "id"), Literal(40.5))
+    entry = _driving(local_filter, AccessPath.PK_RANGE if how == "pk range"
+                     else AccessPath.FULL_SCAN)
+    shard = {"range shard": TableShard("inner", 0, 2, pk_lo=0, pk_hi=150),
+             "hash shard": TableShard("inner", 1, 2, seed=3)}.get(how)
+    walks = []
+    for _ in range(3):
+        seen = Counter()
+        with _walks(seen):
+            got = _drive(PipelineExecutor, catalog, [entry], shard=shard)
+        assert got == _drive(RowPipelineExecutor, catalog, [entry],
+                             shard=shard)
+        assert got[0]
+        walks.append(seen["scans"])
+    if how == "full scan":
+        assert walks == [1, 0, 0]
+    else:
+        assert walks == [1, 1, 1]
 
 
 # ----------------------------------------------------------------------
