@@ -1,11 +1,12 @@
 """Plan golden: every JOB plan and offloading decision, pinned exactly.
 
 The fixture holds, per JOB query on the session environment (scale
-0.0004, seed 7), each plan entry's estimates, access path and join
-algorithm, and the planner's decision with the reprs of its costs, so a
-change to the estimator, join ordering or cost model that moves any
-float by one ulp fails here.  Regenerate only for an intended change to
-an estimate, and say which in the commit message:
+0.0004, seed 7), each plan entry's estimates, access path, indexed
+column, join algorithm and join edges, and the planner's decision with
+the reprs of its costs, so a change to the estimator, join ordering,
+physical choice or cost model that moves any float by one ulp, or picks
+another index, fails here.  Regenerate only for an intended change to
+an estimate or a physical choice, and say which in the commit message:
 
     PYTHONPATH=src python -c "
     from repro.workloads.loader import build_environment
@@ -38,7 +39,9 @@ def plan_record(env, sql):
             "estimated_rows": entry.estimated_rows,
             "estimated_output_rows": entry.estimated_output_rows,
             "access_path": _name(entry.access_path),
+            "index_column": entry.index_column,
             "join_algorithm": _name(entry.join_algorithm),
+            "join_edges": [str(edge) for edge in entry.join_edges],
         } for entry in plan.entries],
         "strategy": decision.strategy_name,
         "c_total_host": repr(decision.c_total_host),
