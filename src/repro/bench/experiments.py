@@ -221,12 +221,12 @@ def exp4_nonindexed_fig14(env_noindex):
 # ----------------------------------------------------------------------
 def force_join(plan, algorithm):
     """A copy of ``plan`` with every join rewritten to one index-less
-    algorithm.  ``plan`` itself — often the runner's cached plan — is
-    left as it was."""
+    algorithm.  Plans are frozen, so ``plan`` itself — often the
+    runner's cached plan — cannot change."""
     joins = [replace(entry, join_algorithm=algorithm, index_column=None,
                      access_path=AccessPath.FULL_SCAN)
              for entry in plan.entries[1:]]
-    return replace(plan, entries=[plan.entries[0], *joins])
+    return replace(plan, entries=(plan.entries[0], *joins))
 
 
 def force_bnlj(plan):

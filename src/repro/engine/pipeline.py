@@ -336,8 +336,8 @@ def pk_bounds(local_filter, pk):
     4, ``<= 5.9`` ends at 5 and ``= 4.5`` admits none (``lo > hi``).  A
     literal that is not a finite number (a string, or a decimal too long
     for a float, which parses as ``inf``) bounds nothing; the filter,
-    applied to every scanned row, decides.  An equality replaces the
-    bounds before it.
+    applied to every scanned row, decides.  An equality is a ``>=`` and
+    a ``<=`` bound, so the bounds are the same in any conjunct order.
     """
     lo = hi = None
     for conjunct in conjuncts(local_filter):
@@ -354,13 +354,11 @@ def pk_bounds(local_filter, pk):
         # at or below it.
         up, down = ((math.ceil(value), math.floor(value))
                     if isinstance(value, float) else (value, value))
-        if conjunct.op == "=":
-            lo, hi = up, down
-        elif conjunct.op in ("<", "<="):
-            bound = down if conjunct.op == "<=" else up - 1
+        if conjunct.op in ("=", "<", "<="):
+            bound = up - 1 if conjunct.op == "<" else down
             hi = bound if hi is None else min(hi, bound)
-        elif conjunct.op in (">", ">="):
-            bound = up if conjunct.op == ">=" else down + 1
+        if conjunct.op in ("=", ">", ">="):
+            bound = down + 1 if conjunct.op == ">" else up
             lo = bound if lo is None else max(lo, bound)
     return lo, hi
 

@@ -1,10 +1,11 @@
 """Greedy left-deep join ordering with sampled statistics.
 
 Mirrors the MySQL/MyRocks behaviour the paper relies on (§3.2 "Join"):
-estimate the best access path per table, pick a cheap driving table, then
-repeatedly attach the connected table that keeps the running intermediate
-cardinality lowest.  Join selectivity uses the classical 1/max(NDV)
-formula over index-sample distinct counts.
+:func:`filtered_estimates` estimates each table's filtered rows,
+:func:`greedy_order` picks a cheap driving table and repeatedly attaches
+the connected table that keeps the intermediate cardinality lowest, and
+:func:`cumulative_rows` prices any order by that same step.  Join
+selectivity is the classical 1/max(NDV) over index-sample distinct counts.
 """
 
 import numpy as np
@@ -30,14 +31,19 @@ def sampled_selectivity(stats, alias, expr):
     return (matched + 1.0) / (len(batch) + 2.0)
 
 
-def filtered_cardinality(spec, catalog, alias):
-    """(selectivity, rows) of one table after its local filter."""
-    stats = catalog.table(spec.tables[alias]).statistics
-    expr = spec.filter_for(alias)
-    if expr is None:
-        return 1.0, max(1, stats.row_count)
-    selectivity = sampled_selectivity(stats, alias, expr)
-    return selectivity, stats.estimated_rows(selectivity)
+def filtered_estimates(spec, catalog):
+    """``alias -> (selectivity, rows)`` of every table after its local
+    filter, each filter evaluated once."""
+    estimates = {}
+    for alias in spec.aliases:
+        stats = catalog.table(spec.tables[alias]).statistics
+        expr = spec.filter_for(alias)
+        if expr is None:
+            estimates[alias] = 1.0, max(1, stats.row_count)
+        else:
+            selectivity = sampled_selectivity(stats, alias, expr)
+            estimates[alias] = selectivity, stats.estimated_rows(selectivity)
+    return estimates
 
 
 def join_selectivity(spec, catalog, edge):
@@ -51,58 +57,63 @@ def join_selectivity(spec, catalog, edge):
     return 1.0 / ndv
 
 
-def order_tables(spec, catalog):
-    """Compute a left-deep join order.
+def _links(spec, catalog):
+    """``alias -> [(other alias, join selectivity)]`` per edge touching
+    the alias, in ``spec.join_edges`` order: the products' float order."""
+    links = {alias: [] for alias in spec.aliases}
+    for edge in spec.join_edges:
+        selectivity = join_selectivity(spec, catalog, edge)
+        links[edge.left_alias].append((edge.right_alias, selectivity))
+        links[edge.right_alias].append((edge.left_alias, selectivity))
+    return links
 
-    Returns ``(ordered_aliases, estimates, cumulative_cards)`` where
-    ``estimates[alias]`` is the ``(selectivity, rows)`` of each table
-    after its local filter (:func:`filtered_cardinality`, evaluated once
-    per alias) and ``cumulative_cards[i]`` estimates the intermediate
-    result after joining the first ``i+1`` tables.
-    """
-    aliases = spec.aliases
-    if not aliases:
+
+def _joined_rows(current, rows, links, placed):
+    """``current × rows × Π selectivity`` over the ``links`` into
+    ``placed``: the rows after joining a table to the prefix."""
+    joined = current * rows
+    for other, selectivity in links:
+        if other in placed:
+            joined *= selectivity
+    return joined
+
+
+def greedy_order(spec, catalog, estimates):
+    """The greedy left-deep order over ``estimates``: the connected
+    table with the fewest rows drives, then each step attaches the table
+    joined to the prefix with the fewest :func:`_joined_rows` (ties: the
+    first alias in sorted order).  When none is joined, every remaining
+    table competes by the same formula: a cartesian step."""
+    if not spec.aliases:
         raise PlanError("query references no tables")
-
-    estimates = {alias: filtered_cardinality(spec, catalog, alias)
-                 for alias in aliases}
-    base = {alias: rows for alias, (_selectivity, rows) in estimates.items()}
-
-    if len(aliases) == 1:
-        return aliases, estimates, [base[aliases[0]]]
-
-    remaining = set(aliases)
-    # Driving table: the connected table with the smallest filtered
-    # cardinality (prefer one that has at least one join edge).
-    connected = {alias for alias in aliases if spec.edges_for(alias)}
-    candidates = connected or remaining
-    driving = min(sorted(candidates), key=lambda alias: base[alias])
-    order = [driving]
-    remaining.discard(driving)
-    cumulative = [base[driving]]
-    current = float(base[driving])
-
+    links = _links(spec, catalog)
+    remaining = sorted(spec.aliases)
+    order = [min([alias for alias in remaining if links[alias]]
+                 or remaining, key=lambda alias: estimates[alias][1])]
+    remaining.remove(order[0])
+    current = float(estimates[order[0]][1])
     while remaining:
-        best = None
-        best_rows = None
-        for alias in sorted(remaining):
-            edges = [edge for edge in spec.edges_for(alias)
-                     if edge.other(alias)[0] in order]
-            if not edges:
-                continue
-            rows = current * base[alias]
-            for edge in edges:
-                rows *= join_selectivity(spec, catalog, edge)
-            if best is None or rows < best_rows:
-                best, best_rows = alias, rows
-        if best is None:
-            # Disconnected subgraph: fall back to a cartesian step with
-            # the smallest table (JOB has none, but users might).
-            best = min(sorted(remaining), key=lambda alias: base[alias])
-            best_rows = current * base[best]
+        placed = set(order)
+        joined = [alias for alias in remaining
+                  if any(other in placed for other, _ in links[alias])]
+        steps = {alias: _joined_rows(current, estimates[alias][1],
+                                     links[alias], placed)
+                 for alias in joined or remaining}
+        best = min(steps, key=steps.get)
+        current = max(1.0, steps[best])
         order.append(best)
-        remaining.discard(best)
-        current = max(1.0, best_rows)
-        cumulative.append(int(round(current)))
+        remaining.remove(best)
+    return order
 
-    return order, estimates, cumulative
+
+def cumulative_rows(spec, catalog, order, estimates):
+    """The estimated rows after each join of ``order``: entry ``i`` is
+    the intermediate result of its first ``i + 1`` tables."""
+    links = _links(spec, catalog)
+    cumulative = [estimates[order[0]][1]]
+    current = float(cumulative[0])
+    for position, alias in enumerate(order[1:], 1):
+        current = max(1.0, _joined_rows(current, estimates[alias][1],
+                                        links[alias], set(order[:position])))
+        cumulative.append(int(round(current)))
+    return cumulative

@@ -75,10 +75,6 @@ class QuerySpec:
         """Number of tables joined."""
         return len(self.tables)
 
-    def edges_for(self, alias):
-        """Join edges touching one alias."""
-        return [edge for edge in self.join_edges if edge.touches(alias)]
-
     def filter_for(self, alias):
         """The conjunction of single-table predicates for one alias."""
         return self.filters.get(alias)

@@ -6,8 +6,10 @@ resulting plan with offloading decisions; this module is deliberately the
 "vanilla MyRocks" part of the stack.
 """
 
+from repro.errors import PlanError
 from repro.query.ast import ColumnRef, Comparison, InList, conjuncts
-from repro.query.join_order import order_tables
+from repro.query.join_order import (cumulative_rows, filtered_estimates,
+                                     greedy_order)
 from repro.query.logical import analyze
 from repro.query.parser import parse_query
 from repro.query.physical import (AccessPath, JoinAlgorithm, QueryPlan,
@@ -49,77 +51,73 @@ def _choose_access_path(table, local_filter, alias):
 
 
 def build_plan(sql_or_spec, catalog):
-    """Build a physical plan from SQL text or an analysed QuerySpec."""
+    """Build the greedy plan from SQL text or an analysed QuerySpec."""
     if isinstance(sql_or_spec, str):
         parsed = parse_query(sql_or_spec)
         spec = analyze(parsed, catalog, sql=sql_or_spec)
     else:
         spec = sql_or_spec
+    estimates = filtered_estimates(spec, catalog)
+    order = greedy_order(spec, catalog, estimates)
+    output_rows = cumulative_rows(spec, catalog, order, estimates)
+    return plan_for(spec, catalog, order, estimates, output_rows)
 
-    order, estimates, cumulative = order_tables(spec, catalog)
 
+def plan_for(spec, catalog, order, estimates, output_rows):
+    """The left-deep plan joining ``spec``'s tables in ``order``, with
+    ``estimates`` (``alias -> (selectivity, rows)``) and ``output_rows``
+    (rows after each join) as given: it chooses only the physical
+    operators."""
+    if sorted(order) != sorted(spec.aliases):
+        raise PlanError(f"{list(order)} does not order {spec.aliases}")
     entries = []
-    placed = []
     for position, alias in enumerate(order):
         table = catalog.table(spec.tables[alias])
         local_filter = spec.filter_for(alias)
         selectivity, rows = estimates[alias]
-        projection = spec.projections.get(alias, [])
-        entry = TableAccess(
-            alias=alias,
-            table_name=table.name,
-            local_filter=local_filter,
-            projection=projection,
-            estimated_selectivity=selectivity,
-            estimated_rows=rows,
-            estimated_output_rows=cumulative[position],
+        projection = tuple(spec.projections.get(alias, ()))
+        path, index_column, algorithm, edges = _physical_choice(
+            spec, table, alias, local_filter, order[:position])
+        entries.append(TableAccess(
+            alias=alias, table_name=table.name,
+            access_path=path, index_column=index_column,
+            local_filter=local_filter, projection=projection,
+            join_edges=edges, join_algorithm=algorithm,
+            estimated_selectivity=selectivity, estimated_rows=rows,
+            estimated_output_rows=output_rows[position],
             table_rows=max(1, table.row_count),
             record_bytes=table.record_bytes,
             projection_bytes=table.schema.projection_bytes(projection),
             field_count=table.schema.field_count,
             projection_field_count=len(projection),
-        )
-        if position == 0:
-            path, index_column = _choose_access_path(
-                table, local_filter, alias)
-            entry.access_path = path
-            entry.index_column = index_column
-        else:
-            edges = [edge for edge in spec.join_edges
-                     if edge.touches(alias)
-                     and edge.other(alias)[0] in placed]
-            if not edges:
-                entry.join_algorithm = JoinAlgorithm.BNLJ
-            else:
-                entry.join_edges = edges
-                index_column = _indexed_join_column(table, edges, alias)
-                if index_column is not None:
-                    entry.join_algorithm = JoinAlgorithm.BNLJI
-                    entry.index_column = index_column
-                    entry.access_path = (
-                        AccessPath.PK_RANGE
-                        if index_column == table.schema.primary_key
-                        else AccessPath.SECONDARY_LOOKUP)
-                else:
-                    entry.join_algorithm = JoinAlgorithm.BNLJ
-                    # A local equality filter on an indexed column still
-                    # narrows the scan used to build the join side.
-                    path, filter_index = _choose_access_path(
-                        table, local_filter, alias)
-                    entry.access_path = path
-                    if filter_index is not None:
-                        entry.index_column = filter_index
-        entries.append(entry)
-        placed.append(alias)
+        ))
+    return QueryPlan(spec=spec, entries=entries, residual=spec.residual,
+                     group_by=spec.group_by, select_items=spec.select_items,
+                     limit=spec.limit)
 
-    return QueryPlan(
-        spec=spec,
-        entries=entries,
-        residual=spec.residual,
-        group_by=spec.group_by,
-        select_items=spec.select_items,
-        limit=spec.limit,
-    )
+
+def _physical_choice(spec, table, alias, local_filter, placed):
+    """``(access path, index column, join algorithm, join edges)`` of
+    ``alias`` joined to the ``placed`` prefix (empty: the driver)."""
+    if not placed:
+        path, index_column = _choose_access_path(table, local_filter, alias)
+        return path, index_column, None, ()
+    edges = tuple(
+        edge for edge in spec.join_edges
+        if (edge.left_alias == alias and edge.right_alias in placed)
+        or (edge.right_alias == alias and edge.left_alias in placed))
+    if not edges:
+        return AccessPath.FULL_SCAN, None, JoinAlgorithm.BNLJ, ()
+    index_column = _indexed_join_column(table, edges, alias)
+    if index_column is not None:
+        path = (AccessPath.PK_RANGE
+                if index_column == table.schema.primary_key
+                else AccessPath.SECONDARY_LOOKUP)
+        return path, index_column, JoinAlgorithm.BNLJI, edges
+    # A local equality filter on an indexed column still narrows the
+    # scan used to build the join side.
+    path, index_column = _choose_access_path(table, local_filter, alias)
+    return path, index_column, JoinAlgorithm.BNLJ, edges
 
 
 def _indexed_join_column(table, edges, alias):
@@ -135,4 +133,4 @@ def _indexed_join_column(table, edges, alias):
     return None
 
 
-__all__ = ["build_plan"]
+__all__ = ["build_plan", "plan_for"]

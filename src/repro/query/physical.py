@@ -6,10 +6,14 @@ intermediate result with one more table using the chosen join algorithm
 and access path.  This left-deep list is precisely the structure the
 hybridNDP splitter cuts: split point Hk keeps entries ``0..k`` (and their
 joins) on the device, the rest on the host (paper §3.3/Fig 6).
+
+Plans are immutable values (frozen, with tuple sequences), so no caller
+can change a cached plan: derive another with :func:`dataclasses.replace`
+or :func:`repro.query.optimizer.plan_for`.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PlanError
 
@@ -31,7 +35,7 @@ class JoinAlgorithm(enum.Enum):
     GHJ = "ghj"        # grace hash join
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableAccess:
     """One pipeline stage: access a table and join it with the prefix."""
 
@@ -40,8 +44,8 @@ class TableAccess:
     access_path: AccessPath = AccessPath.FULL_SCAN
     index_column: str = None              # for SECONDARY_LOOKUP / BNLJI
     local_filter: object = None           # Expr over this table only
-    projection: list = field(default_factory=list)
-    join_edges: list = field(default_factory=list)   # edges to the prefix
+    projection: tuple = ()
+    join_edges: tuple = ()                # edges to the prefix
     join_algorithm: JoinAlgorithm = None  # None for the driving table
     # Optimizer estimates (fed to the cost model):
     estimated_selectivity: float = 1.0
@@ -53,11 +57,6 @@ class TableAccess:
     projection_bytes: int = 0
     field_count: int = 0
     projection_field_count: int = 0
-
-    @property
-    def is_driving(self):
-        """Whether this is the pipeline's first (driving) table."""
-        return self.join_algorithm is None
 
     @property
     def uses_secondary_index(self):
@@ -78,18 +77,20 @@ class TableAccess:
         return " ".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryPlan:
     """A complete left-deep physical plan."""
 
     spec: object                          # the QuerySpec
-    entries: list                         # ordered TableAccess list
+    entries: tuple                        # ordered TableAccess entries
     residual: object = None               # cross-table predicate
-    group_by: list = field(default_factory=list)
-    select_items: list = field(default_factory=list)
+    group_by: tuple = ()
+    select_items: tuple = ()
     limit: int = None
 
     def __post_init__(self):
+        for name in ("entries", "group_by", "select_items"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.entries:
             raise PlanError("a plan needs at least one table")
         if self.entries[0].join_algorithm is not None:
@@ -130,10 +131,6 @@ class QueryPlan:
     def suffix(self, k):
         """Entries after split point Hk — the host side."""
         return self.entries[k + 1:]
-
-    def secondary_index_stages(self):
-        """Entries that read through a secondary index."""
-        return [entry for entry in self.entries if entry.uses_secondary_index]
 
     def describe(self):
         """Multi-line EXPLAIN-style description."""

@@ -263,8 +263,8 @@ class RowPipelineExecutor:
         """The least and greatest primary keys the filter's literal
         comparisons on the key admit, found by stepping from the
         literal's integer part until the comparison holds; an equality
-        replaces the bounds before it, and a literal that is not a
-        finite number bounds nothing."""
+        bounds both ends, intersected with the other bounds, and a
+        literal that is not a finite number bounds nothing."""
         lo = hi = None
         pk = self.catalog.table(entry.table_name).schema.primary_key
         for conjunct in conjuncts(entry.local_filter):
@@ -277,14 +277,13 @@ class RowPipelineExecutor:
             if not (isinstance(value, int) or (isinstance(value, float)
                                                and math.isfinite(value))):
                 continue
-            if conjunct.op == "=":
-                lo = _admitted(">=", value, 1)
-                hi = _admitted("<=", value, -1)
-            elif conjunct.op in ("<", "<="):
-                bound = _admitted(conjunct.op, value, -1)
+            if conjunct.op in ("=", "<", "<="):
+                op = "<=" if conjunct.op == "=" else conjunct.op
+                bound = _admitted(op, value, -1)
                 hi = bound if hi is None else min(hi, bound)
-            elif conjunct.op in (">", ">="):
-                bound = _admitted(conjunct.op, value, 1)
+            if conjunct.op in ("=", ">", ">="):
+                op = ">=" if conjunct.op == "=" else conjunct.op
+                bound = _admitted(op, value, 1)
                 lo = bound if lo is None else max(lo, bound)
         return lo, hi
 

@@ -14,7 +14,7 @@ workload too.
 """
 
 import tracemalloc
-from itertools import groupby
+from itertools import groupby, permutations
 from unittest import mock
 
 import pytest
@@ -113,6 +113,33 @@ def test_non_integer_literals_bound_a_driving_primary_key(job_env, where, ids):
     assert [row["t.id"] for row in rows] == ids
     aggregate = sql.replace("SELECT t.id", "SELECT MIN(t.title)")
     _assert_equivalent(job_env, aggregate)
+
+
+@pytest.mark.parametrize("terms, ids", [
+    (("t.id > 5", "t.id = 3"), []),
+    (("t.id = 7", "t.id > 5", "t.id < 9"), [7]),
+    (("t.id = 4.0", "t.id <= 4"), [4]),
+    (("t.id >= 3", "t.id = 4.5"), []),
+])
+def test_driving_primary_key_bounds_ignore_conjunct_order(job_env, terms,
+                                                          ids):
+    # An equality intersects the other bounds on the key, so every order
+    # of the conjuncts reads the same range: a later equality used to
+    # replace the bounds before it.
+    seen = set()
+    for order in permutations(terms):
+        sql = f"SELECT t.id FROM title AS t WHERE {' AND '.join(order)}"
+        assert (job_env.runner.plan(sql).entries[0].access_path
+                is AccessPath.PK_RANGE)
+        _assert_equivalent(job_env, sql)
+        for stack in (Stack.NATIVE, Stack.NDP):
+            report = job_env.run(sql, stack)
+            counters = (report.host_counters if stack is Stack.NATIVE
+                        else report.device_counters)
+            rows = sorted(row["t.id"] for row in report.result.rows)
+            assert rows == ids
+            seen.add((stack, counters.records_evaluated, report.total_time))
+    assert len(seen) == 2, seen
 
 
 def _key_runs(entry, outer_rows):

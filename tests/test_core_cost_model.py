@@ -1,5 +1,7 @@
 """Tests for the cost model (eqs. 1-8)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cost_model import CostModel
@@ -58,11 +60,10 @@ class TestComponents:
         assert 1.0 < cost_model.hardware.index_factor(True) < gap
 
     def test_cpu_cost_grows_with_projection(self, cost_model, plan):
-        import copy
-        entry = copy.deepcopy(plan.entry("t"))
+        entry = plan.entry("t")
         small = cost_model.cpu_cost(entry, on_device=False)
-        entry.projection_bytes *= 4
-        assert cost_model.cpu_cost(entry, on_device=False) > small
+        wider = replace(entry, projection_bytes=entry.projection_bytes * 4)
+        assert cost_model.cpu_cost(wider, on_device=False) > small
 
     def test_transfer_ndp_ships_less(self, cost_model, plan):
         entry = plan.entry("mc")

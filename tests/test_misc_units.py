@@ -6,7 +6,8 @@ import pytest
 from repro.errors import ParseError, StorageError
 from repro.lsm.iterator import live_entries, merge_sources
 from repro.lsm.memtable import TOMBSTONE
-from repro.query.join_order import join_selectivity, order_tables
+from repro.query.join_order import (cumulative_rows, filtered_estimates,
+                                     greedy_order, join_selectivity)
 from repro.query.logical import analyze
 from repro.query.parser import parse_query
 from repro.storage.machines import DeviceSpec, HostSpec
@@ -24,21 +25,46 @@ class TestJoinOrderInternals:
         # title.id has ~400 distinct values in the fixture.
         assert 0 < sel <= 1 / 100
 
+    def _derive(self, spec, catalog):
+        estimates = filtered_estimates(spec, catalog)
+        order = greedy_order(spec, catalog, estimates)
+        return order, estimates, cumulative_rows(spec, catalog, order,
+                                                 estimates)
+
     def test_cartesian_fallback(self, mini_catalog):
-        # No join edge at all: ordering must still produce all tables.
+        # No join edge at all: ordering must still produce all tables,
+        # and each step is the cartesian product of the estimates.
         spec = self._spec(
             "SELECT t.id FROM title AS t, company_type AS ct "
             "WHERE t.kind_id = 1 AND ct.kind = 'kind1'", mini_catalog)
-        order, _base, cumulative = order_tables(spec, mini_catalog)
+        order, estimates, cumulative = self._derive(spec, mini_catalog)
         assert set(order) == {"t", "ct"}
-        assert len(cumulative) == 2
+        assert order[0] == min(sorted(order),
+                               key=lambda alias: estimates[alias][1])
+        rows = [estimates[alias][1] for alias in order]
+        assert cumulative == [rows[0], max(1, rows[0] * rows[1])]
 
     def test_single_table_order(self, mini_catalog):
         spec = self._spec("SELECT t.id FROM title AS t", mini_catalog)
-        order, estimates, cumulative = order_tables(spec, mini_catalog)
+        order, estimates, cumulative = self._derive(spec, mini_catalog)
         assert order == ["t"]
         assert estimates["t"] == (1.0, 400)
         assert cumulative == [400]
+
+    def test_cumulative_rows_follow_the_given_order(self, mini_catalog):
+        # The steps are independent: the cumulative rows of a forced
+        # order use that order's prefixes, and the driving table's
+        # estimate comes first whichever table drives.
+        spec = self._spec(
+            "SELECT t.id FROM title AS t, movie_companies AS mc "
+            "WHERE t.id = mc.movie_id AND t.kind_id = 1", mini_catalog)
+        estimates = filtered_estimates(spec, mini_catalog)
+        selectivity = join_selectivity(spec, mini_catalog,
+                                       spec.join_edges[0])
+        for order in (["t", "mc"], ["mc", "t"]):
+            first, second = (estimates[alias][1] for alias in order)
+            assert cumulative_rows(spec, mini_catalog, order, estimates) == [
+                first, int(round(max(1.0, first * second * selectivity)))]
 
 
 class TestMachineSpecValidation:

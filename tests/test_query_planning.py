@@ -165,4 +165,4 @@ class TestPlanStructure:
     def test_single_table_plan(self, mini_catalog):
         plan = build_plan("SELECT t.title FROM title AS t", mini_catalog)
         assert plan.table_count == 1
-        assert plan.entries[0].is_driving
+        assert plan.entries[0].join_algorithm is None

@@ -93,8 +93,9 @@ def _entry(algorithm, columns, shape=_SHAPES[0], table="inner"):
     local_filter, projection = shape
     return TableAccess(
         alias="i", table_name=table, local_filter=local_filter,
-        projection=list(projection),
-        join_edges=[JoinEdge("o", column, "i", column) for column in columns],
+        projection=tuple(projection),
+        join_edges=tuple(JoinEdge("o", column, "i", column)
+                         for column in columns),
         join_algorithm=algorithm,
         projection_bytes=24, projection_field_count=2)
 
@@ -334,7 +335,7 @@ _DRIVING_FILTERS = (
 def _driving(local_filter, access_path=AccessPath.FULL_SCAN):
     return TableAccess(
         alias="o", table_name="inner", local_filter=local_filter,
-        projection=["id", "k"], access_path=access_path,
+        projection=("id", "k"), access_path=access_path,
         projection_bytes=8, projection_field_count=2)
 
 

@@ -114,8 +114,8 @@ def _entry(index_column):
     return TableAccess(
         alias="i", table_name="inner", index_column=index_column,
         local_filter=Comparison("<", ColumnRef("i", "grp"), Literal(2)),
-        projection=["id", "note"],
-        join_edges=[JoinEdge("o", "key", "i", index_column)],
+        projection=("id", "note"),
+        join_edges=(JoinEdge("o", "key", "i", index_column),),
         join_algorithm=JoinAlgorithm.BNLJI,
         projection_bytes=24, projection_field_count=2)
 

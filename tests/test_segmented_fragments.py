@@ -49,13 +49,13 @@ WHERE t.kind_id = 1 AND mc.company_type_id = 2 AND t.id = mc.movie_id"""
 def _constant_inner(plan):
     """``t`` scanned, then ``mc`` sought on its constant per pass."""
     t, mc = plan.entry("t"), plan.entry("mc")
-    edges = [edge for entry in plan.entries for edge in entry.join_edges]
-    return replace(plan, entries=[
+    edges = tuple(edge for entry in plan.entries for edge in entry.join_edges)
+    return replace(plan, entries=(
         replace(t, access_path=AccessPath.FULL_SCAN, index_column=None,
-                join_edges=[], join_algorithm=None),
+                join_edges=(), join_algorithm=None),
         replace(mc, access_path=AccessPath.SECONDARY_LOOKUP,
                 index_column="company_type_id", join_edges=edges,
-                join_algorithm=JoinAlgorithm.BNLJ)])
+                join_algorithm=JoinAlgorithm.BNLJ)))
 
 
 #: name -> (SQL, plan rewrite, device tables).
