@@ -2,10 +2,8 @@
 
     python -m repro info                      # environment summary
     python -m repro list-queries              # the JOB suite
-    python -m repro run 8c --stack hybrid --split 3
-    python -m repro decide 17b                # the planner's choice
-    python -m repro sweep 8c                  # Fig-16-style split sweep
-    python -m repro trace 8c --strategy split:best --out 8c.json
+    python -m repro run 8c --stack hybrid --split 3 --trace-dir traces
+    python -m repro explain 8c                # decision vs every strategy
     python -m repro experiment fig11          # a paper figure/table/ablation
     python -m repro survey 1a 8c              # Fig-12/13 matrix (--all: 113)
     python -m repro chaos 1a 8c --seed 5      # fault-injection scenarios
@@ -40,7 +38,7 @@ from repro.bench.cluster import cluster_matrix
 from repro.bench.concurrency import concurrency_matrix
 from repro.bench.fuzz import MODES, FuzzHarness, replay_failures, \
     write_corpus
-from repro.bench.parallel import BUDGET, sweep_job_matrix
+from repro.bench.parallel import BUDGET, outcome, sweep_job_matrix, timed
 from repro.bench.reporting import (format_table, ms, render_family_grid,
                                    render_matrix_summary)
 from repro.context import ExecutionContext
@@ -133,7 +131,7 @@ def cmd_info(args):
 
 def cmd_run(args):
     env = _build_env(args)
-    stack = _STACKS[args.stack or "native"]
+    stack = _STACKS[args.stack]
     tracer = Tracer() if args.trace_dir else None
     report = env.run(query(args.query), stack, split_index=args.split,
                      ctx=ExecutionContext(tracer=tracer))
@@ -145,84 +143,50 @@ def cmd_run(args):
         out = os.path.join(args.trace_dir,
                            f"{args.query}-{report.strategy}.json")
         tracer.write(out)
-        print(f"trace written to {out}")
+        metrics = tracer.metrics()
+        print(f"trace written to {out} ({metrics['spans']} spans, "
+              f"{metrics['instants']} instants); open it at ui.perfetto.dev")
     return 0
 
 
-def cmd_decide(args):
-    env = _build_env(args)
-    decision = env.decide(query(args.query))
-    print(decision.summary())
-    print(f"preconditions: {decision.preconditions}")
-    if decision.cumulative_costs:
-        print(f"cumulative costs: "
-              f"{[round(c, 1) for c in decision.cumulative_costs]}")
-    print(f"estimates: { {k: round(v, 1) for k, v in decision.estimated_costs.items()} }")
-    return 0
-
-
-def _resolve_trace_strategy(env, plan, spec):
-    """Map a ``--strategy`` string to ``(stack, split_index)``.
-
-    ``split:best`` runs every strategy untraced first and picks the
-    fastest feasible hybrid split.
-    """
-    if spec == "host-blk":
-        return Stack.BLK, None
-    if spec in ("host-native", "host-nvme"):
-        return Stack.NATIVE, None
-    if spec in ("full-ndp", "ndp"):
-        return Stack.NDP, None
-    if spec.startswith("split:"):
-        token = spec.split(":", 1)[1]
-        if token == "best":
-            reports = env.runner.run_all_splits(plan)
-            feasible = {name: report.total_time
-                        for name, report in reports.items()
-                        if name.startswith("H")
-                        and not isinstance(report, Exception)}
-            if not feasible:
-                raise ReproError("no feasible hybrid split for this query")
-            best = min(feasible, key=feasible.get)
-            return Stack.HYBRID, int(best[1:])
-        try:
-            return Stack.HYBRID, int(token)
-        except ValueError:
-            pass
-    raise ReproError(
-        f"unknown strategy {spec!r}; expected host-blk, host-native, "
-        "full-ndp, split:<k> or split:best")
-
-
-def cmd_trace(args):
+def cmd_explain(args):
     env = _build_env(args)
     plan = env.runner.plan(query(args.query))
-    if args.stack:
-        # --stack/--split select the strategy directly, as for ``run``.
-        stack, split_index = _STACKS[args.stack], args.split
-    else:
-        stack, split_index = _resolve_trace_strategy(env, plan,
-                                                     args.strategy)
-    tracer = Tracer()
-    report = env.run(plan, stack, split_index=split_index,
-                     ctx=ExecutionContext(tracer=tracer))
-    out = args.out or f"{args.query}-{report.strategy}.json"
-    tracer.write(out)
-    print(report.summary())
-    metrics = tracer.metrics()
-    print(f"trace written to {out} ({metrics['spans']} spans, "
-          f"{metrics['instants']} instants); open it at ui.perfetto.dev")
-    return 0
-
-
-def cmd_sweep(args):
-    env = _build_env(args)
-    result = exp.exp6_split_sweep_fig16(env, args.query)
-    rows = [[name, "infeasible" if value is None
-             else value if value == BUDGET else ms(value)]
-            for name, value in result["times"].items()]
-    print(format_table(["strategy", "time [ms]"], rows,
-                       title=f"Q{args.query} split sweep"))
+    decision = env.decide(plan)
+    print(decision.summary())
+    print(f"preconditions: {decision.preconditions}")
+    reports = env.runner.run_all_splits(plan)
+    times = {name: outcome(report) for name, report in reports.items()}
+    picks = (("chosen", decision.strategy_name),
+             ("fastest", min(timed(times), key=times.get, default=None)))
+    # The plan entry whose output crosses to the host under a strategy;
+    # nothing crosses under host-only.
+    crossing = {f"H{k}": k for k in range(plan.table_count)}
+    crossing["full-ndp"] = plan.table_count - 1
+    rows = []
+    for name, report in reports.items():
+        k = crossing.get(name)
+        estimate = decision.estimates.get(name)
+        value = times[name]
+        rows.append([
+            name,
+            f"{decision.cumulative_costs[k]:.1f}"
+            if name.startswith("H") else None,
+            None if estimate is None else f"{estimate.c_total:.1f}",
+            None if k is None else plan.entries[k].estimated_output_rows,
+            None if k is None or isinstance(report, Exception)
+            else report.intermediate_rows,
+            "infeasible" if value is None
+            else value if value == BUDGET else ms(value),
+            ", ".join(note for note, pick in picks if pick == name)])
+    print()
+    print(format_table(
+        ["strategy", "split cost", "est. cost", "est. rows", "rows",
+         "time [ms]", "note"], rows,
+        title=f"Q{args.query}: every strategy, estimated and simulated"))
+    print("split cost: Fig 5 cumulative device cost up to Hk; est. cost: "
+          "the planner's c_total;\nest. rows / rows: rows crossing to the "
+          "host, estimated / simulated")
     return 0
 
 
@@ -357,11 +321,6 @@ def build_parser():
 
     # One definition per option several commands share, so they cannot
     # drift apart.
-    strategy = argparse.ArgumentParser(add_help=False)
-    strategy.add_argument("--stack", choices=sorted(_STACKS), default=None,
-                          help="execution stack (default: native)")
-    strategy.add_argument("--split", type=int, default=None,
-                          help="hybrid split index (the k of Hk)")
     traced = argparse.ArgumentParser(add_help=False)
     traced.add_argument("--trace-dir", default=None,
                         help="write Perfetto traces into this directory")
@@ -377,29 +336,20 @@ def build_parser():
     sub.add_parser("info").set_defaults(func=cmd_info)
     sub.add_parser("list-queries").set_defaults(func=cmd_list_queries)
 
-    run = sub.add_parser("run", parents=[strategy, traced])
+    run = sub.add_parser("run", parents=[traced])
     run.add_argument("query")
+    run.add_argument("--stack", choices=sorted(_STACKS), default="native",
+                     help="execution stack (default: native)")
+    run.add_argument("--split", type=int, default=None,
+                     help="hybrid split index (the k of Hk)")
     run.set_defaults(func=cmd_run)
 
-    decide = sub.add_parser("decide")
-    decide.add_argument("query")
-    decide.set_defaults(func=cmd_decide)
-
-    sweep = sub.add_parser("sweep")
-    sweep.add_argument("query")
-    sweep.set_defaults(func=cmd_sweep)
-
-    trace = sub.add_parser(
-        "trace", parents=[strategy],
-        help="run one query and write a Perfetto trace")
-    trace.add_argument("query")
-    trace.add_argument("--strategy", default="split:best",
-                       help="host-blk | host-native | full-ndp | "
-                            "split:<k> | split:best (default); "
-                            "--stack/--split override when given")
-    trace.add_argument("--out", default=None,
-                       help="output path (default <query>-<strategy>.json)")
-    trace.set_defaults(func=cmd_trace)
+    explain = sub.add_parser(
+        "explain",
+        help="the planner's decision beside every strategy's estimated "
+             "and simulated outcome")
+    explain.add_argument("query")
+    explain.set_defaults(func=cmd_explain)
 
     experiment = sub.add_parser(
         "experiment",

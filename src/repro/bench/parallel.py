@@ -28,7 +28,7 @@ _WORKER_TRACE_DIR = None
 BUDGET = "budget"
 
 
-def _outcome(report):
+def outcome(report):
     """A strategy's sweep entry: its time, ``None`` when infeasible."""
     if isinstance(report, EventBudgetExceeded):
         return BUDGET
@@ -65,7 +65,7 @@ def strategy_times(env, query_name, trace_dir=None):
                 continue   # no report: its tracer may hold open spans
             tracers[strategy].write(os.path.join(
                 trace_dir, f"{query_name}-{strategy}.json"))
-    return {strategy: _outcome(report)
+    return {strategy: outcome(report)
             for strategy, report in reports.items()}
 
 

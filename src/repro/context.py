@@ -34,12 +34,6 @@ class ExecutionContext:
     ``retry_policy``
         A :class:`repro.faults.RetryPolicy` overriding the fault plan's
         policy, or ``None`` to use the plan's own.
-    ``scheduler``
-        The :class:`repro.sched.WorkloadScheduler` a run belongs to when
-        it executes as part of a concurrent workload, or ``None`` for
-        standalone runs.  Scheduler-driven executions share the
-        scheduler's simulated kernel instead of building private
-        resources.
     ``deadline``
         A per-query *simulated-time* budget in seconds, or ``None`` for
         unbounded runs.  Enforced cooperatively at every layer: a single
@@ -54,7 +48,6 @@ class ExecutionContext:
     tracer: object = None
     faults: object = None
     retry_policy: object = None
-    scheduler: object = None
     deadline: float = None
 
     def __post_init__(self):
@@ -89,11 +82,7 @@ class ExecutionContext:
             faults = replace(faults, retry=self.retry_policy)
         return as_injector(faults)
 
-    def with_scheduler(self, scheduler):
-        """A copy of this context bound to ``scheduler``."""
-        return replace(self, scheduler=scheduler)
 
-
-#: The do-nothing context: no tracing, no faults, no scheduler.
+#: The do-nothing context: no tracing, no faults, no deadline.
 NULL_CONTEXT = ExecutionContext()
 

@@ -297,14 +297,6 @@ class PlanningContext:
         """A copy pricing with ``feedback``'s observed ratio pinned."""
         return replace(self, factor_override=feedback.ratio)
 
-    def for_key(self, key):
-        """A copy bound to correction key ``key``."""
-        return replace(self, key=key)
-
-    def with_load(self, device_load):
-        """A copy planning under ``device_load``."""
-        return replace(self, device_load=device_load)
-
 
 #: The do-nothing planning context: idle device, raw statistics,
 #: adaptivity off.

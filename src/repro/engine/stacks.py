@@ -130,7 +130,8 @@ class StackRunner:
     def run(self, query, stack, split_index=None, ctx=None):
         """Execute ``query`` (SQL text or QueryPlan) on ``stack``.
 
-        For ``Stack.HYBRID`` a ``split_index`` (the k of Hk) is required.
+        For ``Stack.HYBRID`` a ``split_index`` (the k of Hk) is required;
+        any other stack rejects one.
         ``ctx`` (an :class:`~repro.context.ExecutionContext`) carries the
         run's tracer, fault plan and retry policy.  Tracing records
         the execution as structured spans for the
@@ -142,6 +143,9 @@ class StackRunner:
         """
         ctx = ExecutionContext.coerce(ctx)
         plan = self.plan(query) if isinstance(query, str) else query
+        if split_index is not None and stack is not Stack.HYBRID:
+            raise PlanError(f"split index {split_index} needs the hybrid "
+                            f"stack, not {stack}")
         if stack is Stack.BLK:
             return self._traced_host(self._host_blk, plan,
                                      "host-only(blk)", ctx.tracer)

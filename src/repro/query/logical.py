@@ -6,7 +6,9 @@ terms spanning several tables), and derives the per-table projection —
 the columns that must survive each table's early projection.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from repro.errors import PlanError
 from repro.query.ast import (And, Between, ColumnRef, Comparison, Literal,
@@ -51,19 +53,30 @@ class JoinEdge:
                 f"{self.right_alias}.{self.right_column}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuerySpec:
-    """A fully analysed query, ready for join ordering."""
+    """A fully analysed query, ready for join ordering.
+
+    Frozen like the plans that hold it: sequences are tuples and mappings
+    read-only, so a cached plan's spec cannot be changed in place.
+    """
 
     sql: str
-    select_items: list
-    tables: dict                      # alias -> table name
-    filters: dict                     # alias -> Expr or None
-    join_edges: list                  # [JoinEdge]
+    select_items: tuple
+    tables: Mapping                   # alias -> table name
+    filters: Mapping                  # alias -> Expr or None
+    join_edges: tuple                 # (JoinEdge, ...)
     residual: object                  # Expr spanning >1 table, or None
-    group_by: list
+    group_by: tuple
     limit: int
-    projections: dict = field(default_factory=dict)  # alias -> [columns]
+    projections: Mapping              # alias -> (columns, ...)
+
+    def __post_init__(self):
+        for name in ("select_items", "join_edges", "group_by"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("tables", "filters", "projections"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
 
     @property
     def aliases(self):
@@ -193,14 +206,9 @@ def analyze(parsed, catalog, sql=""):
         where = _bind(where, alias_columns)
         _check_ordering(where, tables, catalog)
 
-    select_items = []
-    for item in parsed.select_items:
-        if item.expr == "*":
-            select_items.append(item)
-            continue
-        bound = _bind(item.expr, alias_columns)
-        item.expr = bound
-        select_items.append(item)
+    select_items = [item if item.expr == "*"
+                    else replace(item, expr=_bind(item.expr, alias_columns))
+                    for item in parsed.select_items]
 
     group_by = [_bind(col, alias_columns) for col in parsed.group_by]
 
@@ -221,39 +229,42 @@ def analyze(parsed, catalog, sql=""):
         else:
             residual.append(conjunct)
 
-    spec = QuerySpec(
+    residual = make_and(residual)
+    return QuerySpec(
         sql=sql,
         select_items=select_items,
         tables=tables,
         filters={alias: make_and(items) for alias, items in filters.items()},
         join_edges=join_edges,
-        residual=make_and(residual),
+        residual=residual,
         group_by=group_by,
         limit=parsed.limit,
+        projections=_projections(tables, select_items, join_edges, residual,
+                                 group_by, catalog),
     )
-    spec.projections = _projections(spec, catalog)
-    return spec
 
 
-def _projections(spec, catalog):
+def _projections(tables, select_items, join_edges, residual, group_by,
+                 catalog):
     """Columns each table must deliver (SELECT + joins + residual)."""
-    needed = {alias: set() for alias in spec.tables}
-    for item in spec.select_items:
+    needed = {alias: set() for alias in tables}
+    for item in select_items:
         if item.expr == "*":
-            for alias, name in spec.tables.items():
+            for alias, name in tables.items():
                 needed[alias].update(
                     catalog.table(name).schema.column_names)
             continue
         ref = item.expr
         needed[ref.alias].add(ref.column)
-    for edge in spec.join_edges:
+    for edge in join_edges:
         needed[edge.left_alias].add(edge.left_column)
         needed[edge.right_alias].add(edge.right_column)
-    if spec.residual is not None:
-        for ref in spec.residual.column_refs():
+    if residual is not None:
+        for ref in residual.column_refs():
             needed[ref.alias].add(ref.column)
-    for col in spec.group_by:
+    for col in group_by:
         needed[col.alias].add(col.column)
     # Filters are applied before projection, but a filtered column still
     # has to be read; it does not have to be *shipped* unless needed above.
-    return {alias: sorted(columns) for alias, columns in needed.items()}
+    return {alias: tuple(sorted(columns))
+            for alias, columns in needed.items()}

@@ -74,7 +74,7 @@ def tokenize(sql):
     return tokens
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectItem:
     """One entry of the SELECT list."""
 

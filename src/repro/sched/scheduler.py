@@ -213,9 +213,9 @@ class WorkloadScheduler:
         #: catalog, so generated workloads (:mod:`repro.workloads.sqlgen`)
         #: schedule exactly like named JOB queries.
         self.queries = dict(queries) if queries else {}
-        base = ExecutionContext.coerce(ctx)
-        #: The context scheduler-driven executions run under.
-        self.ctx = base.with_scheduler(self)
+        #: The context scheduler-driven executions run under; they share
+        #: the scheduler's simulated kernel through ``kernel=``.
+        self.ctx = ExecutionContext.coerce(ctx)
         self.tracer = self.ctx.sim_tracer()
         if cluster is not None:
             self.devices = list(cluster.devices)

@@ -3,12 +3,18 @@
 import argparse
 import json
 import os
+import re
 
 import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import build_parser, main
 from repro.bench.adaptive import DEFAULT_SCALE
+from repro.bench.experiments import exp6_split_sweep_fig16
+from repro.bench.parallel import BUDGET
+from repro.bench.reporting import ms
+from repro.errors import DeviceOverloadError, EventBudgetExceeded
+from repro.workloads.job_queries import query
 from repro.workloads.loader import build_environment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -25,9 +31,8 @@ class TestParser:
     def test_commands_registered(self):
         parser = build_parser()
         experiments = [["experiment", name] for name in cli._EXPERIMENTS]
-        for argv in (["info"], ["run", "8c"], ["decide", "1a"],
-                     ["sweep", "8c"], ["survey"], ["list-queries"],
-                     *experiments):
+        for argv in (["info"], ["run", "8c"], ["explain", "1a"],
+                     ["survey"], ["list-queries"], *experiments):
             args = parser.parse_args(argv)
             assert callable(args.func)
         with pytest.raises(SystemExit):
@@ -56,6 +61,10 @@ class TestParser:
             line = f"python -m repro {name}"
             assert line in cli.__doc__, name
             assert line in readme, name
+        # ... and nothing documented is a command that is gone.
+        for text in (cli.__doc__, readme):
+            named = set(re.findall(r"python -m repro ([a-z][a-z-]*)", text))
+            assert named <= set(subcommands()), named - set(subcommands())
 
     def test_sweeps_share_the_output_option(self):
         sweeps = {"survey", "chaos", "fuzz"}
@@ -84,14 +93,14 @@ class TestCommands:
         assert "113 JOB queries" in out
         assert "8c" in out
 
-    def test_run_and_decide(self, capsys):
+    def test_run_and_explain(self, capsys):
         # Small scale keeps the CLI test fast; the env is rebuilt per call.
         assert main(["--scale", "0.0002", "run", "1a",
                      "--stack", "native"]) == 0
         out = capsys.readouterr().out
         assert "host-only(native)" in out
 
-        assert main(["--scale", "0.0002", "decide", "1a"]) == 0
+        assert main(["--scale", "0.0002", "explain", "1a"]) == 0
         out = capsys.readouterr().out
         assert "preconditions" in out
 
@@ -185,12 +194,93 @@ class TestSweeps:
         assert "legend: b=best" in captured.out
 
     def test_trace_rerun_is_byte_identical(self, one_build, tmp_path):
-        outputs = [tmp_path / "run1.json", tmp_path / "run2.json"]
+        outputs = [tmp_path / "run1", tmp_path / "run2"]
         for output in outputs:
-            assert main(["--scale", "0.0002", "trace", "1a",
-                         "--out", str(output)]) == 0
-        assert json.loads(outputs[0].read_text())["traceEvents"]
-        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+            assert main(["--scale", "0.0002", "run", "1a", "--stack",
+                         "hybrid", "--split", "1", "--trace-dir",
+                         str(output)]) == 0
+        traces = [output / "1a-H1.json" for output in outputs]
+        assert json.loads(traces[0].read_text())["traceEvents"]
+        assert traces[0].read_bytes() == traces[1].read_bytes()
+
+
+def _explain_rows(out):
+    """``{strategy: {column: cell}}`` of ``explain``'s strategy table."""
+    lines = out.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    # Cells may be blank, so cut every line at the rule's column spans.
+    spans = [match.span() for match in re.finditer(r"-+", lines[rule])]
+    header = [lines[rule - 1][a:b].strip() for a, b in spans]
+    rows = {}
+    for line in lines[rule + 1:]:
+        if not line.strip() or line.startswith("split cost:"):
+            break
+        cells = [line[a:b].strip() for a, b in spans]
+        rows[cells[0]] = dict(zip(header, cells))
+    return rows
+
+
+class TestExplain:
+    def test_rerun_is_byte_identical(self, one_build, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["--scale", "0.0002", "explain", "1a"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("lost", [False, True])
+    def test_times_are_the_fig16_payload(self, lost, one_build, small_env,
+                                         monkeypatch, capsys):
+        if lost:
+            # Both ways a strategy yields no time, as the sweep records
+            # them: an infeasible H2 and an over-budget H3.
+            run_all_splits = small_env.runner.run_all_splits
+
+            def losing(plan, **kwargs):
+                reports = run_all_splits(plan, **kwargs)
+                reports["H2"] = DeviceOverloadError("no buffer")
+                reports["H3"] = EventBudgetExceeded("event cap")
+                return reports
+            monkeypatch.setattr(small_env.runner, "run_all_splits", losing)
+        assert main(["--scale", "0.0002", "explain", "1a"]) == 0
+        rows = _explain_rows(capsys.readouterr().out)
+        times = exp6_split_sweep_fig16(small_env, "1a")["times"]
+        assert [row["time [ms]"] for row in rows.values()] == [
+            "infeasible" if value is None
+            else value if value == BUDGET else ms(value)
+            for value in times.values()]
+        assert list(rows) == [{"block-only": "host-only",
+                               "ndp-only": "full-ndp"}.get(name, name)
+                              for name in times]
+        if lost:
+            assert rows["H2"]["time [ms]"] == "infeasible"
+            assert rows["H3"]["time [ms]"] == BUDGET
+            assert rows["H2"]["rows"] == rows["H3"]["rows"] == ""
+
+    def test_names_the_choice_and_the_fastest(self, one_build, small_env,
+                                              capsys):
+        assert main(["--scale", "0.0002", "explain", "1a"]) == 0
+        out = capsys.readouterr().out
+        rows = _explain_rows(out)
+        decision = small_env.decide(query("1a"))
+        assert out.startswith(decision.summary() + "\n")
+        chosen = [name for name, row in rows.items()
+                  if "chosen" in row["note"]]
+        assert chosen == [decision.strategy_name]
+        times = {name: float(row["time [ms]"]) for name, row in rows.items()
+                 if row["time [ms]"] not in ("infeasible", BUDGET)}
+        fastest = [name for name, row in rows.items()
+                   if "fastest" in row["note"]]
+        assert fastest == [min(times, key=times.get)]
+        plan = small_env.runner.plan(query("1a"))
+        for k in range(plan.table_count):
+            row = rows[f"H{k}"]
+            assert row["split cost"] == \
+                f"{decision.cumulative_costs[k]:.1f}"
+            assert row["est. rows"] == \
+                str(plan.entries[k].estimated_output_rows)
+        for name, estimate in decision.estimates.items():
+            assert rows[name]["est. cost"] == f"{estimate.c_total:.1f}"
 
 
 class TestTypedErrors:
@@ -206,6 +296,8 @@ class TestTypedErrors:
          "query count must be non-negative, got -2"),
         (["fuzz", "--queries", "-1"],
          "query count must be non-negative, got -1"),
+        (["run", "1a", "--split", "2"],
+         "split index 2 needs the hybrid stack"),
     ])
     def test_repro_error_is_one_line_and_exit_2(self, argv, message,
                                                 one_build, capsys):

@@ -62,14 +62,6 @@ class TestContext:
             retry_policy=policy)
         assert ctx.injector().retry.max_retries == 9
 
-    def test_with_scheduler_copies(self):
-        ctx = ExecutionContext(tracer=Tracer())
-        marker = object()
-        bound = ctx.with_scheduler(marker)
-        assert bound.scheduler is marker
-        assert bound.tracer is ctx.tracer
-        assert ctx.scheduler is None
-
 
 class TestRunPaths:
     """ctx= is the only spelling."""

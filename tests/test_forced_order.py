@@ -108,6 +108,24 @@ def test_plans_are_frozen(job_env):
                       tuple)
 
 
+def test_a_plans_spec_is_frozen_too(job_env):
+    sql = query("8c")
+    spec = job_env.runner.plan(sql).spec
+    with pytest.raises(FrozenInstanceError):
+        spec.limit = 1
+    with pytest.raises(AttributeError):
+        spec.join_edges.append("x")
+    with pytest.raises(FrozenInstanceError):
+        spec.select_items[0].alias = "x"
+    for mapping in (spec.tables, spec.filters, spec.projections):
+        with pytest.raises(TypeError):
+            mapping["x"] = None
+    assert all(isinstance(columns, tuple)
+               for columns in spec.projections.values())
+    assert job_env.runner.plan(sql).spec == build_plan(
+        sql, job_env.catalog).spec
+
+
 def test_plan_for_needs_every_table_once(job_env):
     plan = job_env.runner.plan(query("1a"))
     estimates = filtered_estimates(plan.spec, job_env.catalog)

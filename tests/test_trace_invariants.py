@@ -187,14 +187,13 @@ class TestJobQueryTrace:
 
 
 class TestTraceCli:
-    def test_trace_command_writes_valid_trace(self, tmp_path, capsys):
+    def test_run_trace_dir_writes_valid_trace(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        out = tmp_path / "1a.json"
-        assert main(["--scale", "0.0002", "trace", "1a",
-                     "--strategy", "split:best", "--out", str(out)]) == 0
+        assert main(["--scale", "0.0002", "run", "1a", "--stack", "hybrid",
+                     "--split", "1", "--trace-dir", str(tmp_path)]) == 0
         text = capsys.readouterr().out
         assert "trace written to" in text
         assert "ui.perfetto.dev" in text
-        payload = json.loads(out.read_text())
+        payload = json.loads((tmp_path / "1a-H1.json").read_text())
         assert payload["traceEvents"]
