@@ -357,14 +357,11 @@ class ScatterGatherExecutor:
             plan, context=PlanningContext(device_load=load))
         if decision.strategy is ExecutionStrategy.HOST_ONLY:
             return None
-        split = decision.split_index
-        if decision.strategy is ExecutionStrategy.FULL_NDP or split is None:
-            # Full NDP would finalize on-device; the cluster must merge
-            # partitions before finalizing, so run the deepest hybrid
-            # split instead (whole join pipeline on-device, epilogue
-            # deferred to the gather).
-            split = plan.table_count - 1
-        return min(split, plan.table_count - 1)
+        # A FULL_NDP decision carries the deepest split, table_count - 1,
+        # and partitions run it as that hybrid split: full NDP would
+        # finalize on-device, but the cluster must merge partitions
+        # before finalizing, so the epilogue is deferred to the gather.
+        return decision.split_index
 
     def _ctx_for(self, ctx, device_index):
         """The context device ``device_index`` executes under."""
@@ -414,34 +411,34 @@ class ScatterGatherExecutor:
         state.inflight_devices.add(device_index)
         prepared.start(
             at,
-            on_complete=lambda sim, part=part, attempt=attempt:
-                self._attempt_done(state, part, attempt, sim),
-            on_abandon=lambda sim, error, part=part, attempt=attempt:
+            on_complete=lambda split, part=part, attempt=attempt:
+                self._attempt_done(state, part, attempt),
+            on_abandon=lambda split, error, part=part, attempt=attempt:
                 self._attempt_abandoned(state, part, attempt, error))
 
-    def _attempt_done(self, state, part, attempt, sim):
-        now = sim.host_end
+    def _attempt_done(self, state, part, attempt):
+        prepared = attempt.prepared
+        now = prepared.host_end
         state.inflight_devices.discard(attempt.device_index)
         if part.done:
             # Lost a same-timestamp race: the winner committed first.
             state.spec_wasted += max(0.0, now - attempt.started_at)
-            attempt.prepared.release()
+            prepared.release()
             return
         part.done = True
         part.duration = now - attempt.started_at
-        prepared = attempt.prepared
         part.device = attempt.device_index
         part.placement = f"H{part.split_index}@d{attempt.device_index}"
-        part.rows = gather_fragments(sim.joined_rows,
+        part.rows = gather_fragments(prepared.joined_rows,
                                      state.plan.select_items,
                                      state.plan.group_by)
         part.completed_at = now
-        part.host_counters = sim.host_counters
+        part.host_counters = prepared.host_counters
         part.device_counters = prepared.execution.counters
-        part.timeline = list(sim.timeline)
+        part.timeline = list(prepared.timeline)
         part.phases = prepared.phases()
-        part.retries += sim.command.retries
-        part.wasted_time += sim.command.wasted_time
+        part.retries += prepared.command.retries
+        part.wasted_time += prepared.command.wasted_time
         prepared.release()
         self._cancel_losers(state, part, attempt, now)
         self._maybe_speculate(state, now)

@@ -43,11 +43,11 @@ class _BreakerMonitor:
         self.revised = None
         self.events = []
 
-    def __call__(self, sim, i):
+    def __call__(self, split, i):
         if self.budget <= 0 or self.revised is not None:
             return
-        checked = self.policy.check(self.decision, sim.batches, i + 1,
-                                    sim.clock.now)
+        checked = self.policy.check(self.decision, split.batches, i + 1,
+                                    split.clock.now)
         if checked is None:
             return
         feedback, revised, event = checked
@@ -64,7 +64,7 @@ class _BreakerMonitor:
                            else "shift-split")
         self.feedback = feedback
         self.revised = revised
-        sim.cancel(sim.clock.now, reason="replan")
+        split.cancel(split.clock.now, reason="replan")
 
 
 class AdaptiveRunner:

@@ -138,50 +138,67 @@ class _CommandSubmission:
         return report
 
 
-class _SplitSimulation:
-    """Discrete-event producer/consumer simulation of one hybrid split.
+class PreparedSplit:
+    """A hybrid split staged for execution, and its simulation.
 
-    The device process produces intermediate batches on ``core`` and DMAs
-    each finished batch over ``link`` into a shared buffer slot; the host
-    process posts a small fetch/completion command on ``link`` per batch,
-    joins the batch on ``cpu``, which frees the slot.  The device blocks
-    when all ``slots`` slots hold unconsumed batches; the host blocks when
-    the next batch has not arrived yet.  The host joins for real: the
-    first consume event that finds no joined batch waiting has the
-    fragment session join a chunk of batches in one segmented pipeline
-    run, and each consume event takes its own batch's rows and counter
-    delta and prices them, in batch order — rows, counters and times
-    are those of joining batch by batch.
+    Staging (:meth:`CooperativeExecutor.prepare_split`) already ran the
+    device fragment — its pipeline buffers stay *reserved* on the device
+    until :meth:`release` (or :meth:`finish` / :meth:`cancel`) — cut
+    its output into batches and opened the host fragment session.
+    ``run_split`` drives one to completion on a fresh kernel; the
+    workload scheduler and the scatter-gather executor start many on one
+    kernel, and the held reservations are what concurrent admission
+    control arbitrates.
+
+    The simulation is a discrete-event producer/consumer: the device
+    produces intermediate batches on ``core`` and DMAs each finished
+    batch over ``link`` into a shared buffer slot; the host posts a
+    small fetch/completion command on ``link`` per batch and joins the
+    batch on ``cpu``, which frees the slot.  The device blocks when all
+    ``slots`` slots hold unconsumed batches; the host blocks when the
+    next batch has not arrived yet.  The host joins for real: the first
+    consume event that finds no joined batch waiting has the fragment
+    session join a chunk of batches in one segmented pipeline run, and
+    each consume event takes its own batch's rows and counter delta and
+    prices them, in batch order — rows, counters and times are those of
+    joining batch by batch.
 
     The simulation runs on ``kernel`` (a one-device
     :class:`~repro.sim.SimContext` or a view of a larger one), which the
     caller may share with other executions: :meth:`start` schedules the
     begin event at an absolute kernel time, whoever owns the kernel
     drains its loop, and completion / retries-exhausted are signalled
-    through the ``on_complete`` / ``on_abandon`` hooks.
+    through the ``on_complete`` / ``on_abandon`` hooks.  Host work is
+    priced with this run's own fault injector, so runs interleaved on
+    one kernel draw from their own RNG streams.
     """
 
-    def __init__(self, executor, plan, batches, per_batch_device,
-                 row_bytes, slots, setup_time, session, host_counters,
-                 kernel, tracer, injector, strategy_label, start_offset,
-                 trace_label, finalize):
+    def __init__(self, executor, plan, split_index, execution, *,
+                 device_time, device_breakdown, device_aliases, batches,
+                 row_bytes, setup_time, session, kernel, tracer, injector,
+                 start_offset, trace_label, finalize):
         self.executor = executor
         self.timing = executor.timing
         self.plan = plan
+        self.split_index = split_index
+        self.execution = execution
+        self.device_time = device_time
+        self.device_breakdown = device_breakdown
+        self.device_aliases = device_aliases
         self.batches = batches
         self.n_batches = len(batches)
-        self.per_batch_device = per_batch_device
+        self.per_batch_device = device_time / self.n_batches
         self.row_bytes = row_bytes
-        self.slots = max(1, slots)
+        self.slots = max(1, executor.ndp.device.spec.shared_buffer_slots)
         self.setup_time = setup_time
         self.session = session
-        self.host_counters = host_counters
+        self.host_counters = WorkCounters()
         self.tracer = tracer
-        self.strategy_label = strategy_label
+        self.strategy_label = f"H{split_index}"
         # A labelled run (one of many on its kernel) gets its own root
         # track and event labels so concurrent executions don't
         # interleave X events on one track.
-        self.trace_label = trace_label or strategy_label
+        self.trace_label = trace_label or self.strategy_label
         self.exec_track = (EXEC_TRACK if trace_label is None
                            else f"{EXEC_TRACK}/{trace_label}")
         self.begin_label = ("begin" if trace_label is None
@@ -192,17 +209,19 @@ class _SplitSimulation:
         #: Scatter-gather partitions defer the epilogue: the cluster
         #: merges all partitions' joined rows and finalizes *once*.
         self.finalize = finalize
+        self._released = False
 
         self.origin = 0.0                  # kernel time this run begins
         self.on_complete = None            # completion hook
         self.on_abandon = None             # retries-exhausted hook
+        self.breaker_hook = None           # pipeline-breaker hook
         self.clock = kernel.clock
         self.loop = kernel.loop
         self.link = kernel.link
         self.core = kernel.core
         self.cpu = kernel.cpu
         self.command = _CommandSubmission(
-            self.link, injector, tracer, strategy_label, setup_time)
+            self.link, injector, tracer, self.strategy_label, setup_time)
 
         self.timeline = []
         self.joined_rows = []
@@ -223,14 +242,11 @@ class _SplitSimulation:
         self.cancelled = False    # cooperatively cancelled (see cancel())
         self.cancelled_at = None
         self.cancel_reason = None
-        #: Optional pipeline-breaker callback ``hook(sim, batch_index)``,
-        #: invoked as each device batch lands host-side — the point where
-        #: observed cardinality can be checked against the planner's
-        #: estimate (docs/adaptivity.md).  The hook may cooperatively
-        #: ``cancel()`` the run to trigger mid-query re-planning.  None
-        #: (the default) is zero-cost: no call, no trace delta, byte-
-        #: identical to builds without the hook.
-        self.breaker_hook = None
+
+    @property
+    def intermediate_rows(self):
+        """Rows the device fragment produced (crossing the breaker)."""
+        return len(self.execution.rows)
 
     # -- helpers -------------------------------------------------------
     def _phase(self, actor, kind, start, end, label, resource="",
@@ -258,31 +274,26 @@ class _SplitSimulation:
         self._phase("host", "wait", start, end, label, operator="wait",
                     extra={"batch": index} if self.tracer.enabled else None)
 
-    def _host_charge(self, work):
-        """Price host-side work with this run's injector attached.
-
-        A kernel may interleave many queries with distinct injectors on
-        one flash model, so each pricing call attaches its own for its
-        duration.
-        """
-        if self.injector.enabled:
-            with self.injector.attached(self.executor.ndp.device):
-                return work()
-        return work()
-
-    # -- simulation ----------------------------------------------------
-    def start(self, at, on_complete=None, on_abandon=None):
+    # -- life cycle ----------------------------------------------------
+    def start(self, at, on_complete=None, on_abandon=None,
+              breaker_hook=None):
         """Begin this run at kernel time ``at``.
 
-        ``on_complete(sim)`` fires (as an event) when the host epilogue
-        finishes; ``on_abandon(sim, error)`` replaces the
+        ``on_complete(split)`` fires (as an event) when the host
+        epilogue finishes; ``on_abandon(split, error)`` replaces the
         :class:`~repro.errors.RetriesExhaustedError` raise when command
         submission exhausts its retries, so one query's degradation
         doesn't unwind a whole workload's event loop.
+        ``breaker_hook(split, batch_index)`` is invoked as each device
+        batch lands host-side — the point where observed cardinality can
+        be checked against the planner's estimate (docs/adaptivity.md);
+        it may :meth:`cancel` the run to re-plan.  Without one, nothing
+        is called and the run is byte-identical to an unhooked one.
         """
         self.origin = at
         self.on_complete = on_complete
         self.on_abandon = on_abandon
+        self.breaker_hook = breaker_hook
         if self.tracer.enabled:
             self.root_span = self.tracer.begin(
                 self.exec_track, self.trace_label, at, category="execution",
@@ -291,7 +302,7 @@ class _SplitSimulation:
         self.loop.schedule_at(at, self._begin, label=self.begin_label)
 
     def cancel(self, now, reason="cancelled"):
-        """Cooperatively cancel this run at simulated time ``now``.
+        """Cooperatively cancel this run at ``now`` and release.
 
         Already-scheduled events become no-ops (every event entry point
         checks the flag), so no *new* resource time is booked after the
@@ -300,12 +311,12 @@ class _SplitSimulation:
         ``now - origin`` — but a booking still in flight at ``now`` is
         truncated (:meth:`~repro.sim.resources.BusyResource.truncate`),
         so a cancelled straggler does not hold its core into the far
-        future.  Device DRAM buffers are *not* released here:
-        the owning :class:`PreparedSplit` (or ``run_split``'s finally)
-        calls ``release()``, keeping reservation accounting in exactly
-        one place.  Returns False if the run already completed or was
-        already cancelled.
+        future.  Safe at any point of the life cycle: a completed or
+        already cancelled run is left alone, and the DRAM reservation
+        release is idempotent.  Returns whether this call cancelled the
+        run.
         """
+        self.release()
         if self.cancelled or self.completed:
             return False
         self.cancelled = True
@@ -323,6 +334,13 @@ class _SplitSimulation:
             self.root_span = None
         return True
 
+    def release(self):
+        """Release the device pipeline buffers (idempotent)."""
+        if not self._released:
+            self._released = True
+            self.executor.ndp.release(self.execution)
+
+    # -- simulation ----------------------------------------------------
     def _begin(self):
         if self.cancelled:
             return
@@ -527,7 +545,7 @@ class _SplitSimulation:
                             operator="stall")
             self._device_produce(index)
 
-        batch_time, delta = self._host_charge(lambda: self._join(i))
+        batch_time, delta = self._join(i)
         begin, end = self.cpu.acquire(now, batch_time,
                                       label=f"process batch {i}")
         if begin > now:
@@ -553,16 +571,27 @@ class _SplitSimulation:
         # Each fragment is one ColumnBatch; finalize concatenates them.
         self.joined_rows.append(fragment)
         self.host_counters.merge(delta)
-        batch_time, _ = self.timing.charge(delta, ExecutionLocation.HOST)
+        batch_time, _ = self.timing.charge(delta, ExecutionLocation.HOST,
+                                           self.injector)
         return batch_time, delta
+
+    def _finalize(self):
+        """Run the host epilogue over the joined rows; returns
+        ``(charged_seconds, counter_delta)`` like :meth:`_join`."""
+        before = self.host_counters.copy()
+        self.result = self.executor.host.finalize_fragment(
+            self.plan, self.joined_rows, self.host_counters)
+        delta = self.host_counters.delta_since(before)
+        epilogue, _ = self.timing.charge(delta, ExecutionLocation.HOST,
+                                         self.injector)
+        return epilogue, delta
 
     def _host_epilogue(self):
         if self.cancelled:
             return
         now = self.clock.now
         if self.finalize:
-            epilogue, delta = self._host_charge(
-                lambda: self.executor._finalize_time(self))
+            epilogue, delta = self._finalize()
             begin, end = self.cpu.acquire(now, epilogue, label="finalize")
             self._phase("host", "compute", begin, end, "finalize",
                         resource=HOST_RESOURCE, operator="finalize",
@@ -583,56 +612,7 @@ class _SplitSimulation:
                 end, lambda: self.on_complete(self),
                 label=f"complete {self.trace_label}")
 
-
-class PreparedSplit:
-    """A hybrid split staged for execution.
-
-    The device fragment already ran (its pipeline buffers are *reserved*
-    on the device until :meth:`release`), intermediate batches are
-    staged, and the host fragment session is open.  ``run_split`` drives
-    one to completion on a fresh kernel; the workload scheduler starts
-    many on one kernel and calls :meth:`finish` as their completion
-    events fire — the held reservations are what concurrent admission
-    control arbitrates.
-    """
-
-    def __init__(self, sim, split_index, execution, device_time,
-                 device_breakdown, device_aliases):
-        self.sim = sim              # owns the host side of the split
-        self.split_index = split_index
-        self.execution = execution
-        self.device_time = device_time
-        self.device_breakdown = device_breakdown
-        self.device_aliases = device_aliases
-        self._released = False
-
-    @property
-    def intermediate_rows(self):
-        """Rows the device fragment produced (crossing the breaker)."""
-        return len(self.execution.rows)
-
-    def start(self, at, on_complete=None, on_abandon=None):
-        """Start the staged simulation on its kernel at ``at``."""
-        self.sim.start(at, on_complete=on_complete, on_abandon=on_abandon)
-
-    def cancel(self, now, reason="cancelled"):
-        """Cooperatively cancel the in-flight simulation and release.
-
-        Safe at any point of the life cycle: a completed or already
-        cancelled simulation is left alone, and the DRAM reservation
-        release is idempotent.  Returns whether the simulation was
-        actually cancelled by this call.
-        """
-        cancelled = self.sim.cancel(now, reason=reason)
-        self.release()
-        return cancelled
-
-    def release(self):
-        """Release the device pipeline buffers (idempotent)."""
-        if not self._released:
-            self._released = True
-            self.sim.executor.ndp.release(self.execution)
-
+    # -- report --------------------------------------------------------
     def phases(self):
         """The completed simulation's phase accounting.
 
@@ -640,45 +620,47 @@ class PreparedSplit:
         report takes it as is and the scatter-gather merge sums it
         across partitions.
         """
-        sim = self.sim
         return {
-            "setup_time": sim.setup_time,
-            "host_wait_initial": sim.host_wait_initial,
-            "host_wait_other": sim.host_wait_other,
-            "transfer_time": sim.transfer_total,
-            "host_processing_time": sim.host_processing,
-            "device_busy_time": self.device_time + sim.slow_time,
-            "device_stall_time": sim.device_stall,
-            "batches": sim.n_batches,
+            "setup_time": self.setup_time,
+            "host_wait_initial": self.host_wait_initial,
+            "host_wait_other": self.host_wait_other,
+            "transfer_time": self.transfer_total,
+            "host_processing_time": self.host_processing,
+            "device_busy_time": self.device_time + self.slow_time,
+            "device_stall_time": self.device_stall,
+            "batches": self.n_batches,
             "intermediate_rows": self.intermediate_rows,
-            "intermediate_bytes": self.intermediate_rows * sim.row_bytes,
+            "intermediate_bytes": self.intermediate_rows * self.row_bytes,
         }
 
     def build_report(self, total_time, resource_stats=None):
-        """The :class:`ExecutionReport` for the completed simulation."""
-        sim = self.sim
-        _final_time, host_breakdown = sim._host_charge(
-            lambda: sim.timing.charge(sim.host_counters,
-                                      ExecutionLocation.HOST))
+        """The :class:`ExecutionReport` for the completed simulation.
+
+        ``host_breakdown`` re-prices the summed host counters without a
+        fault injector: the faults the run drew are in ``total_time``
+        and ``faults_injected`` already, and a report draws none.
+        """
+        _final_time, host_breakdown = self.timing.charge(
+            self.host_counters, ExecutionLocation.HOST)
         report = ExecutionReport(
-            strategy=f"H{self.split_index}",
+            strategy=self.strategy_label,
             total_time=total_time,
-            result=sim.result,
+            result=self.result,
             split_index=self.split_index,
-            host_counters=sim.host_counters,
+            host_counters=self.host_counters,
             device_counters=self.execution.counters,
             host_breakdown=host_breakdown,
             device_breakdown=self.device_breakdown,
-            timeline=sim.timeline,
+            timeline=self.timeline,
             resource_stats=resource_stats if resource_stats is not None
             else {},
-            trace_metrics=sim.tracer.metrics(),
+            trace_metrics=self.tracer.metrics(),
             notes={"pointer_cache": self.execution.pointer_cache,
                    "device_aliases": self.device_aliases,
                    "device_stage_rows": self.execution.stage_trace},
             **self.phases(),
         )
-        return sim.command.stamp(report, sim.start_offset)
+        return self.command.stamp(report, self.start_offset)
 
     def finish(self, total_time, resource_stats=None):
         """Build the report, then release the device pipeline."""
@@ -738,20 +720,6 @@ class CooperativeExecutor:
         return (device_entries, host_entries, device_aliases,
                 device_residual, host_residual)
 
-    def _finalize_time(self, sim):
-        """Run the host epilogue for ``sim``.
-
-        Returns ``(charged_seconds, counter_delta)`` like
-        :meth:`_SplitSimulation._join`.
-        """
-        counters = sim.host_counters
-        before = counters.copy()
-        sim.result = self.host.finalize_fragment(sim.plan, sim.joined_rows,
-                                                 counters)
-        delta = counters.delta_since(before)
-        epilogue, _ = self.timing.charge(delta, ExecutionLocation.HOST)
-        return epilogue, delta
-
     # ------------------------------------------------------------------
     # Hybrid split execution
     # ------------------------------------------------------------------
@@ -769,54 +737,53 @@ class CooperativeExecutor:
         host fallback; a deadline cancels the run in flight and raises
         :class:`~repro.errors.DeadlineExceededError`.
 
-        ``breaker_hook(sim, batch_index)`` — when given — fires at every
-        pipeline breaker (docs/adaptivity.md); a hook that cancels the
-        simulation makes this method raise
+        ``breaker_hook(split, batch_index)`` — when given — fires at
+        every pipeline breaker (docs/adaptivity.md); a hook that cancels
+        the split makes this method raise
         :class:`~repro.errors.ReplanTriggered` for the adaptive driver.
         """
         ctx = ExecutionContext.coerce(ctx)
         kernel = SimContext.fresh(tracer=ctx.tracer)
         prepared = self.prepare_split(plan, split_index, ctx, kernel=kernel)
         try:
-            sim = prepared.sim
-            sim.breaker_hook = breaker_hook
             if ctx.deadline is not None:
                 kernel.loop.schedule_at(
                     ctx.deadline,
-                    lambda: sim.cancel(ctx.deadline, reason="deadline"),
+                    lambda: prepared.cancel(ctx.deadline, reason="deadline"),
                     label="deadline")
-            prepared.start(0.0)
+            prepared.start(0.0, breaker_hook=breaker_hook)
             kernel.loop.run()
-            if sim.cancelled:
-                raise self._cancelled_error(sim, split_index, ctx.deadline)
+            if prepared.cancelled:
+                raise self._cancelled_error(prepared, ctx.deadline)
             # Not kernel.horizon: a deadline that never fired still
             # advanced the clock past the real work.
-            total = sim.host_end
+            total = prepared.host_end
             return prepared.build_report(
                 total, resource_stats=kernel.resource_stats(total))
         finally:
             prepared.release()
 
     @staticmethod
-    def _cancelled_error(sim, split_index, deadline):
+    def _cancelled_error(prepared, deadline):
         """The error a cooperatively cancelled serial run raises."""
-        strategy = f"H{split_index}"
-        consumed = sum(1 for t in sim.consumed if t is not None)
-        if sim.cancel_reason == "replan":
+        strategy = prepared.strategy_label
+        consumed = sum(1 for t in prepared.consumed if t is not None)
+        if prepared.cancel_reason == "replan":
             return ReplanTriggered(
                 f"{strategy}: cancelled at a pipeline breaker "
                 f"to re-plan the remaining QEP",
-                strategy=strategy, at=sim.cancelled_at,
-                elapsed=sim.cancelled_at - sim.origin,
-                batches_consumed=consumed, batches_total=sim.n_batches)
+                strategy=strategy, at=prepared.cancelled_at,
+                elapsed=prepared.cancelled_at - prepared.origin,
+                batches_consumed=consumed,
+                batches_total=prepared.n_batches)
         return DeadlineExceededError(
             f"{strategy}: deadline {deadline}s expired "
             f"before completion (cancelled in flight)",
             deadline=deadline, elapsed=deadline,
-            retries=sim.command.retries, wasted_time=deadline,
-            faults_injected=sim.injector.faults_injected(),
+            retries=prepared.command.retries, wasted_time=deadline,
+            faults_injected=prepared.injector.faults_injected(),
             partial={"strategy": strategy,
-                     "batches_total": sim.n_batches,
+                     "batches_total": prepared.n_batches,
                      "batches_consumed": consumed})
 
     def prepare_split(self, plan, split_index, ctx=None, *, kernel,
@@ -824,33 +791,24 @@ class CooperativeExecutor:
         """Stage split ``H{split_index}`` for execution on ``kernel``.
 
         Runs the device fragment eagerly — its pipeline buffers stay
-        *reserved* on the device until ``release()``/``finish()``, which
-        is what the concurrent scheduler's admission control arbitrates —
-        and returns a :class:`PreparedSplit` ready to ``start(at)`` on
-        the kernel's event loop.  Raises
+        *reserved* on the device until ``release()``/``finish()``/
+        ``cancel()``, which is what the concurrent scheduler's admission
+        control arbitrates — and returns a :class:`PreparedSplit` ready
+        to ``start(at)`` on the kernel's event loop.  Raises
         :class:`~repro.errors.DeviceOverloadError` when the pipeline does
         not fit the remaining device DRAM budget.
 
-        ``trace_label`` names the run among the others on its kernel;
-        ``shard`` restricts the driving-table scan to one partition
-        (cluster scatter-gather); ``finalize=False`` defers the host
-        epilogue so the cluster can merge partitions and finalize once.
+        ``ctx`` carries the run's tracer and fault plan; the split draws
+        its own fault injector from it here.  ``trace_label`` names the
+        run among the others on its kernel; ``shard`` restricts the
+        driving-table scan to one partition (cluster scatter-gather);
+        ``finalize=False`` defers the host epilogue so the cluster can
+        merge partitions and finalize once.
         """
         ctx = ExecutionContext.coerce(ctx)
-        tracer = ctx.sim_tracer()
         injector = ctx.injector()
-        fragments = self._split_fragments(plan, split_index)
-        with injector.attached(self.ndp.device):
-            return self._prepare_split_attached(
-                plan, split_index, tracer, injector, *fragments,
-                kernel=kernel, trace_label=trace_label, shard=shard,
-                finalize=finalize)
-
-    def _prepare_split_attached(self, plan, split_index, tracer, injector,
-                                device_entries, host_entries,
-                                device_aliases, device_residual,
-                                host_residual, kernel, trace_label=None,
-                                shard=None, finalize=True):
+        (device_entries, host_entries, device_aliases, device_residual,
+         host_residual) = self._split_fragments(plan, split_index)
         # One capture pins the whole split: the command ships the device
         # tables' families of it, the host fragment reads all of it.
         captured = self.ndp.capture(plan)
@@ -863,32 +821,30 @@ class CooperativeExecutor:
         execution = self.ndp.execute(command)
         try:
             device_time, device_breakdown = self.timing.charge(
-                execution.counters, ExecutionLocation.DEVICE)
-            setup_time = self.timing.command_setup_time(command.payload_bytes)
+                execution.counters, ExecutionLocation.DEVICE, injector)
 
             # --- batching over shared buffer slots --------------------
-            slot_bytes = self._slot_bytes()
             row_bytes = max(1, execution.row_bytes)
-            batch_rows = max(1, slot_bytes // row_bytes)
+            batch_rows = max(1, self._slot_bytes() // row_bytes)
             rows = execution.rows
             n_batches = max(1, math.ceil(len(rows) / batch_rows))
             offsets = [min(i * batch_rows, len(rows))
                        for i in range(n_batches)] + [len(rows)]
-            batches = [rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-            slots = self.ndp.device.spec.shared_buffer_slots
-            per_batch_device = device_time / n_batches
-
             session = self.host.fragment_session(
                 plan, host_entries, device_aliases, captured, rows,
                 offsets, row_bytes, residual_conjuncts=host_residual)
-
-            sim = _SplitSimulation(
-                self, plan, batches, per_batch_device, row_bytes, slots,
-                setup_time, session, WorkCounters(), kernel, tracer,
-                injector, f"H{split_index}", admission_wait, trace_label,
-                finalize)
-            return PreparedSplit(sim, split_index, execution, device_time,
-                                 device_breakdown, device_aliases)
+            return PreparedSplit(
+                self, plan, split_index, execution,
+                device_time=device_time, device_breakdown=device_breakdown,
+                device_aliases=device_aliases,
+                batches=[rows[lo:hi]
+                         for lo, hi in zip(offsets, offsets[1:])],
+                row_bytes=row_bytes,
+                setup_time=self.timing.command_setup_time(
+                    command.payload_bytes),
+                session=session, kernel=kernel, tracer=ctx.sim_tracer(),
+                injector=injector, start_offset=admission_wait,
+                trace_label=trace_label, finalize=finalize)
         except BaseException:
             self.ndp.release(execution)
             raise
@@ -904,20 +860,15 @@ class CooperativeExecutor:
         ctx = ExecutionContext.coerce(ctx)
         tracer = ctx.sim_tracer()
         injector = ctx.injector()
-        with injector.attached(self.ndp.device):
-            return self._run_full_ndp_attached(plan, tracer, injector,
-                                               deadline=ctx.deadline)
-
-    def _run_full_ndp_attached(self, plan, tracer, injector, deadline=None):
-        device_entries = plan.entries
-        device_residual = conjuncts(plan.residual)
+        deadline = ctx.deadline
         command = self.ndp.prepare_command(
-            plan, device_entries, device_residual, aggregates_on_device=True)
+            plan, plan.entries, conjuncts(plan.residual),
+            aggregates_on_device=True)
         admission_wait = self._admission_wait(command, injector, "full-ndp")
         execution = self.ndp.execute(command)
         try:
             device_time, device_breakdown = self.timing.charge(
-                execution.counters, ExecutionLocation.DEVICE)
+                execution.counters, ExecutionLocation.DEVICE, injector)
             setup_time = self.timing.command_setup_time(command.payload_bytes)
             result = execution.result
             if result is None:

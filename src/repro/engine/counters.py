@@ -62,7 +62,3 @@ class WorkCounters:
     def as_dict(self):
         """Plain-dict view for reporting."""
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-    def total_events(self):
-        """Rough magnitude of work, for sanity checks in tests."""
-        return sum(self.as_dict().values())

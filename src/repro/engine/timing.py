@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import ExecutionError
+from repro.faults import NULL_INJECTOR
 
 #: Abstract cost of evaluating one predicate op relative to a CoreMark-
 #: derived record operation.
@@ -129,12 +130,12 @@ class TimingModel:
             return self.device.spec.memcpy_bandwidth
         return self.host.memcpy_bandwidth
 
-    def _flash_time(self, nbytes, location):
+    def _flash_time(self, nbytes, location, injector):
         if nbytes <= 0:
             return 0.0
         if location is ExecutionLocation.DEVICE:
-            return self.device.read_internal(nbytes)
-        time = self.device.read_external(nbytes)
+            return self.device.read_internal(nbytes, injector)
+        time = self.device.read_external(nbytes, injector=injector)
         if self.io_path is HostIOPath.BLOCK:
             time *= _BLK_IO_FACTOR
         return time
@@ -142,10 +143,12 @@ class TimingModel:
     # ------------------------------------------------------------------
     # Main entry point
     # ------------------------------------------------------------------
-    def charge(self, counters, location):
+    def charge(self, counters, location, injector=NULL_INJECTOR):
         """Price ``counters`` for ``location``.
 
-        Returns ``(seconds, TimingBreakdown)``.
+        ``injector`` is the fault injector of the run the work belongs
+        to; its ECC-retry draws land in ``flash_load``.  Returns
+        ``(seconds, TimingBreakdown)``.
         """
         if not isinstance(location, ExecutionLocation):
             raise ExecutionError(f"bad location {location!r}")
@@ -155,7 +158,7 @@ class TimingModel:
         breakdown = TimingBreakdown()
 
         breakdown.flash_load = self._flash_time(
-            counters.flash_bytes_read, location)
+            counters.flash_bytes_read, location, injector)
 
         if (location is ExecutionLocation.HOST
                 and self.io_path is HostIOPath.BLOCK and _BLK_EXTRA_COPY):

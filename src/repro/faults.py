@@ -10,9 +10,10 @@ order, never from the wall clock, so a seeded chaos run reproduces the
 same fault sequence byte-for-byte.
 
 A plan is activated per execution as a :class:`FaultInjector`: the
-injector owns the run's RNG and fault counts, and the executor / flash
-model consult it at well-defined points (command submission, flash read
-pricing, transfer pricing, buffer admission, device-core dispatch).
+injector owns the run's RNG and fault counts, and the executor consults
+it at well-defined points (command submission, transfer pricing, buffer
+admission, device-core dispatch) and passes it to flash read pricing
+(``TimingModel.charge(..., injector)``).
 Like tracing, fault injection is zero-cost when off — the default
 collaborator is the singleton :data:`NULL_INJECTOR` whose ``enabled``
 flag lets hot paths skip the fault checks entirely, and a disabled plan
@@ -24,7 +25,6 @@ top (:mod:`repro.bench.chaos`).
 """
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import (AdmissionTimeoutError, ReproError,
@@ -308,11 +308,6 @@ class NullFaultInjector:
         """No faults, no counts."""
         return {}
 
-    @contextmanager
-    def attached(self, device):
-        """Nothing to attach."""
-        yield self
-
 
 #: Shared no-op injector; ``as_injector(None)`` returns it.
 NULL_INJECTOR = NullFaultInjector()
@@ -466,24 +461,6 @@ class FaultInjector:
         if until > now:
             self._count("core_offline")
         return until
-
-    # -- attachment ----------------------------------------------------
-    @contextmanager
-    def attached(self, device):
-        """Attach to ``device``'s flash for one run, restoring on exit.
-
-        Flash read pricing flows through
-        :meth:`~repro.storage.flash.FlashDevice.internal_read_time` /
-        ``external_read_time``; attaching the injector there makes ECC
-        retry latency show up in both device- and host-side charges.
-        """
-        flash = device.flash
-        previous = flash.fault_injector
-        flash.fault_injector = self
-        try:
-            yield self
-        finally:
-            flash.fault_injector = previous
 
     def __repr__(self):
         return (f"FaultInjector(seed={self.plan.seed}, "

@@ -103,10 +103,6 @@ class TableSchema:
         """Whether the schema contains a column of this name."""
         return any(column.name == name for column in self.columns)
 
-    def has_secondary_index(self, name):
-        """Whether the named column carries a secondary index."""
-        return name in self.secondary_indexes
-
     @property
     def record_bytes(self):
         """Fixed byte size of one encoded record (tbl_tbn per record)."""

@@ -444,14 +444,13 @@ class WorkloadScheduler:
                       "reserved_bytes": reserved,
                       "core_utilization": round(
                           admitted_under.core_utilization, 4)})
-        if self.replan is not None:
-            prepared.sim.breaker_hook = (
-                lambda sim, i: self._breaker_check(job, sim, i))
         prepared.start(
             now,
-            on_complete=lambda sim: self._offload_done(job),
-            on_abandon=lambda sim, error:
-                self._offload_abandoned(job, error))
+            on_complete=lambda split: self._offload_done(job),
+            on_abandon=lambda split, error:
+                self._offload_abandoned(job, error),
+            breaker_hook=(None if self.replan is None else
+                          lambda split, i: self._breaker_check(job, split, i)))
 
     def _retire(self, job):
         """``job``'s offload left its device; returns the device index."""
@@ -463,7 +462,7 @@ class WorkloadScheduler:
     # ------------------------------------------------------------------
     # Mid-query re-planning
     # ------------------------------------------------------------------
-    def _breaker_check(self, job, sim, i):
+    def _breaker_check(self, job, split, i):
         """Pipeline-breaker feedback: second-guess the in-flight plan.
 
         Called by the split simulation each time a device batch lands
@@ -479,10 +478,10 @@ class WorkloadScheduler:
         if job._replans >= policy.max_replans:
             return
         target = job._target
-        now = sim.clock.now
+        now = split.clock.now
         saturated = (self.current_load(target).core_utilization
                      >= policy.saturation_shed)
-        checked = policy.check(job.decision, sim.batches, i + 1, now,
+        checked = policy.check(job.decision, split.batches, i + 1, now,
                                saturated=saturated)
         if checked is None:
             return

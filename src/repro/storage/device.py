@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import DeviceOverloadError, StorageError
+from repro.faults import NULL_INJECTOR
 from repro.storage.flash import FlashDevice
 from repro.storage.interconnect import PCIeLink
 from repro.storage.machines import COSMOS_PLUS, DEFAULT_LINK
@@ -157,13 +158,13 @@ class SmartStorageDevice:
     # ------------------------------------------------------------------
     # Timing shortcuts used by the engines
     # ------------------------------------------------------------------
-    def read_internal(self, nbytes):
+    def read_internal(self, nbytes, injector=NULL_INJECTOR):
         """Seconds for the NDP engine to pull ``nbytes`` off flash."""
-        return self.flash.internal_read_time(nbytes)
+        return self.flash.internal_read_time(nbytes, injector)
 
-    def read_external(self, nbytes, commands=1):
+    def read_external(self, nbytes, commands=1, injector=NULL_INJECTOR):
         """Seconds for the host to read ``nbytes`` via NVMe over PCIe."""
-        flash_time = self.flash.external_read_time(nbytes)
+        flash_time = self.flash.external_read_time(nbytes, injector)
         link_time = self.link.transfer_time(nbytes, commands=commands)
         # Flash streaming and PCIe transfer pipeline; the slower dominates,
         # plus command latency.

@@ -74,7 +74,7 @@ class FlashDevice:
     """
 
     def __init__(self, geometry=None, capacity_bytes=64 * 1024 * 1024 * 1024,
-                 external_read_bandwidth=500e6, fault_injector=None):
+                 external_read_bandwidth=500e6):
         self.geometry = geometry or FlashGeometry()
         if capacity_bytes <= 0:
             raise StorageError("flash capacity must be positive")
@@ -83,9 +83,6 @@ class FlashDevice:
         # external interface (before PCIe); consumer COSMOS+-class devices
         # expose far less than the aggregate channel bandwidth.
         self.external_read_bandwidth = external_read_bandwidth
-        # Fault injection (repro.faults): read pricing asks the injector
-        # for ECC-retry penalties; chaos runs attach one per execution.
-        self.fault_injector = fault_injector or NULL_INJECTOR
         self._next_page = 0
         self._extents = {}
         self._counters = _FlashCounters()
@@ -139,8 +136,12 @@ class FlashDevice:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def internal_read_time(self, nbytes):
-        """Seconds for the on-device engine to read ``nbytes`` from flash."""
+    def internal_read_time(self, nbytes, injector=NULL_INJECTOR):
+        """Seconds for the on-device engine to read ``nbytes`` from flash.
+
+        ``injector`` is the pricing run's fault injector
+        (:mod:`repro.faults`): it adds the ECC-retry latency it draws.
+        """
         if nbytes < 0:
             raise StorageError(f"negative byte count {nbytes}")
         if nbytes == 0:
@@ -153,13 +154,13 @@ class FlashDevice:
         batches = (pages + geometry.channels - 1) // geometry.channels
         latency = batches * geometry.page_read_latency
         stream = nbytes / geometry.internal_read_bandwidth
-        if self.fault_injector.enabled:
-            latency += self.fault_injector.flash_read_penalty(pages)
+        latency += injector.flash_read_penalty(pages)
         return latency + stream
 
-    def external_read_time(self, nbytes):
+    def external_read_time(self, nbytes, injector=NULL_INJECTOR):
         """Seconds to stream ``nbytes`` out of the flash controller to the
-        host interface (PCIe transfer is priced separately by the link)."""
+        host interface (PCIe transfer is priced separately by the link);
+        ``injector`` as for :meth:`internal_read_time`."""
         if nbytes < 0:
             raise StorageError(f"negative byte count {nbytes}")
         if nbytes == 0:
@@ -172,8 +173,7 @@ class FlashDevice:
         batches = (pages + geometry.channels - 1) // geometry.channels
         latency = batches * geometry.page_read_latency
         stream = nbytes / self.external_read_bandwidth
-        if self.fault_injector.enabled:
-            latency += self.fault_injector.flash_read_penalty(pages)
+        latency += injector.flash_read_penalty(pages)
         return latency + stream
 
     def write_time(self, nbytes):

@@ -199,7 +199,7 @@ class TestAdaptiveExecution:
         base = job_env.runner.cooperative.run_split(plan, 0)
         seen = []
         hooked = job_env.runner.cooperative.run_split(
-            plan, 0, breaker_hook=lambda sim, i: seen.append(i))
+            plan, 0, breaker_hook=lambda split, i: seen.append(i))
         assert seen == list(range(len(seen)))   # fired at every breaker
         assert (json.dumps(base.to_dict(include_timeline=True),
                            sort_keys=True)

@@ -18,7 +18,7 @@ from repro.faults import (FAULTS_TRACK, NULL_INJECTOR, NULL_PLAN,
                           CommandFaultModel, CoreFaultModel, DramFaultModel,
                           FaultPlan, FaultWindow, FlashFaultModel,
                           LinkFaultModel, RetryPolicy, as_injector)
-from repro.sim import Tracer
+from repro.sim import SimContext, Tracer
 from repro.storage.flash import FlashDevice
 from repro.workloads.job_queries import query
 
@@ -192,13 +192,12 @@ class TestFallback:
 
 class TestFlashFaults:
     def test_ecc_retries_add_latency(self):
-        clean = FlashDevice()
         plan = FaultPlan(flash=FlashFaultModel(probability=1.0,
                                                ecc_retry_latency=150e-6))
-        faulty = FlashDevice(fault_injector=plan.injector())
-        nbytes = 64 * clean.geometry.page_size
-        slow = faulty.internal_read_time(nbytes)
-        fast = clean.internal_read_time(nbytes)
+        flash = FlashDevice()
+        nbytes = 64 * flash.geometry.page_size
+        slow = flash.internal_read_time(nbytes, plan.injector())
+        fast = flash.internal_read_time(nbytes)
         assert slow == pytest.approx(fast + 64 * 150e-6)
 
     def test_ecc_shows_up_in_run_counts(self, job_env):
@@ -212,6 +211,40 @@ class TestFlashFaults:
         assert report.total_time > clean.total_time
         assert (report.result.sorted_rows()
                 == clean.result.sorted_rows())
+
+
+class TestFaultCountsAreDrawn:
+    """A report counts the faults its run drew, and building it draws
+    none: ``build_report`` prices the summed host counters without an
+    injector."""
+
+    FAULTS = FaultPlan(seed=3, flash=FlashFaultModel(probability=0.5))
+
+    def test_split_reports_what_its_injector_drew(self, job_env):
+        plan = job_env.runner.plan(query("8c"))
+        ctx = ExecutionContext(faults=self.FAULTS)
+        kernel = SimContext.fresh()
+        prepared = job_env.runner.cooperative.prepare_split(
+            plan, 0, ctx, kernel=kernel)
+        try:
+            prepared.start(0.0)
+            kernel.loop.run()
+            drawn = prepared.injector.faults_injected()
+            first = prepared.build_report(prepared.host_end)
+            second = prepared.build_report(prepared.host_end)
+        finally:
+            prepared.release()
+        assert drawn["flash_ecc_retry"] > 0
+        assert first.faults_injected == drawn
+        assert second.faults_injected == drawn
+        assert first.host_breakdown == second.host_breakdown
+        # Faults add latency, never work: the host breakdown is the
+        # fault-free one, and run_split reports the same draws.
+        clean = job_env.runner.cooperative.run_split(plan, 0)
+        assert first.host_breakdown == clean.host_breakdown
+        serial = job_env.runner.cooperative.run_split(plan, 0, ctx)
+        assert serial.faults_injected == drawn
+        assert serial.total_time == first.total_time
 
 
 class TestLinkDramCoreFaults:

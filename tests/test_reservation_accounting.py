@@ -232,14 +232,13 @@ class TestCancellationProperty:
 
         # The reservation is never live afterwards, cancelled or not.
         assert job_env.device.reserved_bytes == reserved_before
-        sim = prepared.sim
-        if sim.cancelled:
-            for resource in (sim.link, sim.core, sim.cpu):
+        if prepared.cancelled:
+            for resource in (prepared.link, prepared.core, prepared.cpu):
                 assert resource.free_at <= cancel_at + 1e-9, resource
         else:
             # Cancel arrived after completion: result must be intact.
-            assert sim.completed
-            assert sim.result is not None
+            assert prepared.completed
+            assert prepared.result is not None
 
     def test_double_cancel_is_idempotent(self, job_env, staged_split):
         plan, split, total = staged_split
@@ -254,7 +253,7 @@ class TestCancellationProperty:
             cancel_at, lambda: prepared.cancel(cancel_at, reason="first"),
             label="cancel")
         kernel.loop.run()
-        assert prepared.sim.cancelled
+        assert prepared.cancelled
         assert prepared.cancel(total, reason="second") is False
         assert job_env.device.reserved_bytes == reserved_before
 
@@ -282,8 +281,8 @@ class TestCancellationProperty:
             with pytest.raises(ReplanTriggered) as excinfo:
                 cooperative.run_split(
                     plan, split,
-                    breaker_hook=lambda sim, i: sim.cancel(
-                        sim.clock.now, reason="replan"))
+                    breaker_hook=lambda split, i: split.cancel(
+                        split.clock.now, reason="replan"))
             assert excinfo.value.elapsed > 0.0
         assert len(released) == 1
         assert job_env.device.reserved_bytes == reserved_before

@@ -19,7 +19,7 @@ from repro.core import DeviceLoad, ExecutionStrategy, PlanningContext
 from repro.core.cost_model import MAX_PRICED_UTILIZATION
 from repro.engine.stacks import Stack
 from repro.errors import ReproError
-from repro.faults import CommandFaultModel, FaultPlan
+from repro.faults import CommandFaultModel, FaultPlan, FlashFaultModel
 from repro.sched import (ClosedLoopArrivals, OpenLoopArrivals,
                          WorkloadScheduler, assign_clients)
 from repro.workloads.job_queries import query
@@ -239,6 +239,26 @@ class TestFaultyWorkload:
                 assert job.report.fallback_from is not None
                 assert job.report.retries > 0
                 assert job.error is not None
+        assert job_env.device.reserved_bytes == 0
+
+    def test_interleaved_injectors_stay_separate(self, job_env):
+        # One kernel interleaves every offload's flash pricing, each with
+        # its own injector: a job placed at Hk draws exactly the faults a
+        # serial run of its query at Hk draws.
+        ctx = ExecutionContext(
+            faults=FaultPlan(seed=3, flash=FlashFaultModel(probability=0.5)))
+        sched = WorkloadScheduler(job_env, ctx=ctx)
+        for name in ("1a", "8c", "6a", "17e"):
+            sched.submit(name, at=0.0)
+        offloaded = [job for job in sched.run().jobs
+                     if job.placement.startswith("H")]
+        assert len(offloaded) >= 2
+        for job in offloaded:
+            serial = job_env.runner.cooperative.run_split(
+                job.plan, job.report.split_index, ctx)
+            assert job.report.faults_injected["flash_ecc_retry"] > 0
+            assert (job.report.faults_injected
+                    == serial.faults_injected), job.label
         assert job_env.device.reserved_bytes == 0
 
 

@@ -195,7 +195,7 @@ def _join_chunk_calls(env, cancel_at=None):
             kernel.loop.run()
     finally:
         prepared.release()
-    return calls, prepared.sim.n_batches
+    return calls, prepared.n_batches
 
 
 def test_the_host_joins_a_chunk_of_batches_per_run(job_env):

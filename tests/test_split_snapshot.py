@@ -175,10 +175,10 @@ def _live_host_fragment(runner, plan, k, prepared):
     joined = [executor.run(entries, plan.spec.tables,
                            residual_conjuncts=list(residual),
                            input_rows=batch,
-                           input_row_bytes=prepared.sim.row_bytes,
+                           input_row_bytes=prepared.row_bytes,
                            input_aliases=aliases)[0]
               if entries or residual else batch
-              for batch in prepared.sim.batches]
+              for batch in prepared.batches]
     result = cooperative.host.finalize_fragment(plan, joined, counters)
     return result.sorted_rows(), counters.as_dict()
 

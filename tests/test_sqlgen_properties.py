@@ -69,6 +69,10 @@ def test_generated_query_plans_and_decides(job_env, seed, index):
     assert decision.strategy in (ExecutionStrategy.HOST_ONLY,
                                  ExecutionStrategy.HYBRID,
                                  ExecutionStrategy.FULL_NDP)
+    # Full NDP carries the deepest split: the scheduler and the cluster
+    # run it as H(n-1) with a host epilogue.
+    if decision.strategy is ExecutionStrategy.FULL_NDP:
+        assert decision.split_index == plan.table_count - 1
 
 
 def test_corpus_is_prefix_stable():
