@@ -50,6 +50,7 @@ deadlines"):
   :class:`~repro.errors.DeadlineExceededError` with a partial audit.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.columns import ColumnBatch
@@ -63,7 +64,7 @@ from repro.engine.pipeline import gather_fragments
 from repro.engine.results import ExecutionReport, TimelinePhase
 from repro.engine.timing import ExecutionLocation, TimingModel
 from repro.errors import (DeadlineExceededError, DeviceOverloadError,
-                          ReproError)
+                          PlanError, ReproError)
 from repro.faults import FAULTS_TRACK, FaultPlan
 from repro.sim import HOST_RESOURCE, SimContext
 from repro.storage.topology import Topology
@@ -265,6 +266,7 @@ class _RunState:
         self.spec_wasted = 0.0       # losing attempts' elapsed seconds
         self.deadline_hit = False
         self.deadline_cancelled = []
+        self.injectors = []          # every device attempt's fault injector
 
     @property
     def wasted_total(self):
@@ -350,7 +352,11 @@ class ScatterGatherExecutor:
     def _partition_split(self, plan, kernel, index, split_index):
         """The Hk each partition runs, or None for host placement."""
         if split_index is not None:
-            return min(split_index, plan.table_count - 1)
+            if not 0 <= split_index < plan.table_count:
+                raise PlanError(
+                    f"split index {split_index} out of range for "
+                    f"{plan.table_count} tables")
+            return split_index
         load = DeviceLoad.snapshot(kernel.links[index], kernel.cores[index],
                                    self.cluster.devices[index], kernel.now)
         decision = self.cluster.env.planner.decide(
@@ -402,6 +408,7 @@ class ScatterGatherExecutor:
             return
         attempt = _Attempt(device_index, prepared, at,
                            speculative=speculative)
+        state.injectors.append(prepared.injector)
         if speculative:
             part.spec_attempt = attempt
         else:
@@ -839,4 +846,10 @@ class ScatterGatherExecutor:
             report.retries = retries
             report.wasted_device_time = sum(part.wasted_time
                                             for part in partitions)
+        # Every attempt drew from its own injector, winners, failures and
+        # cancelled losers alike; the run injected all of their faults.
+        faults = Counter()
+        for injector in state.injectors:
+            faults.update(injector.faults_injected())
+        report.faults_injected = dict(sorted(faults.items()))
         return report

@@ -13,12 +13,24 @@ import numpy as np
 
 from repro.errors import LSMError
 
+#: Seed of the second CRC32: ``h2 = crc32(key, _H2_SEED)``.
+_H2_SEED = 0x9E3779B9
+
+
+def key_hashes(key):
+    """The ``(h1, h2)`` CRC32 pair every filter probes ``key`` with.
+
+    The pair does not depend on the filter, so a point lookup hashes its
+    key once and probes each candidate SST with :meth:`BloomFilter.probe`.
+    """
+    return zlib.crc32(key), zlib.crc32(key, _H2_SEED)
+
 
 class BloomFilter:
     """A classic k-hash bloom filter over bytes keys.
 
     Hashing uses double CRC32 (fast, deterministic across processes) in
-    the usual h1 + i*h2 double-hashing scheme.
+    the usual h1 + i*h2 double-hashing scheme (:func:`key_hashes`).
     """
 
     def __init__(self, expected_items, bits_per_key=10):
@@ -52,15 +64,15 @@ class BloomFilter:
         """Insert every key of a list in one numpy pass.
 
         Sets the ``(h1 + i*h2) % nbits`` bits of every key, the positions
-        :meth:`might_contain` probes, taken in ``int64`` (``h1`` and
-        ``h2`` are reduced first, so no sum overflows).
+        :meth:`probe` tests, taken in ``int64`` (``h1`` and ``h2`` are
+        reduced first, so no sum overflows).
         """
         if not keys:
             return
         nbits = self._nbits
         count = len(keys)
         h1 = np.fromiter(map(zlib.crc32, keys), np.int64, count) % nbits
-        h2 = np.fromiter(map(zlib.crc32, keys, repeat(0x9E3779B9)),
+        h2 = np.fromiter(map(zlib.crc32, keys, repeat(_H2_SEED)),
                          np.int64, count)
         h2 = ((h2 << 15) | 1) % nbits
         pos = (h1[:, None] + np.arange(self._nhashes) * h2[:, None]) % nbits
@@ -72,16 +84,26 @@ class BloomFilter:
 
     def might_contain(self, key):
         """False means definitely absent; True means possibly present."""
+        return self.probe(*key_hashes(key))
+
+    def probe(self, h1, h2):
+        """:meth:`might_contain` for a key whose :func:`key_hashes` are
+        ``(h1, h2)``: tests bits ``(h1 + i*h2') % nbits`` with
+        ``h2' = (h2 << 15) | 1``, in order, stopping at the first clear
+        one."""
         nbits = self._nbits
         bits = self._bits
-        pos = zlib.crc32(key) % nbits
-        step = (((zlib.crc32(key, 0x9E3779B9) << 15) | 1)) % nbits
-        for _ in range(self._nhashes):
-            if not bits[pos >> 3] & (1 << (pos & 7)):
-                return False
+        pos = h1 % nbits
+        # Most absent keys miss at the first bit: test it before stepping.
+        if not bits[pos >> 3] >> (pos & 7) & 1:
+            return False
+        step = ((h2 << 15) | 1) % nbits
+        for _ in range(self._nhashes - 1):
             pos += step
             if pos >= nbits:
                 pos -= nbits
+            if not bits[pos >> 3] >> (pos & 7) & 1:
+                return False
         return True
 
     def __contains__(self, key):

@@ -87,8 +87,8 @@ class LeveledCompactor:
         bottom = self._is_bottom_level(target_level, overlapping)
         # Precedence: victims newest-first (C1 stores oldest-first), then
         # the target level's SSTs.
-        sources = [sst.iter_all() for sst in reversed(victims)]
-        sources += [sst.iter_all() for sst in overlapping]
+        sources = [sst.seek() for sst in reversed(victims)]
+        sources += [sst.seek() for sst in overlapping]
 
         inputs = victims + list(overlapping)
         self.stats.bytes_read += sum(sst.nbytes for sst in inputs)

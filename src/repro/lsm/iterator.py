@@ -2,8 +2,8 @@
 
 A GET/SCAN must see the newest version of each key: the MemTable first,
 then C1 SSTs newest-first, then lower levels.  The merging iterator
-performs a k-way merge with precedence-based shadowing; tombstones
-shadow older versions and are dropped at the top.
+performs a k-way merge with precedence-based shadowing; on the read
+path it drops tombstones as it goes.
 
 :func:`point_lookup` and :func:`range_scan` are the whole read path,
 for the live tree and for a pinned capture alike (paper §2.1: the
@@ -17,12 +17,30 @@ switch: the host probes, the device does not (§2.2).
 Both charge one ``ReadStats`` convention: a point read counts one
 ``memtable_gets``, counts ``ssts_considered`` for every SST whose fences
 admit the key (before any bloom probe) and no fence skips; a scan counts
-a fence skip for every SST outside its range.
+a fence skip for every SST outside its range.  Where the block charges
+land:
+
+- a point read hashes its key once (:func:`~repro.lsm.bloom.key_hashes`)
+  and probes each candidate SST's filter with that pair, then charges
+  the index and data block of the SSTs it searches;
+- a scan charges an SST's index block when it opens the SST's source,
+  at its first ``next()``, and a data block when the merge first needs
+  an entry from it.  With two or more sources the merge holds each
+  source's next entry, so popping a block's last entry pulls (and
+  charges) the following block; a lone source is read one entry per
+  pull.  A consumer that stops after k rows is charged for exactly the
+  blocks those pulls reached.
 """
 
-import heapq
+from heapq import heapify, heappop, heapreplace
+from itertools import chain
 
+from repro.lsm.bloom import key_hashes
 from repro.lsm.memtable import TOMBSTONE
+
+_from_blocks = chain.from_iterable
+#: A cursor with nothing left to read.
+_SPENT = ((), None, 0)
 
 
 def point_lookup(memtable, plan, key, stats, bloom):
@@ -35,15 +53,23 @@ def point_lookup(memtable, plan, key, stats, bloom):
     found, value = memtable.get(key)
     if found:
         return value  # may be None for a tombstone
+    considered = negatives = 0
+    if bloom:
+        h1, h2 = key_hashes(key)
     for sst in plan.candidates(key):
-        stats.ssts_considered += 1
-        if bloom and not sst.might_contain(key, stats):
-            stats.ssts_skipped_bloom += 1
+        considered += 1
+        if bloom and not sst.bloom.probe(h1, h2):
+            negatives += 1
             continue
         found, value = sst.get(key, stats)
         if found:
-            return value
-    return None
+            break
+    stats.ssts_considered += considered
+    if bloom:
+        stats.bloom_probes += considered
+        stats.bloom_negatives += negatives
+        stats.ssts_skipped_bloom += negatives
+    return value  # None when absent, or a tombstone
 
 
 def range_scan(inputs, lo, hi, value_predicate, stats):
@@ -57,60 +83,96 @@ def range_scan(inputs, lo, hi, value_predicate, stats):
     (the substantial-I/O case NDP targets, paper §2.2); the predicate
     filters the output stream.
     """
+    rows = merge_sources(_open_sources(inputs, lo, hi, stats), hi, stats)
+    if value_predicate is None:
+        return rows
+    return (row for row in rows if value_predicate(row[1]))
+
+
+def _open_sources(inputs, lo, hi, stats):
+    """A scan's cursors, newest first: the MemTable's entries in range
+    (when it holds any entry at all) and each overlapping SST's
+    :meth:`~repro.lsm.sstable.SSTable.seek` (None when it has no key in
+    range; it still counts as a source)."""
     memtable, plan = inputs()
-    sources = []
+    ssts, skipped = plan.overlapping(lo, hi)
+    stats.ssts_skipped_fence += skipped
+    stats.ssts_considered += len(ssts)
     if len(memtable):
-        sources.append(memtable.items(lo=lo, hi=hi))
-    for sst in plan.ssts:
-        if not sst.overlaps(lo, hi):
-            stats.ssts_skipped_fence += 1
-            continue
-        stats.ssts_considered += 1
-        sources.append(sst.iter_range(lo, hi, stats=stats))
-    # A single source needs no heap merge and cannot self-shadow
-    # (memtables and SSTs are internally deduplicated).
-    merged = sources[0] if len(sources) == 1 else merge_sources(sources)
-    for key, value in live_entries(merged):
-        stats.entries_scanned += 1
-        if value_predicate is None or value_predicate(value):
-            yield key, value
+        yield memtable.items(lo=lo, hi=hi), None, 0
+    for sst in ssts:
+        yield sst.seek(lo, hi, stats)
 
 
-def merge_sources(sources):
-    """k-way merge of (key, value) iterators with precedence shadowing.
+def merge_sources(sources, hi=None, stats=None):
+    """k-way merge of sorted sources with precedence shadowing.
 
-    ``sources`` is ordered newest-first; when several sources yield the
-    same key, only the newest version is emitted.  Tombstones are emitted
-    as-is (callers decide whether to drop them — compaction keeps them
-    unless merging into the last level).
+    Each source is a cursor ``(entries, sst, index)`` as
+    :meth:`SSTable.seek` returns it: the ``(key, value)`` pairs of its
+    first block, then, unless ``sst`` is None (a MemTable's entries are
+    one block), the SST's blocks after ``index``, read through
+    :meth:`SSTable.blocks_after` with ``hi`` and ``stats``, the bound
+    and charges the cursors were opened with.  A None source is empty.
+    ``sources`` is ordered newest-first and consumed at the first
+    ``next()``; when several sources hold the same key, only the newest
+    version is emitted.  Tombstones are emitted as-is (compaction keeps
+    them unless merging into the last level), unless ``stats`` is given:
+    then the merge is the read path's, which drops tombstones and counts
+    every live entry it emits in ``stats.entries_scanned``.
+
+    No generator runs per entry: each source is read through an
+    iterator over its first block, then over its SST's following blocks
+    flattened, so a following block is pulled when the merge first needs
+    an entry from it (see the module docstring).
     """
+    cursors = list(sources)
+    if len(cursors) == 1:
+        # A lone source cannot self-shadow (MemTables and SSTs are
+        # deduplicated) and is read lazily, one entry per pull.
+        if cursors[0] is None:
+            return
+        entries, sst, index = cursors[0]
+        if sst is not None:
+            entries = chain(entries, _from_blocks(
+                sst.blocks_after(index, hi, stats)))
+        for entry in entries:
+            if stats is not None:
+                if entry[1] == TOMBSTONE:
+                    continue
+                stats.entries_scanned += 1
+            yield entry
+        return
+
     heap = []
-    iterators = [iter(source) for source in sources]
-    for precedence, iterator in enumerate(iterators):
-        try:
-            key, value = next(iterator)
-        except StopIteration:
-            continue
-        heap.append((key, precedence, value))
-    heapq.heapify(heap)
+    for precedence, cursor in enumerate(cursors):
+        if cursor is not None:
+            iterator = iter(cursor[0])
+            entry = next(iterator, None)
+            if entry is not None:
+                heap.append((entry[0], precedence, entry, iterator))
+    heapify(heap)
 
     last_key = None
     while heap:
-        key, precedence, value = heapq.heappop(heap)
-        try:
-            next_key, next_value = next(iterators[precedence])
-            heapq.heappush(heap, (next_key, precedence, next_value))
-        except StopIteration:
-            pass
+        key, precedence, entry, iterator = heap[0]
+        following = next(iterator, None)
+        if following is None:
+            # The source's first block is spent: go on to its SST's
+            # following blocks, once.
+            _entries, sst, index = cursors[precedence]
+            if sst is not None:
+                cursors[precedence] = _SPENT
+                iterator = _from_blocks(sst.blocks_after(index, hi, stats))
+                following = next(iterator, None)
+        if following is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (following[0], precedence, following, iterator))
         if key == last_key:
             continue  # shadowed by a newer source
         last_key = key
-        yield key, value
-
-
-def live_entries(merged):
-    """Drop tombstones from a merged stream (read path)."""
-    for key, value in merged:
-        if value == TOMBSTONE:
-            continue
-        yield key, value
+        if stats is not None:
+            if entry[1] == TOMBSTONE:
+                continue
+            stats.entries_scanned += 1
+        yield entry

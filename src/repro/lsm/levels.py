@@ -16,10 +16,11 @@ class LookupPlan:
     ``ssts`` is every SST in read precedence: C1 newest first, then each
     deeper level (a tiered level newest first, a leveled one by key).
     ``levels`` holds, per non-empty level, ``(overlapping, ssts, min
-    keys)``: :meth:`candidates` fences every SST of an overlapping level
-    and bisects a sorted one.  A plan copies the level lists it is built
-    from, so a plan pinned by a capture still reads the SSTs it saw
-    after the tree has flushed or compacted.
+    keys, max keys)``: :meth:`candidates` and :meth:`overlapping` fence
+    every SST of an overlapping level and bisect a sorted one, whose
+    fences ascend.  A plan copies the level lists it is built from, so a
+    plan pinned by a capture still reads the SSTs it saw after the tree
+    has flushed or compacted.
     """
 
     __slots__ = ("ssts", "levels")
@@ -33,10 +34,11 @@ class LookupPlan:
             if i == 0 or tiered:
                 # Overlapping runs: newest (appended last) first.
                 run = tuple(reversed(bucket))
-                levels.append((True, run, None))
+                levels.append((True, run, None, None))
             else:
                 run = tuple(bucket)
-                levels.append((False, run, [sst.min_key for sst in run]))
+                levels.append((False, run, [sst.min_key for sst in run],
+                               [sst.max_key for sst in run]))
             ssts.extend(run)
         self.ssts = tuple(ssts)
         self.levels = tuple(levels)
@@ -44,16 +46,31 @@ class LookupPlan:
     def candidates(self, key):
         """SSTs whose fences admit ``key``, in read-precedence order."""
         result = []
-        for overlapping, ssts, keys in self.levels:
+        for overlapping, ssts, min_keys, _max_keys in self.levels:
             if overlapping:
                 for sst in ssts:
                     if sst.min_key <= key <= sst.max_key:
                         result.append(sst)
             else:
-                pos = bisect.bisect_right(keys, key) - 1
+                pos = bisect.bisect_right(min_keys, key) - 1
                 if pos >= 0 and ssts[pos].max_key >= key:
                     result.append(ssts[pos])
         return result
+
+    def overlapping(self, lo, hi):
+        """``(ssts, skipped)``: the SSTs whose fences overlap [lo, hi]
+        (see :meth:`SSTable.overlaps`; None is open) in read-precedence
+        order, and how many fall outside."""
+        result = []
+        for overlapping, ssts, min_keys, max_keys in self.levels:
+            if overlapping:
+                result.extend(sst for sst in ssts if sst.overlaps(lo, hi))
+            else:
+                start = 0 if lo is None else bisect.bisect_left(max_keys, lo)
+                end = (len(ssts) if hi is None
+                       else bisect.bisect_right(min_keys, hi))
+                result.extend(ssts[start:end])
+        return result, len(self.ssts) - len(result)
 
 
 class LevelStructure:

@@ -12,7 +12,8 @@ read, bytes read, key comparisons) which the timing model prices.
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
 
 from repro.errors import LSMError
 from repro.lsm.bloom import BloomFilter
@@ -24,6 +25,7 @@ _INDEX_ENTRY_OVERHEAD = 12
 #: First element of an index block's cache key; data blocks use ``"blk"``.
 #: :class:`repro.lsm.store.ReadTrace` tells the two apart by it.
 INDEX_BLOCK = "idx"
+_value_of = itemgetter(1)
 
 
 @dataclass
@@ -153,7 +155,7 @@ class SSTable:
         # every touch of a block — and every recorded ReadTrace touch —
         # shares one key object instead of building a tuple per access.
         self._index_cache_key = (INDEX_BLOCK, sst_id)
-        # Lazy {key: (block, pos)} map for point lookups; the sparse
+        # Lazy {key: (block, value)} map for point lookups; the sparse
         # index + in-block binary search is still *charged* (index and
         # data block cache accesses, key comparisons) exactly as if it
         # had been walked.
@@ -171,15 +173,6 @@ class SSTable:
         if hi is not None and self.min_key > hi:
             return False
         return True
-
-    def might_contain(self, key, stats=None):
-        """Bloom probe; charged to ``stats`` when given."""
-        if stats is not None:
-            stats.bloom_probes += 1
-        hit = self.bloom.might_contain(key)
-        if stats is not None and not hit:
-            stats.bloom_negatives += 1
-        return hit
 
     # ------------------------------------------------------------------
     # Reads
@@ -204,71 +197,112 @@ class SSTable:
         stats.data_blocks_read += 1
         stats.bytes_read += block.nbytes
 
-    def _locate_block(self, key, stats=None):
-        self._charge_index(stats)
-        idx = bisect.bisect_right(self._index_keys, key) - 1
-        if idx < 0:
-            idx = 0
-        return idx
-
     def get(self, key, stats=None):
-        """Point lookup: (found, value). Tombstones return (True, None)."""
+        """Point lookup: (found, value). Tombstones return (True, None).
+
+        Charges what the sparse-index walk to the one data block that
+        can hold ``key`` costs: the index block, that data block and
+        log2(block) key comparisons, whether or not the key is there (an
+        absent key is a bloom false positive, or a read without blooms).
+        """
         if key < self.min_key or key > self.max_key:
             return False, None
         lookup = self._point_index
         if lookup is None:
-            lookup = {}
+            lookup = self._point_index = {}
             for block in self._blocks:
-                for pos, entry in enumerate(block.entries):
-                    lookup[entry[0]] = (block, pos)
-            self._point_index = lookup
+                lookup.update(zip(block.keys, zip(
+                    repeat(block), map(_value_of, block.entries))))
         hit = lookup.get(key)
-        if hit is not None:
-            # Charge what the sparse-index walk would have: one index
-            # access, the containing data block, log2(block) comparisons.
-            block, pos = hit
-            self._charge_index(stats)
-            self._charge_data_block(stats, block)
-            if stats is not None:
-                stats.key_comparisons += max(
-                    1, len(block.keys).bit_length())
-            value = block.entries[pos][1]
-            if value == TOMBSTONE:
-                return True, None
-            return True, value
-        # Absent key (bloom false positive): walk the sparse index for
-        # real to charge the block the search would have probed.
-        idx = self._locate_block(key, stats)
-        block = self._blocks[idx]
+        if hit is None:
+            # min_key <= key: the last block starting at or before it.
+            block = self._blocks[
+                bisect.bisect_right(self._index_keys, key) - 1]
+        else:
+            block, value = hit
+        self._charge_index(stats)
         self._charge_data_block(stats, block)
         if stats is not None:
             stats.key_comparisons += max(1, len(block.keys).bit_length())
-        return False, None
+        if hit is None:
+            return False, None
+        if value == TOMBSTONE:
+            return True, None
+        return True, value
 
-    def iter_range(self, lo=None, hi=None, stats=None):
-        """Yield (key, value) for keys in [lo, hi); tombstones included.
+    def seek(self, lo=None, hi=None, stats=None):
+        """Open a read of the keys in [lo, hi) (None is open).
 
-        ``hi`` is exclusive to compose cleanly with merging iterators.
+        Charges the index block, then each data block up to the first
+        that holds a key in range.  Returns the cursor ``(entries, self,
+        index)``: that block's in-range entries (a non-empty list of
+        ``(key, value)`` in key order, tombstones included, bisected on
+        ``block.keys``) and the block's position, from which
+        :meth:`blocks_after` reads on; None when no key is in range.
+        Callers must not mutate the list.
         """
-        if lo is not None and self._blocks:
-            start = self._locate_block(lo, stats)
+        self._charge_index(stats)
+        index = 0
+        if lo is not None:
+            index = bisect.bisect_right(self._index_keys, lo) - 1
+            if index < 0:
+                index = 0
+        blocks = self._blocks
+        while True:
+            block = blocks[index]
+            if hi is not None and block.first_key >= hi:
+                return None
+            self._charge_data_block(stats, block)
+            keys = block.keys
+            first = 0 if lo is None else bisect.bisect_left(keys, lo)
+            if first < len(keys):
+                break
+            # Every key of the located block is below ``lo``; the next
+            # block starts above it.
+            index += 1
+            if index == len(blocks):
+                return None
+            lo = None
+        if hi is None or block.last_key < hi:
+            entries = block.entries if first == 0 else block.entries[first:]
         else:
-            start = 0
-            self._charge_index(stats)
-        for block in self._blocks[start:]:
+            end = bisect.bisect_left(keys, hi)
+            if first >= end:
+                return None
+            entries = block.entries[first:end]
+        return entries, self, index
+
+    def blocks_after(self, index, hi=None, stats=None):
+        """Yield the in-range entries of the data blocks after ``index``.
+
+        Each item is a non-empty list as :meth:`seek` returns; a block
+        is charged when the pull that needs it reaches it, so a reader
+        that stops early is never charged for blocks it did not reach.
+        """
+        for block in islice(self._blocks, index + 1, None):
             if hi is not None and block.first_key >= hi:
                 return
             self._charge_data_block(stats, block)
-            for key, value in block.entries:
-                if lo is not None and key < lo:
-                    continue
-                if hi is not None and key >= hi:
-                    return
-                yield key, value
+            if hi is None or block.last_key < hi:
+                yield block.entries
+            else:
+                yield block.entries[:bisect.bisect_left(block.keys, hi)]
+                return
+
+    def iter_range(self, lo=None, hi=None, stats=None):
+        """Yield the entries of keys in [lo, hi) a data block at a time:
+        :meth:`seek`'s entries at the first ``next()``, then
+        :meth:`blocks_after`'s.  ``hi`` is exclusive to compose cleanly
+        with merging iterators."""
+        cursor = self.seek(lo, hi, stats)
+        if cursor is not None:
+            entries, _sst, index = cursor
+            yield entries
+            yield from self.blocks_after(index, hi, stats)
 
     def iter_all(self, stats=None):
-        """Full scan of the table."""
-        return self.iter_range(None, None, stats=stats)
+        """Full scan of the table: every ``(key, value)`` in key order."""
+        return chain.from_iterable(self.iter_range(None, None, stats=stats))
 
     def __repr__(self):
         return (f"SSTable(id={self.sst_id}, level={self.level}, "

@@ -58,7 +58,7 @@ class TieredCompactor:
                      for deeper in range(target + 1,
                                          self._levels.max_levels + 1))
         # Precedence: newest run first (runs append in arrival order).
-        sources = [sst.iter_all() for sst in reversed(runs)]
+        sources = [sst.seek() for sst in reversed(runs)]
         self.stats.bytes_read += sum(sst.nbytes for sst in runs)
         input_entries = sum(sst.entry_count for sst in runs)
 

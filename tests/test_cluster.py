@@ -11,6 +11,7 @@ scheduler's cluster placement mode.
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,9 +21,9 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterFaultPlan, DeviceCluster, SpeculationPolicy
 from repro.context import ExecutionContext
 from repro.engine.stacks import Stack
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, PlanError
 from repro.faults import (CommandFaultModel, FaultPlan, FaultWindow,
-                          RetryPolicy, SlowDeviceModel)
+                          FlashFaultModel, RetryPolicy, SlowDeviceModel)
 from repro.sched import ClosedLoopArrivals, WorkloadScheduler
 from repro.sim import device_resource_names
 from repro.storage.topology import PartitionSpec, Topology
@@ -111,6 +112,17 @@ class TestReportShape:
             assert part["placement"].startswith("H0@d"), part
         assert report.split_index == 0
 
+    def test_split_out_of_range_is_a_plan_error(self, job_env, cluster2):
+        plan = job_env.runner.plan(query("1a"))
+        for split in (plan.table_count, 99, -1):
+            with pytest.raises(PlanError, match="out of range"):
+                cluster2.run(plan, split_index=split)
+        deepest = plan.table_count - 1
+        report = cluster2.run(plan, split_index=deepest)
+        assert report.split_index == deepest
+        for part in report.cluster["partitions"]:
+            assert part["placement"].startswith(f"H{deepest}@d"), part
+
     def test_report_round_trips_to_json(self, cluster2):
         payload = cluster2.run(query("3b")).to_dict(include_timeline=True)
         assert payload["cluster"]["n_devices"] == 2
@@ -190,6 +202,32 @@ class TestDeviceFailure:
         placements = {part["placement"]
                       for part in report.cluster["partitions"]}
         assert placements == {"host-fallback"}
+
+    def test_merged_fault_counts_are_the_partitions_draws(
+            self, job_env, monkeypatch):
+        cluster = DeviceCluster(job_env, n_devices=2,
+                                partitioner=PartitionSpec("range", seed=0))
+        injectors = []
+        for executor in cluster.executors:
+            def recording(*args, _prepare=executor.prepare_split, **kwargs):
+                prepared = _prepare(*args, **kwargs)
+                injectors.append(prepared.injector)
+                return prepared
+            monkeypatch.setattr(executor, "prepare_split", recording)
+        faults = FaultPlan(seed=3,
+                           flash=FlashFaultModel(probability=0.5),
+                           commands=CommandFaultModel(fail_first=1))
+        report = cluster.run(query("8c"),
+                             ctx=ExecutionContext(faults=faults))
+
+        drawn = Counter()
+        for injector in injectors:
+            drawn.update(injector.faults_injected())
+        assert len(injectors) >= 2
+        assert report.retries > 0
+        assert report.faults_injected == dict(sorted(drawn.items()))
+        assert report.faults_injected["transient_command"] >= 1
+        assert report.faults_injected["flash_ecc_retry"] > 0
 
     def test_plan_for_defaults(self):
         plan = FaultPlan(seed=3)

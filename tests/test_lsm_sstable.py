@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.errors import LSMError
 from repro.lsm.cache import BlockCache
-from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.iterator import point_lookup
+from repro.lsm.levels import LookupPlan
+from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import SSTableBuilder
 from repro.lsm.store import ReadStats
 from repro.storage.flash import FlashDevice
@@ -81,7 +83,8 @@ class TestReads:
 
     def test_range_iteration_hi_exclusive(self):
         sst = build_sst(n=20)
-        keys = [k for k, _ in sst.iter_range(b"key-00005", b"key-00010")]
+        keys = [k for block in sst.iter_range(b"key-00005", b"key-00010")
+                for k, _ in block]
         assert keys == [f"key-{i:05d}".encode() for i in range(5, 10)]
 
     def test_fences(self):
@@ -93,10 +96,11 @@ class TestReads:
         assert not sst.overlaps(None, b"a")
 
     def test_bloom_probe_counted(self):
-        sst = build_sst()
+        # A point read probes every candidate SST's filter and counts it.
+        plan = LookupPlan([[build_sst()]], tiered=False)
         stats = ReadStats()
-        sst.might_contain(b"key-00001", stats)
-        sst.might_contain(b"definitely-not-there", stats)
+        point_lookup(MemTable(), plan, b"key-00001", stats, True)
+        point_lookup(MemTable(), plan, b"key-00001-absent", stats, True)
         assert stats.bloom_probes == 2
         assert stats.bloom_negatives >= 1
 

@@ -4,8 +4,9 @@ validation, parser error paths, iterator merging."""
 import pytest
 
 from repro.errors import ParseError, StorageError
-from repro.lsm.iterator import live_entries, merge_sources
+from repro.lsm.iterator import merge_sources
 from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.store import ReadStats
 from repro.query.join_order import (cumulative_rows, filtered_estimates,
                                      greedy_order, join_selectivity)
 from repro.query.logical import analyze
@@ -109,30 +110,37 @@ class TestParserErrorPaths:
 
 
 class TestMergeSources:
+    """Sources are cursors ``(entries, sst, index)``; with no SST, the
+    entries are the whole source, as a MemTable's are."""
+
     def test_precedence_shadows_older(self):
-        newer = [(b"a", b"new"), (b"b", b"1")]
-        older = [(b"a", b"old"), (b"c", b"2")]
-        merged = dict(merge_sources([iter(newer), iter(older)]))
+        newer = ([(b"a", b"new"), (b"b", b"1")], None, 0)
+        older = ([(b"a", b"old"), (b"c", b"2")], None, 0)
+        merged = dict(merge_sources([newer, older]))
         assert merged == {b"a": b"new", b"b": b"1", b"c": b"2"}
 
     def test_live_entries_drops_tombstones(self):
-        stream = [(b"a", TOMBSTONE), (b"b", b"v")]
-        assert list(live_entries(iter(stream))) == [(b"b", b"v")]
+        entries = [(b"a", TOMBSTONE), (b"b", b"v")]
+        stats = ReadStats()
+        merged = list(merge_sources([(entries, None, 0)], stats=stats))
+        assert merged == [(b"b", b"v")]
+        assert stats.entries_scanned == 1
+        assert list(merge_sources([(entries, None, 0)])) == entries
 
     def test_tombstone_shadows_older_value(self):
-        newer = [(b"a", TOMBSTONE)]
-        older = [(b"a", b"resurrected?")]
-        merged = list(live_entries(merge_sources(
-            [iter(newer), iter(older)])))
+        newer = ([(b"a", TOMBSTONE)], None, 0)
+        older = ([(b"a", b"resurrected?")], None, 0)
+        merged = list(merge_sources([newer, older], stats=ReadStats()))
         assert merged == []
 
     def test_empty_sources(self):
         assert list(merge_sources([])) == []
-        assert list(merge_sources([iter([]), iter([])])) == []
+        assert list(merge_sources([None])) == []
+        assert list(merge_sources([([], None, 0), None])) == []
 
     def test_three_way_order(self):
-        a = [(b"1", b"a"), (b"4", b"a")]
-        b = [(b"2", b"b")]
-        c = [(b"3", b"c"), (b"5", b"c")]
-        keys = [k for k, _ in merge_sources([iter(a), iter(b), iter(c)])]
+        a = ([(b"1", b"a"), (b"4", b"a")], None, 0)
+        b = ([(b"2", b"b")], None, 0)
+        c = ([(b"3", b"c"), (b"5", b"c")], None, 0)
+        keys = [k for k, _ in merge_sources([a, b, c])]
         assert keys == [b"1", b"2", b"3", b"4", b"5"]
