@@ -23,15 +23,27 @@ land:
 - a point read hashes its key once (:func:`~repro.lsm.bloom.key_hashes`)
   and probes each candidate SST's filter with that pair, then charges
   the index and data block of the SSTs it searches;
-- a scan charges an SST's index block when it opens the SST's source,
-  at its first ``next()``, and a data block when the merge first needs
-  an entry from it.  With two or more sources the merge holds each
-  source's next entry, so popping a block's last entry pulls (and
-  charges) the following block; a lone source is read one entry per
-  pull.  A consumer that stops after k rows is charged for exactly the
-  blocks those pulls reached.
+- a scan opens its sources at its first ``next()``.  A C1 or tiered
+  SST, and a sorted level with one SST in range, is one source, opened
+  with :meth:`~repro.lsm.sstable.SSTable.seek`: its index block and the
+  data block holding its first key in range are charged then.  A sorted
+  level (C2..CK, key-disjoint) with two or more SSTs in range is one
+  *level cursor* (:func:`open_level`, RocksDB's ``LevelIterator``): only
+  its first SST is sought, and the cursor steps on to the next SST's
+  block 0 when the merge has used up the previous one.  Each later
+  SST is still charged at open what a seek of it would charge, its
+  index block and, unless it starts at or past ``hi``, its block 0, in
+  level order;
+- any later data block is charged when the merge first needs an entry
+  from it.  The merge holds each source's next entry, so popping a
+  block's last entry pulls (and charges) the following block; a lone
+  single-SST source is read one entry per pull, while a level cursor
+  keeps the held-next rule even alone, as its SSTs would as separate
+  sources.  A consumer that stops after k rows is charged for exactly
+  the blocks those pulls reached.
 """
 
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
 from itertools import chain
 
@@ -91,28 +103,103 @@ def range_scan(inputs, lo, hi, value_predicate, stats):
 
 def _open_sources(inputs, lo, hi, stats):
     """A scan's cursors, newest first: the MemTable's entries in range
-    (when it holds any entry at all) and each overlapping SST's
-    :meth:`~repro.lsm.sstable.SSTable.seek` (None when it has no key in
-    range; it still counts as a source)."""
+    (when it holds any entry at all), then per level either one
+    :meth:`~repro.lsm.sstable.SSTable.seek` per SST whose fences overlap
+    [lo, hi] (None when it has no key in range; it still counts as a
+    source) or, for a sorted level with two or more such SSTs, one
+    :func:`open_level` cursor.  A sorted level is bisected once on its
+    fences; an overlapping one is fenced SST by SST."""
     memtable, plan = inputs()
-    ssts, skipped = plan.overlapping(lo, hi)
-    stats.ssts_skipped_fence += skipped
-    stats.ssts_considered += len(ssts)
+    considered = 0
     if len(memtable):
         yield memtable.items(lo=lo, hi=hi), None, 0
-    for sst in ssts:
-        yield sst.seek(lo, hi, stats)
+    for overlapping, ssts, min_keys, max_keys in plan.levels:
+        if overlapping:
+            for sst in ssts:
+                if sst.overlaps(lo, hi):
+                    considered += 1
+                    yield sst.seek(lo, hi, stats)
+            continue
+        start = 0 if lo is None else bisect_left(max_keys, lo)
+        end = len(ssts) if hi is None else bisect_right(min_keys, hi)
+        if end - start == 1:
+            considered += 1
+            yield ssts[start].seek(lo, hi, stats)
+        elif end - start > 1:
+            considered += end - start
+            yield open_level(ssts[start:end], lo, hi, stats)
+    stats.ssts_considered += considered
+    stats.ssts_skipped_fence += len(plan.ssts) - considered
+
+
+def open_level(run, lo, hi, stats):
+    """One cursor over ``run``, two or more consecutive SSTs of a sorted
+    level whose fences overlap [lo, hi].
+
+    Seeks the first SST, then charges every later one what its own
+    :meth:`~repro.lsm.sstable.SSTable.seek` would charge (``lo`` lies
+    below its ``min_key``): the index block and, unless it starts at or
+    past ``hi``, block 0.  Without a cache the charges are added in
+    bulk; with one they go through it SST by SST, in level order, as
+    seeks would.  These up-front charges keep a scan's ``ReadStats``
+    and cache touches equal to seeking every SST; a scan charged only
+    for the SSTs it reaches would drop them.  Only the last SST can
+    start at or past ``hi`` (the fences are checked with ``hi``
+    inclusive); it has no entry to read.
+
+    The first SST always has a key in [lo, hi): its successor starts
+    above its ``max_key`` and at or below ``hi``, and its ``max_key`` is
+    at least ``lo``.
+    """
+    entries, first, index = run[0].seek(lo, hi, stats)
+    later = run[1:]
+    fenced_bytes = 0
+    if hi is not None and later[-1].min_key >= hi:
+        fenced_bytes = later[-1].index_bytes
+        later = later[:-1]
+    if stats.cache is not None:
+        for sst in run[1:]:
+            sst.charge_open(hi, stats)
+    else:
+        stats.index_blocks_read += len(run) - 1
+        stats.data_blocks_read += len(later)
+        stats.bytes_read += fenced_bytes + sum(
+            sst.open_bytes for sst in later)
+    return entries, LevelRun(first, later), index
+
+
+class LevelRun:
+    """The SSTs a level cursor reads: where its first SST's blocks run
+    out, each later SST's block 0 (charged when the level was opened),
+    then that SST's following blocks.  It stands where a single-SST
+    cursor holds its SST (see :func:`merge_sources`)."""
+
+    __slots__ = ("first", "later")
+
+    def __init__(self, first, later):
+        self.first = first
+        self.later = later
+
+    def blocks_after(self, index, hi, stats):
+        """:meth:`SSTable.blocks_after` over the whole run: the first
+        SST's blocks after ``index``, then every later SST's blocks."""
+        yield from self.first.blocks_after(index, hi, stats)
+        for sst in self.later:
+            # Block 0 uncharged: ``blocks_after(-1)`` starts there.
+            yield next(sst.blocks_after(-1, hi))
+            yield from sst.blocks_after(0, hi, stats)
 
 
 def merge_sources(sources, hi=None, stats=None):
     """k-way merge of sorted sources with precedence shadowing.
 
     Each source is a cursor ``(entries, sst, index)`` as
-    :meth:`SSTable.seek` returns it: the ``(key, value)`` pairs of its
-    first block, then, unless ``sst`` is None (a MemTable's entries are
-    one block), the SST's blocks after ``index``, read through
-    :meth:`SSTable.blocks_after` with ``hi`` and ``stats``, the bound
-    and charges the cursors were opened with.  A None source is empty.
+    :meth:`SSTable.seek` and :func:`open_level` return it: the ``(key,
+    value)`` pairs of its first block, then, unless ``sst`` is None (a
+    MemTable's entries are one block), the blocks after ``index`` of the
+    SST (or :class:`LevelRun`), read through ``sst.blocks_after`` with
+    ``hi`` and ``stats``, the bound and charges the cursors were opened
+    with.  A None source is empty.
     ``sources`` is ordered newest-first and consumed at the first
     ``next()``; when several sources hold the same key, only the newest
     version is emitted.  Tombstones are emitted as-is (compaction keeps
@@ -127,21 +214,23 @@ def merge_sources(sources, hi=None, stats=None):
     """
     cursors = list(sources)
     if len(cursors) == 1:
-        # A lone source cannot self-shadow (MemTables and SSTs are
-        # deduplicated) and is read lazily, one entry per pull.
         if cursors[0] is None:
             return
         entries, sst, index = cursors[0]
-        if sst is not None:
-            entries = chain(entries, _from_blocks(
-                sst.blocks_after(index, hi, stats)))
-        for entry in entries:
-            if stats is not None:
-                if entry[1] == TOMBSTONE:
-                    continue
-                stats.entries_scanned += 1
-            yield entry
-        return
+        # A lone source cannot self-shadow (MemTables and SSTs are
+        # deduplicated) and is read lazily, one entry per pull.  A level
+        # cursor stands for two or more sources, so it is merged.
+        if not isinstance(sst, LevelRun):
+            if sst is not None:
+                entries = chain(entries, _from_blocks(
+                    sst.blocks_after(index, hi, stats)))
+            for entry in entries:
+                if stats is not None:
+                    if entry[1] == TOMBSTONE:
+                        continue
+                    stats.entries_scanned += 1
+                yield entry
+            return
 
     heap = []
     for precedence, cursor in enumerate(cursors):

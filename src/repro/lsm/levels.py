@@ -16,11 +16,12 @@ class LookupPlan:
     ``ssts`` is every SST in read precedence: C1 newest first, then each
     deeper level (a tiered level newest first, a leveled one by key).
     ``levels`` holds, per non-empty level, ``(overlapping, ssts, min
-    keys, max keys)``: :meth:`candidates` and :meth:`overlapping` fence
-    every SST of an overlapping level and bisect a sorted one, whose
-    fences ascend.  A plan copies the level lists it is built from, so a
-    plan pinned by a capture still reads the SSTs it saw after the tree
-    has flushed or compacted.
+    keys, max keys)``: :meth:`candidates` and a range scan
+    (:func:`repro.lsm.iterator.range_scan`) fence every SST of an
+    overlapping level and bisect a sorted one, whose fences ascend.  A
+    plan copies the level lists it is built from, so a plan pinned by a
+    capture still reads the SSTs it saw after the tree has flushed or
+    compacted.
     """
 
     __slots__ = ("ssts", "levels")
@@ -56,21 +57,6 @@ class LookupPlan:
                 if pos >= 0 and ssts[pos].max_key >= key:
                     result.append(ssts[pos])
         return result
-
-    def overlapping(self, lo, hi):
-        """``(ssts, skipped)``: the SSTs whose fences overlap [lo, hi]
-        (see :meth:`SSTable.overlaps`; None is open) in read-precedence
-        order, and how many fall outside."""
-        result = []
-        for overlapping, ssts, min_keys, max_keys in self.levels:
-            if overlapping:
-                result.extend(sst for sst in ssts if sst.overlaps(lo, hi))
-            else:
-                start = 0 if lo is None else bisect.bisect_left(max_keys, lo)
-                end = (len(ssts) if hi is None
-                       else bisect.bisect_right(min_keys, hi))
-                result.extend(ssts[start:end])
-        return result, len(self.ssts) - len(result)
 
 
 class LevelStructure:

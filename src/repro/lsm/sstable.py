@@ -155,6 +155,9 @@ class SSTable:
         # every touch of a block — and every recorded ReadTrace touch —
         # shares one key object instead of building a tuple per access.
         self._index_cache_key = (INDEX_BLOCK, sst_id)
+        #: Bytes a seek from at or below ``min_key`` reads uncached: the
+        #: index block and block 0 (see :meth:`charge_open`).
+        self.open_bytes = index_bytes + blocks[0].nbytes
         # Lazy {key: (block, value)} map for point lookups; the sparse
         # index + in-block binary search is still *charged* (index and
         # data block cache accesses, key comparisons) exactly as if it
@@ -271,6 +274,14 @@ class SSTable:
                 return None
             entries = block.entries[first:end]
         return entries, self, index
+
+    def charge_open(self, hi, stats):
+        """Charge what :meth:`seek` charges for a range that starts at or
+        below ``min_key``: the index block, then block 0 unless it starts
+        at or past ``hi``.  A level cursor opens its later SSTs so."""
+        self._charge_index(stats)
+        if hi is None or self.min_key < hi:
+            self._charge_data_block(stats, self._blocks[0])
 
     def blocks_after(self, index, hi=None, stats=None):
         """Yield the in-range entries of the data blocks after ``index``.

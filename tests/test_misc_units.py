@@ -4,8 +4,9 @@ validation, parser error paths, iterator merging."""
 import pytest
 
 from repro.errors import ParseError, StorageError
-from repro.lsm.iterator import merge_sources
+from repro.lsm.iterator import merge_sources, open_level
 from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.sstable import SSTableBuilder
 from repro.lsm.store import ReadStats
 from repro.query.join_order import (cumulative_rows, filtered_estimates,
                                      greedy_order, join_selectivity)
@@ -144,3 +145,57 @@ class TestMergeSources:
         c = ([(b"3", b"c"), (b"5", b"c")], None, 0)
         keys = [k for k, _ in merge_sources([a, b, c])]
         assert keys == [b"1", b"2", b"3", b"4", b"5"]
+
+
+def _two_block_sst(prefix, sst_id):
+    """Keys ``prefix`` 1..4, two to a data block (11-byte entries in
+    30-byte blocks)."""
+    builder = SSTableBuilder(block_size=30)
+    for n in range(1, 5):
+        builder.add(b"%s%d" % (prefix, n), b"v")
+    sst = builder.finish(sst_id=sst_id)
+    assert sst.block_count == 2
+    return sst
+
+
+class TestLevelCursor:
+    """A level cursor (``open_level``) reads a sorted level's SSTs one
+    after another, charged as if each were its own source."""
+
+    def _blocks_per_pull(self, cursors, stats):
+        rows = merge_sources(cursors, stats=stats)
+        charged = []
+        for _ in rows:
+            charged.append(stats.data_blocks_read)
+        return charged
+
+    def test_alone_it_charges_by_the_held_next_rule(self):
+        a, b = _two_block_sst(b"a", 1), _two_block_sst(b"b", 2)
+        stats = ReadStats()
+        cursor = open_level((a, b), None, None, stats)
+        assert (stats.index_blocks_read, stats.data_blocks_read) == (2, 2)
+        # Popping a block's last entry pulls the next block: a2 pulls
+        # a's second block; a4 steps on to b's block 0, charged at open.
+        assert self._blocks_per_pull([cursor], stats) == [
+            2, 3, 3, 3, 3, 4, 4, 4]
+        eager = ReadStats()
+        sources = [a.seek(None, None, eager), b.seek(None, None, eager)]
+        assert self._blocks_per_pull(sources, eager) == [
+            2, 3, 3, 3, 3, 4, 4, 4]
+        assert stats == eager
+
+    def test_a_lone_sst_is_read_one_entry_per_pull(self):
+        a = _two_block_sst(b"a", 1)
+        stats = ReadStats()
+        cursor = a.seek(None, None, stats)
+        assert self._blocks_per_pull([cursor], stats) == [1, 1, 2, 2]
+
+    def test_an_sst_starting_at_hi_is_charged_its_index_block_only(self):
+        a, b = _two_block_sst(b"a", 1), _two_block_sst(b"b", 2)
+        stats = ReadStats()
+        cursor = open_level((a, b), b"a2", b"b1", stats)
+        assert (stats.index_blocks_read, stats.data_blocks_read) == (2, 1)
+        assert stats.bytes_read == a.open_bytes + b.index_bytes
+        rows = list(merge_sources([cursor], b"b1", stats))
+        assert rows == [(b"a2", b"v"), (b"a3", b"v"), (b"a4", b"v")]
+        assert stats.data_blocks_read == 2
