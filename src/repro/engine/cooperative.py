@@ -787,7 +787,8 @@ class CooperativeExecutor:
                      "batches_consumed": consumed})
 
     def prepare_split(self, plan, split_index, ctx=None, *, kernel,
-                      trace_label=None, shard=None, finalize=True):
+                      trace_label=None, shard=None, finalize=True,
+                      captured=None):
         """Stage split ``H{split_index}`` for execution on ``kernel``.
 
         Runs the device fragment eagerly — its pipeline buffers stay
@@ -803,7 +804,9 @@ class CooperativeExecutor:
         run among the others on its kernel; ``shard`` restricts the
         driving-table scan to one partition (cluster scatter-gather);
         ``finalize=False`` defers the host epilogue so the cluster can
-        merge partitions and finalize once.
+        merge partitions and finalize once.  ``captured`` is the
+        :meth:`~repro.engine.ndp.NDPEngine.capture` of the plan the split
+        reads, taken now when None.
         """
         ctx = ExecutionContext.coerce(ctx)
         injector = ctx.injector()
@@ -811,7 +814,8 @@ class CooperativeExecutor:
          host_residual) = self._split_fragments(plan, split_index)
         # One capture pins the whole split: the command ships the device
         # tables' families of it, the host fragment reads all of it.
-        captured = self.ndp.capture(plan)
+        if captured is None:
+            captured = self.ndp.capture(plan)
         # --- device fragment -----------------------------------------
         command = self.ndp.prepare_command(plan, device_entries,
                                            device_residual, shard=shard,

@@ -44,26 +44,37 @@ class HostEngine:
     # ------------------------------------------------------------------
     # Full-plan execution (BLK / NATIVE baselines)
     # ------------------------------------------------------------------
-    def run_pipeline(self, plan, counters, driving_shard=None):
+    def run_pipeline(self, plan, counters, driving_shard=None,
+                     captured=None):
         """Join-pipeline portion of a plan (everything before finalize).
 
         ``driving_shard`` restricts the driving table to one cluster
         partition.  Returns ``(rows, row_bytes)``; work lands in
         ``counters``.  The scatter-gather executor uses this directly to
         run host-placed partitions whose finalize happens once, over the
-        merged rows of all partitions.
+        merged rows of all partitions.  ``captured`` is read as in
+        :meth:`execute`.
         """
-        executor = PipelineExecutor(self.catalog, self._pipeline_config(),
+        catalog = (self.catalog if captured is None
+                   else self._pinned_catalog(plan, captured))
+        executor = PipelineExecutor(catalog, self._pipeline_config(),
                                     counters)
         residual = conjuncts(plan.residual)
         return executor.run(plan.entries, plan.spec.tables,
                             residual_conjuncts=residual,
                             driving_shard=driving_shard)
 
-    def execute(self, plan, strategy="host-only"):
-        """Run the whole plan on the host; returns an ExecutionReport."""
+    def execute(self, plan, strategy="host-only", captured=None):
+        """Run the whole plan on the host; returns an ExecutionReport.
+
+        It reads the live tables, or with ``captured`` (an
+        :meth:`~repro.engine.ndp.NDPEngine.capture` of the plan) the
+        state that capture pinned, charging what the live read charged
+        at the captured versions.
+        """
         counters = WorkCounters()
-        rows, _row_bytes = self.run_pipeline(plan, counters)
+        rows, _row_bytes = self.run_pipeline(plan, counters,
+                                             captured=captured)
         result_rows, columns = finalize(rows, plan.select_items,
                                         plan.group_by, counters,
                                         limit=plan.limit)
@@ -101,14 +112,19 @@ class HostEngine:
         """
         residual = (conjuncts(plan.residual) if residual_conjuncts is None
                     else list(residual_conjuncts))
-        catalog = SnapshotCatalog(self.catalog, shared_state,
-                                  set(plan.spec.tables.values()),
-                                  use_bloom_filters=True)
-        executor = PipelineExecutor(catalog, self._pipeline_config(),
-                                    WorkCounters())
+        executor = PipelineExecutor(
+            self._pinned_catalog(plan, shared_state),
+            self._pipeline_config(), WorkCounters())
         return _FragmentSession(executor, plan.spec.tables, entries,
                                 list(input_aliases), residual, rows,
                                 offsets, row_bytes)
+
+    def _pinned_catalog(self, plan, captured):
+        """Every table of ``plan`` as ``captured`` pinned it, with bloom
+        filters probed as on the live trees."""
+        return SnapshotCatalog(self.catalog, captured,
+                               set(plan.spec.tables.values()),
+                               use_bloom_filters=True)
 
     def finalize_fragment(self, plan, rows, counters):
         """Aggregation/projection epilogue over accumulated rows."""

@@ -127,11 +127,16 @@ class StackRunner:
             "entries": len(self._plan_cache),
         }
 
-    def run(self, query, stack, split_index=None, ctx=None):
+    def run(self, query, stack, split_index=None, ctx=None, captured=None):
         """Execute ``query`` (SQL text or QueryPlan) on ``stack``.
 
         For ``Stack.HYBRID`` a ``split_index`` (the k of Hk) is required;
         any other stack rejects one.
+        ``captured`` — an :meth:`~repro.engine.ndp.NDPEngine.capture` of
+        the plan, taken by the caller — makes a host-only (BLK or NATIVE)
+        run read the state it pinned instead of the live tables; an
+        offload takes its own capture when it is staged, so the other
+        stacks reject one.
         ``ctx`` (an :class:`~repro.context.ExecutionContext`) carries the
         run's tracer, fault plan and retry policy.  Tracing records
         the execution as structured spans for the
@@ -148,10 +153,14 @@ class StackRunner:
                             f"stack, not {stack}")
         if stack is Stack.BLK:
             return self._traced_host(self._host_blk, plan,
-                                     "host-only(blk)", ctx.tracer)
+                                     "host-only(blk)", ctx.tracer, captured)
         if stack is Stack.NATIVE:
             return self._traced_host(self._host_native, plan,
-                                     "host-only(native)", ctx.tracer)
+                                     "host-only(native)", ctx.tracer,
+                                     captured)
+        if captured is not None:
+            raise PlanError(f"a capture is read by host-only stacks, "
+                            f"not {stack}")
         if stack is Stack.HYBRID and split_index is None:
             raise PlanError("hybrid execution needs a split_index")
         try:
@@ -184,14 +193,14 @@ class StackRunner:
         report.total_time += failure.wasted_time
         return report
 
-    def _traced_host(self, engine, plan, strategy, tracer):
+    def _traced_host(self, engine, plan, strategy, tracer, captured=None):
         """Run a host-only plan, recording its breakdown as trace spans.
 
         Host-only execution is not event-driven (one timing charge covers
         the whole plan), so its trace is the Table-4 breakdown laid out
         sequentially on the host compute track under one root span.
         """
-        report = engine.execute(plan, strategy=strategy)
+        report = engine.execute(plan, strategy=strategy, captured=captured)
         if tracer is not None and tracer.enabled:
             root = tracer.begin(EXEC_TRACK, strategy, 0.0,
                                 category="execution",

@@ -23,9 +23,10 @@ Admission control and placement per arriving query:
    completion frees buffers (head-of-line blocking keeps admission
    fair and deterministic); a query that would not fit even an *idle*
    device runs on the host instead.
-3. **Host placement** — host-only queries execute eagerly (same rows as
-   serial execution by construction) and their service time serializes
-   on the shared host CPU resource.
+3. **Host placement** — host-only queries execute eagerly over the
+   capture taken at admission (same rows and charges as serial
+   execution) and their service time serializes on the shared host CPU
+   resource.
 
 Determinism: arrivals are seeded, the event loop breaks timestamp ties
 by insertion order, per-query fault injectors draw from their own seeded
@@ -68,9 +69,11 @@ class QueryJob:
     shed_at: float = None       # when the deadline shed/cancelled it
     report: object = None       # ExecutionReport once finished
     error: str = None           # abandon reason, if any
-    # Scheduler bookkeeping (never serialized): the in-flight staged
-    # split and its device, and the adaptive audit — replan count,
-    # cancelled-attempt time, breaker decisions.
+    # Scheduler bookkeeping (never serialized): the capture taken at
+    # admission, the in-flight staged split and its device, and the
+    # adaptive audit — replan count, cancelled-attempt time, breaker
+    # decisions.
+    _captured: object = field(default=None, repr=False)
     _prepared: object = field(default=None, repr=False)
     _target: int = field(default=None, repr=False)
     _replans: int = field(default=0, repr=False)
@@ -372,8 +375,14 @@ class WorkloadScheduler:
             self._queue.pop(0)
 
     def _try_start(self, job):
-        """Plan and start ``job`` now; False if it must keep waiting."""
+        """Plan and start ``job`` now; False if it must keep waiting.
+
+        The job reads one capture of its tables, taken here: whatever
+        runs it — a staged split, a re-planned restart or the host —
+        sees the state it was admitted at.
+        """
         now = self.kernel.now
+        job._captured = self.runner.ndp_engine.capture(job.plan)
         target = self.kernel.least_loaded(self.devices)
         load = self.current_load(target)
         job.decision = self.planner.decide(
@@ -422,7 +431,8 @@ class WorkloadScheduler:
         """Stage ``job`` at ``H{split_index}`` on device ``target``."""
         return self.executors[target].prepare_split(
             job.plan, split_index, self.ctx,
-            kernel=self.kernel.view(target), trace_label=job.label)
+            kernel=self.kernel.view(target), trace_label=job.label,
+            captured=job._captured)
 
     def _launch(self, job, prepared, target, now, admitted_under=None):
         """Start a staged offload, wiring completion and adaptivity.
@@ -536,8 +546,13 @@ class WorkloadScheduler:
     def _start_host(self, job, fallback_from=None, **degraded):
         """Run ``job`` host-only; service time serializes on the CPU.
 
-        The rows come from an eager native-path run (identical to serial
-        execution); the shared host CPU resource then prices when that
+        Every host placement comes here: a host-only decision, an
+        admission timeout or overload, an abandoned offload's fallback
+        and a re-plan to the host.  The native host-only plan runs now
+        over the job's admission capture, so its rows, counters and
+        service time are a serial native run's, and its seeks share the
+        snapshot seek memo with every other read of that capture's
+        versions; the shared host CPU resource then prices when that
         service time actually fits between the other queries' host work.
         With ``fallback_from`` the report is marked as the degradation
         of that placement (``degraded`` passes to
@@ -546,7 +561,8 @@ class WorkloadScheduler:
         abandoned attempt.
         """
         now = self.kernel.now
-        report = self.runner.run(job.plan, Stack.NATIVE)
+        report = self.runner.run(job.plan, Stack.NATIVE,
+                                 captured=job._captured)
         service = report.total_time
         begin, end = self.kernel.cpu.acquire(
             now, service, label=f"host-only {job.label}")

@@ -8,6 +8,7 @@ from the same seed.
 """
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,12 +18,16 @@ from repro.bench.concurrency import percentile, run_concurrency_benchmark
 from repro.context import ExecutionContext
 from repro.core import DeviceLoad, ExecutionStrategy, PlanningContext
 from repro.core.cost_model import MAX_PRICED_UTILIZATION
+from repro.core.strategy import HybridDecision
 from repro.engine.stacks import Stack
 from repro.errors import ReproError
 from repro.faults import CommandFaultModel, FaultPlan, FlashFaultModel
+from repro.lsm.snapshot import SnapshotView
+from repro.lsm.store import LSMTree
 from repro.sched import (ClosedLoopArrivals, OpenLoopArrivals,
                          WorkloadScheduler, assign_clients)
 from repro.workloads.job_queries import query
+from repro.workloads.loader import build_environment
 
 #: The acceptance mix: >= 8 queries spanning host-leaning and
 #: device-leaning plans (same mix the benchmark defaults to).
@@ -189,6 +194,74 @@ class TestAdmissionControl:
         # Load-aware placement sheds marginal queries to the host under
         # this much pressure.
         assert result.placements().get("host-only", 0) > 0
+
+
+class TestHostPlacement:
+    """A host-placed job runs the native host-only plan over the capture
+    its admission took: a serial native run's rows, counters and time,
+    with seeks that share the snapshot seek memo."""
+
+    def test_host_jobs_equal_serial_native_runs(self, job_env):
+        sched = WorkloadScheduler(job_env)
+        sched.submit_open_loop(MIX * 2, OpenLoopArrivals(
+            rate_qps=2000.0, seed=3))
+        hosted = [job for job in sched.run().jobs
+                  if job.placement == "host-only"]
+        # An overloaded device sheds most of the second round, repeats
+        # included, to the host.
+        assert len(hosted) > len({job.name for job in hosted}) > 1
+        for job in hosted:
+            serial = job_env.runner.run(job.plan, Stack.NATIVE)
+            assert job.report.result.rows == serial.result.rows, job.label
+            assert (job.report.result.columns
+                    == serial.result.columns), job.label
+            assert (job.report.host_counters.as_dict()
+                    == serial.host_counters.as_dict()), job.label
+            assert (job.report.host_processing_time
+                    == serial.total_time), job.label
+
+    def test_repeated_host_job_walks_no_keys(self):
+        """The second host job of a query replays the first one's seeks:
+        no live get in either, no snapshot get in the second."""
+        env = build_environment(scale=0.0002, seed=7)
+        walked = {}
+        gets = {"live": 0, "snapshot": 0}
+
+        def counting(kind, real):
+            def get(tree, *args, **kwargs):
+                gets[kind] += 1
+                return real(tree, *args, **kwargs)
+            return get
+
+        real_start = WorkloadScheduler._start_host
+
+        def start_host(scheduler, job, *args, **kwargs):
+            before = dict(gets)
+            real_start(scheduler, job, *args, **kwargs)
+            walked[job.label] = {kind: gets[kind] - before[kind]
+                                 for kind in gets}
+
+        sched = WorkloadScheduler(env)
+        sched.submit("8c", at=0.0)
+        sched.submit("8c", at=0.0)
+        host_only = HybridDecision(ExecutionStrategy.HOST_ONLY)
+        with mock.patch.object(env.planner, "decide",
+                               lambda plan, context=None: host_only), \
+                mock.patch.object(LSMTree, "get",
+                                  counting("live", LSMTree.get)), \
+                mock.patch.object(SnapshotView, "get",
+                                  counting("snapshot", SnapshotView.get)), \
+                mock.patch.object(WorkloadScheduler, "_start_host",
+                                  start_host):
+            result = sched.run()
+        assert result.placements() == {"host-only": 2}
+        assert walked["8c#0"]["live"] == 0
+        assert walked["8c#0"]["snapshot"] > 0
+        assert walked["8c#1"] == {"live": 0, "snapshot": 0}
+        first, second = (job.report for job in result.jobs)
+        assert (first.host_counters.as_dict()
+                == second.host_counters.as_dict())
+        assert first.host_counters.index_seeks > 0
 
 
 class TestLoadAwarePlacement:

@@ -8,9 +8,12 @@ an insert, an update of a join key, or one that a flush turns into a
 compaction — is therefore invisible to the whole split, however late
 its batches are joined: its rows equal the host-only rows read before
 the write.  Checked for a split driven by hand, through the workload
-scheduler and as a 2-device scatter-gather partition.  On an unchanged
-tree the pinned host fragment charges what a live one does, counter for
-counter, and the command still ships the device tables' state alone.
+scheduler and as a 2-device scatter-gather partition, and for the host
+fallback of a scheduled offload, which reads the capture its job was
+admitted at.  A host-only run given a capture reads it the same way.
+On an unchanged tree the pinned host fragment and a pinned host-only
+run charge what live ones do, counter for counter, and the command
+still ships the device tables' state alone.
 """
 
 from unittest import mock
@@ -18,12 +21,14 @@ from unittest import mock
 import pytest
 
 from repro.cluster import DeviceCluster
+from repro.context import ExecutionContext
 from repro.core.strategy import ExecutionStrategy, HybridDecision
 from repro.engine.counters import WorkCounters
 from repro.engine.host import _FragmentSession
 from repro.engine.pipeline import PipelineExecutor
 from repro.engine.stacks import Stack, StackRunner
-from repro.errors import ReproError
+from repro.errors import PlanError, ReproError
+from repro.faults import CommandFaultModel, FaultPlan
 from repro.lsm.snapshot import SharedState
 from repro.sched import WorkloadScheduler
 from repro.sim import SimContext
@@ -121,6 +126,29 @@ def _scheduled(env, write):
     return job.report.result.sorted_rows()
 
 
+def _fallen_back(env, write):
+    """A scheduled H0 offload whose command submissions all fail; the
+    write lands as its host fallback starts, after admission."""
+    force_h0 = HybridDecision(ExecutionStrategy.HYBRID, split_index=0)
+    storm = FaultPlan(seed=1, commands=CommandFaultModel(fail_first=8))
+    scheduler = WorkloadScheduler(env, ctx=ExecutionContext(faults=storm),
+                                  queries={"q": _SQL})
+    scheduler.submit("q")
+    abandon = WorkloadScheduler._offload_abandoned
+
+    def abandoned(scheduler, job, error):
+        write(env)
+        abandon(scheduler, job, error)
+    with mock.patch.object(env.planner, "decide",
+                           lambda plan, context=None: force_h0), \
+            mock.patch.object(WorkloadScheduler, "_offload_abandoned",
+                              abandoned):
+        job, = scheduler.run().jobs
+    assert (job.placement, job.report.fallback_from) == ("host-fallback",
+                                                         "H0")
+    return job.report.result.sorted_rows()
+
+
 def _scattered(env, write):
     cluster = DeviceCluster(env, n_devices=2)
     with _writing_before_the_first_batch(env, write):
@@ -130,8 +158,9 @@ def _scattered(env, write):
     return report.result.sorted_rows()
 
 
-@pytest.mark.parametrize("driver", [_by_hand, _scheduled, _scattered],
-                         ids=["prepare_split", "scheduler", "cluster"])
+@pytest.mark.parametrize(
+    "driver", [_by_hand, _scheduled, _scattered, _fallen_back],
+    ids=["prepare_split", "scheduler", "cluster", "scheduler-fallback"])
 def test_split_reads_the_state_it_was_prepared_at(env, driver):
     plan = env.runner.plan(_SQL)
     assert [entry.alias for entry in plan.entries] == ["t", "mc"]
@@ -145,8 +174,9 @@ def _no_write(env):
     pass
 
 
-@pytest.mark.parametrize("driver", [_by_hand, _scheduled, _scattered],
-                         ids=["prepare_split", "scheduler", "cluster"])
+@pytest.mark.parametrize(
+    "driver", [_by_hand, _scheduled, _scattered, _fallen_back],
+    ids=["prepare_split", "scheduler", "cluster", "scheduler-fallback"])
 def test_split_staged_after_a_write_reads_it(env, driver):
     """Captures are reused while a tree's version stands still, so a
     split staged after a write must still see that write."""
@@ -183,10 +213,22 @@ def _live_host_fragment(runner, plan, k, prepared):
     return result.sorted_rows(), counters.as_dict()
 
 
+def _outcome(report):
+    return (report.result.rows, report.result.columns,
+            report.host_counters.as_dict(), report.total_time)
+
+
 def _assert_pinned_charges_like_live(runner, sql):
-    """Every feasible split's pinned host fragment returns and charges
-    exactly what a host fragment over the live trees does."""
+    """Every feasible split's pinned host fragment, and the plan run
+    host-only over a capture, returns and charges exactly what the same
+    work over the live trees does."""
     plan = runner.plan(sql)
+    captured = runner.ndp_engine.capture(plan)
+    for stack in (Stack.NATIVE, Stack.BLK):
+        live = runner.run(plan, stack)
+        assert _outcome(runner.run(plan, stack, captured=captured)) \
+            == _outcome(live), stack
+        assert live.host_counters.index_seeks
     seeks = 0
     for k in range(plan.table_count - 1):
         kernel = SimContext.fresh()
@@ -234,6 +276,29 @@ def test_pinned_host_fragment_charges_like_live_past_bloom_filters(
                          Topology.single(flash=flash).device,
                          buffer_scale=0.001)
     _assert_pinned_charges_like_live(runner, _MINI_SQL)
+
+
+def test_host_only_run_reads_its_capture(env):
+    plan = env.runner.plan(_SQL)
+    captured = env.runner.ndp_engine.capture(plan)
+    before = env.runner.run(plan, Stack.NATIVE)
+    env.catalog.table("movie_companies").insert_many(_new_mc(env, 3))
+    pinned = env.runner.run(plan, Stack.NATIVE, captured=captured)
+    after = env.runner.run(plan, Stack.NATIVE)
+    assert _outcome(pinned) == _outcome(before)
+    assert after.result.sorted_rows() != before.result.sorted_rows()
+    assert (after.host_counters.as_dict()
+            != before.host_counters.as_dict())
+
+
+def test_only_host_stacks_read_a_capture(env):
+    plan = env.runner.plan(_SQL)
+    captured = env.runner.ndp_engine.capture(plan)
+    with pytest.raises(PlanError, match="host-only"):
+        env.runner.run(plan, Stack.HYBRID, split_index=0,
+                       captured=captured)
+    with pytest.raises(PlanError, match="host-only"):
+        env.runner.run(plan, Stack.NDP, captured=captured)
 
 
 def test_host_residual_may_name_a_device_alias(env):
