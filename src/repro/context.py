@@ -73,9 +73,9 @@ class ExecutionContext:
         """A per-execution fault injector honouring ``retry_policy``.
 
         A :class:`~repro.faults.FaultPlan` yields a *fresh* injector per
-        call (each execution draws its own RNG stream); an active
-        injector passes through so one injector's counts can span a
-        retry plus its fallback.
+        call, seeded with the plan's seed, so each execution replays the
+        same random stream; an active injector passes through so one
+        injector's counts can span a retry plus its fallback.
         """
         faults = self.faults
         if self.retry_policy is not None and isinstance(faults, FaultPlan):

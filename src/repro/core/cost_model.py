@@ -236,34 +236,39 @@ class CostModel:
         """
         nodes = []
         cumulative = 0.0
+        # Projected bytes of one intermediate row up to this entry.
+        node_pbn = 0
         hardware = self.hardware
         compute_scale = 1.0
         transfer_scale = 1.0
         if on_device and self.device_load is not None:
             compute_scale = self.device_load.compute_scale()
             transfer_scale = self.device_load.transfer_scale()
+        # Buffer management: how many buffer refills the node's output
+        # causes on its placement's buffer size.
+        buffer_bytes = max(1, hardware.hw_msj if on_device
+                           else hardware.hw_msh // 64)
+        memcpy_factor = hardware.memcpy_factor(on_device)
+        # Join work (seeks, hash probes) runs on the device's DRAM-bound
+        # path, not the 31x CoreMark path.
+        index_factor = hardware.index_factor(on_device)
+        cf_pcie = hardware.cf_pcie()
         for entry in plan.entries:
             c_scan = self.scan_cost(entry, on_device) * compute_scale
             c_cpu = self.cpu_cost(entry, on_device) * compute_scale
             node_ren = self.corrected_rows(entry.estimated_output_rows)
-            node_pbn = self._prefix_row_bytes(plan, entry)
-            # Buffer management: how many buffer refills the node's
-            # output causes on its placement's buffer size.
-            buffer_bytes = (hardware.hw_msj if on_device
-                            else hardware.hw_msh // 64)
-            node_brc = (node_ren * node_pbn / max(1, buffer_bytes)) * (
-                hardware.memcpy_factor(on_device)) * compute_scale
+            node_pbn += max(4, entry.projection_bytes)
+            node_brc = (node_ren * node_pbn / buffer_bytes
+                        * memcpy_factor * compute_scale)
             if on_device:
                 c_trans = (node_ren * node_pbn / self.block_bytes
-                           * hardware.cf_pcie()) * transfer_scale
+                           * cf_pcie) * transfer_scale
             else:
                 c_trans = self.transfer_cost(entry, on_device=False)
             join_cost = 0.0
             if entry.join_algorithm is not None:
-                # Join work (seeks, hash probes) runs on the device's
-                # DRAM-bound path, not the 31x CoreMark path.
-                join_cost = node_ren * self.usr_rec * (
-                    hardware.index_factor(on_device)) * compute_scale
+                join_cost = (node_ren * self.usr_rec * index_factor
+                             * compute_scale)
             cumulative = (cumulative + c_scan + c_cpu + join_cost
                           + node_brc)
             # eq. (8): transfers are pending at the end for NDP; for the
@@ -281,15 +286,6 @@ class CostModel:
             ))
         return PlanCost(location="device" if on_device else "host",
                         nodes=nodes)
-
-    def _prefix_row_bytes(self, plan, entry):
-        """Projected bytes of one intermediate row up to ``entry``."""
-        total = 0
-        for candidate in plan.entries:
-            total += max(4, candidate.projection_bytes)
-            if candidate.alias == entry.alias:
-                break
-        return total
 
     def host_total(self, plan):
         """c_total for host-only execution (eq. 1/8, host placement)."""

@@ -10,8 +10,17 @@ DBMS parameter file.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import ReproError
+
+
+@lru_cache(maxsize=None)
+def _pcie_cost_factor(version, lanes):
+    """``PCIeLink(version, lanes).cost_factor()``, built once per link
+    shape (an invalid shape raises every time and is not cached)."""
+    from repro.storage.interconnect import PCIeLink
+    return PCIeLink(version=version, lanes=lanes).cost_factor()
 
 
 @dataclass(frozen=True)
@@ -101,8 +110,7 @@ class HardwareModel:
         Derived from the physical-layer properties (version -> rate and
         encoding, lane count), normalised so a PCIe 3.0 x16 link costs 1.
         """
-        from repro.storage.interconnect import PCIeLink
-        return PCIeLink(version=self.hw_ipv, lanes=self.hw_ipl).cost_factor()
+        return _pcie_cost_factor(self.hw_ipv, self.hw_ipl)
 
     # ------------------------------------------------------------------
     # Construction from a profiler run

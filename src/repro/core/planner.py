@@ -90,7 +90,10 @@ class HybridPlanner:
             )
             return self._bind(decision, plan, context)
 
-        choice = splitter.choose_split(plan)
+        # One device pricing per decision: the splitter reuses it when it
+        # prices with the same model.
+        choice = splitter.choose_split(
+            plan, device_cost if splitter.cost_model is cost_model else None)
         split_index = fit_to_device(self.device, plan, choice.split_index)
 
         last = plan.table_count - 1

@@ -89,17 +89,21 @@ class SplitPlanner:
     # ------------------------------------------------------------------
     # Split selection (Fig. 5)
     # ------------------------------------------------------------------
-    def choose_split(self, plan):
+    def choose_split(self, plan, device_cost=None):
         """Pick the split point closest to ``c_target``.
 
         The cumulative curve is evaluated with *device* placement (it is
         the NDP fragment that the cumulative cost describes), while the
         total cost anchoring the target uses the host plan, since the
         target expresses "how much of the query the device can carry".
+        ``device_cost`` is this splitter's cost model's device-placement
+        :class:`~repro.core.cost_model.PlanCost` of ``plan``, when the
+        caller already holds it; otherwise it is priced here.
         """
         if plan.table_count < 2:
             raise PlanError("split requires at least two tables")
-        device_cost = self.cost_model.plan_cost(plan, on_device=True)
+        if device_cost is None:
+            device_cost = self.cost_model.plan_cost(plan, on_device=True)
         cumulative = device_cost.cumulative()
         c_total = cumulative[-1]
         target = self.c_target(c_total, plan.table_count)

@@ -21,23 +21,45 @@ from repro.errors import ParseError
 from repro.query.ast import (Between, ColumnRef, Comparison, InList,
                              IsNull, Like, Literal, Not, Or, make_and)
 
-_KEYWORDS = {
+_KEYWORDS = frozenset({
     "select", "from", "where", "and", "or", "not", "like", "in", "between",
     "is", "null", "as", "group", "by", "limit", "min", "max", "count",
     "sum", "avg",
-}
+})
+_AGGREGATES = frozenset({"min", "max", "count", "sum", "avg"})
 
-_TOKEN_RE = re.compile(
+#: One token per match, its text in the group: whitespace before it is
+#: skipped, and a character no token starts with is matched alone as
+#: junk.  No two token alternatives (ident, punct, op, string, number)
+#: can start with the same character, so their order only sets speed
+#: (most common first); junk must come last.  Trailing whitespace
+#: matches nothing and ends the scan.
+_LEX_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>-?\d+(?:\.\d+)?)
-  | (?P<string>'(?:[^'\\]|\\.|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)
-  | (?P<op><=|>=|!=|<>|=|<|>)
-  | (?P<punct>[(),;*])
-    """,
+    \s*(
+      [A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?
+    | [(),;*]
+    | <=|>=|!=|<>|=|<|>
+    | '(?:[^'\\]|\\.|'')*'
+    | -?\d+(?:\.\d+)?
+    | \S
+    )""",
     re.VERBOSE,
 )
+_DIGIT_RE = re.compile(r"\d")
+_PUNCT = frozenset("(),;*")
+
+#: A token's tag from its first character, where that alone tells: an
+#: ident (a keyword once lower-cased), a number, an operator, or the
+#: punctuation character itself.  Other first characters (``'``, ``-``,
+#: ``!`` and non-ASCII) go through :func:`_rare_tag`.
+_TAG_BY_FIRST = {
+    **{ch: "ident" for ch in
+       "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"},
+    **{ch: "number" for ch in "0123456789"},
+    **{ch: "op" for ch in "<>="},
+    **{ch: ch for ch in _PUNCT},
+}
 
 
 class Token(NamedTuple):
@@ -48,30 +70,74 @@ class Token(NamedTuple):
     position: int
 
 
+def _rare_tag(text):
+    """Tag of a token starting with ``'``, ``-``, ``!`` or non-ASCII."""
+    first = text[0]
+    if len(text) > 1:
+        # Only these alternatives match two or more characters here.
+        if first == "'":
+            return "string"
+        return "op" if first == "!" else "number"
+    return "number" if _DIGIT_RE.match(first) else "junk"
+
+
+def _lex(sql):
+    """``(tags, texts)``: per token, a tag and the source text.
+
+    A keyword's tag is its lower-case text and a punctuation mark's is
+    the mark; any other token is tagged with its kind (``ident``,
+    ``number``, ``string``, ``op``, ``junk``).  Both lists end with
+    ``("eof", "")``.  Offsets are left to :func:`_offsets`.
+    """
+    texts = _LEX_RE.findall(sql)
+    tags = []
+    append = tags.append
+    tag_by_first = _TAG_BY_FIRST
+    keywords = _KEYWORDS
+    for text in texts:
+        tag = tag_by_first.get(text[0])
+        if tag == "ident":
+            lowered = text.lower()
+            if lowered in keywords:
+                tag = lowered
+        elif tag is None:
+            tag = _rare_tag(text)
+        append(tag)
+    append("eof")
+    texts.append("")
+    return tags, texts
+
+
+def _offsets(sql):
+    """Each token's offset in ``sql``, eof included."""
+    offsets = [match.start(1) for match in _LEX_RE.finditer(sql)]
+    offsets.append(len(sql))
+    return offsets
+
+
+def _reject_junk(sql, tags):
+    """Raise :class:`ParseError` at the first junk character, if any."""
+    if "junk" in tags:
+        position = _offsets(sql)[tags.index("junk")]
+        raise ParseError(f"unexpected character {sql[position]!r}",
+                         position)
+
+
+def _kind_and_text(tag, text):
+    """The :class:`Token` kind and text of a tagged token."""
+    if tag in _KEYWORDS:
+        return "keyword", tag
+    if tag in _PUNCT:
+        return "punct", text
+    return tag, text
+
+
 def tokenize(sql):
     """Tokenize SQL text; raises :class:`ParseError` on junk."""
-    tokens = []
-    append = tokens.append
-    match_at = _TOKEN_RE.match
-    keywords = _KEYWORDS
-    position = 0
-    end = len(sql)
-    while position < end:
-        match = match_at(sql, position)
-        if match is None:
-            raise ParseError(f"unexpected character {sql[position]!r}",
-                             position)
-        kind = match.lastgroup
-        if kind != "ws":
-            text = match.group()
-            if (kind == "ident" and "." not in text
-                    and text.lower() in keywords):
-                kind = "keyword"
-                text = text.lower()
-            append(Token(kind, text, position))
-        position = match.end()
-    append(Token("eof", "", end))
-    return tokens
+    tags, texts = _lex(sql)
+    _reject_junk(sql, tags)
+    return [Token(*_kind_and_text(tag, text), position)
+            for tag, text, position in zip(tags, texts, _offsets(sql))]
 
 
 @dataclass(frozen=True)
@@ -105,114 +171,113 @@ class ParsedQuery:
 
 
 class _Parser:
+    """Recursive descent over ``_lex``'s parallel tag and text lists.
+
+    ``_i`` indexes the next token.  Offsets are computed only to raise a
+    :class:`ParseError`.
+    """
+
+    __slots__ = ("_sql", "_tags", "_texts", "_i")
+
     def __init__(self, sql):
         self._sql = sql
-        self._tokens = tokenize(sql)
-        self._pos = 0
+        self._tags, self._texts = _lex(sql)
+        _reject_junk(sql, self._tags)
+        self._i = 0
 
     # -- token plumbing -------------------------------------------------
-    def _peek(self):
-        return self._tokens[self._pos]
+    def _error(self, message, index):
+        return ParseError(message, _offsets(self._sql)[index])
 
-    def _advance(self):
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
+    def _found(self, index):
+        """Token ``index``'s text as an error message quotes it."""
+        tag = self._tags[index]
+        return repr(tag if tag in _KEYWORDS else self._texts[index])
 
-    def _expect(self, kind, text=None):
-        token = self._peek()
-        if token.kind != kind or (text is not None and token.text != text):
-            want = text or kind
-            raise ParseError(
-                f"expected {want!r}, found {token.text!r}", token.position)
-        return self._advance()
+    def _expect(self, tag):
+        """Consume a token tagged ``tag``; returns its text."""
+        i = self._i
+        if self._tags[i] != tag:
+            raise self._error(
+                f"expected {tag!r}, found {self._found(i)}", i)
+        self._i = i + 1
+        return self._texts[i]
 
-    def _accept(self, kind, text=None):
-        token = self._peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self._advance()
-        return None
+    def _accept(self, tag):
+        """Consume the next token if it is tagged ``tag``."""
+        if self._tags[self._i] == tag:
+            self._i += 1
+            return True
+        return False
 
     # -- grammar --------------------------------------------------------
     def parse(self):
-        self._expect("keyword", "select")
-        items = self._select_list()
-        self._expect("keyword", "from")
-        tables = self._table_list()
+        self._expect("select")
+        items = [self._select_item()]
+        while self._accept(","):
+            items.append(self._select_item())
+        self._expect("from")
+        tables = [self._table_item()]
+        while self._accept(","):
+            tables.append(self._table_item())
         where = None
-        if self._accept("keyword", "where"):
+        if self._accept("where"):
             where = self._or_expr()
         group_by = []
-        if self._accept("keyword", "group"):
-            self._expect("keyword", "by")
+        if self._accept("group"):
+            self._expect("by")
             group_by.append(self._column_ref())
-            while self._accept("punct", ","):
+            while self._accept(","):
                 group_by.append(self._column_ref())
         limit = None
-        if self._accept("keyword", "limit"):
-            token = self._expect("number")
-            if "." in token.text:
-                raise ParseError(
-                    f"LIMIT must be an integer, found {token.text!r}",
-                    token.position)
-            limit = int(token.text)
+        if self._accept("limit"):
+            i = self._i
+            text = self._expect("number")
+            if "." in text:
+                raise self._error(
+                    f"LIMIT must be an integer, found {text!r}", i)
+            limit = int(text)
             if limit < 0:
-                raise ParseError(
-                    f"LIMIT must be non-negative, found {token.text!r}",
-                    token.position)
-        self._accept("punct", ";")
+                raise self._error(
+                    f"LIMIT must be non-negative, found {text!r}", i)
+        self._accept(";")
         self._expect("eof")
         return ParsedQuery(items, tables, where, group_by, limit)
 
-    def _select_list(self):
-        items = [self._select_item()]
-        while self._accept("punct", ","):
-            items.append(self._select_item())
-        return items
-
     def _select_item(self):
-        token = self._peek()
-        if token.kind == "keyword" and token.text in (
-                "min", "max", "count", "sum", "avg"):
-            aggregate = self._advance().text
-            self._expect("punct", "(")
-            if self._accept("punct", "*"):
-                expr = "*"
-            else:
-                expr = self._column_ref()
-            self._expect("punct", ")")
-            alias = None
-            if self._accept("keyword", "as"):
-                alias = self._expect("ident").text
+        aggregate = self._tags[self._i]
+        if aggregate in _AGGREGATES:
+            self._i += 1
+            self._expect("(")
+            expr = "*" if self._accept("*") else self._column_ref()
+            self._expect(")")
+            alias = self._expect("ident") if self._accept("as") else None
             return SelectItem(expr, aggregate=aggregate, alias=alias)
-        if self._accept("punct", "*"):
+        if self._accept("*"):
             return SelectItem("*")
         expr = self._column_ref()
-        alias = None
-        if self._accept("keyword", "as"):
-            alias = self._expect("ident").text
+        alias = self._expect("ident") if self._accept("as") else None
         return SelectItem(expr, alias=alias)
 
-    def _table_list(self):
-        tables = [self._table_item()]
-        while self._accept("punct", ","):
-            tables.append(self._table_item())
-        return tables
-
     def _table_item(self):
-        name = self._expect("ident").text
+        i = self._i
+        name = self._expect("ident")
         if "." in name:
-            raise ParseError(f"qualified table name {name!r} not supported")
+            raise self._error(
+                f"qualified table name {name!r} not supported", i)
         alias = name
-        if self._accept("keyword", "as"):
-            alias = self._expect("ident").text
-        elif self._peek().kind == "ident" and "." not in self._peek().text:
-            alias = self._advance().text
+        if self._accept("as"):
+            alias = self._expect("ident")
+        else:
+            i = self._i
+            if self._tags[i] == "ident" and "." not in self._texts[i]:
+                alias = self._texts[i]
+                self._i = i + 1
         return name, alias
 
     def _or_expr(self):
         items = [self._and_expr()]
-        while self._accept("keyword", "or"):
+        while self._accept("or"):
             items.append(self._and_expr())
         if len(items) == 1:
             return items[0]
@@ -220,92 +285,85 @@ class _Parser:
 
     def _and_expr(self):
         items = [self._not_expr()]
-        while self._accept("keyword", "and"):
+        while self._accept("and"):
             items.append(self._not_expr())
         return make_and(items)
 
     def _not_expr(self):
-        if self._accept("keyword", "not"):
+        if self._accept("not"):
             return Not(self._not_expr())
         return self._predicate()
 
     def _predicate(self):
-        if self._accept("punct", "("):
+        if self._accept("("):
             inner = self._or_expr()
-            self._expect("punct", ")")
+            self._expect(")")
             return inner
         operand = self._operand()
-        token = self._peek()
-        negated = False
-        if token.kind == "keyword" and token.text == "not":
-            self._advance()
-            negated = True
-            token = self._peek()
-        if token.kind == "keyword" and token.text == "like":
-            self._advance()
-            pattern = self._string_value()
-            return Like(operand, pattern, negated=negated)
-        if token.kind == "keyword" and token.text == "in":
-            self._advance()
-            self._expect("punct", "(")
+        tags = self._tags
+        i = self._i
+        negated = tags[i] == "not"
+        if negated:
+            i += 1
+        tag = tags[i]
+        if tag == "like":
+            self._i = i + 1
+            return Like(operand, self._string_value(), negated=negated)
+        if tag == "in":
+            self._i = i + 1
+            self._expect("(")
             values = [self._literal_value()]
-            while self._accept("punct", ","):
+            while self._accept(","):
                 values.append(self._literal_value())
-            self._expect("punct", ")")
+            self._expect(")")
             return InList(operand, tuple(values), negated=negated)
-        if token.kind == "keyword" and token.text == "between":
-            if negated:
-                self._advance()
-                low = self._operand()
-                self._expect("keyword", "and")
-                high = self._operand()
-                return Not(Between(operand, low, high))
-            self._advance()
+        if tag == "between":
+            self._i = i + 1
             low = self._operand()
-            self._expect("keyword", "and")
+            self._expect("and")
             high = self._operand()
+            if negated:
+                return Not(Between(operand, low, high))
             return Between(operand, low, high)
         if negated:
-            raise ParseError("NOT must precede LIKE/IN/BETWEEN here",
-                             token.position)
-        if token.kind == "keyword" and token.text == "is":
-            self._advance()
-            is_negated = bool(self._accept("keyword", "not"))
-            self._expect("keyword", "null")
+            raise self._error("NOT must precede LIKE/IN/BETWEEN here", i)
+        if tag == "is":
+            self._i = i + 1
+            is_negated = self._accept("not")
+            self._expect("null")
             return IsNull(operand, negated=is_negated)
-        op_token = self._expect("op")
-        right = self._operand()
-        return Comparison(op_token.text, operand, right)
+        op = self._expect("op")
+        return Comparison(op, operand, self._operand())
 
     def _operand(self):
-        token = self._peek()
-        if token.kind == "ident":
+        tag = self._tags[self._i]
+        if tag == "ident":
             return self._column_ref()
-        if token.kind in ("number", "string"):
+        if tag == "number" or tag == "string":
             return Literal(self._literal_value())
-        raise ParseError(f"expected operand, found {token.text!r}",
-                         token.position)
+        raise self._error(f"expected operand, found {self._found(self._i)}",
+                          self._i)
 
     def _column_ref(self):
-        token = self._expect("ident")
-        if "." in token.text:
-            alias, column = token.text.split(".", 1)
+        text = self._expect("ident")
+        alias, dot, column = text.partition(".")
+        if dot:
             return ColumnRef(alias, column)
-        return ColumnRef("", token.text)
+        return ColumnRef("", text)
 
     def _literal_value(self):
-        token = self._advance()
-        if token.kind == "number":
-            text = token.text
+        i = self._i
+        self._i = i + 1
+        tag = self._tags[i]
+        text = self._texts[i]
+        if tag == "number":
             return float(text) if "." in text else int(text)
-        if token.kind == "string":
-            return self._unquote(token.text)
-        raise ParseError(f"expected literal, found {token.text!r}",
-                         token.position)
+        if tag == "string":
+            return self._unquote(text)
+        raise self._error(f"expected literal, found {self._found(i)}", i)
 
     def _string_value(self):
-        token = self._expect("string")
-        return self._unquote(token.text)
+        return self._unquote(self._expect("string"))
 
     @staticmethod
     def _unquote(text):
@@ -317,6 +375,8 @@ class _Parser:
         backslash).
         """
         body = text[1:-1]
+        if "'" not in body and "\\" not in body:
+            return body
         out = []
         i = 0
         while i < len(body):

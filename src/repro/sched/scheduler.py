@@ -29,10 +29,12 @@ Admission control and placement per arriving query:
    resource.
 
 Determinism: arrivals are seeded, the event loop breaks timestamp ties
-by insertion order, per-query fault injectors draw from their own seeded
-RNG streams, and host work is priced by the same counters as serial
-runs — the same seed reproduces the whole workload timeline byte for
-byte.
+by insertion order, and host work is priced by the same counters as
+serial runs — the same seed reproduces the whole workload timeline byte
+for byte.  Under a :class:`~repro.faults.FaultPlan` every job gets a
+fresh injector, but each one seeds its RNG with the plan's seed, so all
+jobs replay the same fault stream; an injector passed in instead of a
+plan is shared by every job, which then draw different faults.
 """
 
 from dataclasses import dataclass, field
